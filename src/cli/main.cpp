@@ -39,7 +39,6 @@
 #include <chrono>
 #include <csignal>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <memory>
 #include <iomanip>
@@ -49,7 +48,6 @@
 #include <stdexcept>
 #include <string>
 #include <thread>
-#include <type_traits>
 #include <variant>
 #include <vector>
 
@@ -78,10 +76,7 @@ struct CliOptions {
     bool progress = false;                   ///< stderr progress meter
     bool tabulate = false;                   ///< tabulated SWEC device models
     bool report = false;                     ///< `report` verb: pretty RunReports
-    int threads = 1;                         ///< factor-path workers
-    int mc_batch = 0;                        ///< Monte-Carlo trial-batch width
     double deadline_s = 0.0;                 ///< per-analysis wall budget [s]
-    std::vector<std::string> probes;         ///< extra MC observation nodes
     std::optional<std::string> trace_path;   ///< --trace FILE.json
     std::optional<std::string> metrics_path; ///< --metrics FILE.json
     std::optional<std::string> failpoints;   ///< --failpoints SPEC
@@ -205,19 +200,6 @@ void usage(std::ostream& os) {
           "                             lookup tables, <= 1e-6 rel. error,\n"
           "                             exact closed-form fallback outside\n"
           "                             the tabulated voltage range)\n"
-          "  --threads N                worker threads for the sparse\n"
-          "                             numeric refactor (0 = all cores,\n"
-          "                             default 1 = serial; results are\n"
-          "                             bit-identical at any value)\n"
-          "  --mc-batch K               Monte-Carlo trial-batch width:\n"
-          "                             keep K trials in flight with\n"
-          "                             batched evaluation/refactors and\n"
-          "                             shared-factor multi-RHS solves;\n"
-          "                             bit-identical to the serial\n"
-          "                             driver at any K\n"
-          "  --probe n1,n2,...          extra Monte-Carlo observation\n"
-          "                             nodes (per-node mean/stddev\n"
-          "                             alongside the primary node)\n"
           "  --deadline T               wall-clock budget per analysis [s];\n"
           "                             on expiry the run is cancelled via\n"
           "                             the observer path and returns an\n"
@@ -250,7 +232,6 @@ void usage(std::ostream& os) {
           "                             is printed as 'listening on ...')\n"
           "  --workers N                concurrent job executors (default 2)\n"
           "  --queue-depth N            backpressure bound (default 64)\n"
-          "  --threads N                factor-path workers per session\n"
           "  --max-sessions N           session-dedup cache capacity\n"
           "  --idle-timeout T           per-connection read idle budget\n"
           "                             [s]: one quiet interval sends a\n"
@@ -371,53 +352,6 @@ std::optional<CliOptions> parse_args(int argc, char** argv) {
                 return std::nullopt;
             }
             opt.failpoints = argv[i];
-        } else if (arg == "--threads") {
-            if (++i >= argc) {
-                return std::nullopt;
-            }
-            try {
-                std::size_t used = 0;
-                opt.threads = std::stoi(argv[i], &used);
-                if (used != std::strlen(argv[i]) || opt.threads < 0) {
-                    return std::nullopt;
-                }
-            } catch (const std::exception&) {
-                return std::nullopt;
-            }
-        } else if (arg == "--mc-batch") {
-            if (++i >= argc) {
-                return std::nullopt;
-            }
-            try {
-                std::size_t used = 0;
-                opt.mc_batch = std::stoi(argv[i], &used);
-                if (used != std::strlen(argv[i]) || opt.mc_batch < 1) {
-                    return std::nullopt;
-                }
-            } catch (const std::exception&) {
-                return std::nullopt;
-            }
-        } else if (arg == "--probe") {
-            if (++i >= argc) {
-                return std::nullopt;
-            }
-            std::string list = argv[i];
-            std::size_t pos = 0;
-            while (pos <= list.size()) {
-                const std::size_t comma = list.find(',', pos);
-                const std::string name =
-                    list.substr(pos, comma == std::string::npos
-                                         ? std::string::npos
-                                         : comma - pos);
-                if (name.empty()) {
-                    return std::nullopt;
-                }
-                opt.probes.push_back(name);
-                if (comma == std::string::npos) {
-                    break;
-                }
-                pos = comma + 1;
-            }
         } else if (arg == "--circuit") {
             if (++i >= argc) {
                 return std::nullopt;
@@ -797,9 +731,6 @@ std::optional<ServeCliOptions> parse_serve_args(int argc, char** argv,
             } else if (arg == "--queue-depth") {
                 opt.server.queue_depth = static_cast<std::size_t>(
                     parse_int_arg("--queue-depth", argv[i]));
-            } else if (arg == "--threads") {
-                opt.server.factor_threads = static_cast<int>(
-                    parse_int_arg("--threads", argv[i]));
             } else if (arg == "--max-sessions") {
                 opt.server.max_sessions = static_cast<std::size_t>(
                     parse_int_arg("--max-sessions", argv[i]));
@@ -1272,14 +1203,6 @@ int main(int argc, char** argv) {
             cli->circuit_spec
                 ? SimSession(refckt::builtin_circuit(*cli->circuit_spec))
                 : SimSession::from_deck_file(cli->deck_path);
-        if (cli->threads != 1) {
-            // 0 = all cores (ExecutionPolicy semantics); results stay
-            // bit-identical to the serial factor path by construction.
-            session.set_factor_threads(
-                cli->threads > 0
-                    ? cli->threads
-                    : runtime::ExecutionPolicy{}.resolved());
-        }
         const std::string source =
             cli->circuit_spec ? *cli->circuit_spec : cli->deck_path;
         std::cout << "nanosim " << version_string() << " | " << source
@@ -1317,23 +1240,6 @@ int main(int argc, char** argv) {
             for (AnalysisSpec& spec : specs) {
                 std::visit(
                     [&](auto& s) { s.common.deadline_s = cli->deadline_s; },
-                    spec);
-            }
-        }
-        if (cli->mc_batch > 0 || !cli->probes.empty()) {
-            for (AnalysisSpec& spec : specs) {
-                std::visit(
-                    [&](auto& s) {
-                        if constexpr (std::is_same_v<std::decay_t<decltype(s)>,
-                                                     MonteCarloSpec>) {
-                            if (cli->mc_batch > 0) {
-                                s.batch = cli->mc_batch;
-                            }
-                            if (!cli->probes.empty()) {
-                                s.probes = cli->probes;
-                            }
-                        }
-                    },
                     spec);
             }
         }

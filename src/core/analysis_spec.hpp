@@ -123,18 +123,14 @@ struct MonteCarloSpec {
     double noise_dt = 0.0;     ///< noise bandwidth grid; 0 = t_stop/200
     std::size_t grid_points = 201; ///< statistics sampling grid
     std::uint64_t seed = 1;
-    /// false = serial driver consuming one RNG stream, every trial
-    /// refactoring through the session's shared solver cache (the
-    /// symbolic analysis is never repeated); true = the parallel driver
-    /// (engines/parallel.hpp) with per-trial RNG streams — bit-identical
-    /// for any `threads`, but a different seed contract than serial.
+    /// false = serial driver, every trial refactoring through the
+    /// session's shared solver cache (the symbolic analysis is never
+    /// repeated); true = the trial-parallel driver (engines/parallel.hpp),
+    /// one solver cache per trial.  Both draw trial k's noise from the
+    /// same NoisePathSet, so for one seed their ensemble statistics are
+    /// bit-identical at any `threads`.
     bool parallel = false;
     int threads = 0; ///< parallel worker count; 0 = all cores
-    /// Trial-batch width for the batched driver (engines/mc_batch.hpp):
-    /// > 1 keeps that many trials in flight with batched evaluation,
-    /// refactorisation, and shared-factor solves, bit-identical to the
-    /// serial driver.  Takes precedence over `parallel`.  0/1 = serial.
-    int batch = 0;
     /// Extra nodes to observe alongside `node` (per-node mean/stddev
     /// blocks in the result).
     std::vector<std::string> probes;
@@ -202,16 +198,6 @@ struct SolverWork {
     double solve_s = 0.0;
     /// Chord tables built during this run (0 = reused or disabled).
     std::size_t tables_built = 0;
-    // ---- parallel-refactor shape (sparse flat path; defaults on dense).
-    // Counts, not deltas: the schedule is a property of the factoriser,
-    // not work accumulated during the run.
-    std::size_t factor_threads = 1;    ///< workers on the factor path
-    std::size_t factor_supernodes = 0; ///< supernodes in the level schedule
-    std::size_t factor_levels = 0;     ///< levels in the schedule
-    // ---- trial-batched Monte-Carlo (engines/mc_batch.hpp) ----
-    std::size_t mc_batch_width = 0;      ///< frontier width (0 = not batched)
-    std::size_t batched_solves = 0;      ///< steps solved via solve_batch
-    std::size_t shared_factor_solves = 0; ///< solves that reused a lane factor
 };
 
 /// Uniform result header shared by every analysis kind.

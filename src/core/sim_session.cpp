@@ -1,6 +1,5 @@
 #include "core/sim_session.hpp"
 
-#include <algorithm>
 #include <chrono>
 #include <fstream>
 #include <sstream>
@@ -10,7 +9,6 @@
 #include "engines/dc_mla.hpp"
 #include "engines/dc_nr.hpp"
 #include "engines/dc_swec.hpp"
-#include "engines/mc_batch.hpp"
 #include "engines/parallel.hpp"
 #include "engines/tran_nr.hpp"
 #include "engines/tran_pwl.hpp"
@@ -156,26 +154,16 @@ mna::SystemCache& SimSession::solver_cache() {
     // Hand the precomputed union pattern to the new cache when it is
     // still on hand for this assembly; the rare re-creation after an
     // eviction falls back to the cache's own dry-run.
-    mna::SystemCache::Options options{};
-    options.factor_threads = factor_threads_;
     auto cache =
         pattern_coords_.empty()
-            ? std::make_unique<mna::SystemCache>(*assembler_, options)
+            ? std::make_unique<mna::SystemCache>(*assembler_)
             : std::make_unique<mna::SystemCache>(
-                  *assembler_, options, std::move(pattern_coords_),
-                  signature_);
+                  *assembler_, mna::SystemCache::Options{},
+                  std::move(pattern_coords_), signature_);
     pattern_coords_.clear();
     mna::SystemCache& ref = *cache;
     caches_.emplace(signature_, std::move(cache));
     return ref;
-}
-
-void SimSession::set_factor_threads(int threads) {
-    const std::lock_guard<std::mutex> lock(*run_mutex_);
-    factor_threads_ = threads > 0 ? threads : 1;
-    for (auto& [sig, cache] : caches_) {
-        cache->set_factor_threads(factor_threads_);
-    }
 }
 
 // ---- execution --------------------------------------------------------
@@ -269,15 +257,6 @@ AnalysisResult SimSession::run(const AnalysisSpec& spec,
         result.header.solver.solve_s = after.solve_s - before.solve_s;
         result.header.solver.tables_built =
             after.tables_built - before.tables_built;
-        result.header.solver.batched_solves =
-            after.batched_solves - before.batched_solves;
-        result.header.solver.shared_factor_solves =
-            after.shared_factor_solves - before.shared_factor_solves;
-        // Schedule shape: current values, not deltas (properties of the
-        // factoriser, not accumulated work).
-        result.header.solver.factor_threads = after.factor_threads;
-        result.header.solver.factor_supernodes = after.factor_supernodes;
-        result.header.solver.factor_levels = after.factor_levels;
     }
     result.header.cache_signature = signature_;
     result.header.elapsed_s = seconds_since(t0);
@@ -301,12 +280,6 @@ AnalysisResult SimSession::run(const AnalysisSpec& spec,
     report.stamp_s = work.stamp_s;
     report.factor_s = work.factor_s;
     report.solve_s = work.solve_s;
-    report.factor_threads = work.factor_threads;
-    report.factor_supernodes = work.factor_supernodes;
-    report.factor_levels = work.factor_levels;
-    report.mc_batch_width = work.mc_batch_width;
-    report.batched_solves = work.batched_solves;
-    report.shared_factor_solves = work.shared_factor_solves;
     report.cache_signature = result.header.cache_signature;
     std::visit(
         [&report](const auto& payload) {
@@ -587,27 +560,13 @@ SimSession::run_monte_carlo(const MonteCarloSpec& spec,
         return engines::run_monte_carlo(*assembler_, mc, rng, node, observer,
                                         &solver_cache());
     };
-    // Batched: a frontier of spec.batch trials through the session cache,
-    // bit-identical to serial (takes precedence over `parallel`).
-    auto batched = [&] {
-        stochastic::Rng rng(spec.seed);
-        return engines::run_monte_carlo_batched(*assembler_, mc, rng, node,
-                                                spec.batch, observer,
-                                                &solver_cache());
-    };
     auto parallel = [&] {
         runtime::ExecutionPolicy policy;
         policy.threads = spec.threads;
         return engines::run_monte_carlo_parallel(*assembler_, mc, spec.seed,
                                                  node, policy, observer);
     };
-    engines::McResult res = spec.batch > 1  ? batched()
-                            : spec.parallel ? parallel()
-                                            : serial();
-    if (spec.batch > 1) {
-        out.header.solver.mc_batch_width =
-            static_cast<std::size_t>(std::min(spec.batch, spec.runs));
-    }
+    engines::McResult res = spec.parallel ? parallel() : serial();
     out.header.aborted = res.aborted;
     out.payload = std::move(res);
     return out;

@@ -106,9 +106,9 @@ public:
     /// any wait for the session lock) aborts through the same cooperative
     /// path.
     ///
-    /// CONCURRENCY CONTRACT: run()/run_all()/run_deck()/reassemble()/
-    /// set_factor_threads() serialize on an internal mutex — concurrent
-    /// calls from DIFFERENT threads are safe (they share the persistent
+    /// CONCURRENCY CONTRACT: run()/run_all()/run_deck()/reassemble()
+    /// serialize on an internal mutex — concurrent calls from DIFFERENT
+    /// threads are safe (they share the persistent
     /// solver cache and block each other; the service worker pool relies
     /// on exactly this).  A RE-ENTRANT run() from the same thread (e.g.
     /// from inside an observer callback) would self-deadlock and throws
@@ -163,16 +163,6 @@ public:
         return caches_.size();
     }
 
-    /// Worker threads for the sparse numeric refactor (the CLI's
-    /// --threads).  Applies to every live cache and to caches created
-    /// later; 1 (the default) keeps the factor path serial.  Results
-    /// are bit-identical at any value — the level schedule fixes the
-    /// arithmetic, threads only change who executes it.
-    void set_factor_threads(int threads);
-    [[nodiscard]] int factor_threads() const noexcept {
-        return factor_threads_;
-    }
-
 private:
     explicit SimSession(ParsedDeck deck);
 
@@ -207,9 +197,6 @@ private:
     std::vector<std::pair<std::size_t, std::size_t>> pattern_coords_;
     /// Persistent solver caches keyed by stamp-pattern signature.
     std::map<std::uint64_t, std::unique_ptr<mna::SystemCache>> caches_;
-    /// Factor-path worker count applied to every cache (see
-    /// set_factor_threads).
-    int factor_threads_ = 1;
     /// Serializes run()/reassemble(): analyses share the caches above.
     /// Behind a pointer so sessions stay movable.
     std::unique_ptr<std::mutex> run_mutex_ = std::make_unique<std::mutex>();

@@ -126,7 +126,6 @@ DcResult solve_op_swec(const mna::MnaAssembler& assembler,
     result.solver_dense_solves =
         stats_after.dense_solves - stats_before.dense_solves;
     result.solver_ordering = make_ordering_stats(stats_after);
-    result.solver_factor = make_factor_stats(stats_after);
     result.flops = scope.counter();
     return result;
 }

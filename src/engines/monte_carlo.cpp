@@ -231,8 +231,8 @@ McResult run_monte_carlo(const mna::MnaAssembler& assembler,
     const FlopScope scope;
     const McOptions options = normalize_mc_options(assembler, options_in, node);
     // One base seed drawn from the caller's generator; every trial's
-    // paths then come from counter-derived streams, so the parallel and
-    // batched drivers reproduce this ensemble exactly.  A resumed
+    // paths then come from counter-derived streams, so the parallel
+    // driver reproduces this ensemble exactly.  A resumed
     // campaign reuses the checkpoint's base seed instead of drawing.
     const std::uint64_t base = options.resume != nullptr
                                    ? options.resume->base_seed

@@ -10,10 +10,10 @@
 // amortises — for a matched path count, MC pays the deterministic
 // engine's full machinery per run.
 //
-// All three drivers — serial (here), parallel (parallel.hpp), and
-// trial-batched (mc_batch.hpp) — draw their noise through one shared
-// stochastic::NoisePathSet keyed by (trial, source), so their per-trial
-// inputs are identical by construction and their outputs bit-identical.
+// Both drivers — serial (here) and trial-parallel (parallel.hpp) — draw
+// their noise through one shared stochastic::NoisePathSet keyed by
+// (trial, source), so their per-trial inputs are identical by
+// construction and their outputs bit-identical.
 #ifndef NANOSIM_ENGINES_MONTE_CARLO_HPP
 #define NANOSIM_ENGINES_MONTE_CARLO_HPP
 
@@ -40,8 +40,8 @@ struct McOptions {
     /// its own mean/stddev/ensemble block in McResult::probes.
     std::vector<NodeId> probe_nodes;
     /// Emit a resumable McCheckpoint through the observer every N
-    /// completed trials (0 = off).  All three drivers checkpoint at the
-    /// same trial boundaries, so their checkpoints are interchangeable.
+    /// completed trials (0 = off).  Both drivers checkpoint at the same
+    /// trial boundaries, so their checkpoints are interchangeable.
     int checkpoint_every = 0;
     /// Resume a checkpointed campaign: restore the accumulator state and
     /// continue at resume->next_trial.  The request must describe the
@@ -71,7 +71,7 @@ struct McResult {
     /// Optional extra observed nodes, in McOptions::probe_nodes order.
     std::vector<McNodeStats> probes;
     /// Accepted step count of each completed trial, in trial order —
-    /// the adaptive-step fingerprint the batched driver must reproduce.
+    /// the adaptive-step fingerprint both drivers must agree on.
     std::vector<int> trial_steps;
     /// Trials quarantined after the rescue ladder was exhausted (seed +
     /// diagnostic for offline replay); the campaign continues without
@@ -97,7 +97,7 @@ struct McResult {
                                        const AnalysisObserver* observer = nullptr,
                                        mna::SystemCache* cache = nullptr);
 
-// ---- realization-level API (shared with the parallel/batched drivers) ----
+// ---- realization-level API (shared with the parallel driver) ----
 
 /// Validate the request and fill defaulted fields (noise_dt, the
 /// transient horizon and its dt_max cap).  Throws AnalysisError exactly
@@ -154,7 +154,7 @@ mc_realization(const mna::MnaAssembler& assembler, const McOptions& normalized,
 [[nodiscard]] bool mc_trial_fail_injected();
 
 /// Snapshot a campaign in flight as a resumable checkpoint — shared by
-/// the serial/parallel/batched drivers so their checkpoints are
+/// the serial and parallel drivers so their checkpoints are
 /// field-for-field identical at the same trial boundary.
 [[nodiscard]] McCheckpoint
 make_mc_checkpoint(std::uint64_t base_seed, int next_trial,

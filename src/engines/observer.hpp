@@ -15,7 +15,8 @@
 //  * `cancel` is polled at step granularity by the per-step engines
 //    (SWEC/NR/PWL transients, the SWEC pseudo-transient DC march) and at
 //    trial granularity by the batch drivers (DC sweeps, Monte-Carlo,
-//    Euler-Maruyama ensembles).  Returning true makes the engine stop
+//    Euler-Maruyama ensembles); both Monte-Carlo drivers also forward
+//    it into each running trial.  Returning true makes the engine stop
 //    cooperatively and return its partial result with `aborted = true` —
 //    no exception, no leak, waveforms contain everything accepted so far.
 //  * `on_progress` receives a completed fraction in [0, 1] (time-based
@@ -53,9 +54,9 @@ struct AnalysisObserver {
     /// Periodic resumable campaign state from the Monte-Carlo drivers
     /// (every McOptions::checkpoint_every completed trials).  The
     /// reference is only valid for the duration of the call — copy it to
-    /// persist.  Serial and batched drivers emit on the calling thread;
-    /// chunked parallel campaigns emit between chunks on the calling
-    /// thread as well.
+    /// persist.  The serial driver emits on the calling thread; chunked
+    /// parallel campaigns emit between chunks on the calling thread as
+    /// well.
     std::function<void(const McCheckpoint&)> on_checkpoint;
     /// Polled cooperatively; return true to abort with a partial result.
     std::function<bool()> cancel;

@@ -78,8 +78,8 @@ McResult run_monte_carlo_parallel(const mna::MnaAssembler& assembler,
     }
 
     // Same base-seed derivation as the serial driver (which draws it
-    // from the caller's Rng): one shared path set makes serial,
-    // parallel, and batched runs consume identical noise per trial.  A
+    // from the caller's Rng): one shared path set makes serial and
+    // parallel runs consume identical noise per trial.  A
     // resumed campaign reuses the checkpoint's base seed instead.
     stochastic::Rng seeder(seed);
     const std::uint64_t base = options.resume != nullptr
@@ -144,9 +144,14 @@ McResult run_monte_carlo_parallel(const mna::MnaAssembler& assembler,
                 if (jobs[run].inject_fail) {
                     throw AnalysisError("fail-point mc.trial_fail fired");
                 }
-                McTrial trial =
-                    mc_realization(assembler, options, noise,
-                                   static_cast<int>(run), node, out.grid);
+                // The observer forwards cancellation into the trial's
+                // transient, exactly as in the serial driver.
+                McTrial trial = mc_realization(assembler, options, noise,
+                                               static_cast<int>(run), node,
+                                               out.grid, observer);
+                if (trial.samples.empty()) {
+                    return; // cancelled mid-trial: skipped, like unstarted
+                }
                 jobs[run].samples = std::move(trial.samples);
                 jobs[run].probe_samples = std::move(trial.probe_samples);
                 jobs[run].steps_accepted = trial.steps_accepted;

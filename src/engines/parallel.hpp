@@ -7,8 +7,8 @@
 // are reduced in realization order, so --threads 1 and --threads 64
 // produce bit-identical McResult / EmEnsembleResult.
 //
-// The Monte-Carlo drivers further share one noise contract: serial,
-// parallel, and trial-batched runs all derive a base seed the same way
+// The Monte-Carlo drivers further share one noise contract: serial and
+// parallel runs both derive a base seed the same way
 // (the first engine() draw of Rng(seed)) and realise trial k's paths
 // through mc_noise_paths / stochastic::NoisePathSet, so for the same
 // seed a parallel run is bit-identical to the serial driver — not just
@@ -28,9 +28,11 @@ namespace nanosim::engines {
 
 /// Parallel Monte-Carlo baseline: options.runs independent realizations
 /// on the policy's worker count.  Observer hooks fire from worker
-/// threads (must be thread-safe); a cancel skips the realizations not
-/// yet started and flags the result `aborted` — completed realizations
-/// still reduce in index order, keeping the thread-count determinism.
+/// threads (must be thread-safe).  A cancel stops running realizations
+/// at their inner transient's step granularity (like the serial
+/// driver), skips the ones not yet started, and flags the result
+/// `aborted` — completed realizations still reduce in index order,
+/// keeping the thread-count determinism.
 [[nodiscard]] McResult
 run_monte_carlo_parallel(const mna::MnaAssembler& assembler,
                          const McOptions& options, std::uint64_t seed,

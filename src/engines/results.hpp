@@ -38,21 +38,6 @@ template <typename CacheStats>
                                s.predicted_fill_chosen, s.factor_nnz};
 }
 
-/// Shape of the cached solver's level-scheduled parallel refactor
-/// (sparse flat path; defaults on the dense path or the legacy storage).
-struct SolverFactorStats {
-    std::size_t threads = 1;    ///< workers on the factor path
-    std::size_t supernodes = 0; ///< supernodes in the schedule
-    std::size_t levels = 0;     ///< elimination-tree levels
-};
-
-/// Copy the factor-schedule shape out of a cache's Stats.
-template <typename CacheStats>
-[[nodiscard]] SolverFactorStats make_factor_stats(const CacheStats& s) {
-    return SolverFactorStats{s.factor_threads, s.factor_supernodes,
-                             s.factor_levels};
-}
-
 /// Outcome of a single operating-point solve.
 struct DcResult {
     linalg::Vector x;            ///< unknown vector [v_nodes; i_branches]
@@ -72,8 +57,6 @@ struct DcResult {
     std::size_t solver_dense_solves = 0;
     /// Ordering chosen by the cached solver (natural on dense path).
     SolverOrderingStats solver_ordering;
-    /// Factor-schedule shape of the cached solver.
-    SolverFactorStats solver_factor;
     /// Iterate history (filled when options.record_trace is set);
     /// trace[k] is the unknown vector after iteration k.
     std::vector<linalg::Vector> trace;
@@ -136,8 +119,6 @@ struct TranResult {
     std::size_t solver_dense_solves = 0;
     /// Ordering chosen by the cached solver (natural on dense path).
     SolverOrderingStats solver_ordering;
-    /// Factor-schedule shape of the cached solver.
-    SolverFactorStats solver_factor;
 
     /// Waveform of a node by name (throws NetlistError if unknown).
     [[nodiscard]] const analysis::Waveform&

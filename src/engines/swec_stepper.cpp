@@ -114,12 +114,6 @@ void SwecStepper::eval() {
     cache_->eval_chords(x_, dvdt_, h_prev_ > 0.0, geq_, geq_rate_);
 }
 
-mna::SystemCache::EvalLane SwecStepper::eval_request() noexcept {
-    return mna::SystemCache::EvalLane{
-        .x = x_, .dvdt = dvdt_, .with_rate = h_prev_ > 0.0,
-        .geq = geq_, .geq_rate = geq_rate_};
-}
-
 void SwecStepper::prepare() {
     // Which constraint produced the step actually taken (RunReport
     // step-bound attribution); repointed as each clamp below wins.

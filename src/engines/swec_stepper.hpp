@@ -1,7 +1,6 @@
 // Nano-Sim — the SWEC transient stepper as a phased state machine.
 //
-// run_tran_swec's adaptive loop, split at its natural seams so drivers
-// other than the serial transient can schedule the phases:
+// run_tran_swec's adaptive loop, split at its natural seams:
 //
 //   eval()     chord conductances + rates at t_n   (cache->eval_chords)
 //   prepare()  eq. 12 adaptive bound, event clip, eq. 5 predictor
@@ -9,14 +8,8 @@
 //   <solve>    x_next = cache->solve(rhs())        (driver-owned)
 //   accept()   eq. 10 error, eq. 9 slope, waveforms, step control
 //
-// The serial driver runs the phases back-to-back per step.  The
-// trial-batched Monte-Carlo driver interleaves the phases of K lanes so
-// evaluation, numeric refactorisation and triangular substitution batch
-// across trials.  Either way every phase performs the exact arithmetic
-// of the historical monolithic loop on this lane's state alone — shared
-// scheduling changes *when* work runs, never its operands — which is
-// what makes the batched drivers bit-identical to the serial one by
-// construction.
+// run_tran_swec runs the phases back-to-back per step; every phase
+// performs the exact arithmetic of the historical monolithic loop.
 #ifndef NANOSIM_ENGINES_SWEC_STEPPER_HPP
 #define NANOSIM_ENGINES_SWEC_STEPPER_HPP
 
@@ -37,7 +30,7 @@ namespace nanosim::engines {
 [[nodiscard]] SwecTranOptions
 resolve_swec_tran_options(const SwecTranOptions& options);
 
-/// One transient integration in flight: owns the lane state (x, dvdt,
+/// One transient integration in flight: owns the run state (x, dvdt,
 /// chord conductances, step controller, waveforms) and advances one
 /// accepted step per eval/prepare/stamp/solve/accept cycle through the
 /// caller's SystemCache.  Construction performs the initial condition
@@ -60,27 +53,22 @@ public:
 
     /// Phase 1a: chord conductances/rates at t_n through the cache.
     void eval();
-    /// Batched alternative to eval(): the lane's evaluation request, for
-    /// SystemCache::eval_chords_batch.  The spans stay valid until the
-    /// next accept().
-    [[nodiscard]] mna::SystemCache::EvalLane eval_request() noexcept;
     /// Phase 1b: adaptive step bound (eq. 12), event clipping, and the
     /// eq. 5 conductance predictor.  Requires eval() this cycle.
     void prepare();
     /// Phase 2: assemble the backward-Euler rhs and restamp the cached
-    /// system's values for this lane.  After stamp() the cache holds
-    /// this lane's (G + C/h, rhs); the driver must solve (or capture the
-    /// plane) before another lane stamps.
+    /// system's values.  After stamp() the cache holds this step's
+    /// (G + C/h, rhs) until the driver solves it.
     void stamp();
     [[nodiscard]] const linalg::Vector& rhs() const noexcept { return rhs_; }
-    /// Phase 2.5 (serial drivers): solve the stamped system with the
-    /// numerical rescue ladder behind it.  The healthy path is exactly
+    /// Phase 2.5: solve the stamped system with the numerical rescue
+    /// ladder behind it.  The healthy path is exactly
     /// `cache->solve(rhs())` plus a finiteness scan — bit-identical
     /// results.  On a singular or non-finite solve it escalates
     /// dt-backoff -> gmin stepping -> source stepping (counting each rung
     /// in the result's RescueCounts) and throws AnalysisError only when
     /// every rung is exhausted.  Requires stamp() this cycle; on return
-    /// the lane may have a smaller h_ than prepare() chose.
+    /// the step may be smaller than prepare() chose.
     [[nodiscard]] linalg::Vector solve_rescued();
     /// Phase 3: accept the solved step — error/slope bookkeeping, state
     /// and waveform update, step-control advance, observer callbacks.

@@ -55,7 +55,6 @@ TranResult run_tran_swec(const mna::MnaAssembler& assembler,
     result.solver_dense_solves =
         cache->stats().dense_solves - stats_before.dense_solves;
     result.solver_ordering = make_ordering_stats(cache->stats());
-    result.solver_factor = make_factor_stats(cache->stats());
     result.flops = scope.counter();
     return result;
 }

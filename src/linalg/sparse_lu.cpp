@@ -5,8 +5,6 @@
 #include <limits>
 #include <sstream>
 
-#include "obs/trace.hpp"
-#include "runtime/thread_pool.hpp"
 #include "util/error.hpp"
 #include "util/flops.hpp"
 
@@ -58,10 +56,9 @@ SparseLu::SparseLu(std::size_t n, std::vector<std::size_t> col_ptr,
 SparseLu::SparseLu(std::size_t n, std::vector<std::size_t> col_ptr,
                    std::vector<std::size_t> row_idx,
                    std::span<const double> values, const Permutation& ordering,
-                   double pivot_tol, FactorStorage storage)
+                   double pivot_tol)
     : n_(n),
       pivot_tol_(pivot_tol),
-      storage_(storage),
       col_ptr_(std::move(col_ptr)),
       row_idx_(std::move(row_idx)) {
     if (col_ptr_.size() != n_ + 1 || col_ptr_.front() != 0 ||
@@ -114,8 +111,11 @@ std::span<const double> SparseLu::to_internal(std::span<const double> values) {
 void SparseLu::factor_full(std::span<const double> values) {
     const double tol = pivot_tol_ * std::max(max_abs_value(values), 1e-300);
 
-    lcols_.assign(n_, {});
-    ucols_.assign(n_, {});
+    // The DFS discovers each column's pattern incrementally, so the
+    // factors are assembled column-wise here and compiled into the flat
+    // arrays once at the end.
+    std::vector<std::vector<Entry>> lcols(n_);
+    std::vector<std::vector<Entry>> ucols(n_);
     pinv_.assign(n_, k_unassigned);
     pivot_row_.assign(n_, k_unassigned);
     reach_ptr_.assign(n_ + 1, 0);
@@ -146,7 +146,7 @@ void SparseLu::factor_full(std::span<const double> values) {
                 const std::size_t k = pinv_[node];
                 bool descended = false;
                 if (k != k_unassigned) {
-                    const auto& lcol = lcols_[k];
+                    const auto& lcol = lcols[k];
                     while (child < lcol.size()) {
                         const std::size_t next = lcol[child].row;
                         ++child;
@@ -159,7 +159,7 @@ void SparseLu::factor_full(std::span<const double> values) {
                     }
                 }
                 if (!descended &&
-                    (k == k_unassigned || child >= lcols_[k].size())) {
+                    (k == k_unassigned || child >= lcols[k].size())) {
                     postorder.push_back(node);
                     dfs_stack.pop_back();
                 }
@@ -185,10 +185,10 @@ void SparseLu::factor_full(std::span<const double> values) {
             if (xi == 0.0) {
                 continue;
             }
-            for (const Entry& e : lcols_[k]) {
+            for (const Entry& e : lcols[k]) {
                 x[e.row] -= e.value * xi;
             }
-            flops += 2 * lcols_[k].size();
+            flops += 2 * lcols[k].size();
         }
 
         // --- Pivot selection among non-pivotal rows. ---
@@ -218,8 +218,8 @@ void SparseLu::factor_full(std::span<const double> values) {
         // full *structural* reach set is kept (exact zeros included) so
         // the recorded pattern stays a valid superset for any later
         // value set fed to refactor(). ---
-        auto& lcol = lcols_[j];
-        auto& ucol = ucols_[j];
+        auto& lcol = lcols[j];
+        auto& ucol = ucols[j];
         for (const std::size_t i : postorder) {
             const double xi = x[i];
             x[i] = 0.0;
@@ -243,19 +243,18 @@ void SparseLu::factor_full(std::span<const double> values) {
     counter.mul += flops / 2;
     counter.add += flops / 2;
 
-    if (storage_ == FactorStorage::flat) {
-        flatten_factors();
-    }
+    flatten_factors(lcols, ucols);
 }
 
-void SparseLu::flatten_factors() {
+void SparseLu::flatten_factors(const std::vector<std::vector<Entry>>& lcols,
+                               const std::vector<std::vector<Entry>>& ucols) {
     std::size_t l_nnz = 0;
     std::size_t u_nnz = 0;
     l_ptr_.assign(n_ + 1, 0);
     u_ptr_.assign(n_ + 1, 0);
     for (std::size_t j = 0; j < n_; ++j) {
-        l_nnz += lcols_[j].size();
-        u_nnz += ucols_[j].size();
+        l_nnz += lcols[j].size();
+        u_nnz += ucols[j].size();
         l_ptr_[j + 1] = l_nnz;
         u_ptr_[j + 1] = u_nnz;
     }
@@ -266,14 +265,14 @@ void SparseLu::flatten_factors() {
     u_val_.resize(u_nnz);
     for (std::size_t j = 0; j < n_; ++j) {
         std::size_t lp = l_ptr_[j];
-        for (const Entry& e : lcols_[j]) {
+        for (const Entry& e : lcols[j]) {
             l_row_[lp] = e.row;
             l_prow_[lp] = pinv_[e.row];
             l_val_[lp] = e.value;
             ++lp;
         }
         std::size_t up = u_ptr_[j];
-        for (const Entry& e : ucols_[j]) {
+        for (const Entry& e : ucols[j]) {
             u_row_[up] = e.row;
             u_val_[up] = e.value;
             ++up;
@@ -300,92 +299,20 @@ void SparseLu::flatten_factors() {
             }
         }
     }
-
-    build_schedule();
 }
 
-void SparseLu::build_schedule() {
-    // --- Supernodes: maximal runs of columns with NESTED L patterns —
-    // l_row_(j-1) must equal [pivot_row_[j]] followed by l_row_(j) as an
-    // exact sequence (push order included), which makes the run a perfect
-    // trapezoid over contiguous flat storage AND guarantees the chain
-    // kernel visits memory in the same order as the scalar sweep.  The
-    // mesh/grid workloads' repeated column structure is what makes these
-    // runs long in practice. ---
-    sn_of_col_.assign(n_, 0);
-    sn_ptr_.clear();
-    sn_ptr_.reserve(n_ + 1);
-    sn_ptr_.push_back(0);
-    for (std::size_t j = 1; j < n_; ++j) {
-        const std::size_t prev_begin = l_ptr_[j - 1];
-        const std::size_t prev_len = l_ptr_[j] - prev_begin;
-        const std::size_t cur_len = l_ptr_[j + 1] - l_ptr_[j];
-        const bool nested =
-            j - sn_ptr_.back() < k_supernode_max_cols &&
-            prev_len == cur_len + 1 &&
-            l_row_[prev_begin] == pivot_row_[j] &&
-            std::equal(l_row_.begin() +
-                           static_cast<std::ptrdiff_t>(prev_begin + 1),
-                       l_row_.begin() + static_cast<std::ptrdiff_t>(l_ptr_[j]),
-                       l_row_.begin() +
-                           static_cast<std::ptrdiff_t>(l_ptr_[j]));
-        if (!nested) {
-            sn_ptr_.push_back(j);
-        }
-        sn_of_col_[j] = sn_ptr_.size() - 1;
-    }
-    sn_ptr_.push_back(n_);
+bool SparseLu::try_refactor_numeric(std::span<const double> values) {
+    const double tol = pivot_tol_ * std::max(max_abs_value(values), 1e-300);
 
-    // --- Level schedule over the supernode DAG.  dep(j) = {pinv_[i] :
-    // i in reach(j), pinv_[i] < j} — exactly the columns whose L entries
-    // the numeric sweep of column j reads.  A supernode's level is one
-    // past the deepest external dependency; all supernodes of one level
-    // are mutually independent.  Ascending supernode order is valid
-    // because every dependency has a smaller column (hence supernode)
-    // index. ---
-    const std::size_t nsn = sn_ptr_.size() - 1;
-    std::vector<std::size_t> sn_level(nsn, 0);
-    std::size_t max_level = 0;
-    for (std::size_t s = 0; s < nsn; ++s) {
-        std::size_t lvl = 0;
-        for (std::size_t j = sn_ptr_[s]; j < sn_ptr_[s + 1]; ++j) {
-            for (std::size_t it = reach_ptr_[j]; it < reach_ptr_[j + 1];
-                 ++it) {
-                const std::size_t k = pinv_[reach_nodes_[it]];
-                if (k < j && sn_of_col_[k] != s) {
-                    lvl = std::max(lvl, sn_level[sn_of_col_[k]] + 1);
-                }
-            }
-        }
-        sn_level[s] = lvl;
-        max_level = std::max(max_level, lvl);
+    if (work_.size() != n_) {
+        work_.assign(n_, 0.0);
     }
-    const std::size_t nlevels = nsn == 0 ? 0 : max_level + 1;
-    level_ptr_.assign(nlevels + 1, 0);
-    for (std::size_t s = 0; s < nsn; ++s) {
-        ++level_ptr_[sn_level[s] + 1];
-    }
-    for (std::size_t l = 0; l < nlevels; ++l) {
-        level_ptr_[l + 1] += level_ptr_[l];
-    }
-    level_sns_.resize(nsn);
-    std::vector<std::size_t> fill = level_ptr_;
-    for (std::size_t s = 0; s < nsn; ++s) { // ascending within each level
-        level_sns_[fill[sn_level[s]]++] = s;
-    }
-}
+    std::vector<double>& x = work_;
+    std::uint64_t flops = 0;
 
-bool SparseLu::refactor_supernode(std::size_t s, std::size_t e,
-                                  std::span<const double> values, double tol,
-                                  std::vector<double>& x,
-                                  std::uint64_t& flops) noexcept {
-    // The chain kernel: columns of a supernode are processed in order
-    // (each depends on its predecessor), streaming the supernode's
-    // contiguous L trapezoid [l_ptr_[s], l_ptr_[e]).  Per column this is
-    // the exact serial sweep — same operations, same order — which is
-    // what keeps parallel factors bit-identical to factor_full().
-    std::uint64_t f = 0;
-    for (std::size_t j = s; j < e; ++j) {
+    // factor_full()'s column sweep minus the DFS: the same operations in
+    // the same order, so the factors stay bit-identical.
+    for (std::size_t j = 0; j < n_; ++j) {
         const std::size_t reach_begin = reach_ptr_[j];
         const std::size_t reach_end = reach_ptr_[j + 1];
 
@@ -407,7 +334,7 @@ bool SparseLu::refactor_supernode(std::size_t s, std::size_t e,
             for (std::size_t p = l_ptr_[k]; p < lp_end; ++p) {
                 x[l_row_[p]] -= l_val_[p] * xi;
             }
-            f += 2 * (lp_end - l_ptr_[k]);
+            flops += 2 * (lp_end - l_ptr_[k]);
         }
 
         // Pivot check: keep the recorded pivot unless it degraded.
@@ -422,14 +349,12 @@ bool SparseLu::refactor_supernode(std::size_t s, std::size_t e,
         }
         if (pivot_mag < tol ||
             pivot_mag < k_refactor_pivot_ratio * cand_max) {
-            // Degraded: restore x's zero invariant, flag the column, and
-            // bill NOTHING for the attempt — the fallback full
-            // factorisation accounts for this step's factor cost exactly
-            // once (and the tally stays identical at any thread count).
+            // Degraded: restore x's zero invariant and bill NOTHING for
+            // the attempt — the caller's fallback full factorisation
+            // accounts for this step's factor cost exactly once.
             for (std::size_t it = reach_begin; it < reach_end; ++it) {
                 x[reach_nodes_[it]] = 0.0;
             }
-            col_failed_[j] = 1;
             return false;
         }
         const double ujj = x[pivot_row];
@@ -444,232 +369,9 @@ bool SparseLu::refactor_supernode(std::size_t s, std::size_t e,
                 u_val_[static_cast<std::size_t>(dst)] = xi;
             } else {
                 l_val_[static_cast<std::size_t>(~dst)] = xi / ujj;
-                ++f;
-            }
-        }
-    }
-    flops += f;
-    return true;
-}
-
-bool SparseLu::try_refactor_numeric(std::span<const double> values) {
-    if (storage_ == FactorStorage::columns) {
-        return try_refactor_numeric_columns(values);
-    }
-    const double tol = pivot_tol_ * std::max(max_abs_value(values), 1e-300);
-
-    if (pool_ != nullptr && n_ >= k_parallel_min_cols) {
-        return try_refactor_parallel(values, tol);
-    }
-
-    if (work_.size() != n_) {
-        work_.assign(n_, 0.0);
-    }
-    if (col_failed_.size() != n_) {
-        col_failed_.assign(n_, 0);
-    }
-    std::uint64_t flops = 0;
-
-    // Serial path: walk the supernodes in column order through the chain
-    // kernel — operation-for-operation the plain j = 0..n-1 sweep of
-    // factor_full() minus the DFS, so the factors stay bit-identical.
-    const std::size_t nsn = supernode_count();
-    for (std::size_t s = 0; s < nsn; ++s) {
-        if (!refactor_supernode(sn_ptr_[s], sn_ptr_[s + 1], values, tol,
-                                work_, flops)) {
-            // Degraded pivot: bail out (billing nothing — see the kernel)
-            // so the caller can redo a full re-pivoting factorisation.
-            std::fill(col_failed_.begin(), col_failed_.end(), 0);
-            return false;
-        }
-    }
-
-    ++fast_refactors_;
-    auto& counter = current_flops();
-    counter.lu_factor += flops;
-    counter.mul += flops / 2;
-    counter.add += flops / 2;
-    return true;
-}
-
-bool SparseLu::try_refactor_parallel(std::span<const double> values,
-                                     double tol) {
-    // Level-scheduled parallel sweep.  Within a level, supernodes are
-    // mutually independent: each writes only its own columns' L/U slices
-    // and its private scatter vector, and reads L columns finished in
-    // earlier levels.  Chunk boundaries depend only on the schedule and
-    // thread count — never on timing — and each column's arithmetic is
-    // the exact serial kernel, so the factors are bit-identical to the
-    // serial path at any thread count.
-    const std::size_t nthreads = std::max<std::size_t>(pool_->size(), 1);
-    if (par_x_.size() != nthreads) {
-        par_x_.assign(nthreads, std::vector<double>(n_, 0.0));
-    }
-    par_flops_.assign(nthreads, 0);
-    if (col_failed_.size() != n_) {
-        col_failed_.assign(n_, 0);
-    }
-    if (work_.size() != n_) {
-        work_.assign(n_, 0.0);
-    }
-
-    bool failed = false;
-    std::uint64_t serial_flops = 0;
-    const std::size_t nlevels = level_count();
-    for (std::size_t l = 0; l < nlevels && !failed; ++l) {
-        const std::size_t lvl_begin = level_ptr_[l];
-        const std::size_t lvl_count = level_ptr_[l + 1] - lvl_begin;
-        const std::size_t nchunks = std::min(lvl_count, nthreads);
-
-        if (nchunks < k_parallel_min_level_sns) {
-            // Narrow level: run inline on the caller's scratch — cheaper
-            // than a task round-trip and identical arithmetic.
-            for (std::size_t c = 0; c < lvl_count; ++c) {
-                const std::size_t s = level_sns_[lvl_begin + c];
-                if (!refactor_supernode(sn_ptr_[s], sn_ptr_[s + 1], values,
-                                        tol, work_, serial_flops)) {
-                    failed = true;
-                    break;
-                }
-            }
-            continue;
-        }
-
-        runtime::parallel_for(*pool_, nchunks, [&](std::size_t c) {
-            obs::Span span("factor.level", "linalg");
-            // Deterministic chunk boundaries: supernode c*count/n ..
-            // (c+1)*count/n of this level, ascending.  Chunk c owns
-            // scratch slot c — chunks of one level never share a slot.
-            const std::size_t b = lvl_begin + c * lvl_count / nchunks;
-            const std::size_t e = lvl_begin + (c + 1) * lvl_count / nchunks;
-            std::vector<double>& x = par_x_[c];
-            for (std::size_t q = b; q < e; ++q) {
-                const std::size_t s = level_sns_[q];
-                if (!refactor_supernode(sn_ptr_[s], sn_ptr_[s + 1], values,
-                                        tol, x, par_flops_[c])) {
-                    // col_failed_ flags the column; finish nothing
-                    // further in this chunk.  Other chunks complete —
-                    // their columns are independent of ours.
-                    break;
-                }
-            }
-        });
-
-        // Post-level scan, ascending: the lowest-indexed failing column
-        // decides the fallback — same verdict as the serial sweep, no
-        // matter how the chunks interleaved.
-        for (std::size_t q = lvl_begin; q < level_ptr_[l + 1] && !failed;
-             ++q) {
-            const std::size_t s = level_sns_[q];
-            for (std::size_t j = sn_ptr_[s]; j < sn_ptr_[s + 1]; ++j) {
-                if (col_failed_[j] != 0) {
-                    failed = true;
-                    break;
-                }
-            }
-        }
-    }
-
-    if (failed) {
-        // Bill nothing for the abandoned attempt: the fallback full
-        // factorisation accounts for this step exactly once, keeping
-        // SolverWork identical at any thread count.
-        std::fill(col_failed_.begin(), col_failed_.end(), 0);
-        return false;
-    }
-
-    // Integer flop totals commute across chunks: the sum equals the
-    // serial tally exactly, billed once from the calling thread.
-    std::uint64_t flops = serial_flops;
-    for (const std::uint64_t f : par_flops_) {
-        flops += f;
-    }
-    ++fast_refactors_;
-    auto& counter = current_flops();
-    counter.lu_factor += flops;
-    counter.mul += flops / 2;
-    counter.add += flops / 2;
-    return true;
-}
-
-bool SparseLu::try_refactor_numeric_columns(std::span<const double> values) {
-    // The seed (pre-flattening) numeric sweep, verbatim: per-column
-    // vectors with clear()+push_back gather.  Same operations in the
-    // same order as the flat sweep — bit-identical results — kept as the
-    // measured baseline of the device-evaluation benches.
-    const double tol = pivot_tol_ * std::max(max_abs_value(values), 1e-300);
-
-    if (work_.size() != n_) {
-        work_.assign(n_, 0.0);
-    }
-    std::vector<double>& x = work_;
-    std::uint64_t flops = 0;
-
-    for (std::size_t j = 0; j < n_; ++j) {
-        const std::size_t reach_begin = reach_ptr_[j];
-        const std::size_t reach_end = reach_ptr_[j + 1];
-
-        for (std::size_t p = col_ptr_[j]; p < col_ptr_[j + 1]; ++p) {
-            x[row_idx_[p]] += values[p];
-        }
-        for (std::size_t it = reach_end; it-- > reach_begin;) {
-            const std::size_t i = reach_nodes_[it];
-            const std::size_t k = pinv_[i];
-            if (k >= j) {
-                continue;
-            }
-            const double xi = x[i];
-            if (xi == 0.0) {
-                continue;
-            }
-            for (const Entry& e : lcols_[k]) {
-                x[e.row] -= e.value * xi;
-            }
-            flops += 2 * lcols_[k].size();
-        }
-
-        const std::size_t pivot_row = pivot_row_[j];
-        const double pivot_mag = std::abs(x[pivot_row]);
-        double cand_max = 0.0;
-        for (std::size_t it = reach_begin; it < reach_end; ++it) {
-            const std::size_t i = reach_nodes_[it];
-            if (pinv_[i] >= j) {
-                cand_max = std::max(cand_max, std::abs(x[i]));
-            }
-        }
-        if (pivot_mag < tol ||
-            pivot_mag < k_refactor_pivot_ratio * cand_max) {
-            for (std::size_t it = reach_begin; it < reach_end; ++it) {
-                x[reach_nodes_[it]] = 0.0;
-            }
-            // Abandoned attempt: bill nothing.  The caller's fallback
-            // full factorisation accounts for this step exactly once —
-            // previously the partial sweep was billed here AND the full
-            // factor billed again, double-counting the step's flops.
-            return false;
-        }
-        const double ujj = x[pivot_row];
-
-        auto& lcol = lcols_[j];
-        auto& ucol = ucols_[j];
-        lcol.clear();
-        ucol.clear();
-        for (std::size_t it = reach_begin; it < reach_end; ++it) {
-            const std::size_t i = reach_nodes_[it];
-            const double xi = x[i];
-            x[i] = 0.0;
-            if (i == pivot_row) {
-                continue;
-            }
-            const std::size_t k = pinv_[i];
-            if (k < j) {
-                ucol.push_back(Entry{k, xi});
-            } else {
-                lcol.push_back(Entry{i, xi / ujj});
                 ++flops;
             }
         }
-        ucol.push_back(Entry{j, ujj});
     }
 
     ++fast_refactors_;
@@ -678,282 +380,6 @@ bool SparseLu::try_refactor_numeric_columns(std::span<const double> values) {
     counter.mul += flops / 2;
     counter.add += flops / 2;
     return true;
-}
-
-bool SparseLu::refactor_lane(std::span<const double> values, double tol,
-                             LaneFactor& f, std::vector<double>& x,
-                             std::uint64_t& flops) const noexcept {
-    // One lane's whole-matrix sweep: per column exactly the serial
-    // refactor_supernode arithmetic, reading/writing the LANE's value
-    // planes instead of the members.  Earlier columns' L entries are the
-    // lane's own (written by this sweep), so the elimination operands
-    // match a serial refactor of the same plane bit for bit.
-    f.l_val.resize(l_val_.size());
-    f.u_val.resize(u_val_.size());
-    double* lv = f.l_val.data();
-    double* uv = f.u_val.data();
-    std::uint64_t fl = 0;
-    for (std::size_t j = 0; j < n_; ++j) {
-        const std::size_t reach_begin = reach_ptr_[j];
-        const std::size_t reach_end = reach_ptr_[j + 1];
-
-        for (std::size_t p = col_ptr_[j]; p < col_ptr_[j + 1]; ++p) {
-            x[row_idx_[p]] += values[p];
-        }
-        for (std::size_t it = reach_end; it-- > reach_begin;) {
-            const std::size_t i = reach_nodes_[it];
-            const std::size_t k = pinv_[i];
-            if (k >= j) { // not yet pivotal at this column
-                continue;
-            }
-            const double xi = x[i];
-            if (xi == 0.0) {
-                continue;
-            }
-            const std::size_t lp_end = l_ptr_[k + 1];
-            for (std::size_t p = l_ptr_[k]; p < lp_end; ++p) {
-                x[l_row_[p]] -= lv[p] * xi;
-            }
-            fl += 2 * (lp_end - l_ptr_[k]);
-        }
-
-        const std::size_t pivot_row = pivot_row_[j];
-        const double pivot_mag = std::abs(x[pivot_row]);
-        double cand_max = 0.0;
-        for (std::size_t it = reach_begin; it < reach_end; ++it) {
-            const std::size_t i = reach_nodes_[it];
-            if (pinv_[i] >= j) {
-                cand_max = std::max(cand_max, std::abs(x[i]));
-            }
-        }
-        if (pivot_mag < tol ||
-            pivot_mag < k_refactor_pivot_ratio * cand_max) {
-            // Degraded: restore x's zero invariant and bill nothing —
-            // the caller replays every lane through the serial
-            // refactor()/fallback path, which accounts for this exactly
-            // as the serial driver would.
-            for (std::size_t it = reach_begin; it < reach_end; ++it) {
-                x[reach_nodes_[it]] = 0.0;
-            }
-            return false;
-        }
-        const double ujj = x[pivot_row];
-
-        for (std::size_t it = reach_begin; it < reach_end; ++it) {
-            const std::size_t i = reach_nodes_[it];
-            const double xi = x[i];
-            x[i] = 0.0;
-            const std::ptrdiff_t dst = gather_dst_[it];
-            if (dst >= 0) {
-                uv[static_cast<std::size_t>(dst)] = xi;
-            } else {
-                lv[static_cast<std::size_t>(~dst)] = xi / ujj;
-                ++fl;
-            }
-        }
-    }
-    flops += fl;
-    return true;
-}
-
-bool SparseLu::refactor_lanes(
-    std::span<const std::span<const double>> lane_values,
-    std::span<LaneFactor> factors, std::span<std::uint64_t> lane_flops) {
-    const std::size_t m = lane_values.size();
-    if (factors.size() != m || lane_flops.size() != m) {
-        throw SimError("SparseLu::refactor_lanes: lane span size mismatch");
-    }
-    if (storage_ != FactorStorage::flat || m == 0) {
-        return false; // caller replays lanes through the serial path
-    }
-    for (const std::span<const double> values : lane_values) {
-        if (values.size() != row_idx_.size()) {
-            throw SimError("SparseLu::refactor_lanes: value count does not "
-                           "match the cached pattern");
-        }
-    }
-    if (lane_vals_.size() < m) {
-        lane_vals_.resize(m);
-    }
-    if (lane_x_.size() < m) {
-        lane_x_.resize(m);
-    }
-    std::vector<std::uint8_t> ok(m, 0);
-
-    auto run_lane = [&](std::size_t i) {
-        std::span<const double> internal = lane_values[i];
-        if (!user_slot_.empty()) {
-            // Lane-private gather into internal (permuted) order — the
-            // shared perm_values_ scratch is single-lane.
-            std::vector<double>& buf = lane_vals_[i];
-            buf.resize(user_slot_.size());
-            for (std::size_t s = 0; s < user_slot_.size(); ++s) {
-                buf[s] = lane_values[i][user_slot_[s]];
-            }
-            internal = buf;
-        }
-        // Same threshold a serial refactor of this plane would use (the
-        // permutation reorders values, so the max is unchanged).
-        const double tol =
-            pivot_tol_ * std::max(max_abs_value(internal), 1e-300);
-        std::vector<double>& x = lane_x_[i];
-        if (x.size() != n_) {
-            x.assign(n_, 0.0);
-        }
-        lane_flops[i] = 0;
-        ok[i] =
-            refactor_lane(internal, tol, factors[i], x, lane_flops[i]) ? 1
-                                                                       : 0;
-    };
-
-    if (pool_ != nullptr && m > 1 && n_ >= k_parallel_min_cols) {
-        runtime::parallel_for(*pool_, m, [&](std::size_t i) {
-            obs::Span span("factor.lane", "linalg");
-            run_lane(i);
-        });
-    } else {
-        for (std::size_t i = 0; i < m; ++i) {
-            run_lane(i);
-        }
-    }
-
-    for (std::size_t i = 0; i < m; ++i) {
-        if (ok[i] == 0) {
-            return false; // nothing billed; all factors invalid
-        }
-    }
-
-    // Bill once from the calling thread, lane by lane so the rounding of
-    // the mul/add halves matches m serial refactors of the same planes.
-    fast_refactors_ += m;
-    auto& counter = current_flops();
-    for (std::size_t i = 0; i < m; ++i) {
-        counter.lu_factor += lane_flops[i];
-        counter.mul += lane_flops[i] / 2;
-        counter.add += lane_flops[i] / 2;
-    }
-    return true;
-}
-
-Vector SparseLu::solve_lane(const LaneFactor& f, const Vector& b) const {
-    Vector out;
-    const Vector* rhs = &b;
-    Vector* x = &out;
-    solve_multi(std::span<const Vector* const>(&rhs, 1),
-                std::span<Vector* const>(&x, 1), &f);
-    return out;
-}
-
-void SparseLu::solve_multi(std::span<const Vector* const> rhs,
-                           std::span<Vector* const> out,
-                           const LaneFactor* f) const {
-    const std::size_t m = rhs.size();
-    if (out.size() != m) {
-        throw SimError("SparseLu::solve_multi: rhs/out span size mismatch");
-    }
-    if (storage_ == FactorStorage::columns) {
-        // Legacy storage has no flat planes (and no LaneFactor source):
-        // per-column solve, which already bills per column.
-        for (std::size_t c = 0; c < m; ++c) {
-            *out[c] = solve(*rhs[c]);
-        }
-        return;
-    }
-    const double* lv = f != nullptr ? f->l_val.data() : l_val_.data();
-    const double* uv = f != nullptr ? f->u_val.data() : u_val_.data();
-
-    // Column work vectors in pivot space: the output vectors double as
-    // the substitution buffers; the permuted path scatters back at the
-    // end (same two-stage gather/scatter as solve()).
-    std::vector<Vector> scratch;
-    std::vector<Vector*> work(m);
-    if (!permuted()) {
-        for (std::size_t c = 0; c < m; ++c) {
-            work[c] = out[c];
-        }
-    } else {
-        scratch.resize(m);
-        for (std::size_t c = 0; c < m; ++c) {
-            work[c] = &scratch[c];
-        }
-    }
-    std::vector<std::uint64_t> col_flops(m, 0);
-    Vector pb; // permuted-rhs gather scratch, reused per column
-    for (std::size_t c = 0; c < m; ++c) {
-        const Vector& b = *rhs[c];
-        if (b.size() != n_) {
-            throw SimError("SparseLu::solve_multi: rhs size mismatch");
-        }
-        Vector& y = *work[c];
-        y.assign(n_, 0.0);
-        if (!permuted()) {
-            for (std::size_t i = 0; i < n_; ++i) {
-                y[pinv_[i]] = b[i];
-            }
-        } else {
-            perm_.apply(b, pb);
-            for (std::size_t i = 0; i < n_; ++i) {
-                y[pinv_[i]] = pb[i];
-            }
-        }
-    }
-
-    // Blocked substitution: each L/U column streams once per block of
-    // rhs columns, but per column the operation sequence (zero-skips
-    // included) is exactly solve_internal's — interleaving independent
-    // columns changes nothing about any one column's arithmetic.
-    for (std::size_t c0 = 0; c0 < m; c0 += k_solve_block) {
-        const std::size_t c1 = std::min(m, c0 + k_solve_block);
-        for (std::size_t j = 0; j < n_; ++j) {
-            const std::size_t lp = l_ptr_[j];
-            const std::size_t lp_end = l_ptr_[j + 1];
-            for (std::size_t c = c0; c < c1; ++c) {
-                Vector& y = *work[c];
-                const double yj = y[j];
-                if (yj == 0.0) {
-                    continue;
-                }
-                for (std::size_t p = lp; p < lp_end; ++p) {
-                    y[l_prow_[p]] -= lv[p] * yj;
-                }
-                col_flops[c] += 2 * (lp_end - lp);
-            }
-        }
-        for (std::size_t jj = n_; jj-- > 0;) {
-            const std::size_t up = u_ptr_[jj];
-            const std::size_t up_end = u_ptr_[jj + 1];
-            const double ujj = uv[up_end - 1];
-            for (std::size_t c = c0; c < c1; ++c) {
-                Vector& y = *work[c];
-                const double xj = y[jj] / ujj;
-                y[jj] = xj;
-                ++col_flops[c];
-                if (xj == 0.0) {
-                    continue;
-                }
-                for (std::size_t k = up; k + 1 < up_end; ++k) {
-                    y[u_row_[k]] -= uv[k] * xj;
-                }
-                col_flops[c] += 2 * (up_end - 1 - up);
-            }
-        }
-    }
-
-    if (permuted()) {
-        for (std::size_t c = 0; c < m; ++c) {
-            out[c]->resize(n_);
-            perm_.apply_inverse(scratch[c], *out[c]);
-        }
-    }
-
-    // Per-column billing, halves rounded per column: K columns count
-    // exactly what K solve() calls on the same rhs vectors would.
-    auto& counter = current_flops();
-    for (std::size_t c = 0; c < m; ++c) {
-        counter.lu_solve += col_flops[c];
-        counter.mul += col_flops[c] / 2;
-        counter.add += col_flops[c] / 2;
-    }
 }
 
 bool SparseLu::refactor(std::span<const double> values) {
@@ -992,17 +418,6 @@ bool SparseLu::refactor(const Triplets& a) {
     return false;
 }
 
-std::size_t SparseLu::nnz_factors() const noexcept {
-    std::size_t nnz = 0;
-    for (const auto& c : lcols_) {
-        nnz += c.size();
-    }
-    for (const auto& c : ucols_) {
-        nnz += c.size();
-    }
-    return nnz;
-}
-
 Vector SparseLu::solve(const Vector& b) const {
     if (b.size() != n_) {
         throw SimError("SparseLu::solve: rhs size mismatch");
@@ -1025,10 +440,6 @@ Vector SparseLu::solve(const Vector& b) const {
 }
 
 void SparseLu::solve_internal(const Vector& b, Vector& y) const {
-    if (storage_ == FactorStorage::columns) {
-        solve_internal_columns(b, y);
-        return;
-    }
     std::uint64_t flops = 0;
 
     // y = P b  (y indexed by pivot position).
@@ -1065,46 +476,6 @@ void SparseLu::solve_internal(const Vector& b, Vector& y) const {
             y[u_row_[k]] -= u_val_[k] * xj;
         }
         flops += 2 * (up_end - 1 - up);
-    }
-
-    auto& counter = current_flops();
-    counter.lu_solve += flops;
-    counter.mul += flops / 2;
-    counter.add += flops / 2;
-}
-
-void SparseLu::solve_internal_columns(const Vector& b, Vector& y) const {
-    // Seed (column-vector) substitution loops — see
-    // try_refactor_numeric_columns for why they are kept.
-    std::uint64_t flops = 0;
-
-    y.assign(n_, 0.0);
-    for (std::size_t i = 0; i < n_; ++i) {
-        y[pinv_[i]] = b[i];
-    }
-    for (std::size_t j = 0; j < n_; ++j) {
-        const double yj = y[j];
-        if (yj == 0.0) {
-            continue;
-        }
-        for (const Entry& e : lcols_[j]) {
-            y[pinv_[e.row]] -= e.value * yj;
-        }
-        flops += 2 * lcols_[j].size();
-    }
-    for (std::size_t jj = n_; jj-- > 0;) {
-        const auto& ucol = ucols_[jj];
-        const double ujj = ucol.back().value;
-        const double xj = y[jj] / ujj;
-        y[jj] = xj;
-        ++flops;
-        if (xj == 0.0) {
-            continue;
-        }
-        for (std::size_t k = 0; k + 1 < ucol.size(); ++k) {
-            y[ucol[k].row] -= ucol[k].value * xj;
-        }
-        flops += 2 * (ucol.size() - 1);
     }
 
     auto& counter = current_flops();

@@ -20,11 +20,14 @@
 // This is the same algorithm family as SPICE's sparse1.3 / KLU and scales
 // to the RTD-chain benchmarks; for tiny systems the dense path wins and
 // engines pick automatically (see mna::SystemCache / mna::solve_system).
+// The numeric sweep is serial on purpose: circuit matrices are too sparse
+// for supernodal kernels (KLU's observation) and a level-scheduled
+// parallel sweep measured slower than serial, so threads live at the
+// Monte-Carlo trial and sweep-campaign level.
 #ifndef NANOSIM_LINALG_SPARSE_LU_HPP
 #define NANOSIM_LINALG_SPARSE_LU_HPP
 
 #include <cstddef>
-#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -32,27 +35,7 @@
 #include "linalg/ordering.hpp"
 #include "linalg/sparse.hpp"
 
-namespace nanosim::runtime {
-class ThreadPool; // avoid linalg -> runtime header coupling (see .cpp)
-} // namespace nanosim::runtime
-
 namespace nanosim::linalg {
-
-/// Storage layout of the computed L/U factors in the per-step hot path.
-///
-///  * `flat` (default) — after every full factorisation the column
-///    vectors are compiled into contiguous CSC arrays plus a refactor
-///    gather plan; refactor() and solve() run over flat memory with no
-///    per-column indirection or push_back bookkeeping.
-///  * `columns` — the pre-flattening representation (one heap vector of
-///    entries per column), kept selectable as the measured BASELINE of
-///    the device-evaluation fast-path benches: together with
-///    mna::SystemCache's legacy stamping mode it reproduces the seed
-///    per-step loop this PR series replaced.
-///
-/// The numeric sweep performs the same operations in the same order in
-/// both layouts — results are bit-identical (gated by tests).
-enum class FactorStorage { flat, columns };
 
 /// Sparse LU of a square matrix with row partial pivoting: P A = L U —
 /// optionally of the symmetrically pre-permuted matrix A(q,q) with a
@@ -86,15 +69,14 @@ public:
     /// slot order.  An empty ordering means natural order.
     SparseLu(std::size_t n, std::vector<std::size_t> col_ptr,
              std::vector<std::size_t> row_idx, std::span<const double> values,
-             const Permutation& ordering, double pivot_tol = 1e-13,
-             FactorStorage storage = FactorStorage::flat);
-
-    [[nodiscard]] FactorStorage storage() const noexcept { return storage_; }
+             const Permutation& ordering, double pivot_tol = 1e-13);
 
     [[nodiscard]] std::size_t order() const noexcept { return n_; }
 
     /// Fill-in: nonzeros in L + U (diagonal counted once).
-    [[nodiscard]] std::size_t nnz_factors() const noexcept;
+    [[nodiscard]] std::size_t nnz_factors() const noexcept {
+        return l_val_.size() + u_val_.size();
+    }
 
     /// Numeric refactorisation with new values in the cached CSC pattern
     /// order.  Returns true when the fast pattern-reusing path was taken;
@@ -140,57 +122,8 @@ public:
     [[nodiscard]] std::size_t fast_refactor_count() const noexcept {
         return fast_refactors_;
     }
-
-    /// A reused pivot must stay above this fraction of its column's
-    /// largest candidate magnitude or refactor() falls back to full
-    /// re-pivoting (KLU uses the same style of threshold pivoting).
-    static constexpr double k_refactor_pivot_ratio = 1e-3;
-
-    // ---- parallel numeric refactorisation (flat storage only) ----------
-    //
-    // refactor() can run its numeric sweep level-scheduled on a worker
-    // pool: flatten_factors() extracts the column elimination DAG from
-    // the recorded reach sets (dep(j) = columns whose pivot rows appear
-    // in reach(j)), groups columns into supernodes (maximal runs with
-    // nested L patterns — contiguous trapezoids in the flat arrays), and
-    // buckets supernodes into levels; all supernodes of one level are
-    // independent and run as pool tasks.  Every column's arithmetic is
-    // self-contained (it reads the new values plus finished earlier-level
-    // columns and writes only its own L/U segments), so parallel results
-    // are BIT-IDENTICAL to the serial sweep at any thread count, and a
-    // degraded pivot is collected per column and resolved after the level
-    // joins — the lowest-indexed failing column triggers the fallback
-    // regardless of thread interleaving (deterministic counters).
-
-    /// Opt-in parallel refactor on `pool` (non-owning; nullptr = serial,
-    /// the default).  Only engaged in flat storage on systems with at
-    /// least k_parallel_min_cols columns.
-    void set_refactor_pool(runtime::ThreadPool* pool) noexcept {
-        pool_ = pool;
-    }
-    [[nodiscard]] runtime::ThreadPool* refactor_pool() const noexcept {
-        return pool_;
-    }
-
-    /// Below this many columns the level-scheduled path is skipped (task
-    /// overhead would dominate the numeric work).
-    static constexpr std::size_t k_parallel_min_cols = 64;
-    /// A level with fewer supernodes than this runs inline on the calling
-    /// thread (no submit/join round trip for trivial levels).
-    static constexpr std::size_t k_parallel_min_level_sns = 2;
-    /// Supernode width cap: bounds a task's span and the per-chunk
-    /// imbalance within a level.
-    static constexpr std::size_t k_supernode_max_cols = 32;
-
-    // ---- schedule introspection (stats / benches; flat mode) ----
-    [[nodiscard]] std::size_t supernode_count() const noexcept {
-        return sn_ptr_.empty() ? 0 : sn_ptr_.size() - 1;
-    }
-    [[nodiscard]] std::size_t level_count() const noexcept {
-        return level_ptr_.empty() ? 0 : level_ptr_.size() - 1;
-    }
-    /// Flat factor values (flat mode) — parallel-vs-serial bit-identity
-    /// gates memcmp these.
+    /// Factor values in flat storage order — bit-identity tests memcmp
+    /// these.
     [[nodiscard]] std::span<const double> l_values() const noexcept {
         return l_val_;
     }
@@ -198,68 +131,12 @@ public:
         return u_val_;
     }
 
-    // ---- trial-batched numeric refactorisation + multi-RHS solve --------
-    //
-    // The batched Monte-Carlo driver factors the systems of K due trials
-    // in one call: every lane shares THIS analysis's symbolic structure
-    // (pattern, reach sets, pivot sequence, gather plan) and differs only
-    // in its value plane.  Each lane's sweep is the exact serial
-    // refactor() arithmetic on lane-private scratch and lane-private
-    // output planes, so the factors are bit-identical to K serial
-    // refactor(values) calls at any thread count — lanes are dispatched
-    // across the refactor pool whole (one task per lane), never split.
-
-    /// One lane's numeric factors over the shared flat symbolic
-    /// structure: value planes parallel to l_values()/u_values().
-    struct LaneFactor {
-        std::vector<double> l_val;
-        std::vector<double> u_val;
-    };
-
-    /// Batched numeric refactorisation (flat storage only; returns false
-    /// immediately otherwise).  lane_values[i] is lane i's value plane in
-    /// the caller's pattern order; on success factors[i] holds its L/U
-    /// planes and lane_flops[i] the factor flops a serial
-    /// refactor(lane_values[i]) would have billed.  The summed flops are
-    /// billed once, on the calling thread, after all lanes join.  When
-    /// ANY lane's recorded pivot degrades the call returns false billing
-    /// nothing and every LaneFactor is invalid — the caller replays the
-    /// lanes through the serial refactor()/full-factor path so counters
-    /// and fallback behaviour stay exactly the serial driver's.
-    [[nodiscard]] bool
-    refactor_lanes(std::span<const std::span<const double>> lane_values,
-                   std::span<LaneFactor> factors,
-                   std::span<std::uint64_t> lane_flops);
-
-    /// Solve A x = b against a lane's factors (original numbering; the
-    /// pre-permutation is applied and undone exactly like solve()).
-    [[nodiscard]] Vector solve_lane(const LaneFactor& f,
-                                    const Vector& b) const;
-
-    /// Blocked multi-RHS forward/back substitution under ONE factor —
-    /// the live factors when `f` is null, a lane's otherwise.  Columns
-    /// are processed in blocks of k_solve_block so each L/U column
-    /// streams once per block, but every rhs column's arithmetic
-    /// (including the zero-skips) is exactly solve()'s, and flops are
-    /// billed per column: K columns cost and count the same as K
-    /// independent solve() calls.
-    void solve_multi(std::span<const Vector* const> rhs,
-                     std::span<Vector* const> out,
-                     const LaneFactor* f = nullptr) const;
-
-    /// Columns per block of the multi-RHS substitution.
-    static constexpr std::size_t k_solve_block = 4;
+    /// A reused pivot must stay above this fraction of its column's
+    /// largest candidate magnitude or refactor() falls back to full
+    /// re-pivoting (KLU uses the same style of threshold pivoting).
+    static constexpr double k_refactor_pivot_ratio = 1e-3;
 
 private:
-    /// Serial whole-matrix numeric sweep of one lane into `f`'s planes
-    /// (flat mode).  Reads only the shared symbolic structure; writes
-    /// only `f`, `x` and `flops` — safe to run concurrently across
-    /// lanes.  Returns false on a degraded pivot (x's zeros restored,
-    /// nothing billed).
-    bool refactor_lane(std::span<const double> values, double tol,
-                       LaneFactor& f, std::vector<double>& x,
-                       std::uint64_t& flops) const noexcept;
-
     struct Entry {
         std::size_t row;
         double value;
@@ -277,31 +154,10 @@ private:
     to_internal(std::span<const double> values);
     void factor_full(std::span<const double> values);
     [[nodiscard]] bool try_refactor_numeric(std::span<const double> values);
-    [[nodiscard]] bool
-    try_refactor_numeric_columns(std::span<const double> values);
-    /// Rebuild the flat factor arrays + refactor gather plan from
-    /// lcols_/ucols_ (after every full factorisation in flat mode).
-    void flatten_factors();
-    /// Detect supernodes and bucket them into elimination-tree levels
-    /// (called at the end of flatten_factors; see the parallel-refactor
-    /// block above).
-    void build_schedule();
-    /// Numeric sweep of supernode columns [s, e): scatter, eliminate
-    /// along the recorded reach sets, pivot-check, gather through the
-    /// flat plan.  Operation-for-operation the serial per-column sweep —
-    /// the chain kernel only streams the supernode's contiguous L
-    /// trapezoid — so results are bit-identical in any schedule.  On a
-    /// degraded pivot: restores x's zeros, flags the column in
-    /// col_failed_, returns false (no flops billed — the caller's full
-    /// re-factorisation accounts for the step exactly once).
-    bool refactor_supernode(std::size_t s, std::size_t e,
-                            std::span<const double> values, double tol,
-                            std::vector<double>& x,
-                            std::uint64_t& flops) noexcept;
-    /// Level-scheduled numeric sweep on pool_ (flat mode).
-    [[nodiscard]] bool try_refactor_parallel(std::span<const double> values,
-                                             double tol);
-    void solve_internal_columns(const Vector& b, Vector& y) const;
+    /// Compile the column-wise factors factor_full() assembled into the
+    /// flat arrays + refactor gather plan below.
+    void flatten_factors(const std::vector<std::vector<Entry>>& lcols,
+                         const std::vector<std::vector<Entry>>& ucols);
     /// Solve in the internal (possibly permuted) numbering; `y` is
     /// assigned the solution (caller-owned so the hot path can reuse
     /// scratch).
@@ -309,7 +165,6 @@ private:
 
     std::size_t n_ = 0;
     double pivot_tol_ = 1e-13;
-    FactorStorage storage_ = FactorStorage::flat;
 
     // CSC pattern of A — in permuted space when perm_ is non-empty (rows
     // sorted and unique within each column).
@@ -323,31 +178,16 @@ private:
     std::vector<double> perm_values_; // gather scratch (hot path: no alloc)
     mutable Vector perm_b_;           // solve() rhs-gather scratch
     mutable Vector perm_y_;           // solve() permuted-solution scratch
-    /// Per-lane gather + scatter scratch for refactor_lanes (the shared
-    /// perm_values_/work_ scratch is single-lane; concurrent lanes need
-    /// private buffers, indexed by lane).
-    std::vector<std::vector<double>> lane_vals_;
-    std::vector<std::vector<double>> lane_x_;
 
-    // Column-wise factors: lcols_[j] holds strictly-below-diagonal entries
-    // of L (unit diagonal implicit); ucols_[j] holds entries of U with
-    // row <= j, diagonal last.  Patterns are structural (exact numeric
-    // zeros are kept) so they stay valid across refactorisations.
-    // factor_full() always assembles columns here (the DFS discovers the
-    // pattern incrementally).  In FactorStorage::flat mode they are then
-    // compiled into the contiguous arrays below, which refactor()/solve()
-    // — the per-step hot path — read and write exclusively (the values
-    // here go stale after a refactor); in `columns` mode (the measured
-    // baseline of the fast-path benches) refactor()/solve() keep
-    // operating on the column vectors as the seed implementation did.
-    std::vector<std::vector<Entry>> lcols_;
-    std::vector<std::vector<Entry>> ucols_;
     std::vector<std::size_t> pinv_;      // pinv_[orig_row] = permuted position
     std::vector<std::size_t> pivot_row_; // pivot_row_[j] = orig row of pivot j
 
-    // ---- flattened factors (CSC; entry order = build push order, so the
-    // numeric sweep is operation-for-operation identical to the
-    // column-vector representation — bit-identical results) ----
+    // ---- factors, CSC.  L holds the strictly-below-diagonal entries
+    // (unit diagonal implicit); U the entries with row <= j, diagonal
+    // last.  Patterns are structural (exact numeric zeros are kept) so
+    // they stay valid across refactorisations, and entries sit in the
+    // order factor_full() discovered them, so refactor() is operation-
+    // for-operation the fresh factorisation. ----
     std::vector<std::size_t> l_ptr_;  // n_ + 1
     std::vector<std::size_t> l_row_;  // ORIGINAL row index per L entry
     std::vector<std::size_t> l_prow_; // pinv_[l_row_] (solve fast path)
@@ -373,25 +213,6 @@ private:
     // path allocates nothing.  Invariant: all-zero between calls (every
     // exit path of try_refactor_numeric restores the zeros it wrote).
     std::vector<double> work_;
-
-    // ---- level schedule over supernodes (flat mode; rebuilt by every
-    // flatten_factors(), i.e. whenever the pivot sequence can change) ----
-    runtime::ThreadPool* pool_ = nullptr; // non-owning; nullptr = serial
-    std::vector<std::size_t> sn_ptr_;    // supernode s = columns
-                                         // [sn_ptr_[s], sn_ptr_[s+1])
-    std::vector<std::size_t> sn_of_col_; // column -> supernode
-    std::vector<std::size_t> level_ptr_; // level l = level_sns_
-                                         // [level_ptr_[l], level_ptr_[l+1])
-    std::vector<std::size_t> level_sns_; // ascending within each level
-    /// Per-column pivot-degradation flags for the parallel sweep.  Each
-    /// task writes only its own columns' flags (no atomics needed); the
-    /// post-level scan resolves the lowest-indexed failure.
-    std::vector<std::uint8_t> col_failed_;
-    /// Per-chunk numeric scratch (same zero invariant as work_) and flop
-    /// tallies — summed after the sweep, so the billed total equals the
-    /// serial sum exactly (integer addition commutes).
-    std::vector<std::vector<double>> par_x_;
-    std::vector<std::uint64_t> par_flops_;
 };
 
 } // namespace nanosim::linalg

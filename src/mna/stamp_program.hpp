@@ -84,28 +84,6 @@ public:
                      bool with_rate, std::span<double> geq,
                      std::span<double> geq_rate) const;
 
-    /// One lane of a cross-trial batched evaluation: a trial's state
-    /// views and its output spans.
-    struct EvalLane {
-        NodeVoltages v;
-        NodeVoltages dvdt;
-        bool with_rate = false;
-        std::span<double> geq;
-        std::span<double> geq_rate;
-    };
-
-    /// Evaluate every lane through the compiled per-class SoA kernels in
-    /// one batched entry (trial-batched Monte-Carlo).  Lanes run
-    /// sequentially over the shared gather scratch — each lane's
-    /// arithmetic is exactly eval_chords on its own state, so batched
-    /// evaluation is bit-identical to per-trial evaluation.
-    void eval_chords_multi(std::span<const EvalLane> lanes) const {
-        for (const EvalLane& lane : lanes) {
-            eval_chords(lane.v, lane.dvdt, lane.with_rate, lane.geq,
-                        lane.geq_rate);
-        }
-    }
-
     // ---- per-step restamps (into the frozen-pattern value array) ------
 
     /// SWEC chord stamps: values[slot] += ±geq[k] over precomputed pairs.

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstring>
 #include <limits>
 #include <new>
 #include <optional>
@@ -11,7 +10,6 @@
 #include "linalg/lu.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "runtime/thread_pool.hpp"
 #include "util/error.hpp"
 #include "util/failpoints.hpp"
 #include "util/flops.hpp"
@@ -328,28 +326,6 @@ void SystemCache::rebind(const MnaAssembler& assembler) {
 }
 
 SystemCache::~SystemCache() = default;
-
-void SystemCache::set_factor_threads(int threads) {
-    const int want = threads > 0 ? threads : 1;
-    options_.factor_threads = want;
-    if (want <= 1) {
-        if (lu_) {
-            lu_->set_refactor_pool(nullptr);
-        }
-        factor_pool_.reset();
-        return;
-    }
-    if (!factor_pool_ ||
-        factor_pool_->size() != static_cast<std::size_t>(want)) {
-        if (lu_) { // detach before the old pool is torn down
-            lu_->set_refactor_pool(nullptr);
-        }
-        factor_pool_ = std::make_unique<runtime::ThreadPool>(want);
-    }
-    if (lu_) {
-        lu_->set_refactor_pool(factor_pool_.get());
-    }
-}
 
 void SystemCache::freeze_pattern(
     std::vector<std::pair<std::size_t, std::size_t>> coords) {
@@ -737,27 +713,12 @@ linalg::Vector SystemCache::solve(const linalg::Vector& rhs) {
     }
 
     try {
-        // The ScopedTimer bills this block's WALL time on the calling
-        // thread.  The parallel refactor's per-worker durations appear
-        // as "factor.level" trace spans only — summing them here would
-        // report factor_s > elapsed_s on multi-core.
         const ScopedTimer timer(stats_.factor_s, "factor", factor_hist);
         maybe_inject_factor_alloc();
         if (!lu_) {
-            // The legacy (no-program) baseline also keeps the seed's
-            // column-vector factor storage, so benches measuring
-            // "program vs legacy" compare whole per-step hot paths.
             lu_ = std::make_unique<linalg::SparseLu>(
                 n_, col_ptr_, row_idx_, std::span<const double>(values_),
-                ordering_, options_.pivot_tol,
-                options_.use_stamp_program
-                    ? linalg::FactorStorage::flat
-                    : linalg::FactorStorage::columns);
-            if (options_.factor_threads > 1 && !factor_pool_) {
-                factor_pool_ = std::make_unique<runtime::ThreadPool>(
-                    options_.factor_threads);
-            }
-            lu_->set_refactor_pool(factor_pool_.get());
+                ordering_, options_.pivot_tol);
             ++stats_.full_factors;
         } else if (lu_->refactor(std::span<const double>(values_))) {
             ++stats_.fast_refactors;
@@ -776,188 +737,10 @@ linalg::Vector SystemCache::solve(const linalg::Vector& rhs) {
         throw AnalysisError("SystemCache::solve: factor allocation failed");
     }
     // Re-read every step: a degraded-pivot fallback re-pivots and can
-    // change the factor fill (O(n) column-size sum — noise next to the
-    // solve) and reshape the level schedule.
+    // change the factor fill.
     stats_.factor_nnz = lu_->nnz_factors();
-    stats_.factor_threads =
-        factor_pool_ ? factor_pool_->size() : std::size_t{1};
-    stats_.factor_supernodes = lu_->supernode_count();
-    stats_.factor_levels = lu_->level_count();
     const ScopedTimer timer(stats_.solve_s, "solve");
     return lu_->solve(rhs);
-}
-
-bool SystemCache::capture_plane(std::vector<double>& out) const {
-    if (!overflow_.empty()) {
-        return false; // the step escaped the frozen pattern: solve inline
-    }
-    out.assign(values_.begin(), values_.end());
-    return true;
-}
-
-void SystemCache::eval_chords_batch(std::span<const EvalLane> lanes) {
-    const ScopedTimer timer(stats_.eval_s, "eval");
-    if (program_ != nullptr) {
-        std::vector<StampProgram::EvalLane> plan(lanes.size());
-        for (std::size_t i = 0; i < lanes.size(); ++i) {
-            plan[i] = StampProgram::EvalLane{
-                .v = assembler_->view(lanes[i].x),
-                .dvdt = assembler_->view(lanes[i].dvdt),
-                .with_rate = lanes[i].with_rate,
-                .geq = lanes[i].geq,
-                .geq_rate = lanes[i].geq_rate};
-        }
-        program_->eval_chords_multi(plan);
-        return;
-    }
-    // Legacy fallback: the virtual per-device sweep, lane by lane —
-    // exactly eval_chords' loop on each lane's state.
-    const auto& nonlinear = assembler_->nonlinear_devices();
-    for (const EvalLane& lane : lanes) {
-        const NodeVoltages v = assembler_->view(lane.x);
-        const NodeVoltages rate_view = assembler_->view(lane.dvdt);
-        for (std::size_t k = 0; k < nonlinear.size(); ++k) {
-            lane.geq[k] = nonlinear[k]->swec_conductance(v);
-            if (!lane.geq_rate.empty()) {
-                lane.geq_rate[k] =
-                    lane.with_rate
-                        ? nonlinear[k]->swec_conductance_rate(v, rate_view)
-                        : 0.0;
-            }
-        }
-    }
-}
-
-void SystemCache::solve_batch(std::span<SolveLane> lanes) {
-    if (lanes.empty()) {
-        return;
-    }
-
-    // Serial replay of one lane: restore its stamped plane and run the
-    // ordinary solve(), which bills steps/factors/fallbacks itself —
-    // the deterministic fallback whenever the batch path cannot serve
-    // the round (and the reason batched results can never diverge from
-    // the serial driver's).
-    auto replay = [&](SolveLane& lane) {
-        values_.assign(lane.values.begin(), lane.values.end());
-        lane.x = solve(lane.rhs);
-    };
-
-    const bool can_batch = !dense_path() && lu_ != nullptr &&
-                           lu_->storage() == linalg::FactorStorage::flat;
-    if (!can_batch) {
-        for (SolveLane& lane : lanes) {
-            replay(lane);
-        }
-        return;
-    }
-
-    obs::Histogram* factor_hist = nullptr;
-    if (obs::metrics_enabled()) {
-        static obs::Histogram& h =
-            obs::metrics().histogram("cache.factor_s", obs::time_buckets());
-        factor_hist = &h;
-    }
-
-    // Group lanes whose value planes are bit-identical (linear circuits,
-    // RHS-only noise perturbations): one factor serves the whole group
-    // through the blocked multi-RHS substitution.
-    const std::size_t m = lanes.size();
-    std::vector<std::size_t> group_of(m);
-    std::vector<std::size_t> reps; // first lane of each group
-    for (std::size_t i = 0; i < m; ++i) {
-        std::size_t g = reps.size();
-        for (std::size_t r = 0; r < reps.size(); ++r) {
-            const std::vector<double>& a = lanes[i].values;
-            const std::vector<double>& b = lanes[reps[r]].values;
-            if (a.size() == b.size() &&
-                std::memcmp(a.data(), b.data(),
-                            a.size() * sizeof(double)) == 0) {
-                g = r;
-                break;
-            }
-        }
-        if (g == reps.size()) {
-            reps.push_back(i);
-        }
-        group_of[i] = g;
-    }
-
-    // One batched refactor dispatch for the round's representatives.
-    std::vector<std::span<const double>> planes;
-    planes.reserve(reps.size());
-    for (const std::size_t r : reps) {
-        planes.emplace_back(lanes[r].values);
-    }
-    std::vector<linalg::SparseLu::LaneFactor> factors(reps.size());
-    std::vector<std::uint64_t> rep_flops(reps.size(), 0);
-    bool ok = false;
-    {
-        const ScopedTimer timer(stats_.factor_s, "factor", factor_hist);
-        ok = lu_->refactor_lanes(planes, factors, rep_flops);
-    }
-    if (!ok) {
-        // A degraded pivot anywhere (or legacy storage): nothing was
-        // billed; replay every lane in order so the pivot fallback runs
-        // exactly where and how the serial driver would run it.
-        for (SolveLane& lane : lanes) {
-            replay(lane);
-        }
-        return;
-    }
-
-    // As-if-serial accounting: every lane is one step and one fast
-    // refactor.  refactor_lanes billed the representatives' factor
-    // flops; group members bill their representative's tally (identical
-    // planes refactor with identical arithmetic), so totals equal m
-    // serial solve() calls exactly.
-    stats_.steps += m;
-    stats_.fast_refactors += m;
-    std::vector<std::uint8_t> is_rep(m, 0);
-    for (const std::size_t r : reps) {
-        is_rep[r] = 1;
-    }
-    auto& counter = current_flops();
-    for (std::size_t i = 0; i < m; ++i) {
-        if (is_rep[i] != 0) {
-            continue;
-        }
-        const std::uint64_t f = rep_flops[group_of[i]];
-        counter.lu_factor += f;
-        counter.mul += f / 2;
-        counter.add += f / 2;
-    }
-
-    {
-        // Per group, ascending lane order: one blocked multi-RHS pass
-        // under the shared factor.  solve_multi bills flops per rhs
-        // column, so SolverWork stays comparable with the serial driver.
-        const ScopedTimer timer(stats_.solve_s, "solve");
-        std::vector<const linalg::Vector*> rhs_ptrs;
-        std::vector<linalg::Vector*> out_ptrs;
-        for (std::size_t g = 0; g < reps.size(); ++g) {
-            rhs_ptrs.clear();
-            out_ptrs.clear();
-            for (std::size_t i = 0; i < m; ++i) {
-                if (group_of[i] != g) {
-                    continue;
-                }
-                rhs_ptrs.push_back(&lanes[i].rhs);
-                out_ptrs.push_back(&lanes[i].x);
-            }
-            lu_->solve_multi(rhs_ptrs, out_ptrs, &factors[g]);
-        }
-    }
-    stats_.batched_solves += m;
-    stats_.shared_factor_solves += m - reps.size();
-
-    // Lane refactors share the live symbolic analysis, so the schedule
-    // shape is unchanged — refresh like solve() for consistency.
-    stats_.factor_nnz = lu_->nnz_factors();
-    stats_.factor_threads =
-        factor_pool_ ? factor_pool_->size() : std::size_t{1};
-    stats_.factor_supernodes = lu_->supernode_count();
-    stats_.factor_levels = lu_->level_count();
 }
 
 } // namespace nanosim::mna

@@ -92,15 +92,9 @@ public:
         /// Compile a StampProgram at pattern-freeze time (the default):
         /// per-step restamps and chord evaluations run through flat
         /// slot/SoA plans with zero virtual dispatch.  `false` keeps the
-        /// legacy virtual-stamping path — the benches' baseline, bit-
-        /// identical to the program by contract.
+        /// legacy virtual-stamping path — the reference the program is
+        /// tested bit-identical against.
         bool use_stamp_program = true;
-        /// Worker threads for the level-scheduled parallel refactor
-        /// (flat sparse path only).  1 = serial; >1 lazily spawns an
-        /// owned pool and attaches it to the SparseLu.  Results are
-        /// bit-identical at any value — the schedule fixes the
-        /// arithmetic, threads only change who executes it.
-        int factor_threads = 1;
     };
 
     explicit SystemCache(const MnaAssembler& assembler)
@@ -133,49 +127,6 @@ public:
     /// solve for the current values.  `rhs` is the vector passed to
     /// begin() after all dynamic contributions.
     [[nodiscard]] linalg::Vector solve(const linalg::Vector& rhs);
-
-    // ---- trial-batched solves (trial-batched Monte-Carlo) -------------
-
-    /// Copy the currently stamped value plane (frozen-pattern order)
-    /// into `out` so the system can be solved later via solve_batch.
-    /// Returns false when this step overflowed the frozen pattern — the
-    /// caller must solve that lane inline through solve() instead.
-    [[nodiscard]] bool capture_plane(std::vector<double>& out) const;
-
-    /// One lane of a batched deferred solve: a captured value plane, its
-    /// rhs, and the solution written back by solve_batch.
-    struct SolveLane {
-        std::vector<double> values;
-        linalg::Vector rhs;
-        linalg::Vector x;
-    };
-
-    /// Solve every lane's system in one call.  On the sparse flat path
-    /// the numeric refactors of all lanes run through one
-    /// SparseLu::refactor_lanes dispatch (lane-parallel on the factor
-    /// pool), lanes with bit-identical value planes share one factor
-    /// through the blocked multi-RHS substitution, and counters/flops
-    /// are billed exactly as K serial solve() calls would bill them.
-    /// Any lane the batch path cannot serve (dense path, no live
-    /// factorisation yet, legacy storage, or a degraded pivot in any
-    /// lane) is replayed through the serial solve() in lane order, so
-    /// results and Stats stay bit-identical to the serial driver.
-    void solve_batch(std::span<SolveLane> lanes);
-
-    /// One lane of a batched cross-trial chord evaluation.
-    struct EvalLane {
-        std::span<const double> x;
-        std::span<const double> dvdt;
-        bool with_rate = false;
-        std::span<double> geq;
-        std::span<double> geq_rate;
-    };
-
-    /// eval_chords for every lane in one batched entry (the compiled
-    /// StampProgram SoA kernels run lane by lane over shared scratch —
-    /// arithmetic identical to per-lane eval_chords).  Time lands in
-    /// Stats::eval_s once for the whole batch.
-    void eval_chords_batch(std::span<const EvalLane> lanes);
 
     // ---- engine-facing fast paths ------------------------------------
     // Each method routes through the compiled StampProgram when one
@@ -289,16 +240,6 @@ public:
         double factor_s = 0.0;
         double solve_s = 0.0;
         std::size_t tables_built = 0; ///< ChordTable builds by this cache
-        // ---- trial-batched solve path (solve_batch; 0 when unused) ----
-        std::size_t batched_solves = 0; ///< lanes served by solve_batch
-        /// Lanes that reused another lane's factor through the multi-RHS
-        /// substitution instead of refactoring (identical value planes —
-        /// linear circuits / RHS-only noise perturbations).
-        std::size_t shared_factor_solves = 0;
-        // ---- parallel-refactor shape (sparse flat path; 0 on dense) ----
-        std::size_t factor_threads = 1;   ///< workers the factor path uses
-        std::size_t factor_supernodes = 0;///< supernodes in the schedule
-        std::size_t factor_levels = 0;    ///< levels in the schedule
     };
     [[nodiscard]] const Stats& stats() const noexcept { return stats_; }
 
@@ -334,15 +275,6 @@ public:
     /// True when this system is small enough for the dense auto-select.
     [[nodiscard]] bool dense_path() const noexcept {
         return n_ <= options_.dense_threshold;
-    }
-
-    /// Re-target the parallel factor path at `threads` workers (1 =
-    /// serial, releasing any pool).  Safe between steps; the attached
-    /// SparseLu keeps its symbolic analysis and factors bit-identically
-    /// under the new thread count.
-    void set_factor_threads(int threads);
-    [[nodiscard]] int factor_threads() const noexcept {
-        return options_.factor_threads;
     }
 
 private:
@@ -409,9 +341,6 @@ private:
 
     std::unique_ptr<ScatterStamper> stamper_;
     linalg::Permutation ordering_; // empty = natural
-    /// Owned worker pool for the parallel refactor (null when
-    /// factor_threads <= 1); attached to lu_ via set_refactor_pool.
-    std::unique_ptr<runtime::ThreadPool> factor_pool_;
     std::unique_ptr<linalg::SparseLu> lu_;
     linalg::DenseMatrix dense_; // dense-path work matrix
     Stats stats_;

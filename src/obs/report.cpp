@@ -65,9 +65,6 @@ std::string RunReport::to_json() const {
        << ",\"source_succeeded\":" << rescues.source_succeeded
        << "},\"failed_trials\":" << failed_trials
        << ",\"trials\":" << trials
-       << ",\"mc_batch_width\":" << mc_batch_width
-       << ",\"batched_solves\":" << batched_solves
-       << ",\"shared_factor_solves\":" << shared_factor_solves
        << ",\"full_factors\":" << full_factors
        << ",\"fast_refactors\":" << fast_refactors
        << ",\"dense_solves\":" << dense_solves
@@ -83,10 +80,7 @@ std::string RunReport::to_json() const {
     append_number(os, factor_s);
     os << ",\"solve_s\":";
     append_number(os, solve_s);
-    os << ",\"factor_threads\":" << factor_threads
-       << ",\"factor_supernodes\":" << factor_supernodes
-       << ",\"factor_levels\":" << factor_levels
-       << ",\"cache_signature\":" << cache_signature
+    os << ",\"cache_signature\":" << cache_signature
        << ",\"pool_tasks\":" << pool_tasks << ",\"pool_queue_wait_s\":";
     append_number(os, pool_queue_wait_s);
     os << '}';
@@ -160,15 +154,6 @@ std::string RunReport::pretty() const {
     if (trials > 0) {
         count_line(os, "trials", trials);
     }
-    if (mc_batch_width > 0) {
-        count_line(os, "mc batch width", mc_batch_width);
-    }
-    if (batched_solves > 0) {
-        count_line(os, "batched solves", batched_solves);
-    }
-    if (shared_factor_solves > 0) {
-        count_line(os, "shared-factor solves", shared_factor_solves);
-    }
 
     os << "solver cache:\n";
     count_line(os, "full factors", full_factors);
@@ -182,11 +167,6 @@ std::string RunReport::pretty() const {
     }
     if (tables_built > 0) {
         count_line(os, "chord tables built", tables_built);
-    }
-    if (factor_supernodes > 0) {
-        count_line(os, "factor threads", factor_threads);
-        count_line(os, "factor supernodes", factor_supernodes);
-        count_line(os, "factor levels", factor_levels);
     }
     os << "  " << std::left << std::setw(22) << "cache signature"
        << std::right << std::hex << std::showbase << cache_signature

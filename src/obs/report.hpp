@@ -100,10 +100,6 @@ struct RunReport {
 
     // ---- batch drivers ------------------------------------------------
     std::uint64_t trials = 0; ///< MC trials / EM paths / sweep points
-    std::uint64_t mc_batch_width = 0; ///< trial frontier (0 = not batched)
-    std::uint64_t batched_solves = 0; ///< steps solved via solve_batch
-    /// Solves that reused another lane's factor (bit-identical planes).
-    std::uint64_t shared_factor_solves = 0;
 
     // ---- solver cache work (deltas for this run) ----------------------
     std::uint64_t full_factors = 0;
@@ -114,19 +110,11 @@ struct RunReport {
     std::uint64_t tables_built = 0;     ///< chord tables built this run
 
     // ---- wall-time attribution [s] ------------------------------------
-    // factor_s is the CALLER's wall-clock over the factor section — the
-    // parallel refactor's per-worker durations live in trace spans only
-    // (summing them would report factor_s > elapsed_s on multi-core).
     double analyze_s = 0.0; ///< symbolic analysis + ordering + compile
     double eval_s = 0.0;    ///< device-model evaluation
     double stamp_s = 0.0;   ///< matrix restamps
     double factor_s = 0.0;  ///< LU factor / refactor (wall clock)
     double solve_s = 0.0;   ///< triangular solves
-
-    // ---- parallel factor path ------------------------------------------
-    std::uint64_t factor_threads = 1;    ///< workers on the factor path
-    std::uint64_t factor_supernodes = 0; ///< supernodes in the schedule
-    std::uint64_t factor_levels = 0;     ///< elimination-tree levels
 
     // ---- infrastructure -----------------------------------------------
     std::uint64_t cache_signature = 0;  ///< stamp-pattern signature

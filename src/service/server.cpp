@@ -916,7 +916,6 @@ void Server::start() {
     ::getsockname(s.listen_fd, reinterpret_cast<sockaddr*>(&bound), &len);
     s.bound_port = static_cast<int>(ntohs(bound.sin_port));
 
-    s.sessions.set_factor_threads(s.options.factor_threads);
     const int workers = std::max(s.options.workers, 1);
     s.pool = std::make_unique<runtime::ThreadPool>(workers);
     s.workers.reserve(static_cast<std::size_t>(workers));

@@ -67,7 +67,6 @@ struct ServerOptions {
     int port = 0;              ///< 0 = ephemeral (read back via port())
     int workers = 2;           ///< concurrent analysis executors
     std::size_t queue_depth = 64; ///< backpressure bound
-    int factor_threads = 1;    ///< per-session factor-path workers
     std::size_t max_sessions = 8; ///< registry dedup capacity
     /// Finished jobs kept for status/result queries.
     std::size_t history = 256;

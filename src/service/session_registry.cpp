@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <utility>
-#include <vector>
 
 #include "obs/metrics.hpp"
 
@@ -44,14 +43,7 @@ SessionRegistry::acquire(const wire::CircuitSource& source) {
     try {
         const std::lock_guard<std::mutex> build_lock(entry->build_mutex);
         if (entry->session == nullptr) {
-            auto session = std::make_unique<SimSession>(source.build());
-            int threads = 1;
-            {
-                const std::lock_guard<std::mutex> lock(mutex_);
-                threads = factor_threads_;
-            }
-            session->set_factor_threads(threads);
-            entry->session = std::move(session);
+            entry->session = std::make_unique<SimSession>(source.build());
         }
     } catch (...) {
         release(key, entry);
@@ -92,25 +84,6 @@ void SessionRegistry::evict_idle_locked() {
             return; // everything is leased; exceed the bound best-effort
         }
         entries_.erase(victim);
-    }
-}
-
-void SessionRegistry::set_factor_threads(int threads) {
-    std::vector<std::shared_ptr<Entry>> live;
-    {
-        const std::lock_guard<std::mutex> lock(mutex_);
-        factor_threads_ = threads > 0 ? threads : 1;
-        threads = factor_threads_;
-        live.reserve(entries_.size());
-        for (auto& [key, entry] : entries_) {
-            live.push_back(entry);
-        }
-    }
-    for (const auto& entry : live) {
-        const std::lock_guard<std::mutex> build_lock(entry->build_mutex);
-        if (entry->session != nullptr) {
-            entry->session->set_factor_threads(threads);
-        }
     }
 }
 

@@ -49,10 +49,6 @@ public:
     /// entry behind.
     [[nodiscard]] Lease acquire(const wire::CircuitSource& source);
 
-    /// Factor-path worker threads applied to every session (live and
-    /// future) — the service-level mirror of SimSession's setting.
-    void set_factor_threads(int threads);
-
     /// Live entries (tests).
     [[nodiscard]] std::size_t size() const;
 
@@ -73,7 +69,6 @@ private:
     mutable std::mutex mutex_;
     std::map<std::string, std::shared_ptr<Entry>> entries_;
     std::uint64_t tick_ = 0;
-    int factor_threads_ = 1;
 
     friend class Lease;
 };

@@ -389,7 +389,6 @@ Value mc_to_json(const MonteCarloSpec& s) {
     put_u64(obj, "seed", s.seed, d.seed);
     put(obj, "parallel", s.parallel, d.parallel);
     put(obj, "threads", s.threads, d.threads);
-    put(obj, "batch", s.batch, d.batch);
     if (!s.probes.empty()) obj.set("probes", strings_to_json(s.probes));
     put(obj, "checkpoint_every", s.checkpoint_every, d.checkpoint_every);
     if (s.resume != nullptr) obj.set("resume", checkpoint_to_json(*s.resume));
@@ -401,7 +400,7 @@ MonteCarloSpec mc_from_json(const Value& v) {
     check_keys(v,
                {"kind", "name", "common", "node", "t_stop", "runs",
                 "noise_dt", "grid_points", "seed", "parallel", "threads",
-                "batch", "probes", "checkpoint_every", "resume", "tran"},
+                "probes", "checkpoint_every", "resume", "tran"},
                "monte-carlo spec");
     MonteCarloSpec s;
     if (const Value* p = v.find("name")) s.name = p->as_string();
@@ -415,7 +414,6 @@ MonteCarloSpec mc_from_json(const Value& v) {
     if (const Value* p = v.find("seed")) s.seed = u64_from(*p, "seed");
     if (const Value* p = v.find("parallel")) s.parallel = p->as_bool();
     if (const Value* p = v.find("threads")) s.threads = p->as_int();
-    if (const Value* p = v.find("batch")) s.batch = p->as_int();
     if (const Value* p = v.find("probes")) {
         for (const Value& e : p->as_array())
             s.probes.push_back(e.as_string());
@@ -569,23 +567,6 @@ engines::SolverOrderingStats ordering_from_json(const Value& v) {
         static_cast<std::size_t>(v.at("predicted_fill_chosen").as_uint());
     o.factor_nnz = static_cast<std::size_t>(v.at("factor_nnz").as_uint());
     return o;
-}
-
-Value factor_to_json(const engines::SolverFactorStats& f) {
-    Value obj{Object{}};
-    obj.set("threads", Value(static_cast<double>(f.threads)));
-    obj.set("supernodes", Value(static_cast<double>(f.supernodes)));
-    obj.set("levels", Value(static_cast<double>(f.levels)));
-    return obj;
-}
-
-engines::SolverFactorStats factor_from_json(const Value& v) {
-    check_keys(v, {"threads", "supernodes", "levels"}, "factor stats");
-    engines::SolverFactorStats f;
-    f.threads = static_cast<std::size_t>(v.at("threads").as_uint());
-    f.supernodes = static_cast<std::size_t>(v.at("supernodes").as_uint());
-    f.levels = static_cast<std::size_t>(v.at("levels").as_uint());
-    return f;
 }
 
 Value bounds_to_json(const obs::StepBoundCounts& b) {
@@ -805,7 +786,6 @@ Value dc_result_to_json(const engines::DcResult& r) {
     obj.set("solver_dense_solves",
             Value(static_cast<double>(r.solver_dense_solves)));
     obj.set("solver_ordering", ordering_to_json(r.solver_ordering));
-    obj.set("solver_factor", factor_to_json(r.solver_factor));
     Array trace;
     trace.reserve(r.trace.size());
     for (const auto& x : r.trace) trace.push_back(vector_to_json(x));
@@ -818,7 +798,7 @@ engines::DcResult dc_result_from_json(const Value& v) {
                {"x", "converged", "aborted", "oscillation_detected",
                 "iterations", "residual", "flops", "solver_full_factors",
                 "solver_fast_refactors", "solver_dense_solves",
-                "solver_ordering", "solver_factor", "trace"},
+                "solver_ordering", "trace"},
                "dc result");
     engines::DcResult r;
     r.x = vector_from_json(v.at("x"));
@@ -835,7 +815,6 @@ engines::DcResult dc_result_from_json(const Value& v) {
     r.solver_dense_solves =
         static_cast<std::size_t>(v.at("solver_dense_solves").as_uint());
     r.solver_ordering = ordering_from_json(v.at("solver_ordering"));
-    r.solver_factor = factor_from_json(v.at("solver_factor"));
     for (const Value& e : v.at("trace").as_array())
         r.trace.push_back(vector_from_json(e));
     return r;
@@ -894,7 +873,6 @@ Value tran_result_to_json(const engines::TranResult& r) {
     obj.set("solver_dense_solves",
             Value(static_cast<double>(r.solver_dense_solves)));
     obj.set("solver_ordering", ordering_to_json(r.solver_ordering));
-    obj.set("solver_factor", factor_to_json(r.solver_factor));
     return obj;
 }
 
@@ -905,7 +883,7 @@ engines::TranResult tran_result_from_json(const Value& v) {
                 "max_dt_used", "max_local_error", "avg_local_error",
                 "step_bounds", "rescues", "flops", "solver_full_factors",
                 "solver_fast_refactors", "solver_dense_solves",
-                "solver_ordering", "solver_factor"},
+                "solver_ordering"},
                "transient result");
     engines::TranResult r;
     r.node_waves = waves_from_json(v.at("node_waves"));
@@ -928,7 +906,6 @@ engines::TranResult tran_result_from_json(const Value& v) {
     r.solver_dense_solves =
         static_cast<std::size_t>(v.at("solver_dense_solves").as_uint());
     r.solver_ordering = ordering_from_json(v.at("solver_ordering"));
-    r.solver_factor = factor_from_json(v.at("solver_factor"));
     return r;
 }
 
@@ -1035,14 +1012,6 @@ Value solver_work_to_json(const SolverWork& w) {
     obj.set("factor_s", Value(w.factor_s));
     obj.set("solve_s", Value(w.solve_s));
     obj.set("tables_built", Value(static_cast<double>(w.tables_built)));
-    obj.set("factor_threads", Value(static_cast<double>(w.factor_threads)));
-    obj.set("factor_supernodes",
-            Value(static_cast<double>(w.factor_supernodes)));
-    obj.set("factor_levels", Value(static_cast<double>(w.factor_levels)));
-    obj.set("mc_batch_width", Value(static_cast<double>(w.mc_batch_width)));
-    obj.set("batched_solves", Value(static_cast<double>(w.batched_solves)));
-    obj.set("shared_factor_solves",
-            Value(static_cast<double>(w.shared_factor_solves)));
     return obj;
 }
 
@@ -1050,9 +1019,7 @@ SolverWork solver_work_from_json(const Value& v) {
     check_keys(v,
                {"full_factors", "fast_refactors", "dense_solves",
                 "pivot_fallbacks", "pattern_rebuilds", "analyze_s",
-                "eval_s", "stamp_s", "factor_s", "solve_s", "tables_built",
-                "factor_threads", "factor_supernodes", "factor_levels",
-                "mc_batch_width", "batched_solves", "shared_factor_solves"},
+                "eval_s", "stamp_s", "factor_s", "solve_s", "tables_built"},
                "solver work");
     SolverWork w;
     w.full_factors =
@@ -1072,18 +1039,6 @@ SolverWork solver_work_from_json(const Value& v) {
     w.solve_s = v.at("solve_s").as_number();
     w.tables_built =
         static_cast<std::size_t>(v.at("tables_built").as_uint());
-    w.factor_threads =
-        static_cast<std::size_t>(v.at("factor_threads").as_uint());
-    w.factor_supernodes =
-        static_cast<std::size_t>(v.at("factor_supernodes").as_uint());
-    w.factor_levels =
-        static_cast<std::size_t>(v.at("factor_levels").as_uint());
-    w.mc_batch_width =
-        static_cast<std::size_t>(v.at("mc_batch_width").as_uint());
-    w.batched_solves =
-        static_cast<std::size_t>(v.at("batched_solves").as_uint());
-    w.shared_factor_solves =
-        static_cast<std::size_t>(v.at("shared_factor_solves").as_uint());
     return w;
 }
 
@@ -1146,10 +1101,6 @@ obs::RunReport report_from_json(const Value& v, const AnalysisHeader& header) {
     r.rescues = rescues_from_json(v.at("rescues"));
     r.failed_trials = u64_from(v.at("failed_trials"), "failed_trials");
     r.trials = u64_from(v.at("trials"), "trials");
-    r.mc_batch_width = u64_from(v.at("mc_batch_width"), "mc_batch_width");
-    r.batched_solves = u64_from(v.at("batched_solves"), "batched_solves");
-    r.shared_factor_solves =
-        u64_from(v.at("shared_factor_solves"), "shared_factor_solves");
     r.full_factors = u64_from(v.at("full_factors"), "full_factors");
     r.fast_refactors = u64_from(v.at("fast_refactors"), "fast_refactors");
     r.dense_solves = u64_from(v.at("dense_solves"), "dense_solves");
@@ -1162,10 +1113,6 @@ obs::RunReport report_from_json(const Value& v, const AnalysisHeader& header) {
     r.stamp_s = v.at("stamp_s").as_number();
     r.factor_s = v.at("factor_s").as_number();
     r.solve_s = v.at("solve_s").as_number();
-    r.factor_threads = u64_from(v.at("factor_threads"), "factor_threads");
-    r.factor_supernodes =
-        u64_from(v.at("factor_supernodes"), "factor_supernodes");
-    r.factor_levels = u64_from(v.at("factor_levels"), "factor_levels");
     r.cache_signature = header.cache_signature;
     r.pool_tasks = u64_from(v.at("pool_tasks"), "pool_tasks");
     r.pool_queue_wait_s = v.at("pool_queue_wait_s").as_number();

@@ -1,6 +1,6 @@
 // Nano-Sim — shared noise-path realization for the Monte-Carlo drivers.
 //
-// Every Monte-Carlo driver (serial, parallel, trial-batched) must see
+// Every Monte-Carlo driver (serial, trial-parallel) must see
 // the *same* band-limited noise sample paths for a given seed, or their
 // results can never be compared bit-for-bit.  NoisePathSet makes that a
 // structural property instead of a scheduling accident: the path of

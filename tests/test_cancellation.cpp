@@ -1,9 +1,11 @@
 // Tests for cooperative cancellation through engines::AnalysisObserver:
 // aborting SWEC and NR transients mid-run returns cleanly with partial
 // waveforms flagged `aborted` (leak-free under ASan), batch drivers stop
-// at trial granularity, and progress callbacks report sane fractions.
+// at trial granularity, the Monte-Carlo drivers also inside a running
+// trial, and progress callbacks report sane fractions.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <vector>
 
 #include "core/ref_circuits.hpp"
@@ -171,6 +173,26 @@ TEST(Cancellation, ParallelDriversHonourPreCancelledObserver) {
     const engines::EmEnsembleResult ens = engines::run_em_ensemble_parallel(
         engine, 4, 1, 1, runtime::ExecutionPolicy{2}, &obs);
     EXPECT_TRUE(ens.aborted);
+}
+
+TEST(Cancellation, ParallelMonteCarloStopsMidTrial) {
+    // One trial on two workers: the only chance to cancel is inside the
+    // trial's transient, so the cancel must reach it.
+    const Circuit ckt = refckt::noisy_rc();
+    const mna::MnaAssembler assembler(ckt);
+    std::atomic<int> polls{0}; // workers poll concurrently
+    engines::AnalysisObserver obs;
+    obs.cancel = [&polls] { return polls.fetch_add(1) + 1 > 3; };
+
+    engines::McOptions mc;
+    mc.t_stop = 1e-9;
+    mc.runs = 1;
+    mc.grid_points = 11;
+    const engines::McResult res = engines::run_monte_carlo_parallel(
+        assembler, mc, 1, 1, runtime::ExecutionPolicy{2}, &obs);
+    EXPECT_TRUE(res.aborted);
+    EXPECT_EQ(res.stats.paths(), 0u);
+    EXPECT_GT(polls.load(), 3);
 }
 
 TEST(Cancellation, SessionFlagsAbortInHeaderAndStopsBatch) {

@@ -593,49 +593,30 @@ TEST(ObsPool, StatsSnapshotTearFreeUnderHammer) {
     EXPECT_GE(final_stats.queue_wait_s, 0.0);
 }
 
-// ---- factor-time attribution under the parallel refactor ---------------
+// ---- factor-time attribution ------------------------------------------
 
-TEST(ObsReport, FactorTimeIsCallerWallClockUnderParallelRefactor) {
-    // Attribution contract: factor_s is the CALLER's wall clock over the
-    // factor section — never the sum of per-worker durations, which
-    // would report factor_s > elapsed_s on multi-core.  The per-worker
-    // detail lives in "factor.level" trace spans instead.
+TEST(ObsReport, FactorTimeIsCallerWallClock) {
+    // Attribution contract: factor_s is the caller's wall clock over the
+    // factor section, one of the disjoint sections of elapsed_s.
     const TelemetryOff off;
     obs::set_metrics_enabled(true);
-    obs::start_trace();
 
     SimSession session(refckt::rc_mesh(12, 12));
-    session.set_factor_threads(4);
     TranSpec spec;
     spec.t_stop = 40e-9;
     spec.common.dt_init = 0.1e-9;
     const AnalysisResult result = session.run(spec);
-    obs::stop_trace();
     obs::set_metrics_enabled(false);
 
     const obs::RunReport& rep = result.report;
-    EXPECT_EQ(rep.factor_threads, 4u);
-    EXPECT_GT(rep.factor_supernodes, 0u);
-    EXPECT_GT(rep.factor_levels, 0u);
     EXPECT_GT(rep.fast_refactors, 0u);
     EXPECT_GT(rep.factor_s, 0.0);
     EXPECT_LE(rep.factor_s, rep.elapsed_s)
-        << "factor attribution must be wall clock, not per-worker sums";
+        << "factor time is a section of the run's wall clock";
     EXPECT_LE(rep.analyze_s + rep.eval_s + rep.stamp_s + rep.factor_s +
                   rep.solve_s,
               rep.elapsed_s)
         << "time-split buckets are disjoint sections of one wall clock";
-
-    // The workers did record their per-level spans.
-    bool saw_level_span = false;
-    for (const obs::TraceEvent& e : obs::trace_snapshot()) {
-        if (e.name == "factor.level") {
-            saw_level_span = true;
-            break;
-        }
-    }
-    EXPECT_TRUE(saw_level_span)
-        << "parallel factor levels should appear as trace spans";
 }
 
 // ---- NANOSIM_LOG ------------------------------------------------------

@@ -31,7 +31,6 @@
 #include "devices/sources.hpp"
 #include "engines/dc_nr.hpp"
 #include "engines/dc_swec.hpp"
-#include "engines/mc_batch.hpp"
 #include "engines/monte_carlo.hpp"
 #include "engines/observer.hpp"
 #include "engines/parallel.hpp"
@@ -316,7 +315,7 @@ void expect_identical_mc(const engines::McResult& a,
     EXPECT_EQ(a.flops.total(), b.flops.total());
 }
 
-TEST(McQuarantine, AllThreeDriversQuarantineTheSameTrials) {
+TEST(McQuarantine, SerialAndParallelDriversQuarantineTheSameTrials) {
     const Circuit ckt = noisy_inverter();
     const mna::MnaAssembler assembler(ckt);
     const NodeId out = ckt.find_node("out");
@@ -335,15 +334,6 @@ TEST(McQuarantine, AllThreeDriversQuarantineTheSameTrials) {
     for (const auto& f : serial.failed_trials) {
         EXPECT_NE(f.diagnostic.find("mc.trial_fail"), std::string::npos);
     }
-
-    const auto batched = [&] {
-        const ArmedScope armed("mc.trial_fail=1in3");
-        stochastic::Rng rng(1);
-        mna::SystemCache cache(assembler);
-        return engines::run_monte_carlo_batched(assembler, mc, rng, out, 3,
-                                                nullptr, &cache);
-    }();
-    expect_identical_mc(serial, batched);
 
     const auto parallel = [&] {
         const ArmedScope armed("mc.trial_fail=1in3");
@@ -408,16 +398,6 @@ TEST(McCheckpoint, ResumeReproducesUninterruptedRunBitIdentically) {
                                         nullptr, &cache);
     }();
     expect_identical_mc(full, resumed);
-
-    // Checkpoints are driver-interchangeable: the batched driver resumes
-    // a serial checkpoint to the same bits.
-    const auto resumed_batched = [&] {
-        stochastic::Rng rng(7);
-        mna::SystemCache cache(assembler);
-        return engines::run_monte_carlo_batched(assembler, resume_mc, rng,
-                                                out, 2, nullptr, &cache);
-    }();
-    expect_identical_mc(full, resumed_batched);
 }
 
 TEST(McCheckpoint, MismatchedCampaignShapeIsRejected) {

@@ -11,7 +11,10 @@
 
 #include "core/ref_circuits.hpp"
 #include "core/simulator.hpp"
+#include "devices/sources.hpp"
+#include "engines/monte_carlo.hpp"
 #include "engines/parallel.hpp"
+#include "mna/system_cache.hpp"
 #include "runtime/runtime.hpp"
 #include "stochastic/seed_sequence.hpp"
 #include "util/error.hpp"
@@ -309,6 +312,61 @@ TEST(ParallelMonteCarlo, BitIdenticalAcrossThreadCounts) {
     const auto other = engines::run_monte_carlo_parallel(
         assembler, options, 43, node, runtime::ExecutionPolicy{8});
     EXPECT_NE(serial.mean.value(), other.mean.value());
+}
+
+TEST(ParallelMonteCarlo, SerialAndParallelDriversShareTheNoiseContract) {
+    // Both drivers draw trial k's noise from one NoisePathSet keyed by
+    // (trial, source): for the same seed they agree bit for bit.
+    const Circuit ckt = refckt::noisy_rc();
+    const mna::MnaAssembler assembler(ckt);
+    engines::McOptions mc;
+    mc.t_stop = 1e-9;
+    mc.runs = 6;
+    mc.grid_points = 11;
+
+    stochastic::Rng rng(7);
+    const engines::McResult serial =
+        engines::run_monte_carlo(assembler, mc, rng, 1);
+    runtime::ExecutionPolicy policy;
+    policy.threads = 2;
+    const engines::McResult parallel =
+        engines::run_monte_carlo_parallel(assembler, mc, 7, 1, policy);
+
+    EXPECT_EQ(serial.trial_steps, parallel.trial_steps);
+    EXPECT_EQ(serial.stats.paths(), parallel.stats.paths());
+    EXPECT_EQ(serial.mean.time(), parallel.mean.time());
+    EXPECT_EQ(serial.mean.value(), parallel.mean.value());
+    EXPECT_EQ(serial.stddev.time(), parallel.stddev.time());
+    EXPECT_EQ(serial.stddev.value(), parallel.stddev.value());
+}
+
+TEST(MonteCarlo, ProbeOnThePrimaryNodeReproducesThePrimaryBlock) {
+    // FET-RTD inverter with a white-noise current on "out" (dense solver
+    // path), observing "out" again as a probe beside "in".
+    Circuit ckt = refckt::fet_rtd_inverter();
+    ckt.add<NoiseCurrentSource>("NOISE1", k_ground, ckt.find_node("out"),
+                                1e-9);
+    const mna::MnaAssembler assembler(ckt);
+    const NodeId out = ckt.find_node("out");
+    engines::McOptions mc;
+    mc.runs = 5;
+    mc.t_stop = 10e-9;
+    mc.noise_dt = 5e-10;
+    mc.grid_points = 11;
+    mc.probe_nodes = {out, ckt.find_node("in")};
+
+    mna::SystemCache cache(assembler);
+    stochastic::Rng rng(1);
+    const engines::McResult res =
+        engines::run_monte_carlo(assembler, mc, rng, out, nullptr, &cache);
+    ASSERT_EQ(res.stats.paths(), 5u);
+    ASSERT_EQ(res.trial_steps.size(), 5u);
+    ASSERT_EQ(res.probes.size(), 2u);
+    EXPECT_EQ(res.probes[0].stats.paths(), 5u);
+    EXPECT_EQ(res.mean.time(), res.probes[0].mean.time());
+    EXPECT_EQ(res.mean.value(), res.probes[0].mean.value());
+    EXPECT_EQ(res.stddev.time(), res.probes[0].stddev.time());
+    EXPECT_EQ(res.stddev.value(), res.probes[0].stddev.value());
 }
 
 TEST(ParallelEmEnsemble, BitIdenticalAcrossThreadCounts) {

@@ -9,7 +9,10 @@
 //    direct-solve accuracy of a dense LU (residual-level agreement);
 //  * a changed pattern or a degraded pivot must transparently fall back
 //    to a full re-pivoting factorisation (returning false) and still
-//    produce a correct solution.
+//    produce a correct solution;
+//  * a failed fast-refactor attempt bills zero flops, and one fallback
+//    counts as full_factors + 1 and pivot_fallbacks + 1 in SystemCache,
+//    never as a fast refactor.
 //
 // 200+ random sparse systems sweep size, density and conditioning.
 #include <gtest/gtest.h>
@@ -17,19 +20,26 @@
 #include <cmath>
 #include <cstring>
 #include <random>
+#include <span>
 
+#include "core/ref_circuits.hpp"
 #include "linalg/lu.hpp"
+#include "linalg/ordering.hpp"
 #include "linalg/sparse.hpp"
 #include "linalg/sparse_lu.hpp"
 #include "linalg/vecops.hpp"
+#include "mna/mna.hpp"
+#include "mna/system_cache.hpp"
 #include "util/error.hpp"
+#include "util/flops.hpp"
 
 namespace nanosim::linalg {
 namespace {
 
-bool bit_identical(const Vector& a, const Vector& b) {
+bool bit_identical(std::span<const double> a, std::span<const double> b) {
     return a.size() == b.size() &&
-           std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+           (a.empty() ||
+            std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
 }
 
 struct RandomSystem {
@@ -259,6 +269,186 @@ TEST(SolverEquivalence, CscConstructorRejectsMalformedPattern) {
                  SimError); // rows unsorted within a column
     EXPECT_THROW(SparseLu(2, {0, 1, 2}, {0, 2}, std::span<const double>(v)),
                  SimError); // row out of range
+}
+
+// ---- degraded-pivot fallback on an ordered mesh ----------------------------
+
+/// k x k 5-point grid Laplacian with a dominant diagonal.
+Triplets laplacian2d(std::size_t k) {
+    const std::size_t n = k * k;
+    Triplets a(n, n);
+    for (std::size_t r = 0; r < k; ++r) {
+        for (std::size_t c = 0; c < k; ++c) {
+            const std::size_t i = r * k + c;
+            a.add(i, i, 8.0 + 0.01 * static_cast<double>(i % 7));
+            if (r + 1 < k) {
+                a.add(i, i + k, -1.0);
+                a.add(i + k, i, -1.0);
+            }
+            if (c + 1 < k) {
+                a.add(i, i + 1, -1.0);
+                a.add(i + 1, i, -1.0);
+            }
+        }
+    }
+    return a;
+}
+
+/// Blow up both orientations of the grid edge (k, k+grid) to 1e9:
+/// whichever of the two columns is eliminated later (under any
+/// ordering), its recorded O(1) diagonal pivot drops below
+/// k_refactor_pivot_ratio of the new below-diagonal candidate, so
+/// refactor() must fall back to full re-pivoting.
+Triplets degrade_pivot(const Triplets& a, std::size_t k, std::size_t grid) {
+    Triplets out(a.rows(), a.cols());
+    for (const auto& e : a.entries()) {
+        const bool edge = (e.row == k + grid && e.col == k) ||
+                          (e.row == k && e.col == k + grid);
+        out.add(e.row, e.col, edge ? -1e9 : e.value);
+    }
+    return out;
+}
+
+/// Caller-order CSC pattern of a mesh plus its min-degree ordering (the
+/// ordering SystemCache auto-selects for meshes).  A permuted SparseLu
+/// only refactors through the span overload (values in caller slot
+/// order), hence slots().
+struct OrderedMesh {
+    std::vector<std::size_t> col_ptr;
+    std::vector<std::size_t> row_idx;
+    Permutation perm;
+
+    explicit OrderedMesh(const Triplets& a) {
+        const SparseLu probe(a); // natural probe: caller-order pattern
+        col_ptr = probe.pattern_col_ptr();
+        row_idx = probe.pattern_row_idx();
+        perm = min_degree_ordering(probe.order(), col_ptr, row_idx);
+    }
+
+    /// Values of `t` (which must share the pattern) in caller slot order.
+    [[nodiscard]] std::vector<double> slots(const Triplets& t) const {
+        std::vector<double> v(row_idx.size(), 0.0);
+        for (const auto& e : t.entries()) {
+            for (std::size_t p = col_ptr[e.col]; p < col_ptr[e.col + 1];
+                 ++p) {
+                if (row_idx[p] == e.row) {
+                    v[p] += e.value;
+                    break;
+                }
+            }
+        }
+        return v;
+    }
+};
+
+TEST(SolverEquivalence, OrderedMeshFallbackMatchesFreshFactorisation) {
+    const std::size_t k = 10;
+    const Triplets a = laplacian2d(k);
+    const Triplets degraded = degrade_pivot(a, 57, k);
+    const OrderedMesh mesh(a);
+    const std::vector<double> degraded_slots = mesh.slots(degraded);
+    std::mt19937 gen(17);
+    std::uniform_real_distribution<double> dist(-1.0, 1.0);
+    Vector b(k * k);
+    for (auto& v : b) {
+        v = dist(gen);
+    }
+
+    SparseLu lu(a, mesh.perm);
+    ASSERT_FALSE(lu.refactor(std::span<const double>(degraded_slots)));
+    EXPECT_EQ(lu.full_factor_count(), 2u);
+    EXPECT_EQ(lu.fast_refactor_count(), 0u);
+    const Vector x = lu.solve(b);
+
+    // The fallback is a full factorisation of the same values: bit for
+    // bit what a fresh SparseLu under the same ordering computes.
+    const SparseLu fresh(degraded, mesh.perm);
+    EXPECT_TRUE(bit_identical(lu.l_values(), fresh.l_values()));
+    EXPECT_TRUE(bit_identical(lu.u_values(), fresh.u_values()));
+    EXPECT_TRUE(bit_identical(x, fresh.solve(b)));
+
+    // The re-pivoted factorisation must still be correct...
+    const Vector x_dense = lu_solve(degraded.to_dense(), b);
+    EXPECT_LT(max_abs_diff(x, x_dense),
+              1e-8 * std::max(1.0, norm_inf(x_dense)));
+    // ...and is now the cached one: the same values take the fast path.
+    ASSERT_TRUE(lu.refactor(std::span<const double>(degraded_slots)));
+    EXPECT_TRUE(bit_identical(lu.solve(b), x));
+}
+
+TEST(SolverEquivalence, FailedAttemptBillsNoFlops) {
+    // Counter-algebra regression (historical double-count): a failed fast
+    // refactor must bill ZERO flops — the total billed by the whole
+    // refactor() call equals a from-scratch full factorisation of the
+    // same values.
+    const std::size_t k = 10;
+    const Triplets a = laplacian2d(k);
+    const Triplets degraded = degrade_pivot(a, 57, k);
+    const OrderedMesh mesh(a);
+    const std::vector<double> degraded_slots = mesh.slots(degraded);
+    const std::vector<double> a_slots = mesh.slots(a);
+
+    std::uint64_t full_factor_flops = 0;
+    {
+        FlopScope scope;
+        const SparseLu direct(degraded, mesh.perm);
+        full_factor_flops = scope.counter().lu_factor;
+    }
+    ASSERT_GT(full_factor_flops, 0u);
+    {
+        SparseLu lu(a, mesh.perm);
+        FlopScope scope;
+        ASSERT_FALSE(lu.refactor(std::span<const double>(degraded_slots)));
+        EXPECT_EQ(scope.counter().lu_factor, full_factor_flops)
+            << "a failed attempt must bill nothing beyond the fallback "
+               "full factorisation";
+    }
+    // A SUCCESSFUL fast refactor does bill factor work.
+    {
+        SparseLu lu(a, mesh.perm);
+        FlopScope scope;
+        ASSERT_TRUE(lu.refactor(std::span<const double>(a_slots)));
+        EXPECT_GT(scope.counter().lu_factor, 0u);
+    }
+}
+
+TEST(SolverEquivalence, SystemCacheFallbackCounterAlgebra) {
+    // Drive a SystemCache through factor -> fast refactor -> pivot-
+    // degrading restamp (a huge off-diagonal pair overwhelms the
+    // recorded pivot).
+    const Circuit ckt = refckt::rc_mesh(12, 12);
+    const mna::MnaAssembler assembler(ckt);
+    ASSERT_GT(assembler.unknowns(), 64); // sparse path
+    const auto r0 = static_cast<std::size_t>(ckt.find_node("n0_0") - 1);
+    const auto r1 = static_cast<std::size_t>(ckt.find_node("n0_1") - 1);
+    mna::SystemCache cache(assembler);
+    const std::vector<double> geq(assembler.nonlinear_devices().size(), 1e-3);
+
+    const auto step = [&](bool degrade) {
+        Vector rhs = assembler.rhs(0.0);
+        Stamper& st = cache.begin(1.0 / 1e-10, rhs);
+        assembler.stamp_time_varying_into(0.0, st);
+        assembler.stamp_swec_into(geq, st);
+        if (degrade) {
+            // Both orientations of an existing mesh edge: whichever
+            // column position survives the ordering, the recorded pivot
+            // degrades below k_refactor_pivot_ratio of the new candidate.
+            cache.add_entry(r0, r1, -1e9);
+            cache.add_entry(r1, r0, -1e9);
+        }
+        return cache.solve(rhs);
+    };
+    const Vector x_full = step(false);     // first solve: full factor
+    const Vector x_fast = step(false);     // unchanged values: fast refactor
+    const Vector x_degraded = step(true);  // degraded pivot: fallback
+
+    // One fallback = full_factors + 1 and pivot_fallbacks + 1; the fast
+    // counter never moves on a fallback.
+    EXPECT_EQ(cache.stats().full_factors, 2u);
+    EXPECT_EQ(cache.stats().pivot_fallbacks, 1u);
+    EXPECT_EQ(cache.stats().fast_refactors, 1u);
+    EXPECT_TRUE(bit_identical(x_full, x_fast));
+    EXPECT_FALSE(bit_identical(x_full, x_degraded));
 }
 
 } // namespace

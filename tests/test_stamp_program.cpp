@@ -1,6 +1,5 @@
 // Stamp-program fast path: bit-identity against the legacy stamping
-// path, tabulated-model properties, and the flattened-LU storage
-// contract.
+// path and tabulated-model properties.
 //
 // The StampProgram (mna/stamp_program.hpp) promises that compiling the
 // per-step work into flat slot/SoA plans changes NOTHING numerically:
@@ -25,7 +24,6 @@
 #include "engines/tran_nr.hpp"
 #include "engines/tran_pwl.hpp"
 #include "engines/tran_swec.hpp"
-#include "linalg/sparse_lu.hpp"
 #include "mna/mna.hpp"
 #include "mna/system_cache.hpp"
 
@@ -394,54 +392,6 @@ TEST(TabulatedModels, SessionTabulateFlagDeviatesWithinTolerance) {
     for (int s = 0; s <= 200; ++s) {
         const double t = 100e-9 * s / 200.0;
         EXPECT_NEAR(wb.at(t), wa.at(t), 1e-4 * scale) << t;
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Flattened factor storage: bit-identical to the seed column storage.
-// ---------------------------------------------------------------------------
-
-TEST(FlatFactorStorage, SolveAndRefactorMatchColumnsMode) {
-    refckt::ChainSpec spec;
-    spec.stages = 40; // sparse-sized system
-    const Circuit ckt = refckt::rtd_chain(spec);
-    const mna::MnaAssembler assembler(ckt);
-    const linalg::Triplets a = mna::swec_step_matrix(assembler, 1e-9);
-    const linalg::CscForm csc = linalg::compress_columns(a);
-    const auto n = csc.rows;
-
-    linalg::Vector b(n, 0.0);
-    for (std::size_t i = 0; i < n; ++i) {
-        b[i] = std::sin(static_cast<double>(i) + 1.0);
-    }
-
-    linalg::SparseLu flat(n, csc.col_ptr, csc.row_idx, csc.values,
-                          linalg::Permutation{}, 1e-13,
-                          linalg::FactorStorage::flat);
-    linalg::SparseLu cols(n, csc.col_ptr, csc.row_idx, csc.values,
-                          linalg::Permutation{}, 1e-13,
-                          linalg::FactorStorage::columns);
-    EXPECT_EQ(flat.storage(), linalg::FactorStorage::flat);
-    EXPECT_EQ(cols.storage(), linalg::FactorStorage::columns);
-
-    const linalg::Vector x_flat = flat.solve(b);
-    const linalg::Vector x_cols = cols.solve(b);
-    ASSERT_EQ(x_flat.size(), x_cols.size());
-    for (std::size_t i = 0; i < n; ++i) {
-        EXPECT_EQ(x_flat[i], x_cols[i]) << i;
-    }
-
-    // Numeric refactor with perturbed values: still bit-identical.
-    std::vector<double> values2 = csc.values;
-    for (std::size_t s = 0; s < values2.size(); ++s) {
-        values2[s] *= 1.0 + 1e-3 * std::cos(static_cast<double>(s));
-    }
-    EXPECT_TRUE(flat.refactor(std::span<const double>(values2)));
-    EXPECT_TRUE(cols.refactor(std::span<const double>(values2)));
-    const linalg::Vector y_flat = flat.solve(b);
-    const linalg::Vector y_cols = cols.solve(b);
-    for (std::size_t i = 0; i < n; ++i) {
-        EXPECT_EQ(y_flat[i], y_cols[i]) << i;
     }
 }
 

@@ -151,7 +151,6 @@ TEST(WireSpec, MonteCarloRoundTrip) {
     mc.noise_dt = 2.5e-11;
     mc.grid_points = 101;
     mc.seed = 42;
-    mc.batch = 8;
     mc.probes = {"n1_1", "n2_2"};
     mc.tran.eps = 0.1;
     expect_spec_roundtrip(mc);
@@ -192,6 +191,9 @@ TEST(WireSpec, UnknownKeysAreRejected) {
     EXPECT_THROW(wire::spec_from_json(json::parse(R"({"kind":"nope"})")),
                  ServiceError);
     EXPECT_THROW(wire::spec_from_json(json::parse(R"({})")), ServiceError);
+    EXPECT_THROW(wire::spec_from_json(json::parse(
+                     R"({"kind":"mc","batch":8})")),
+                 ServiceError); // the retired trial-batch width
 }
 
 TEST(WireSpec, LargeSeedTravelsAsString) {
