@@ -510,7 +510,11 @@ int run_tran(const CliOptions& cli, const TranSpec& spec,
                   << " vs natural "
                   << res.solver_ordering.predicted_fill_natural << "), "
                   << res.solver_full_factors << " full / "
-                  << res.solver_fast_refactors << " fast factorisations\n";
+                  << res.solver_fast_refactors << " fast factorisations, "
+                  << res.solver_refactors_skipped << " refactors skipped ("
+                  << res.solver_refine_sweeps
+                  << " refine sweeps, max backward error "
+                  << res.solver_max_backward_error << ")\n";
     }
     print_step_split(result.header);
     maybe_plot(cli, res.node_waves, "transient", "t [s]");

@@ -210,6 +210,7 @@ AnalysisResult SimSession::run(const AnalysisSpec& spec,
     const auto t0 = Clock::now();
     mna::SystemCache::Stats before{};
     if (const auto it = caches_.find(signature_); it != caches_.end()) {
+        it->second->reset_backward_error_peak();
         before = it->second->stats();
     }
     // Pool queue-wait deltas survive the short-lived pools the parallel
@@ -239,24 +240,11 @@ AnalysisResult SimSession::run(const AnalysisSpec& spec,
         spec);
 
     if (const auto it = caches_.find(signature_); it != caches_.end()) {
-        const mna::SystemCache::Stats& after = it->second->stats();
-        result.header.solver.full_factors =
-            after.full_factors - before.full_factors;
-        result.header.solver.fast_refactors =
-            after.fast_refactors - before.fast_refactors;
-        result.header.solver.dense_solves =
-            after.dense_solves - before.dense_solves;
-        result.header.solver.pivot_fallbacks =
-            after.pivot_fallbacks - before.pivot_fallbacks;
-        result.header.solver.pattern_rebuilds =
-            after.pattern_rebuilds - before.pattern_rebuilds;
-        result.header.solver.analyze_s = after.analyze_s - before.analyze_s;
-        result.header.solver.eval_s = after.eval_s - before.eval_s;
-        result.header.solver.stamp_s = after.stamp_s - before.stamp_s;
-        result.header.solver.factor_s = after.factor_s - before.factor_s;
-        result.header.solver.solve_s = after.solve_s - before.solve_s;
-        result.header.solver.tables_built =
-            after.tables_built - before.tables_built;
+        result.header.solver =
+            engines::solver_work(before, it->second->stats());
+    }
+    if (const auto* mc = std::get_if<engines::McResult>(&result.payload)) {
+        result.header.solver += mc->solver; // parallel driver's trial caches
     }
     result.header.cache_signature = signature_;
     result.header.elapsed_s = seconds_since(t0);
@@ -271,9 +259,12 @@ AnalysisResult SimSession::run(const AnalysisSpec& spec,
     const SolverWork& work = result.header.solver;
     report.full_factors = work.full_factors;
     report.fast_refactors = work.fast_refactors;
+    report.refactors_skipped = work.refactors_skipped;
     report.dense_solves = work.dense_solves;
     report.pivot_fallbacks = work.pivot_fallbacks;
     report.pattern_rebuilds = work.pattern_rebuilds;
+    report.refine_sweeps = work.refine_sweeps;
+    report.max_backward_error = work.max_backward_error;
     report.tables_built = work.tables_built;
     report.analyze_s = work.analyze_s;
     report.eval_s = work.eval_s;

@@ -43,6 +43,7 @@ DcResult solve_op_swec(const mna::MnaAssembler& assembler,
         cache = &*local_cache;
     }
     const mna::SystemCache::Stats stats_before = cache->stats();
+    cache->start_run();
     cache->configure_tables(options.tables);
 
     DcResult result;
@@ -118,14 +119,7 @@ DcResult solve_op_swec(const mna::MnaAssembler& assembler,
         }
         h = std::min(h * options.growth, options.dt_max);
     }
-    const mna::SystemCache::Stats& stats_after = cache->stats();
-    result.solver_full_factors =
-        stats_after.full_factors - stats_before.full_factors;
-    result.solver_fast_refactors =
-        stats_after.fast_refactors - stats_before.fast_refactors;
-    result.solver_dense_solves =
-        stats_after.dense_solves - stats_before.dense_solves;
-    result.solver_ordering = make_ordering_stats(stats_after);
+    record_solver_work(result, stats_before, cache->stats());
     result.flops = scope.counter();
     return result;
 }

@@ -246,8 +246,11 @@ McResult run_monte_carlo(const mna::MnaAssembler& assembler,
                  .stats = stochastic::EnsembleStats(options.grid_points),
                  .probes = {},
                  .trial_steps = {},
+                 .failed_trials = {},
+                 .rescues = {},
                  .aborted = false,
-                 .flops = {}};
+                 .flops = {},
+                 .solver = {}};
     for (const NodeId probe : options.probe_nodes) {
         const std::string name = assembler.circuit().node_name(probe);
         out.probes.push_back(McNodeStats{

@@ -83,6 +83,10 @@ struct McResult {
     /// the trials completed before the abort.
     bool aborted = false;
     FlopCounter flops;
+    /// Solver work on the per-trial caches the parallel driver builds,
+    /// summed in trial order.  Zero on the serial driver: its trials run
+    /// through the caller's cache, whose own stats carry the work.
+    SolverWork solver;
 };
 
 /// Run the Monte-Carlo analysis, observing `node`.  `observer` gets

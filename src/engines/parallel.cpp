@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <atomic>
+#include <optional>
 #include <utility>
 #include <vector>
 
+#include "mna/system_cache.hpp"
 #include "obs/trace.hpp"
 #include "runtime/thread_pool.hpp"
 #include "stochastic/seed_sequence.hpp"
@@ -22,6 +24,7 @@ struct JobSample {
     int steps_accepted = 0;
     FlopCounter flops;
     obs::RescueCounts rescues;
+    SolverWork solver; ///< the trial's own SystemCache (MC only)
     /// mc.trial_fail decision, pre-evaluated in trial order before
     /// dispatch so the armed site hits the same trials as the serial
     /// driver regardless of worker scheduling.
@@ -65,8 +68,11 @@ McResult run_monte_carlo_parallel(const mna::MnaAssembler& assembler,
                  .stats = stochastic::EnsembleStats(options.grid_points),
                  .probes = {},
                  .trial_steps = {},
+                 .failed_trials = {},
+                 .rescues = {},
                  .aborted = false,
-                 .flops = {}};
+                 .flops = {},
+                 .solver = {}};
     for (const NodeId probe : options.probe_nodes) {
         const std::string name = assembler.circuit().node_name(probe);
         out.probes.push_back(McNodeStats{
@@ -107,6 +113,7 @@ McResult run_monte_carlo_parallel(const mna::MnaAssembler& assembler,
     auto reduce = [&](std::size_t begin, std::size_t end) {
         for (std::size_t run = begin; run < end; ++run) {
             JobSample& job = jobs[run];
+            out.solver += job.solver;
             if (job.failed) {
                 out.failed_trials.push_back(McFailedTrial{
                     static_cast<int>(run), base, std::move(job.diagnostic)});
@@ -140,15 +147,20 @@ McResult run_monte_carlo_parallel(const mna::MnaAssembler& assembler,
             }
             const obs::Span trial_span("trial", "mc");
             const FlopScope scope;
+            // One cache per trial: its DC operating point and transient
+            // share one symbolic analysis, as on the serial driver, and
+            // its work is the trial's own whatever the scheduling.
+            std::optional<mna::SystemCache> cache;
             try {
                 if (jobs[run].inject_fail) {
                     throw AnalysisError("fail-point mc.trial_fail fired");
                 }
+                cache.emplace(assembler);
                 // The observer forwards cancellation into the trial's
                 // transient, exactly as in the serial driver.
                 McTrial trial = mc_realization(assembler, options, noise,
                                                static_cast<int>(run), node,
-                                               out.grid, observer);
+                                               out.grid, observer, &*cache);
                 if (trial.samples.empty()) {
                     return; // cancelled mid-trial: skipped, like unstarted
                 }
@@ -159,6 +171,10 @@ McResult run_monte_carlo_parallel(const mna::MnaAssembler& assembler,
             } catch (const SimError& e) {
                 jobs[run].failed = true;
                 jobs[run].diagnostic = e.what();
+            }
+            if (cache) {
+                jobs[run].solver =
+                    solver_work(mna::SystemCache::Stats{}, cache->stats());
             }
             jobs[run].flops = scope.counter();
             progress.completed();

@@ -2,6 +2,7 @@
 #ifndef NANOSIM_ENGINES_RESULTS_HPP
 #define NANOSIM_ENGINES_RESULTS_HPP
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -38,6 +39,102 @@ template <typename CacheStats>
                                s.predicted_fill_chosen, s.factor_nnz};
 }
 
+/// Solver-cache work spent inside one analysis (deltas, not lifetime
+/// totals of a cache).  full_factors counts symbolic + pivoting
+/// factorisations — the quantity a persistent SimSession cache drives to
+/// zero for repeat analyses on an unchanged circuit.  On a healthy run
+/// every cached solve lands in exactly one of full_factors /
+/// fast_refactors / refactors_skipped / dense_solves / pattern_rebuilds.
+struct SolverWork {
+    std::size_t full_factors = 0;
+    std::size_t fast_refactors = 0;
+    /// Sparse solves answered by the last exact LU plus refinement.
+    std::size_t refactors_skipped = 0;
+    std::size_t dense_solves = 0;
+    /// refactor() pivot-degradation fallbacks (subset of full_factors).
+    std::size_t pivot_fallbacks = 0;
+    /// Stamp-pattern misses that forced a re-freeze (exotic devices only).
+    std::size_t pattern_rebuilds = 0;
+    /// Residual-correction sweeps on the stale factor (incl. attempts
+    /// that fell back to an exact refactor).
+    std::size_t refine_sweeps = 0;
+    /// Largest normwise backward error of an accepted refined solve.
+    double max_backward_error = 0.0;
+    // ---- wall-time attribution of the per-step work (seconds) ----
+    // analyze_s: symbolic analysis — pattern freeze, ordering selection,
+    // stamp-program compile (previously unattributed, so the printed
+    // split under-counted the first step); eval_s: device-model
+    // evaluation (chord conductances / rates); stamp_s: in-place
+    // restamps + step-bound diagonals; factor_s: LU factorisations/
+    // refactorisations; solve_s: triangular solves and refinement.
+    double analyze_s = 0.0;
+    double eval_s = 0.0;
+    double stamp_s = 0.0;
+    double factor_s = 0.0;
+    double solve_s = 0.0;
+    /// Chord tables built during this run (0 = reused or disabled).
+    std::size_t tables_built = 0;
+
+    /// Sum another run's work into this one (peak: the larger).
+    SolverWork& operator+=(const SolverWork& o) noexcept {
+        full_factors += o.full_factors;
+        fast_refactors += o.fast_refactors;
+        refactors_skipped += o.refactors_skipped;
+        dense_solves += o.dense_solves;
+        pivot_fallbacks += o.pivot_fallbacks;
+        pattern_rebuilds += o.pattern_rebuilds;
+        refine_sweeps += o.refine_sweeps;
+        max_backward_error = std::max(max_backward_error, o.max_backward_error);
+        analyze_s += o.analyze_s;
+        eval_s += o.eval_s;
+        stamp_s += o.stamp_s;
+        factor_s += o.factor_s;
+        solve_s += o.solve_s;
+        tables_built += o.tables_built;
+        return *this;
+    }
+};
+
+/// A cache's work between two Stats snapshots (templated, like
+/// make_ordering_stats).  The backward-error peak is `after`'s: callers
+/// scope it with SystemCache::reset_backward_error_peak().
+template <typename CacheStats>
+[[nodiscard]] SolverWork solver_work(const CacheStats& before,
+                                     const CacheStats& after) {
+    SolverWork w;
+    w.full_factors = after.full_factors - before.full_factors;
+    w.fast_refactors = after.fast_refactors - before.fast_refactors;
+    w.refactors_skipped = after.refactors_skipped - before.refactors_skipped;
+    w.dense_solves = after.dense_solves - before.dense_solves;
+    w.pivot_fallbacks = after.pivot_fallbacks - before.pivot_fallbacks;
+    w.pattern_rebuilds = after.pattern_rebuilds - before.pattern_rebuilds;
+    w.refine_sweeps = after.refine_sweeps - before.refine_sweeps;
+    w.max_backward_error = after.max_backward_error;
+    w.analyze_s = after.analyze_s - before.analyze_s;
+    w.eval_s = after.eval_s - before.eval_s;
+    w.stamp_s = after.stamp_s - before.stamp_s;
+    w.factor_s = after.factor_s - before.factor_s;
+    w.solve_s = after.solve_s - before.solve_s;
+    w.tables_built = after.tables_built - before.tables_built;
+    return w;
+}
+
+/// Fill an engine result's solver_* fields with a cache's work over the
+/// run (`before` = the stats() snapshot taken at its start).
+template <typename Result, typename CacheStats>
+void record_solver_work(Result& result, const CacheStats& before,
+                        const CacheStats& after) {
+    result.solver_full_factors = after.full_factors - before.full_factors;
+    result.solver_fast_refactors =
+        after.fast_refactors - before.fast_refactors;
+    result.solver_refactors_skipped =
+        after.refactors_skipped - before.refactors_skipped;
+    result.solver_dense_solves = after.dense_solves - before.dense_solves;
+    result.solver_refine_sweeps = after.refine_sweeps - before.refine_sweeps;
+    result.solver_max_backward_error = after.max_backward_error;
+    result.solver_ordering = make_ordering_stats(after);
+}
+
 /// Outcome of a single operating-point solve.
 struct DcResult {
     linalg::Vector x;            ///< unknown vector [v_nodes; i_branches]
@@ -50,11 +147,15 @@ struct DcResult {
     double residual = 0.0;       ///< final update norm
     FlopCounter flops;           ///< work spent in this solve
     /// Cached-solver instrumentation (mna::SystemCache): full symbolic
-    /// factorisations vs. pattern-reusing refactors vs. dense-path solves
-    /// spent inside this analysis (all zero on non-cached engines).
+    /// factorisations vs. pattern-reusing refactors vs. refined reuses of
+    /// the last factor vs. dense-path solves spent inside this analysis
+    /// (all zero on non-cached engines); see SolverWork for the rest.
     std::size_t solver_full_factors = 0;
     std::size_t solver_fast_refactors = 0;
+    std::size_t solver_refactors_skipped = 0;
     std::size_t solver_dense_solves = 0;
+    std::size_t solver_refine_sweeps = 0;
+    double solver_max_backward_error = 0.0;
     /// Ordering chosen by the cached solver (natural on dense path).
     SolverOrderingStats solver_ordering;
     /// Iterate history (filled when options.record_trace is set);
@@ -112,11 +213,15 @@ struct TranResult {
     obs::RescueCounts rescues;
     FlopCounter flops;
     /// Cached-solver instrumentation (mna::SystemCache): the accepted-step
-    /// loop should show full_factors == 1 and fast_refactors ~ steps on
-    /// the sparse path (dense_solves ~ steps below the dense threshold).
+    /// loop should show full_factors == 1 and fast_refactors +
+    /// refactors_skipped ~ steps on the sparse path (dense_solves ~ steps
+    /// below the dense threshold).
     std::size_t solver_full_factors = 0;
     std::size_t solver_fast_refactors = 0;
+    std::size_t solver_refactors_skipped = 0;
     std::size_t solver_dense_solves = 0;
+    std::size_t solver_refine_sweeps = 0;
+    double solver_max_backward_error = 0.0;
     /// Ordering chosen by the cached solver (natural on dense path).
     SolverOrderingStats solver_ordering;
 

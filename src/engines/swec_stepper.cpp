@@ -53,6 +53,9 @@ SwecStepper::SwecStepper(const mna::MnaAssembler& assembler,
     // Tabulated chord models (opt-in): bound after the DC solve so the
     // operating point keeps its own (closed-form by default) setting.
     cache_->configure_tables(options_.tables);
+    // The transient starts from an exact factor whether or not the DC
+    // march ran through this cache.
+    cache_->start_run();
 
     result_.node_waves.reserve(nn_);
     for (int i = 0; i < assembler.num_nodes(); ++i) {

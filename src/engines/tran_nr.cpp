@@ -245,6 +245,7 @@ TranResult run_tran_nr(const mna::MnaAssembler& assembler,
         cache = &*local_cache;
     }
     const mna::SystemCache::Stats stats_before = cache->stats();
+    cache->start_run();
     // Static G compressed once for the trapezoidal (linear-only) rhs.
     const linalg::CsrMatrix static_g_csr(assembler.static_g());
 
@@ -438,13 +439,7 @@ TranResult run_tran_nr(const mna::MnaAssembler& assembler,
         }
     }
 
-    result.solver_full_factors =
-        cache->stats().full_factors - stats_before.full_factors;
-    result.solver_fast_refactors =
-        cache->stats().fast_refactors - stats_before.fast_refactors;
-    result.solver_dense_solves =
-        cache->stats().dense_solves - stats_before.dense_solves;
-    result.solver_ordering = make_ordering_stats(cache->stats());
+    record_solver_work(result, stats_before, cache->stats());
     result.flops = scope.counter();
     return result;
 }

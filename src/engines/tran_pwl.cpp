@@ -147,6 +147,7 @@ TranResult run_tran_pwl(const mna::MnaAssembler& assembler,
         cache = &*local_cache;
     }
     const mna::SystemCache::Stats stats_before = cache->stats();
+    cache->start_run();
 
     // Fast Norton restamps when the compiled program covers every PWL
     // device: the segment Nortons are evaluated engine-side (their
@@ -336,13 +337,7 @@ TranResult run_tran_pwl(const mna::MnaAssembler& assembler,
         h = std::min(h * 1.5, options.dt_max);
     }
 
-    result.solver_full_factors =
-        cache->stats().full_factors - stats_before.full_factors;
-    result.solver_fast_refactors =
-        cache->stats().fast_refactors - stats_before.fast_refactors;
-    result.solver_dense_solves =
-        cache->stats().dense_solves - stats_before.dense_solves;
-    result.solver_ordering = make_ordering_stats(cache->stats());
+    record_solver_work(result, stats_before, cache->stats());
     result.flops = scope.counter();
     return result;
 }

@@ -48,13 +48,7 @@ TranResult run_tran_swec(const mna::MnaAssembler& assembler,
 
     TranResult result = stepper.take_result();
     // Deltas over this run, so a shared cache reports per-analysis work.
-    result.solver_full_factors =
-        cache->stats().full_factors - stats_before.full_factors;
-    result.solver_fast_refactors =
-        cache->stats().fast_refactors - stats_before.fast_refactors;
-    result.solver_dense_solves =
-        cache->stats().dense_solves - stats_before.dense_solves;
-    result.solver_ordering = make_ordering_stats(cache->stats());
+    record_solver_work(result, stats_before, cache->stats());
     result.flops = scope.counter();
     return result;
 }

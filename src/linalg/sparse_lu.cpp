@@ -238,6 +238,7 @@ void SparseLu::factor_full(std::span<const double> values) {
     }
 
     ++full_factors_;
+    last_factor_flops_ = flops;
     auto& counter = current_flops();
     counter.lu_factor += flops;
     counter.mul += flops / 2;
@@ -375,6 +376,7 @@ bool SparseLu::try_refactor_numeric(std::span<const double> values) {
     }
 
     ++fast_refactors_;
+    last_factor_flops_ = flops;
     auto& counter = current_flops();
     counter.lu_factor += flops;
     counter.mul += flops / 2;

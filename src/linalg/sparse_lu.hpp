@@ -28,6 +28,7 @@
 #define NANOSIM_LINALG_SPARSE_LU_HPP
 
 #include <cstddef>
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -122,6 +123,11 @@ public:
     [[nodiscard]] std::size_t fast_refactor_count() const noexcept {
         return fast_refactors_;
     }
+    /// Flops charged by the most recent successful factorisation (full
+    /// or refactor) — what the next refactor of similar values costs.
+    [[nodiscard]] std::uint64_t last_factor_flops() const noexcept {
+        return last_factor_flops_;
+    }
     /// Factor values in flat storage order — bit-identity tests memcmp
     /// these.
     [[nodiscard]] std::span<const double> l_values() const noexcept {
@@ -208,6 +214,7 @@ private:
 
     std::size_t full_factors_ = 0;
     std::size_t fast_refactors_ = 0;
+    std::uint64_t last_factor_flops_ = 0;
 
     // Numeric-sweep scratch for refactor(); kept as a member so the hot
     // path allocates nothing.  Invariant: all-zero between calls (every

@@ -2,12 +2,14 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <limits>
 #include <new>
 #include <optional>
 #include <utility>
 
 #include "linalg/lu.hpp"
+#include "linalg/vecops.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "util/error.hpp"
@@ -320,6 +322,7 @@ void SystemCache::rebind(const MnaAssembler& assembler) {
         const ScopedTimer timer(stats_.analyze_s, "analyze");
         refresh_baselines();
         rebuild_program();
+        reuse_armed_ = false; // new baselines: the old LU is not this run's
     } else {
         freeze_pattern(std::move(coords));
     }
@@ -363,6 +366,7 @@ void SystemCache::freeze_pattern(
 
     refresh_baselines();
     lu_.reset(); // symbolic analysis is tied to the pattern
+    reuse_armed_ = false;
     choose_ordering();
     rebuild_program();
 }
@@ -712,6 +716,17 @@ linalg::Vector SystemCache::solve(const linalg::Vector& rhs) {
         return lu->solve(rhs);
     }
 
+    if (reuse_armed_) {
+        linalg::Vector x;
+        if (try_refine(rhs, x)) {
+            ++stats_.refactors_skipped;
+            return x;
+        }
+        // Only a successful exact factor re-arms reuse, so a failing
+        // factor (singular, NaN) leaves the rescue ladder on exact solves.
+        reuse_armed_ = false;
+    }
+
     try {
         const ScopedTimer timer(stats_.factor_s, "factor", factor_hist);
         maybe_inject_factor_alloc();
@@ -739,8 +754,77 @@ linalg::Vector SystemCache::solve(const linalg::Vector& rhs) {
     // Re-read every step: a degraded-pivot fallback re-pivots and can
     // change the factor fill.
     stats_.factor_nnz = lu_->nnz_factors();
+    // Reuse pays when the refactor just paid for costs at least the
+    // whole sweep budget: k sweeps of one correction solve + one residual.
+    const std::uint64_t sweep_flops =
+        2 * static_cast<std::uint64_t>(lu_->nnz_factors() + row_idx_.size());
+    reuse_armed_ = options_.reuse_factor &&
+                   lu_->last_factor_flops() >= k_refine_sweeps * sweep_flops;
     const ScopedTimer timer(stats_.solve_s, "solve");
     return lu_->solve(rhs);
+}
+
+bool SystemCache::try_refine(const linalg::Vector& rhs, linalg::Vector& x) {
+    const ScopedTimer timer(stats_.solve_s, "refine");
+    // ||A||_inf, and the screen for an empty row or column: such an A is
+    // singular, and a consistent rhs could still refine to a small
+    // residual — the exact factor must diagnose it instead.
+    row_abs_.assign(n_, 0.0);
+    for (std::size_t c = 0; c < n_; ++c) {
+        double col_abs = 0.0;
+        for (std::size_t p = col_ptr_[c]; p < col_ptr_[c + 1]; ++p) {
+            const double a = std::abs(values_[p]);
+            row_abs_[row_idx_[p]] += a;
+            col_abs += a;
+        }
+        if (col_abs == 0.0) {
+            return false;
+        }
+    }
+    double norm_a = 0.0;
+    for (const double r : row_abs_) {
+        if (r == 0.0) {
+            return false;
+        }
+        norm_a = std::max(norm_a, r);
+    }
+    const double norm_b = linalg::norm_inf(rhs);
+
+    x = lu_->solve(rhs);
+    double prev_norm = std::numeric_limits<double>::infinity();
+    for (std::size_t sweep = 0;; ++sweep) {
+        // r = b - A x against the current values (no zero skipping, so a
+        // NaN anywhere in A or x reaches the norm).
+        residual_ = rhs;
+        for (std::size_t c = 0; c < n_; ++c) {
+            const double xc = x[c];
+            for (std::size_t p = col_ptr_[c]; p < col_ptr_[c + 1]; ++p) {
+                residual_[row_idx_[p]] -= values_[p] * xc;
+            }
+        }
+        count_fma(row_idx_.size());
+        const double r_norm = linalg::norm_inf(residual_);
+        const double scale = norm_a * linalg::norm_inf(x) + norm_b;
+        if (!std::isfinite(r_norm) || !std::isfinite(scale)) {
+            return false;
+        }
+        if (r_norm <= k_refine_tol * scale) {
+            stats_.max_backward_error =
+                std::max(stats_.max_backward_error,
+                         scale > 0.0 ? r_norm / scale : 0.0);
+            return true;
+        }
+        if (sweep == k_refine_sweeps ||
+            r_norm > k_refine_contraction * prev_norm) {
+            return false;
+        }
+        prev_norm = r_norm;
+        const linalg::Vector dx = lu_->solve(residual_);
+        for (std::size_t i = 0; i < n_; ++i) {
+            x[i] += dx[i];
+        }
+        ++stats_.refine_sweeps;
+    }
 }
 
 } // namespace nanosim::mna

@@ -18,7 +18,15 @@
 //    no triplets, no allocation;
 //  * solve() auto-selects dense LU below `dense_threshold` unknowns and
 //    otherwise factors once, then reuses the symbolic analysis through
-//    SparseLu::refactor() on every later step;
+//    SparseLu::refactor() on later steps;
+//  * where a refactor costs at least k_refine_sweeps residual-correction
+//    sweeps, solve() reuses the last exact LU across steps instead: it
+//    solves with the stale factor and refines x += LU^-1 (b - A x) until
+//    the normwise backward error reaches k_refine_tol, and refactors
+//    exactly only when a sweep fails to contract the residual, the sweep
+//    budget runs out, or the residual is not finite.  Every engine run
+//    (start_run()), rebind and pattern freeze starts from an exact
+//    factor, so no output depends on what the cache solved before;
 //  * a stamp that misses the frozen pattern (possible only for exotic
 //    devices whose stamp pattern changes at runtime) is not lost: it is
 //    buffered, the step is solved through the legacy triplet path, and
@@ -26,8 +34,9 @@
 //    steps are fast again.
 //
 // Engines own one SystemCache per analysis loop; the struct Stats counters
-// let tests assert the fast path actually ran (full_factors stays at 1
-// while fast_refactors counts the steps).
+// let tests assert which path ran: on a healthy run every solve() lands in
+// exactly one of full_factors / fast_refactors / refactors_skipped /
+// dense_solves / pattern_rebuilds.
 #ifndef NANOSIM_MNA_SYSTEM_CACHE_HPP
 #define NANOSIM_MNA_SYSTEM_CACHE_HPP
 
@@ -95,7 +104,23 @@ public:
         /// legacy virtual-stamping path — the reference the program is
         /// tested bit-identical against.
         bool use_stamp_program = true;
+        /// Reuse the last exact sparse LU across steps with residual-
+        /// checked refinement where that pays (the default).  `false`
+        /// refactors exactly on every sparse step — the reference the
+        /// reuse path is tested against.
+        bool reuse_factor = true;
     };
+
+    /// Stale-factor refinement constants (fixed, not per workload): a
+    /// solve is accepted once ||b - A x||_inf <= k_refine_tol *
+    /// (||A||_inf ||x||_inf + ||b||_inf); each sweep must shrink the
+    /// residual by k_refine_contraction; at most k_refine_sweeps sweeps
+    /// run before the exact refactor takes over.  Reuse is armed only
+    /// when a refactor costs at least k_refine_sweeps sweeps of
+    /// 2 nnz(L+U) + 2 nnz(A) flops.
+    static constexpr double k_refine_tol = 1e-15;
+    static constexpr double k_refine_contraction = 0.25;
+    static constexpr std::size_t k_refine_sweeps = 4;
 
     explicit SystemCache(const MnaAssembler& assembler)
         : SystemCache(assembler, Options{}) {}
@@ -123,10 +148,21 @@ public:
     /// artificial capacitance.  Only valid between begin() and solve().
     void add_entry(std::size_t row, std::size_t col, double value);
 
-    /// Factor (first step, or after a pattern extension) or refactor, and
-    /// solve for the current values.  `rhs` is the vector passed to
-    /// begin() after all dynamic contributions.
+    /// Solve for the current values: dense LU at or below the dense
+    /// threshold; otherwise the last exact sparse LU plus refinement when
+    /// reuse is armed, falling back to a factor (first step, or after a
+    /// pattern extension) or pattern-reusing refactor.  `rhs` is the
+    /// vector passed to begin() after all dynamic contributions.
     [[nodiscard]] linalg::Vector solve(const linalg::Vector& rhs);
+
+    /// Start an engine run: the next sparse solve factors exactly, so the
+    /// run's results never depend on the factor an earlier run left.
+    void start_run() noexcept { reuse_armed_ = false; }
+
+    /// Zero Stats::max_backward_error — scopes the peak to one analysis.
+    void reset_backward_error_peak() noexcept {
+        stats_.max_backward_error = 0.0;
+    }
 
     // ---- engine-facing fast paths ------------------------------------
     // Each method routes through the compiled StampProgram when one
@@ -213,12 +249,20 @@ public:
         std::size_t steps = 0;            ///< solve() calls
         std::size_t full_factors = 0;     ///< symbolic + pivoting factors
         std::size_t fast_refactors = 0;   ///< pattern-reusing refactors
+        /// Sparse solves answered by the last exact LU plus refinement.
+        std::size_t refactors_skipped = 0;
         std::size_t dense_solves = 0;     ///< dense-path solves
         std::size_t pattern_rebuilds = 0; ///< overflow-triggered re-freezes
         /// refactor() detected pivot degradation and fell back to a full
         /// re-pivoting factorisation (a subset of full_factors after the
         /// first one).
         std::size_t pivot_fallbacks = 0;
+        /// Residual-correction sweeps run on the stale factor, including
+        /// those of attempts that fell back to an exact refactor.
+        std::size_t refine_sweeps = 0;
+        /// Largest normwise backward error of an accepted refined solve
+        /// since construction or reset_backward_error_peak().
+        double max_backward_error = 0.0;
         // ---- ordering decision (sparse path; natural/0 on dense) ----
         linalg::Ordering ordering = linalg::Ordering::natural; ///< chosen
         std::size_t pattern_nnz = 0;           ///< frozen pattern nonzeros
@@ -308,6 +352,13 @@ private:
     [[nodiscard]] std::size_t slot_of(std::size_t row,
                                       std::size_t col) const noexcept;
 
+    /// Solve with the last exact LU and refine against the current
+    /// values.  False (x unspecified) when the exact refactor must take
+    /// over: a sweep failed to contract, the budget ran out, the residual
+    /// is not finite, or A has an empty row or column.
+    [[nodiscard]] bool try_refine(const linalg::Vector& rhs,
+                                  linalg::Vector& x);
+
     static constexpr std::size_t k_npos = static_cast<std::size_t>(-1);
 
     const MnaAssembler* assembler_;
@@ -342,6 +393,12 @@ private:
     std::unique_ptr<ScatterStamper> stamper_;
     linalg::Permutation ordering_; // empty = natural
     std::unique_ptr<linalg::SparseLu> lu_;
+    /// The next sparse solve may reuse lu_ (set after an exact factor
+    /// whose cost passes the reuse gate; cleared by start_run/rebind).
+    bool reuse_armed_ = false;
+    // Refinement scratch: residual and |A| row sums.
+    linalg::Vector residual_;
+    std::vector<double> row_abs_;
     linalg::DenseMatrix dense_; // dense-path work matrix
     Stats stats_;
 };

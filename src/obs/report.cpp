@@ -67,10 +67,14 @@ std::string RunReport::to_json() const {
        << ",\"trials\":" << trials
        << ",\"full_factors\":" << full_factors
        << ",\"fast_refactors\":" << fast_refactors
+       << ",\"refactors_skipped\":" << refactors_skipped
        << ",\"dense_solves\":" << dense_solves
        << ",\"pivot_fallbacks\":" << pivot_fallbacks
        << ",\"pattern_rebuilds\":" << pattern_rebuilds
-       << ",\"tables_built\":" << tables_built << ",\"analyze_s\":";
+       << ",\"refine_sweeps\":" << refine_sweeps
+       << ",\"max_backward_error\":";
+    append_number(os, max_backward_error);
+    os << ",\"tables_built\":" << tables_built << ",\"analyze_s\":";
     append_number(os, analyze_s);
     os << ",\"eval_s\":";
     append_number(os, eval_s);
@@ -158,7 +162,16 @@ std::string RunReport::pretty() const {
     os << "solver cache:\n";
     count_line(os, "full factors", full_factors);
     count_line(os, "fast refactors", fast_refactors);
+    count_line(os, "refactors skipped", refactors_skipped);
     count_line(os, "dense solves", dense_solves);
+    if (refactors_skipped > 0 || refine_sweeps > 0) {
+        count_line(os, "refine sweeps", refine_sweeps);
+        os << "  " << std::left << std::setw(22) << "max backward error"
+           << std::right << std::scientific << std::setprecision(2)
+           << max_backward_error << '\n';
+        os.unsetf(std::ios::scientific);
+        os << std::setprecision(6);
+    }
     if (pivot_fallbacks > 0) {
         count_line(os, "pivot fallbacks", pivot_fallbacks);
     }

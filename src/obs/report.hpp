@@ -104,9 +104,12 @@ struct RunReport {
     // ---- solver cache work (deltas for this run) ----------------------
     std::uint64_t full_factors = 0;
     std::uint64_t fast_refactors = 0;
+    std::uint64_t refactors_skipped = 0; ///< last LU reused + refined
     std::uint64_t dense_solves = 0;
     std::uint64_t pivot_fallbacks = 0;  ///< refactor() bailed to full LU
     std::uint64_t pattern_rebuilds = 0; ///< stamp-pattern misses
+    std::uint64_t refine_sweeps = 0;    ///< stale-factor correction sweeps
+    double max_backward_error = 0.0;    ///< worst accepted refined solve
     std::uint64_t tables_built = 0;     ///< chord tables built this run
 
     // ---- wall-time attribution [s] ------------------------------------

@@ -783,8 +783,13 @@ Value dc_result_to_json(const engines::DcResult& r) {
             Value(static_cast<double>(r.solver_full_factors)));
     obj.set("solver_fast_refactors",
             Value(static_cast<double>(r.solver_fast_refactors)));
+    obj.set("solver_refactors_skipped",
+            Value(static_cast<double>(r.solver_refactors_skipped)));
     obj.set("solver_dense_solves",
             Value(static_cast<double>(r.solver_dense_solves)));
+    obj.set("solver_refine_sweeps",
+            Value(static_cast<double>(r.solver_refine_sweeps)));
+    obj.set("solver_max_backward_error", Value(r.solver_max_backward_error));
     obj.set("solver_ordering", ordering_to_json(r.solver_ordering));
     Array trace;
     trace.reserve(r.trace.size());
@@ -797,7 +802,9 @@ engines::DcResult dc_result_from_json(const Value& v) {
     check_keys(v,
                {"x", "converged", "aborted", "oscillation_detected",
                 "iterations", "residual", "flops", "solver_full_factors",
-                "solver_fast_refactors", "solver_dense_solves",
+                "solver_fast_refactors", "solver_refactors_skipped",
+                "solver_dense_solves", "solver_refine_sweeps",
+                "solver_max_backward_error",
                 "solver_ordering", "trace"},
                "dc result");
     engines::DcResult r;
@@ -812,8 +819,14 @@ engines::DcResult dc_result_from_json(const Value& v) {
         static_cast<std::size_t>(v.at("solver_full_factors").as_uint());
     r.solver_fast_refactors =
         static_cast<std::size_t>(v.at("solver_fast_refactors").as_uint());
+    r.solver_refactors_skipped = static_cast<std::size_t>(
+        v.at("solver_refactors_skipped").as_uint());
     r.solver_dense_solves =
         static_cast<std::size_t>(v.at("solver_dense_solves").as_uint());
+    r.solver_refine_sweeps =
+        static_cast<std::size_t>(v.at("solver_refine_sweeps").as_uint());
+    r.solver_max_backward_error =
+        v.at("solver_max_backward_error").as_number();
     r.solver_ordering = ordering_from_json(v.at("solver_ordering"));
     for (const Value& e : v.at("trace").as_array())
         r.trace.push_back(vector_from_json(e));
@@ -870,8 +883,13 @@ Value tran_result_to_json(const engines::TranResult& r) {
             Value(static_cast<double>(r.solver_full_factors)));
     obj.set("solver_fast_refactors",
             Value(static_cast<double>(r.solver_fast_refactors)));
+    obj.set("solver_refactors_skipped",
+            Value(static_cast<double>(r.solver_refactors_skipped)));
     obj.set("solver_dense_solves",
             Value(static_cast<double>(r.solver_dense_solves)));
+    obj.set("solver_refine_sweeps",
+            Value(static_cast<double>(r.solver_refine_sweeps)));
+    obj.set("solver_max_backward_error", Value(r.solver_max_backward_error));
     obj.set("solver_ordering", ordering_to_json(r.solver_ordering));
     return obj;
 }
@@ -882,7 +900,9 @@ engines::TranResult tran_result_from_json(const Value& v) {
                 "nr_iterations", "nonconverged_steps", "min_dt_used",
                 "max_dt_used", "max_local_error", "avg_local_error",
                 "step_bounds", "rescues", "flops", "solver_full_factors",
-                "solver_fast_refactors", "solver_dense_solves",
+                "solver_fast_refactors", "solver_refactors_skipped",
+                "solver_dense_solves", "solver_refine_sweeps",
+                "solver_max_backward_error",
                 "solver_ordering"},
                "transient result");
     engines::TranResult r;
@@ -903,8 +923,14 @@ engines::TranResult tran_result_from_json(const Value& v) {
         static_cast<std::size_t>(v.at("solver_full_factors").as_uint());
     r.solver_fast_refactors =
         static_cast<std::size_t>(v.at("solver_fast_refactors").as_uint());
+    r.solver_refactors_skipped = static_cast<std::size_t>(
+        v.at("solver_refactors_skipped").as_uint());
     r.solver_dense_solves =
         static_cast<std::size_t>(v.at("solver_dense_solves").as_uint());
+    r.solver_refine_sweeps =
+        static_cast<std::size_t>(v.at("solver_refine_sweeps").as_uint());
+    r.solver_max_backward_error =
+        v.at("solver_max_backward_error").as_number();
     r.solver_ordering = ordering_from_json(v.at("solver_ordering"));
     return r;
 }
@@ -953,7 +979,8 @@ engines::McResult mc_result_from_json(const Value& v) {
         .failed_trials = failed_trials_from_json(v.at("failed_trials")),
         .rescues = rescues_from_json(v.at("rescues")),
         .aborted = v.at("aborted").as_bool(),
-        .flops = flops_from_json(v.at("flops"))};
+        .flops = flops_from_json(v.at("flops")),
+        .solver = {}};
     for (const Value& e : v.at("probes").as_array()) {
         check_keys(e, {"node", "name", "mean", "stddev", "stats"},
                    "mc probe");
@@ -1001,11 +1028,15 @@ Value solver_work_to_json(const SolverWork& w) {
     Value obj{Object{}};
     obj.set("full_factors", Value(static_cast<double>(w.full_factors)));
     obj.set("fast_refactors", Value(static_cast<double>(w.fast_refactors)));
+    obj.set("refactors_skipped",
+            Value(static_cast<double>(w.refactors_skipped)));
     obj.set("dense_solves", Value(static_cast<double>(w.dense_solves)));
     obj.set("pivot_fallbacks",
             Value(static_cast<double>(w.pivot_fallbacks)));
     obj.set("pattern_rebuilds",
             Value(static_cast<double>(w.pattern_rebuilds)));
+    obj.set("refine_sweeps", Value(static_cast<double>(w.refine_sweeps)));
+    obj.set("max_backward_error", Value(w.max_backward_error));
     obj.set("analyze_s", Value(w.analyze_s));
     obj.set("eval_s", Value(w.eval_s));
     obj.set("stamp_s", Value(w.stamp_s));
@@ -1017,21 +1048,27 @@ Value solver_work_to_json(const SolverWork& w) {
 
 SolverWork solver_work_from_json(const Value& v) {
     check_keys(v,
-               {"full_factors", "fast_refactors", "dense_solves",
-                "pivot_fallbacks", "pattern_rebuilds", "analyze_s",
-                "eval_s", "stamp_s", "factor_s", "solve_s", "tables_built"},
+               {"full_factors", "fast_refactors", "refactors_skipped",
+                "dense_solves", "pivot_fallbacks", "pattern_rebuilds",
+                "refine_sweeps", "max_backward_error", "analyze_s", "eval_s",
+                "stamp_s", "factor_s", "solve_s", "tables_built"},
                "solver work");
     SolverWork w;
     w.full_factors =
         static_cast<std::size_t>(v.at("full_factors").as_uint());
     w.fast_refactors =
         static_cast<std::size_t>(v.at("fast_refactors").as_uint());
+    w.refactors_skipped =
+        static_cast<std::size_t>(v.at("refactors_skipped").as_uint());
     w.dense_solves =
         static_cast<std::size_t>(v.at("dense_solves").as_uint());
     w.pivot_fallbacks =
         static_cast<std::size_t>(v.at("pivot_fallbacks").as_uint());
     w.pattern_rebuilds =
         static_cast<std::size_t>(v.at("pattern_rebuilds").as_uint());
+    w.refine_sweeps =
+        static_cast<std::size_t>(v.at("refine_sweeps").as_uint());
+    w.max_backward_error = v.at("max_backward_error").as_number();
     w.analyze_s = v.at("analyze_s").as_number();
     w.eval_s = v.at("eval_s").as_number();
     w.stamp_s = v.at("stamp_s").as_number();
@@ -1103,10 +1140,14 @@ obs::RunReport report_from_json(const Value& v, const AnalysisHeader& header) {
     r.trials = u64_from(v.at("trials"), "trials");
     r.full_factors = u64_from(v.at("full_factors"), "full_factors");
     r.fast_refactors = u64_from(v.at("fast_refactors"), "fast_refactors");
+    r.refactors_skipped =
+        u64_from(v.at("refactors_skipped"), "refactors_skipped");
     r.dense_solves = u64_from(v.at("dense_solves"), "dense_solves");
     r.pivot_fallbacks = u64_from(v.at("pivot_fallbacks"), "pivot_fallbacks");
     r.pattern_rebuilds =
         u64_from(v.at("pattern_rebuilds"), "pattern_rebuilds");
+    r.refine_sweeps = u64_from(v.at("refine_sweeps"), "refine_sweeps");
+    r.max_backward_error = v.at("max_backward_error").as_number();
     r.tables_built = u64_from(v.at("tables_built"), "tables_built");
     r.analyze_s = v.at("analyze_s").as_number();
     r.eval_s = v.at("eval_s").as_number();

@@ -422,9 +422,12 @@ TEST(SystemCacheOrdering, EngineReportsOrderingStats) {
     EXPECT_GT(res.solver_ordering.factor_nnz, 0u);
     EXPECT_LT(res.solver_ordering.predicted_fill_chosen,
               res.solver_ordering.predicted_fill_natural);
-    // The ordered path must not cost extra symbolic factorisations.
+    // The ordered path must not cost extra symbolic factorisations: every
+    // later step is a pattern-reusing refactor or, where stale-factor
+    // reuse pays (this mesh passes the gate), a refined reuse of the last
+    // exact LU.
     EXPECT_LE(res.solver_full_factors, 2u);
-    EXPECT_GE(res.solver_fast_refactors,
+    EXPECT_GE(res.solver_fast_refactors + res.solver_refactors_skipped,
               static_cast<std::size_t>(res.steps_accepted) - 2);
 }
 

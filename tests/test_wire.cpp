@@ -256,6 +256,38 @@ TEST(WireResult, TranResultRoundTripsBitIdentically) {
     EXPECT_EQ(wire::result_to_json(back).dump(), encoded.dump());
 }
 
+TEST(WireResult, SolverReuseCountersRoundTrip) {
+    // A 16x16 mesh passes the stale-factor reuse gate: the transient
+    // across the drive edge skips refactors and refines.
+    SimSession session(refckt::rc_mesh(16, 16));
+    TranSpec tran;
+    tran.t_stop = 52e-9;
+    const AnalysisResult direct = session.run(tran);
+    const SolverWork& work = direct.header.solver;
+    ASSERT_GT(work.refactors_skipped, 0U);
+    ASSERT_GT(work.max_backward_error, 0.0);
+    EXPECT_EQ(direct.report.refactors_skipped, work.refactors_skipped);
+    EXPECT_EQ(direct.tran().solver_refactors_skipped, work.refactors_skipped);
+
+    const json::Value encoded = wire::result_to_json(direct);
+    const AnalysisResult back =
+        wire::result_from_json(json::parse(encoded.dump()));
+    EXPECT_EQ(back.header.solver.refactors_skipped, work.refactors_skipped);
+    EXPECT_EQ(back.header.solver.refine_sweeps, work.refine_sweeps);
+    EXPECT_EQ(back.header.solver.max_backward_error, work.max_backward_error);
+    EXPECT_EQ(back.tran().solver_refactors_skipped,
+              direct.tran().solver_refactors_skipped);
+    EXPECT_EQ(back.tran().solver_refine_sweeps,
+              direct.tran().solver_refine_sweeps);
+    EXPECT_EQ(back.tran().solver_max_backward_error,
+              direct.tran().solver_max_backward_error);
+    EXPECT_EQ(back.report.refactors_skipped, direct.report.refactors_skipped);
+    EXPECT_EQ(back.report.refine_sweeps, direct.report.refine_sweeps);
+    EXPECT_EQ(back.report.max_backward_error,
+              direct.report.max_backward_error);
+    EXPECT_EQ(wire::result_to_json(back).dump(), encoded.dump());
+}
+
 TEST(WireResult, OpResultRoundTrips) {
     SimSession session(refckt::rc_mesh(2, 2));
     const AnalysisResult direct = session.run(OpSpec{});
