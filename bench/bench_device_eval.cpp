@@ -215,11 +215,10 @@ RunResult run_mc(const mna::MnaAssembler& assembler, NodeId node,
     mc.tran.dt_init = noise_dt;
     mc.tran.tables.enabled = path == Path::tables;
 
-    stochastic::Rng rng(1);
     const mna::SystemCache::Stats before = cache.stats();
     const auto t0 = Clock::now();
-    engines::McResult res =
-        engines::run_monte_carlo(assembler, mc, rng, node, nullptr, &cache);
+    engines::McResult res = engines::run_monte_carlo(
+        assembler, mc, 1, node, runtime::ExecutionPolicy{1}, nullptr, &cache);
     RunResult out;
     out.ms = ms_since(t0);
     out.waves.push_back(std::move(res.mean));

@@ -1,12 +1,11 @@
-// Nano-Sim bench — serial vs parallel Monte-Carlo scaling.
+// Nano-Sim bench — Monte-Carlo worker scaling.
 //
 //   $ ./bench_parallel_scaling [runs] [out.json]
 //
 // Times the same fixed-seed Monte-Carlo ensemble on the noisy-RC test
-// bed through the parallel driver at 1, 2 and 4 worker threads (plus
-// the legacy single-stream serial driver as the baseline), verifies
-// that every thread count produced bit-identical ensemble statistics,
-// and records wall-clock times + speedups to BENCH_parallel.json.
+// bed at 1, 2 and 4 workers, verifies that every worker count produced
+// bit-identical ensemble statistics (exit 1 otherwise), and records
+// wall-clock times + speedups to BENCH_parallel.json.
 #include <chrono>
 #include <fstream>
 #include <iostream>
@@ -35,8 +34,7 @@ int main(int argc, char** argv) {
         argc > 2 ? argv[2] : std::string("BENCH_parallel.json");
 
     bench::banner("parallel scaling",
-                  "Monte-Carlo ensemble wall time: serial driver vs "
-                  "thread-pool driver at 1/2/4 workers");
+                  "Monte-Carlo ensemble wall time at 1/2/4 workers");
 
     const Circuit ckt = refckt::noisy_rc();
     const mna::MnaAssembler assembler(ckt);
@@ -50,26 +48,18 @@ int main(int argc, char** argv) {
     options.grid_points = 101;
     constexpr std::uint64_t k_seed = 42;
 
-    bench::section("serial baseline (single-stream run_monte_carlo)");
-    stochastic::Rng rng(k_seed);
-    auto t0 = Clock::now();
-    const auto serial = engines::run_monte_carlo(assembler, options, rng, node);
-    const double serial_ms = ms_since(t0);
-    std::cout << "  " << runs << " realizations in " << serial_ms << " ms ("
-              << serial.flops.total() << " flops)\n";
-
-    bench::section("thread-pool driver (per-realization RNG streams)");
+    bench::section("run_monte_carlo (per-trial noise streams)");
     const std::vector<int> thread_counts{1, 2, 4};
     std::vector<double> pool_ms;
     std::vector<engines::McResult> results;
     for (const int threads : thread_counts) {
-        t0 = Clock::now();
-        results.push_back(engines::run_monte_carlo_parallel(
+        const auto t0 = Clock::now();
+        results.push_back(engines::run_monte_carlo(
             assembler, options, k_seed, node,
             runtime::ExecutionPolicy{threads}));
         pool_ms.push_back(ms_since(t0));
         std::cout << "  threads=" << threads << ": " << pool_ms.back()
-                  << " ms, speedup vs 1-thread pool = "
+                  << " ms, speedup vs 1 thread = "
                   << pool_ms.front() / pool_ms.back() << "x\n";
     }
 
@@ -89,7 +79,6 @@ int main(int argc, char** argv) {
          << "  \"workload\": \"noisy_rc monte carlo\",\n"
          << "  \"runs\": " << runs << ",\n"
          << "  \"t_stop\": " << options.t_stop << ",\n"
-         << "  \"serial_ms\": " << serial_ms << ",\n"
          << "  \"pool_1_thread_ms\": " << pool_ms[0] << ",\n"
          << "  \"pool_2_thread_ms\": " << pool_ms[1] << ",\n"
          << "  \"pool_4_thread_ms\": " << pool_ms[2] << ",\n"

@@ -9,9 +9,10 @@
 //     restamps through ONE persistent SystemCache, so the union stamp
 //     pattern is frozen and symbolically factored exactly once for the
 //     whole batch (Monte-Carlo trials included);
-//   * per-call — the PR-3-era construction: each analysis (and each MC
-//     trial's transient) builds its own SystemCache, re-freezing the
-//     pattern and re-running the symbolic analysis every time.
+//   * per-call — no session: each analysis builds its own SystemCache,
+//     re-freezing the pattern and re-running the symbolic analysis every
+//     time (the Monte-Carlo driver, given no cache, builds one for the
+//     campaign).
 //
 // Writes BENCH_session.json with per-analysis wall times, the session's
 // solver counters and the cross-path agreement.  Exit code 1 when the
@@ -156,8 +157,8 @@ PathResults run_session(const Workload& w, int mc_runs) {
 }
 
 PathResults run_percall(const Workload& w, int mc_runs) {
-    // PR-3-era shape: one assembler, but every engine call (and every MC
-    // trial inside run_monte_carlo) freezes its own SystemCache.
+    // One assembler, but every engine call freezes its own SystemCache
+    // (run_monte_carlo one for the whole campaign).
     Circuit circuit = w.make();
     const mna::MnaAssembler assembler(circuit);
     PathResults out;
@@ -196,10 +197,9 @@ PathResults run_percall(const Workload& w, int mc_runs) {
     mc.tran.initial = out.op.x;
     mc.tran.adaptive = false;
     mc.tran.dt_init = w.mc_noise_dt;
-    stochastic::Rng rng(1);
     const NodeId node = circuit.find_node(w.mc_node);
     t0 = Clock::now();
-    out.mc = engines::run_monte_carlo(assembler, mc, rng, node);
+    out.mc = engines::run_monte_carlo(assembler, mc, 1, node);
     out.times.mc_ms = ms_since(t0);
     return out;
 }
@@ -257,7 +257,7 @@ int main(int argc, char** argv) {
         "session_reuse",
         "SimSession::run_all {op, dc sweep, tran, " +
             std::to_string(mc_runs) +
-            "-trial MC}: one persistent solver cache vs PR-3-era per-call "
+            "-trial MC}: one persistent solver cache vs per-call "
             "construction");
 
     const double kT = 20e-9;

@@ -107,8 +107,7 @@ void flop_table() {
     mc.runs = paths;
     mc.t_stop = t_stop;
     mc.noise_dt = dt;
-    stochastic::Rng rng2(2);
-    const auto mcr = engines::run_monte_carlo(assembler, mc, rng2, 1);
+    const auto mcr = engines::run_monte_carlo(assembler, mc, 2, 1);
 
     // Monte-Carlo as practiced on SPICE-like simulators (the paper's
     // Sec. 1 baseline): each realized-noise path runs the NR transient.
@@ -245,10 +244,8 @@ void bm_mc_path(benchmark::State& state) {
     mc.runs = 1;
     mc.t_stop = 5e-9;
     mc.noise_dt = 25e-12;
-    stochastic::Rng rng(4);
     for (auto _ : state) {
-        benchmark::DoNotOptimize(
-            engines::run_monte_carlo(assembler, mc, rng, 1));
+        benchmark::DoNotOptimize(engines::run_monte_carlo(assembler, mc, 4, 1));
     }
 }
 BENCHMARK(bm_mc_path)->Unit(benchmark::kMicrosecond);

@@ -123,14 +123,15 @@ struct MonteCarloSpec {
     double noise_dt = 0.0;     ///< noise bandwidth grid; 0 = t_stop/200
     std::size_t grid_points = 201; ///< statistics sampling grid
     std::uint64_t seed = 1;
-    /// false = serial driver, every trial refactoring through the
-    /// session's shared solver cache (the symbolic analysis is never
-    /// repeated); true = the trial-parallel driver (engines/parallel.hpp),
-    /// one solver cache per trial.  Both draw trial k's noise from the
-    /// same NoisePathSet, so for one seed their ensemble statistics are
-    /// bit-identical at any `threads`.
+    /// false = one worker on the calling thread, every trial refactoring
+    /// through the session's solver cache (the symbolic analysis is never
+    /// repeated); true = `threads` workers (engines::run_monte_carlo):
+    /// the first runs on the session cache, each other builds one cache
+    /// for the campaign.  Trial k's noise comes from one NoisePathSet
+    /// and trials reduce in trial order, so for one seed the result is
+    /// bit-identical at any worker count.
     bool parallel = false;
-    int threads = 0; ///< parallel worker count; 0 = all cores
+    int threads = 0; ///< worker count when `parallel`; 0 = all cores
     /// Extra nodes to observe alongside `node` (per-node mean/stddev
     /// blocks in the result).
     std::vector<std::string> probes;
@@ -159,7 +160,12 @@ struct EnsembleSpec {
     bool start_from_dc = false;
     linalg::Vector initial;
     std::uint64_t seed = 1;
-    bool parallel = false;     ///< see MonteCarloSpec::parallel
+    /// false = EmEngine::run_ensemble, every path drawn in turn from one
+    /// Rng(seed); true = engines::run_em_ensemble_parallel on `threads`
+    /// workers, path k drawn from its own SeedSequence stream.  The
+    /// parallel ensemble is bit-identical at any `threads`, but it is a
+    /// different sample from the serial one.
+    bool parallel = false;
     int threads = 0;           ///< parallel worker count; 0 = all cores
 };
 

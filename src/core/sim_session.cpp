@@ -244,7 +244,7 @@ AnalysisResult SimSession::run(const AnalysisSpec& spec,
             engines::solver_work(before, it->second->stats());
     }
     if (const auto* mc = std::get_if<engines::McResult>(&result.payload)) {
-        result.header.solver += mc->solver; // parallel driver's trial caches
+        result.header.solver += mc->solver; // the driver's worker caches
     }
     result.header.cache_signature = signature_;
     result.header.elapsed_s = seconds_since(t0);
@@ -544,20 +544,11 @@ SimSession::run_monte_carlo(const MonteCarloSpec& spec,
         mc.probe_nodes.push_back(circuit_->find_node(probe));
     }
 
-    // Serial: every trial's transient refactors through the ONE session
-    // cache — the symbolic analysis is never repeated.
-    auto serial = [&] {
-        stochastic::Rng rng(spec.seed);
-        return engines::run_monte_carlo(*assembler_, mc, rng, node, observer,
-                                        &solver_cache());
-    };
-    auto parallel = [&] {
-        runtime::ExecutionPolicy policy;
-        policy.threads = spec.threads;
-        return engines::run_monte_carlo_parallel(*assembler_, mc, spec.seed,
-                                                 node, policy, observer);
-    };
-    engines::McResult res = spec.parallel ? parallel() : serial();
+    // Worker 0 refactors through the session cache, so a one-worker
+    // campaign never repeats the symbolic analysis.
+    const runtime::ExecutionPolicy policy{spec.parallel ? spec.threads : 1};
+    engines::McResult res = engines::run_monte_carlo(
+        *assembler_, mc, spec.seed, node, policy, observer, &solver_cache());
     out.header.aborted = res.aborted;
     out.payload = std::move(res);
     return out;

@@ -78,9 +78,10 @@ Simulator::stochastic_ensemble(const engines::EmOptions& options, int paths,
     return take<engines::EmEnsembleResult>(session_.run(spec));
 }
 
-engines::McResult Simulator::monte_carlo(const engines::McOptions& options,
-                                         const std::string& node,
-                                         std::uint64_t seed) const {
+engines::McResult
+Simulator::monte_carlo(const engines::McOptions& options,
+                       const std::string& node, std::uint64_t seed,
+                       const runtime::ExecutionPolicy& policy) const {
     MonteCarloSpec spec;
     spec.node = node;
     spec.t_stop = options.t_stop;
@@ -89,7 +90,8 @@ engines::McResult Simulator::monte_carlo(const engines::McOptions& options,
     spec.grid_points = options.grid_points;
     spec.tran = options.tran;
     spec.seed = seed;
-    spec.parallel = false; // serial: one shared solver cache across trials
+    spec.parallel = true;
+    spec.threads = policy.threads;
     return take<engines::McResult>(session_.run(spec));
 }
 
@@ -110,23 +112,6 @@ Simulator::ensemble(const engines::EmOptions& options, int paths,
     spec.parallel = true;
     spec.threads = policy.threads;
     return take<engines::EmEnsembleResult>(session_.run(spec));
-}
-
-engines::McResult
-Simulator::monte_carlo_parallel(const engines::McOptions& options,
-                                const std::string& node, std::uint64_t seed,
-                                const runtime::ExecutionPolicy& policy) const {
-    MonteCarloSpec spec;
-    spec.node = node;
-    spec.t_stop = options.t_stop;
-    spec.runs = options.runs;
-    spec.noise_dt = options.noise_dt;
-    spec.grid_points = options.grid_points;
-    spec.tran = options.tran;
-    spec.seed = seed;
-    spec.parallel = true;
-    spec.threads = policy.threads;
-    return take<engines::McResult>(session_.run(spec));
 }
 
 } // namespace nanosim

@@ -98,10 +98,13 @@ public:
                         const std::string& node,
                         std::uint64_t seed = 1) const;
 
-    /// Monte-Carlo baseline on a node.
+    /// Monte-Carlo baseline on a node, on the policy's worker count (one
+    /// by default); bit-identical at any count.
     [[nodiscard]] engines::McResult
     monte_carlo(const engines::McOptions& options, const std::string& node,
-                std::uint64_t seed = 1) const;
+                std::uint64_t seed = 1,
+                const runtime::ExecutionPolicy& policy =
+                    runtime::ExecutionPolicy{1}) const;
 
     // ---- batch / parallel orchestration (runtime subsystem) ----
 
@@ -119,12 +122,6 @@ public:
     ensemble(const engines::EmOptions& options, int paths,
              const std::string& node, std::uint64_t seed = 1,
              const runtime::ExecutionPolicy& policy = {}) const;
-
-    /// Parallel Monte-Carlo baseline (same determinism contract).
-    [[nodiscard]] engines::McResult
-    monte_carlo_parallel(const engines::McOptions& options,
-                         const std::string& node, std::uint64_t seed = 1,
-                         const runtime::ExecutionPolicy& policy = {}) const;
 
 private:
     explicit Simulator(SimSession session) : session_(std::move(session)) {}

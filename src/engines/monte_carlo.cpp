@@ -1,12 +1,21 @@
 #include "engines/monte_carlo.hpp"
 
+#include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <memory>
+#include <optional>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "devices/sources.hpp"
+#include "mna/system_cache.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "runtime/thread_pool.hpp"
+#include "stochastic/rng.hpp"
 #include "util/error.hpp"
 #include "util/failpoints.hpp"
 
@@ -77,15 +86,6 @@ McOptions normalize_mc_options(const mna::MnaAssembler& assembler,
     return options;
 }
 
-std::vector<double> mc_grid(const McOptions& normalized) {
-    std::vector<double> grid(normalized.grid_points);
-    for (std::size_t j = 0; j < normalized.grid_points; ++j) {
-        grid[j] = normalized.t_stop * static_cast<double>(j) /
-                  static_cast<double>(normalized.grid_points - 1);
-    }
-    return grid;
-}
-
 stochastic::NoisePathSet mc_noise_paths(const mna::MnaAssembler& assembler,
                                         const McOptions& normalized,
                                         std::uint64_t base_seed) {
@@ -100,6 +100,20 @@ stochastic::NoisePathSet mc_noise_paths(const mna::MnaAssembler& assembler,
                                     normalized.noise_dt);
 }
 
+namespace {
+
+/// The uniform statistics grid of `normalized` options.
+std::vector<double> mc_grid(const McOptions& normalized) {
+    std::vector<double> grid(normalized.grid_points);
+    for (std::size_t j = 0; j < normalized.grid_points; ++j) {
+        grid[j] = normalized.t_stop * static_cast<double>(j) /
+                  static_cast<double>(normalized.grid_points - 1);
+    }
+    return grid;
+}
+
+/// Trial `trial`'s noise as sample-and-hold waveforms, one per source in
+/// noise_sources() order — ready for SwecTranOptions::noise.
 mna::MnaAssembler::NoiseRealization
 mc_noise_waves(const stochastic::NoisePathSet& noise, int trial) {
     mna::MnaAssembler::NoiseRealization waves;
@@ -111,12 +125,37 @@ mc_noise_waves(const stochastic::NoisePathSet& noise, int trial) {
     return waves;
 }
 
-McTrial mc_realization(const mna::MnaAssembler& assembler,
-                       const McOptions& normalized,
-                       const stochastic::NoisePathSet& noise, int trial,
-                       NodeId node, const std::vector<double>& grid,
-                       const AnalysisObserver* observer,
-                       mna::SystemCache* cache) {
+/// One trial's outcome, filled by the worker that ran it and kept until
+/// the trial-order reduction.
+struct McTrial {
+    /// Primary node sampled on the statistics grid; empty = the trial
+    /// never ran or its transient was cancelled (a partial trial would
+    /// bias the ensemble).
+    std::vector<double> samples;
+    /// Probe-node samples, McOptions::probe_nodes order.
+    std::vector<std::vector<double>> probe_samples;
+    int steps_accepted = 0;
+    /// Rescue-ladder outcomes of the inner transient.
+    obs::RescueCounts rescues;
+    /// The trial's own flops: tallies are thread-local, so each trial
+    /// measures itself and the sum does not depend on the scheduling.
+    FlopCounter flops;
+    /// mc.trial_fail decision, drawn in trial order before dispatch so
+    /// an armed site hits the same trials at any worker count.
+    bool inject_fail = false;
+    bool failed = false; ///< rescue ladder exhausted — quarantined
+    std::string diagnostic;
+};
+
+/// Run trial `trial`'s deterministic transient through `cache` and
+/// sample the observed nodes on `grid` into `out`.  Options must come
+/// from normalize_mc_options.
+void mc_realization(const mna::MnaAssembler& assembler,
+                    const McOptions& normalized,
+                    const stochastic::NoisePathSet& noise, int trial,
+                    NodeId node, const std::vector<double>& grid,
+                    const AnalysisObserver* observer,
+                    mna::SystemCache& cache, McTrial& out) {
     SwecTranOptions tran = normalized.tran;
     tran.noise = mc_noise_waves(noise, trial);
 
@@ -124,11 +163,10 @@ McTrial mc_realization(const mna::MnaAssembler& assembler,
     // progress/step callbacks stay with the outer per-trial scale.
     const AnalysisObserver inner = cancel_only(observer);
     const TranResult res = run_tran_swec(
-        assembler, tran, observer != nullptr ? &inner : nullptr, cache);
+        assembler, tran, observer != nullptr ? &inner : nullptr, &cache);
     if (res.aborted) {
-        return {}; // partial trial: no usable samples
+        return; // partial trial: no usable samples
     }
-    McTrial out;
     out.steps_accepted = res.steps_accepted;
     out.rescues = res.rescues;
     auto sample = [&](NodeId n) {
@@ -144,9 +182,10 @@ McTrial mc_realization(const mna::MnaAssembler& assembler,
     for (const NodeId probe : normalized.probe_nodes) {
         out.probe_samples.push_back(sample(probe));
     }
-    return out;
 }
 
+/// Deterministic `mc.trial_fail` admission decision, evaluated once per
+/// trial in trial order.
 bool mc_trial_fail_injected() {
     if (!failpoints::enabled()) {
         return false;
@@ -155,10 +194,23 @@ bool mc_trial_fail_injected() {
     return fp.fire();
 }
 
-McCheckpoint make_mc_checkpoint(std::uint64_t base_seed, int next_trial,
-                                const McOptions& normalized,
-                                const McResult& partial,
-                                const FlopCounter& flops_so_far) {
+/// Emit the campaign reduced so far as a resumable checkpoint through the
+/// observer (no-op without a slot).  The `mc.checkpoint_drop` fail point
+/// suppresses the emission — a dropped checkpoint may only cost resume
+/// progress, never correctness.
+void emit_mc_checkpoint(const AnalysisObserver* observer,
+                        std::uint64_t base_seed, int next_trial,
+                        const McOptions& normalized,
+                        const McResult& partial) {
+    if (observer == nullptr || !observer->on_checkpoint) {
+        return;
+    }
+    if (failpoints::enabled()) {
+        static auto& fp = failpoints::site("mc.checkpoint_drop");
+        if (fp.fire()) {
+            return; // lost checkpoint: resume falls back to an older one
+        }
+    }
     McCheckpoint cp;
     cp.base_seed = base_seed;
     cp.next_trial = next_trial;
@@ -171,28 +223,15 @@ McCheckpoint make_mc_checkpoint(std::uint64_t base_seed, int next_trial,
     }
     cp.trial_steps = partial.trial_steps;
     cp.failed_trials = partial.failed_trials;
-    cp.flops = flops_so_far;
+    cp.flops = partial.flops;
     cp.rescues = partial.rescues;
-    return cp;
+    observer->checkpoint(cp);
 }
 
-void emit_mc_checkpoint(const AnalysisObserver* observer,
-                        std::uint64_t base_seed, int next_trial,
-                        const McOptions& normalized, const McResult& partial,
-                        const FlopCounter& flops_so_far) {
-    if (observer == nullptr || !observer->on_checkpoint) {
-        return;
-    }
-    if (failpoints::enabled()) {
-        static auto& fp = failpoints::site("mc.checkpoint_drop");
-        if (fp.fire()) {
-            return; // lost checkpoint: resume falls back to an older one
-        }
-    }
-    observer->checkpoint(make_mc_checkpoint(base_seed, next_trial, normalized,
-                                            partial, flops_so_far));
-}
-
+/// Validate a resume checkpoint against the normalized options and
+/// restore its state into `out` (ensembles, trial ledger, rescue counts,
+/// flops).  Returns the trial index to continue from.  Throws
+/// AnalysisError when the checkpoint describes a different campaign.
 int restore_mc_checkpoint(const McCheckpoint& checkpoint,
                           const McOptions& normalized, McResult& out) {
     if (checkpoint.runs != normalized.runs ||
@@ -221,22 +260,24 @@ int restore_mc_checkpoint(const McCheckpoint& checkpoint,
     out.trial_steps = checkpoint.trial_steps;
     out.failed_trials = checkpoint.failed_trials;
     out.rescues = checkpoint.rescues;
+    out.flops = checkpoint.flops;
     return checkpoint.next_trial;
 }
 
+} // namespace
+
 McResult run_monte_carlo(const mna::MnaAssembler& assembler,
-                         const McOptions& options_in, stochastic::Rng& rng,
-                         NodeId node, const AnalysisObserver* observer,
+                         const McOptions& options_in, std::uint64_t seed,
+                         NodeId node, const runtime::ExecutionPolicy& policy,
+                         const AnalysisObserver* observer,
                          mna::SystemCache* cache) {
-    const FlopScope scope;
     const McOptions options = normalize_mc_options(assembler, options_in, node);
-    // One base seed drawn from the caller's generator; every trial's
-    // paths then come from counter-derived streams, so the parallel
-    // driver reproduces this ensemble exactly.  A resumed
-    // campaign reuses the checkpoint's base seed instead of drawing.
+    // One base seed, the first draw of Rng(seed); every trial's paths
+    // then come from counter-derived streams of it.  A resumed campaign
+    // reuses the checkpoint's base seed instead.
     const std::uint64_t base = options.resume != nullptr
                                    ? options.resume->base_seed
-                                   : rng.engine()();
+                                   : stochastic::Rng(seed).engine()();
     const stochastic::NoisePathSet noise =
         mc_noise_paths(assembler, options, base);
 
@@ -260,6 +301,12 @@ McResult run_monte_carlo(const mna::MnaAssembler& assembler,
             .stddev = analysis::Waveform("stddev(v(" + name + "))"),
             .stats = stochastic::EnsembleStats(options.grid_points)});
     }
+    const auto runs = static_cast<std::size_t>(options.runs);
+    std::size_t first = 0;
+    if (options.resume != nullptr) {
+        first = static_cast<std::size_t>(
+            restore_mc_checkpoint(*options.resume, options, out));
+    }
 
     // Trial wall-time distribution (metrics on only).
     obs::Histogram* trial_hist = nullptr;
@@ -269,70 +316,137 @@ McResult run_monte_carlo(const mna::MnaAssembler& assembler,
         trial_hist = &th;
     }
 
-    // Resume: restore the accumulators and continue where the checkpoint
-    // stopped.  flop_base seeds the tally so the final count matches the
-    // uninterrupted campaign (setup is uninstrumented on both sides).
-    FlopCounter flop_base;
-    int first = 0;
-    if (options.resume != nullptr) {
-        first = restore_mc_checkpoint(*options.resume, options, out);
-        flop_base = options.resume->flops;
+    // One cache per worker for the whole campaign, built on the worker's
+    // first trial; worker 0 runs on the caller's cache when it has one.
+    const std::size_t workers = std::min(
+        static_cast<std::size_t>(policy.resolved()), runs - first);
+    std::vector<mna::SystemCache*> caches(workers, nullptr);
+    std::vector<std::unique_ptr<mna::SystemCache>> built(workers);
+    if (workers > 0) {
+        caches[0] = cache;
     }
 
-    for (int run = first; run < options.runs; ++run) {
-        if (observer != nullptr && observer->cancelled()) {
-            out.aborted = true;
-            break;
-        }
-        const obs::Span trial_span("trial", "mc");
-        const auto trial_t0 = std::chrono::steady_clock::now();
-        bool cancelled_mid_trial = false;
-        try {
-            if (mc_trial_fail_injected()) {
-                throw AnalysisError("fail-point mc.trial_fail fired");
+    std::vector<McTrial> trials(runs);
+    std::atomic<std::size_t> next{0};
+    std::atomic<int> done{static_cast<int>(first)};
+    const auto cancelled = [observer] {
+        return observer != nullptr && observer->cancelled();
+    };
+
+    // Worker w claims trials below `end` in index order until none are
+    // left, the run is cancelled, or its trial is cancelled mid-way.
+    auto work = [&](std::size_t w, std::size_t end) {
+        for (std::size_t run = next.fetch_add(1); run < end;
+             run = next.fetch_add(1)) {
+            if (cancelled()) {
+                return; // unstarted trials stay empty: skipped
             }
-            McTrial trial = mc_realization(assembler, options, noise, run,
-                                           node, out.grid, observer, cache);
-            if (trial.samples.empty()) { // trial cancelled mid-transient
-                cancelled_mid_trial = true;
-            } else {
-                out.stats.add_path(trial.samples);
-                out.trial_steps.push_back(trial.steps_accepted);
-                for (std::size_t k = 0; k < out.probes.size(); ++k) {
-                    out.probes[k].stats.add_path(trial.probe_samples[k]);
+            if (caches[w] == nullptr) {
+                // Outside the trial's flop tally: the pattern dry-run is
+                // set-up, and the flops must not depend on the workers.
+                built[w] = std::make_unique<mna::SystemCache>(assembler);
+                caches[w] = built[w].get();
+            }
+            McTrial& trial = trials[run];
+            const obs::Span trial_span("trial", "mc");
+            const auto trial_t0 = std::chrono::steady_clock::now();
+            {
+                const FlopScope scope;
+                try {
+                    if (trial.inject_fail) {
+                        throw AnalysisError("fail-point mc.trial_fail fired");
+                    }
+                    mc_realization(assembler, options, noise,
+                                   static_cast<int>(run), node, out.grid,
+                                   observer, *caches[w], trial);
+                } catch (const SimError& e) {
+                    // Rescue ladder exhausted: quarantine the trial (seed
+                    // + diagnostic replay it offline) and keep going —
+                    // one pathological realization must not abort the
+                    // campaign.
+                    trial.failed = true;
+                    trial.diagnostic = e.what();
                 }
-                out.rescues += trial.rescues;
+                trial.flops = scope.counter();
             }
-        } catch (const SimError& e) {
-            // Rescue ladder exhausted: quarantine the trial (seed +
-            // diagnostic replay the failure offline) and keep going —
-            // one pathological realization must not abort the campaign.
-            out.failed_trials.push_back(
-                McFailedTrial{run, base, e.what()});
+            if (trial_hist != nullptr) {
+                trial_hist->observe(std::chrono::duration<double>(
+                                        std::chrono::steady_clock::now() -
+                                        trial_t0)
+                                        .count());
+            }
+            if (!trial.failed && trial.samples.empty()) {
+                return; // cancelled mid-trial: skipped, like unstarted
+            }
+            if (observer != nullptr) {
+                const int k = done.fetch_add(1) + 1;
+                observer->trial(k, options.runs);
+                observer->progress(static_cast<double>(k) / options.runs);
+            }
         }
-        if (trial_hist != nullptr) {
-            trial_hist->observe(std::chrono::duration<double>(
-                                    std::chrono::steady_clock::now() -
-                                    trial_t0)
-                                    .count());
+    };
+
+    // Reduce trials [begin, end) in trial order: bit-identical for any
+    // worker count.
+    auto reduce = [&](std::size_t begin, std::size_t end) {
+        for (std::size_t run = begin; run < end; ++run) {
+            McTrial& trial = trials[run];
+            if (trial.failed) {
+                out.failed_trials.push_back(McFailedTrial{
+                    static_cast<int>(run), base, std::move(trial.diagnostic)});
+                out.flops += trial.flops;
+                continue;
+            }
+            if (trial.samples.empty()) { // skipped after a cancel
+                out.aborted = true;
+                continue;
+            }
+            out.stats.add_path(trial.samples);
+            out.trial_steps.push_back(trial.steps_accepted);
+            for (std::size_t k = 0; k < out.probes.size(); ++k) {
+                out.probes[k].stats.add_path(trial.probe_samples[k]);
+            }
+            out.rescues += trial.rescues;
+            out.flops += trial.flops;
         }
-        if (cancelled_mid_trial) {
-            out.aborted = true;
-            break;
+    };
+
+    // Chunks end on the checkpoint boundaries (the whole campaign is one
+    // chunk without checkpoints).  Each chunk is a barrier, so the
+    // checkpoint snapshots a reduced prefix whatever the worker count.
+    const std::size_t every =
+        options.checkpoint_every > 0
+            ? static_cast<std::size_t>(options.checkpoint_every)
+            : runs;
+    std::optional<runtime::ThreadPool> pool; // declared last: joins first
+    if (workers > 1) {
+        pool.emplace(static_cast<int>(workers));
+    }
+    for (std::size_t begin = first; begin < runs && !out.aborted;) {
+        const std::size_t end = std::min(runs, (begin / every + 1) * every);
+        for (std::size_t run = begin; run < end; ++run) {
+            trials[run].inject_fail = mc_trial_fail_injected();
         }
-        if (observer != nullptr) {
-            observer->trial(run + 1, options.runs);
-            observer->progress(static_cast<double>(run + 1) / options.runs);
+        next.store(begin);
+        if (pool) {
+            runtime::parallel_for(*pool, std::min(workers, end - begin),
+                                  [&](std::size_t w) { work(w, end); });
+        } else {
+            work(0, end);
         }
-        if (options.checkpoint_every > 0 &&
-            (run + 1) % options.checkpoint_every == 0 &&
-            run + 1 < options.runs) {
-            FlopCounter so_far = flop_base;
-            so_far += scope.counter();
-            emit_mc_checkpoint(observer, base, run + 1, options, out, so_far);
+        reduce(begin, end);
+        if (!out.aborted && end < runs && options.checkpoint_every > 0) {
+            emit_mc_checkpoint(observer, base, static_cast<int>(end),
+                               options, out);
         }
+        begin = end;
     }
 
+    for (const auto& c : built) {
+        if (c != nullptr) {
+            out.solver += solver_work(mna::SystemCache::Stats{}, c->stats());
+        }
+    }
     for (std::size_t j = 0; j < options.grid_points; ++j) {
         const auto& s = out.stats.at(j);
         out.mean.append(out.grid[j], s.mean());
@@ -343,8 +457,6 @@ McResult run_monte_carlo(const mna::MnaAssembler& assembler,
             probe.stddev.append(out.grid[j], p.stddev());
         }
     }
-    out.flops = flop_base;
-    out.flops += scope.counter();
     return out;
 }
 

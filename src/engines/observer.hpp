@@ -24,9 +24,10 @@
 //  * `on_step` fires after every accepted step of a per-step engine;
 //    `on_trial` after every completed trial of a batch driver.
 //  * The serial engines invoke all hooks on the calling thread.  The
-//    parallel drivers (engines/parallel.hpp) invoke `on_trial` /
-//    `on_progress` from worker threads — hooks passed there must be
-//    thread-safe.  `cancel` must always be safe to call concurrently.
+//    parallel EM driver (engines/parallel.hpp) and a Monte-Carlo campaign
+//    on more than one worker invoke `on_trial` / `on_progress` from
+//    worker threads — hooks passed there must be thread-safe.  `cancel`
+//    must always be safe to call concurrently.
 #ifndef NANOSIM_ENGINES_OBSERVER_HPP
 #define NANOSIM_ENGINES_OBSERVER_HPP
 
@@ -51,12 +52,11 @@ struct AnalysisObserver {
     /// iterate — the streaming-results hook (service subscribers); the
     /// pointer is only valid for the duration of the call.
     std::function<void(double, const double*, int)> on_sample;
-    /// Periodic resumable campaign state from the Monte-Carlo drivers
+    /// Periodic resumable campaign state from the Monte-Carlo driver
     /// (every McOptions::checkpoint_every completed trials).  The
     /// reference is only valid for the duration of the call — copy it to
-    /// persist.  The serial driver emits on the calling thread; chunked
-    /// parallel campaigns emit between chunks on the calling thread as
-    /// well.
+    /// persist.  Emitted on the calling thread, between chunks of
+    /// checkpoint_every trials, at any worker count.
     std::function<void(const McCheckpoint&)> on_checkpoint;
     /// Polled cooperatively; return true to abort with a partial result.
     std::function<bool()> cancel;

@@ -7,12 +7,22 @@ namespace nanosim::runtime {
 ThreadPool::ThreadPool(int threads) {
     const int n = threads > 0 ? threads : ExecutionPolicy{}.resolved();
     workers_.reserve(static_cast<std::size_t>(n));
-    for (int i = 0; i < n; ++i) {
-        workers_.emplace_back([this]() { worker_loop(); });
+    try {
+        for (int i = 0; i < n; ++i) {
+            workers_.emplace_back([this]() { worker_loop(); });
+        }
+    } catch (...) {
+        // A failed spawn (std::system_error when the process is out of
+        // threads or address space): no destructor runs for a half-built
+        // pool, so join the workers already started before rethrowing.
+        stop_and_join();
+        throw;
     }
 }
 
-ThreadPool::~ThreadPool() {
+ThreadPool::~ThreadPool() { stop_and_join(); }
+
+void ThreadPool::stop_and_join() noexcept {
     {
         const std::lock_guard<std::mutex> lock(mutex_);
         stopping_ = true;

@@ -99,6 +99,8 @@ private:
     };
 
     void worker_loop();
+    /// Let the workers drain the queue and exit, then join them.
+    void stop_and_join() noexcept;
 
     std::vector<std::thread> workers_;
     std::deque<Task> queue_;

@@ -328,7 +328,7 @@ struct Server::Impl {
 
     [[nodiscard]] engines::AnalysisObserver
     make_observer(const JobRecordPtr& record, const JobPtr& job) {
-        // Throttle state shared by the hooks; the parallel drivers call
+        // Throttle state shared by the hooks; multi-worker campaigns call
         // them from worker threads, so it is mutex-guarded.
         struct Throttle {
             std::mutex mutex;

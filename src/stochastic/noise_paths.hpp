@@ -1,16 +1,12 @@
-// Nano-Sim — shared noise-path realization for the Monte-Carlo drivers.
+// Nano-Sim — shared noise-path realization for the Monte-Carlo driver.
 //
-// Every Monte-Carlo driver (serial, trial-parallel) must see
-// the *same* band-limited noise sample paths for a given seed, or their
-// results can never be compared bit-for-bit.  NoisePathSet makes that a
-// structural property instead of a scheduling accident: the path of
-// (trial, source) is drawn from the dedicated SeedSequence counter
-// stream `trial * num_sources + source`, a pure function of the base
-// seed — independent of which driver asks, in which order, or on which
-// thread.  This kills the historical draw-order coupling where the
-// serial driver consumed one Rng sequentially (so trial k's draws
-// depended on every earlier trial) while the parallel driver striped
-// streams per trial.
+// A Monte-Carlo campaign must see the *same* band-limited noise sample
+// paths for a given seed at any worker count, or its results can never
+// be compared bit-for-bit.  NoisePathSet makes that a structural
+// property instead of a scheduling accident: the path of (trial, source)
+// is drawn from the dedicated SeedSequence counter stream
+// `trial * num_sources + source`, a pure function of the base seed —
+// independent of which worker asks, in which order, or on which thread.
 #ifndef NANOSIM_STOCHASTIC_NOISE_PATHS_HPP
 #define NANOSIM_STOCHASTIC_NOISE_PATHS_HPP
 

@@ -1,8 +1,9 @@
 // Tests for cooperative cancellation through engines::AnalysisObserver:
 // aborting SWEC and NR transients mid-run returns cleanly with partial
 // waveforms flagged `aborted` (leak-free under ASan), batch drivers stop
-// at trial granularity, the Monte-Carlo drivers also inside a running
-// trial, and progress callbacks report sane fractions.
+// at trial granularity, the Monte-Carlo driver also inside a running
+// trial at one and two workers, and progress callbacks report sane
+// fractions.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -124,9 +125,8 @@ TEST(Cancellation, MonteCarloStopsBetweenTrials) {
     engines::AnalysisObserver obs;
     obs.on_trial = [&trials](int, int) { ++trials; };
     obs.cancel = [&trials] { return trials >= 2; };
-    stochastic::Rng rng(1);
-    const engines::McResult res =
-        engines::run_monte_carlo(assembler, mc, rng, 1, &obs);
+    const engines::McResult res = engines::run_monte_carlo(
+        assembler, mc, 1, 1, runtime::ExecutionPolicy{1}, &obs);
     EXPECT_TRUE(res.aborted);
     EXPECT_EQ(res.stats.at(0).count(), 2u);
 }
@@ -160,7 +160,7 @@ TEST(Cancellation, ParallelDriversHonourPreCancelledObserver) {
     mc.t_stop = 1e-9;
     mc.runs = 4;
     mc.grid_points = 11;
-    const engines::McResult mcr = engines::run_monte_carlo_parallel(
+    const engines::McResult mcr = engines::run_monte_carlo(
         assembler, mc, 1, 1, runtime::ExecutionPolicy{2}, &obs);
     EXPECT_TRUE(mcr.aborted);
     EXPECT_EQ(mcr.stats.at(0).count(), 0u);
@@ -176,8 +176,9 @@ TEST(Cancellation, ParallelDriversHonourPreCancelledObserver) {
 }
 
 TEST(Cancellation, ParallelMonteCarloStopsMidTrial) {
-    // One trial on two workers: the only chance to cancel is inside the
-    // trial's transient, so the cancel must reach it.
+    // One trial per worker on two workers: at most two polls precede the
+    // trials, so every started trial must see the cancel inside its
+    // transient.
     const Circuit ckt = refckt::noisy_rc();
     const mna::MnaAssembler assembler(ckt);
     std::atomic<int> polls{0}; // workers poll concurrently
@@ -186,9 +187,9 @@ TEST(Cancellation, ParallelMonteCarloStopsMidTrial) {
 
     engines::McOptions mc;
     mc.t_stop = 1e-9;
-    mc.runs = 1;
+    mc.runs = 2;
     mc.grid_points = 11;
-    const engines::McResult res = engines::run_monte_carlo_parallel(
+    const engines::McResult res = engines::run_monte_carlo(
         assembler, mc, 1, 1, runtime::ExecutionPolicy{2}, &obs);
     EXPECT_TRUE(res.aborted);
     EXPECT_EQ(res.stats.paths(), 0u);

@@ -254,9 +254,8 @@ TEST(MonteCarlo, AgreesWithEmOnNoisyRc) {
     mc.t_stop = 5e-9;
     mc.noise_dt = 25e-12;
     mc.grid_points = 101;
-    stochastic::Rng rng(17);
-    const auto mcr = engines::run_monte_carlo(assembler, mc, rng,
-                                              ckt.find_node("n1"));
+    const auto mcr =
+        engines::run_monte_carlo(assembler, mc, 17, ckt.find_node("n1"));
 
     const EmEngine engine(assembler, em_opts(5e-9, 25e-12));
     stochastic::Rng rng2(18);
@@ -278,9 +277,8 @@ TEST(MonteCarlo, CostsMoreThanEmPerPath) {
     engines::McOptions mc;
     mc.runs = 20;
     mc.t_stop = 5e-9;
-    stochastic::Rng rng(19);
-    const auto mcr = engines::run_monte_carlo(assembler, mc, rng,
-                                              ckt.find_node("n1"));
+    const auto mcr =
+        engines::run_monte_carlo(assembler, mc, 19, ckt.find_node("n1"));
 
     const EmEngine engine(assembler, em_opts(5e-9, 25e-12));
     stochastic::Rng rng2(20);
@@ -298,9 +296,8 @@ TEST(MonteCarlo, Validation) {
     const mna::MnaAssembler assembler(ckt);
     engines::McOptions mc;
     mc.t_stop = 1e-9;
-    stochastic::Rng rng(21);
     EXPECT_THROW(
-        (void)engines::run_monte_carlo(assembler, mc, rng, 1),
+        (void)engines::run_monte_carlo(assembler, mc, 21, 1),
         AnalysisError); // no noise sources
 }
 

@@ -10,9 +10,9 @@
 //    exact path (Options::reuse_factor = false, the reference).
 //  * Where the gate keeps it off (RTD chain, 12x12 mesh, dense inverter)
 //    the output is bit-identical to the exact path with nothing skipped.
-//  * With reuse engaged, serial == parallel Monte-Carlo and checkpoint/
-//    resume stay bit-identical: every engine run starts from an exact
-//    factor.
+//  * With reuse engaged, Monte-Carlo at 1, 2 and 4 workers and
+//    checkpoint/resume stay bit-identical: every engine run starts from
+//    an exact factor.
 //  * A large value jump falls back to an exact refactor bit-identical to
 //    the reference; NaN and singular matrices reach the exact path's
 //    diagnosis, and the engine rescue ladder runs the same rungs.
@@ -35,7 +35,6 @@
 #include "linalg/vecops.hpp"
 #include "mna/mna.hpp"
 #include "mna/system_cache.hpp"
-#include "stochastic/rng.hpp"
 #include "util/error.hpp"
 #include "util/failpoints.hpp"
 
@@ -160,8 +159,8 @@ TEST(FactorReuse, NoisyMeshMonteCarloMatchesExactPath) {
     const NodeId node = ckt.find_node("n12_12");
 
     const auto campaign = [&](mna::SystemCache& cache) {
-        stochastic::Rng rng(5);
-        return engines::run_monte_carlo(assembler, mesh_mc(3), rng, node,
+        return engines::run_monte_carlo(assembler, mesh_mc(3), 5, node,
+                                        runtime::ExecutionPolicy{1},
                                         nullptr, &cache);
     };
     mna::SystemCache exact_cache(assembler, exact_path());
@@ -222,8 +221,8 @@ TEST(FactorReuse, GateOffDenseInverterIsBitIdentical) {
 
 TEST(FactorReuse, SerialAndParallelMonteCarloAreBitIdentical) {
     // Through SimSession: the serial campaign runs on the session cache,
-    // the parallel one on a fresh cache per trial.  The report of the
-    // parallel campaign sums those per-trial caches in trial order.
+    // the parallel one on it and on one cache for its second worker.  The
+    // report of the parallel campaign adds that worker's cache.
     SimSession session(noisy_rtd_mesh(24));
     MonteCarloSpec spec;
     spec.node = "n12_12";
@@ -243,20 +242,73 @@ TEST(FactorReuse, SerialAndParallelMonteCarloAreBitIdentical) {
     EXPECT_TRUE(bit_identical(a.mean.value(), b.mean.value()));
     EXPECT_TRUE(bit_identical(a.stddev.value(), b.stddev.value()));
 
-    // The same solve sequence per trial: the serial session refactors
-    // where each fresh trial cache factors from scratch.
+    // The same solve sequence per trial: only the second worker's cache
+    // factors from scratch, once for the campaign.
     const obs::RunReport& s = serial.report;
     const obs::RunReport& p = parallel.report;
     ASSERT_GT(s.refactors_skipped, 0U);
     EXPECT_EQ(p.refactors_skipped, s.refactors_skipped);
     EXPECT_EQ(p.refine_sweeps, s.refine_sweeps);
     EXPECT_EQ(p.max_backward_error, s.max_backward_error);
-    EXPECT_EQ(p.full_factors, static_cast<std::uint64_t>(spec.runs));
+    EXPECT_LE(p.full_factors, static_cast<std::uint64_t>(spec.threads));
     EXPECT_EQ(p.full_factors + p.fast_refactors,
               s.full_factors + s.fast_refactors);
     EXPECT_GT(p.factor_s, 0.0);
     EXPECT_GT(p.solve_s, 0.0);
     EXPECT_GT(p.eval_s, 0.0);
+}
+
+/// One campaign per worker count on one session: worker 0 runs on the
+/// session cache, every other worker on a cache it builds once.  Only
+/// the split between full and fast refactors may follow the scheduling.
+void expect_identical_across_workers(Circuit ckt, const std::string& node) {
+    SimSession session(std::move(ckt));
+    MonteCarloSpec spec;
+    spec.node = node;
+    spec.t_stop = 2e-9;
+    spec.runs = 4;
+    spec.noise_dt = 1e-10;
+    spec.grid_points = 21;
+    spec.parallel = true;
+    spec.threads = 1;
+    const AnalysisResult one = session.run(spec);
+    const engines::McResult& a = one.monte_carlo();
+    const obs::RunReport& s = one.report;
+    ASSERT_EQ(a.stats.paths(), 4U);
+    ASSERT_GT(s.refactors_skipped, 0U);
+    EXPECT_LE(s.full_factors, 1U);
+    for (const int workers : {2, 4}) {
+        spec.threads = workers;
+        const AnalysisResult wide = session.run(spec);
+        const engines::McResult& b = wide.monte_carlo();
+        const obs::RunReport& p = wide.report;
+        EXPECT_EQ(a.trial_steps, b.trial_steps) << workers;
+        EXPECT_TRUE(bit_identical(a.mean.value(), b.mean.value())) << workers;
+        EXPECT_TRUE(bit_identical(a.stddev.value(), b.stddev.value()))
+            << workers;
+        EXPECT_EQ(a.flops.total(), b.flops.total()) << workers;
+        EXPECT_EQ(a.flops.lu_factor, b.flops.lu_factor) << workers;
+        EXPECT_EQ(a.flops.lu_solve, b.flops.lu_solve) << workers;
+        EXPECT_EQ(p.refactors_skipped, s.refactors_skipped) << workers;
+        EXPECT_EQ(p.refine_sweeps, s.refine_sweeps) << workers;
+        EXPECT_EQ(p.max_backward_error, s.max_backward_error) << workers;
+        EXPECT_EQ(p.full_factors + p.fast_refactors,
+                  s.full_factors + s.fast_refactors)
+            << workers;
+        EXPECT_LE(p.full_factors, static_cast<std::uint64_t>(workers));
+    }
+}
+
+TEST(FactorReuse, RtdMesh24MonteCarloIdenticalAcrossWorkerCounts) {
+    expect_identical_across_workers(noisy_rtd_mesh(24), "n12_12");
+}
+
+TEST(FactorReuse, PowerGridMonteCarloIdenticalAcrossWorkerCounts) {
+    // The VDD sources add branch rows to the sparse system.
+    Circuit grid = refckt::power_grid(20, 20, 9);
+    grid.add<NoiseCurrentSource>("NOISE1", k_ground,
+                                 grid.find_node("n10_10"), 1e-9);
+    expect_identical_across_workers(std::move(grid), "n10_10");
 }
 
 TEST(FactorReuse, CheckpointResumeIsBitIdentical) {
@@ -272,9 +324,9 @@ TEST(FactorReuse, CheckpointResumeIsBitIdentical) {
         checkpoints.push_back(cp);
     };
     mna::SystemCache cache(assembler);
-    stochastic::Rng rng(3);
     const engines::McResult full = engines::run_monte_carlo(
-        assembler, mc, rng, node, &observer, &cache);
+        assembler, mc, 3, node, runtime::ExecutionPolicy{1}, &observer,
+        &cache);
     ASSERT_GT(cache.stats().refactors_skipped, 0U);
     ASSERT_EQ(checkpoints.size(), 1U);
 
@@ -284,9 +336,9 @@ TEST(FactorReuse, CheckpointResumeIsBitIdentical) {
     resume.resume =
         std::make_shared<const engines::McCheckpoint>(checkpoints[0]);
     mna::SystemCache fresh(assembler);
-    stochastic::Rng unused(99); // the checkpoint pins the base seed
     const engines::McResult resumed = engines::run_monte_carlo(
-        assembler, resume, unused, node, nullptr, &fresh);
+        assembler, resume, 99, node, runtime::ExecutionPolicy{1}, nullptr,
+        &fresh); // seed unused: the checkpoint pins the base seed
 
     EXPECT_EQ(full.trial_steps, resumed.trial_steps);
     EXPECT_TRUE(bit_identical(full.mean.value(), resumed.mean.value()));

@@ -496,6 +496,28 @@ TEST(ObsReport, ToJsonRoundTrips) {
     EXPECT_NE(result.report.pretty().find("run report"), std::string::npos);
 }
 
+TEST(ObsMetrics, McTrialTimeObservedForEveryTrialAtAnyWorkerCount) {
+    const TelemetryOff off;
+    obs::set_metrics_enabled(true);
+    const obs::Histogram& trial_s =
+        obs::metrics().histogram("mc.trial_s", obs::time_buckets());
+    const std::uint64_t before = trial_s.count();
+
+    SimSession session(refckt::noisy_rc());
+    MonteCarloSpec mc;
+    mc.node = "n1";
+    mc.t_stop = 1e-9;
+    mc.runs = 6;
+    mc.grid_points = 11;
+    mc.parallel = true;
+    mc.threads = 2;
+    const AnalysisResult result = session.run(mc);
+    obs::set_metrics_enabled(false);
+
+    EXPECT_EQ(result.monte_carlo().stats.paths(), 6u);
+    EXPECT_EQ(trial_s.count() - before, 6u);
+}
+
 // ---- bit identity -----------------------------------------------------
 
 TEST(ObsBitIdentity, TelemetryOnOffIdenticalWaveforms) {

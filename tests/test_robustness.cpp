@@ -2,10 +2,11 @@
 // failure-rescue ladder's end-to-end contracts: every engine survives a
 // structurally singular matrix and a NaN-producing device with a
 // diagnosed SimError or a rescued result (never UB or a hang), the
-// Monte-Carlo drivers quarantine injected trial failures identically,
-// checkpoints resume bit-identically (including through the wire
-// encoding), and the service isolates worker faults into exactly one
-// `failed` terminal event while the daemon keeps serving.
+// Monte-Carlo driver quarantines injected trial failures identically at
+// one and two workers, checkpoints resume bit-identically (including
+// through the wire encoding), and the service isolates worker faults
+// into exactly one `failed` terminal event while the daemon keeps
+// serving.
 //
 // Fail points are process-global: every test that arms one goes through
 // the ArmedScope RAII guard so a failing assertion cannot leak an armed
@@ -43,7 +44,6 @@
 #include "service/json.hpp"
 #include "service/server.hpp"
 #include "service/wire.hpp"
-#include "stochastic/rng.hpp"
 #include "util/error.hpp"
 #include "util/failpoints.hpp"
 
@@ -323,9 +323,9 @@ TEST(McQuarantine, SerialAndParallelDriversQuarantineTheSameTrials) {
 
     const auto serial = [&] {
         const ArmedScope armed("mc.trial_fail=1in3");
-        stochastic::Rng rng(1);
         mna::SystemCache cache(assembler);
-        return engines::run_monte_carlo(assembler, mc, rng, out, nullptr,
+        return engines::run_monte_carlo(assembler, mc, 1, out,
+                                        runtime::ExecutionPolicy{1}, nullptr,
                                         &cache);
     }();
     ASSERT_FALSE(serial.failed_trials.empty());
@@ -337,10 +337,8 @@ TEST(McQuarantine, SerialAndParallelDriversQuarantineTheSameTrials) {
 
     const auto parallel = [&] {
         const ArmedScope armed("mc.trial_fail=1in3");
-        runtime::ExecutionPolicy policy;
-        policy.threads = 2;
-        return engines::run_monte_carlo_parallel(assembler, mc, 1, out,
-                                                 policy);
+        return engines::run_monte_carlo(assembler, mc, 1, out,
+                                        runtime::ExecutionPolicy{2});
     }();
     EXPECT_EQ(serial.mean.value(), parallel.mean.value());
     EXPECT_EQ(serial.stddev.value(), parallel.stddev.value());
@@ -359,9 +357,9 @@ TEST(McCheckpoint, ResumeReproducesUninterruptedRunBitIdentically) {
 
     // Uninterrupted reference.
     const auto full = [&] {
-        stochastic::Rng rng(1);
         mna::SystemCache cache(assembler);
-        return engines::run_monte_carlo(assembler, mc, rng, out, nullptr,
+        return engines::run_monte_carlo(assembler, mc, 1, out,
+                                        runtime::ExecutionPolicy{1}, nullptr,
                                         &cache);
     }();
 
@@ -373,9 +371,9 @@ TEST(McCheckpoint, ResumeReproducesUninterruptedRunBitIdentically) {
         checkpoints.push_back(cp);
     };
     {
-        stochastic::Rng rng(1);
         mna::SystemCache cache(assembler);
-        (void)engines::run_monte_carlo(assembler, mc, rng, out, &observer,
+        (void)engines::run_monte_carlo(assembler, mc, 1, out,
+                                       runtime::ExecutionPolicy{1}, &observer,
                                        &cache);
     }
     ASSERT_GE(checkpoints.size(), 2U);
@@ -392,10 +390,11 @@ TEST(McCheckpoint, ResumeReproducesUninterruptedRunBitIdentically) {
     resume_mc.resume =
         std::make_shared<const engines::McCheckpoint>(restored);
     const auto resumed = [&] {
-        stochastic::Rng rng(99); // seed is pinned by the checkpoint
         mna::SystemCache cache(assembler);
-        return engines::run_monte_carlo(assembler, resume_mc, rng, out,
-                                        nullptr, &cache);
+        // Seed 99 is unused: the checkpoint pins the base seed.
+        return engines::run_monte_carlo(assembler, resume_mc, 99, out,
+                                        runtime::ExecutionPolicy{1}, nullptr,
+                                        &cache);
     }();
     expect_identical_mc(full, resumed);
 }
@@ -412,9 +411,9 @@ TEST(McCheckpoint, MismatchedCampaignShapeIsRejected) {
     observer.on_checkpoint = [&](const engines::McCheckpoint& cp) {
         checkpoints.push_back(cp);
     };
-    stochastic::Rng rng(1);
     mna::SystemCache cache(assembler);
-    (void)engines::run_monte_carlo(assembler, mc, rng, out, &observer,
+    (void)engines::run_monte_carlo(assembler, mc, 1, out,
+                                   runtime::ExecutionPolicy{1}, &observer,
                                    &cache);
     ASSERT_FALSE(checkpoints.empty());
 
@@ -422,8 +421,7 @@ TEST(McCheckpoint, MismatchedCampaignShapeIsRejected) {
     other.grid_points = 21; // different statistics grid
     other.resume =
         std::make_shared<const engines::McCheckpoint>(checkpoints[0]);
-    stochastic::Rng rng2(1);
-    EXPECT_THROW((void)engines::run_monte_carlo(assembler, other, rng2, out),
+    EXPECT_THROW((void)engines::run_monte_carlo(assembler, other, 1, out),
                  AnalysisError);
 }
 

@@ -5,9 +5,18 @@
 // bit-identical regardless of thread count.
 #include <gtest/gtest.h>
 
+#include <sys/resource.h>
+#include <sys/wait.h>
+#include <unistd.h>
+
 #include <atomic>
+#include <chrono>
+#include <csignal>
+#include <fstream>
 #include <sstream>
 #include <stdexcept>
+#include <system_error>
+#include <thread>
 
 #include "core/ref_circuits.hpp"
 #include "core/simulator.hpp"
@@ -79,6 +88,54 @@ TEST(ThreadPool, ParallelForRethrowsLowestIndexFailure) {
     }
     // Every non-throwing task still ran.
     EXPECT_EQ(completed.load(), 14);
+}
+
+TEST(ThreadPool, FailedSpawnThrowsInsteadOfHanging) {
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+    GTEST_SKIP() << "sanitizer shadow mappings do not tolerate RLIMIT_AS";
+#else
+    // A forked child caps its address space 256 MiB above what it maps,
+    // so thread stacks run out long before 5000 workers: the constructor
+    // must join the workers it started and throw, not hang or abort.
+    const pid_t child = fork();
+    ASSERT_GE(child, 0);
+    if (child == 0) {
+        long pages = 0;
+        std::ifstream("/proc/self/statm") >> pages;
+        const auto cap = static_cast<rlim_t>(pages) *
+                             static_cast<rlim_t>(sysconf(_SC_PAGESIZE)) +
+                         (rlim_t{256} << 20);
+        const rlimit limit{cap, cap};
+        if (pages <= 0 || setrlimit(RLIMIT_AS, &limit) != 0) {
+            _exit(3);
+        }
+        try {
+            const runtime::ThreadPool pool(5000);
+        } catch (const std::system_error&) {
+            _exit(0);
+        } catch (...) {
+            _exit(2);
+        }
+        _exit(1); // every spawn succeeded: the cap did not bite
+    }
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    int status = 0;
+    pid_t reaped = 0;
+    while ((reaped = waitpid(child, &status, WNOHANG)) == 0 &&
+           std::chrono::steady_clock::now() < deadline) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+    if (reaped == 0) {
+        kill(child, SIGKILL);
+        waitpid(child, &status, 0);
+        FAIL() << "ThreadPool(5000) under RLIMIT_AS still running after 10 s";
+    }
+    ASSERT_TRUE(WIFEXITED(status)) << "child killed by signal "
+                                   << WTERMSIG(status);
+    EXPECT_EQ(WEXITSTATUS(status), 0)
+        << "1: no spawn failed, 2: wrong exception, 3: setup failed";
+#endif
 }
 
 TEST(ExecutionPolicy, Resolution) {
@@ -282,13 +339,15 @@ TEST(ParallelMonteCarlo, RejectsDegenerateGrid) {
     options.runs = 1;
     options.t_stop = 1e-9;
     options.grid_points = 1; // would divide by zero building the grid
-    EXPECT_THROW((void)engines::run_monte_carlo_parallel(
-                     assembler, options, 1, ckt.find_node("n1"),
-                     runtime::ExecutionPolicy{1}),
+    EXPECT_THROW((void)engines::run_monte_carlo(assembler, options, 1,
+                                                ckt.find_node("n1")),
                  AnalysisError);
 }
 
 TEST(ParallelMonteCarlo, BitIdenticalAcrossThreadCounts) {
+    // Trial k draws its noise from one NoisePathSet keyed by (trial,
+    // source) and trials reduce in trial order: 1, 2 and 8 workers agree
+    // bit for bit.
     const Circuit ckt = refckt::noisy_rc();
     const mna::MnaAssembler assembler(ckt);
     engines::McOptions options;
@@ -297,47 +356,26 @@ TEST(ParallelMonteCarlo, BitIdenticalAcrossThreadCounts) {
     options.grid_points = 41;
     const NodeId node = ckt.find_node("n1");
 
-    const auto serial = engines::run_monte_carlo_parallel(
-        assembler, options, 42, node, runtime::ExecutionPolicy{1});
-    const auto wide = engines::run_monte_carlo_parallel(
-        assembler, options, 42, node, runtime::ExecutionPolicy{8});
-
-    ASSERT_EQ(serial.grid, wide.grid);
-    EXPECT_EQ(serial.mean.value(), wide.mean.value());     // bit-identical
-    EXPECT_EQ(serial.stddev.value(), wide.stddev.value()); // bit-identical
-    EXPECT_EQ(serial.stats.peaks(), wide.stats.peaks());
-    EXPECT_EQ(serial.flops.total(), wide.flops.total());
+    const auto one = engines::run_monte_carlo(assembler, options, 42, node);
+    ASSERT_EQ(one.stats.paths(), 12u);
+    for (const int workers : {2, 8}) {
+        const auto wide = engines::run_monte_carlo(
+            assembler, options, 42, node, runtime::ExecutionPolicy{workers});
+        ASSERT_EQ(one.grid, wide.grid);
+        EXPECT_EQ(one.trial_steps, wide.trial_steps);
+        EXPECT_EQ(one.stats.paths(), wide.stats.paths());
+        EXPECT_EQ(one.mean.time(), wide.mean.time());
+        EXPECT_EQ(one.mean.value(), wide.mean.value());     // bit-identical
+        EXPECT_EQ(one.stddev.time(), wide.stddev.time());
+        EXPECT_EQ(one.stddev.value(), wide.stddev.value()); // bit-identical
+        EXPECT_EQ(one.stats.peaks(), wide.stats.peaks());
+        EXPECT_EQ(one.flops.total(), wide.flops.total());
+    }
 
     // And a different seed actually changes the answer.
-    const auto other = engines::run_monte_carlo_parallel(
+    const auto other = engines::run_monte_carlo(
         assembler, options, 43, node, runtime::ExecutionPolicy{8});
-    EXPECT_NE(serial.mean.value(), other.mean.value());
-}
-
-TEST(ParallelMonteCarlo, SerialAndParallelDriversShareTheNoiseContract) {
-    // Both drivers draw trial k's noise from one NoisePathSet keyed by
-    // (trial, source): for the same seed they agree bit for bit.
-    const Circuit ckt = refckt::noisy_rc();
-    const mna::MnaAssembler assembler(ckt);
-    engines::McOptions mc;
-    mc.t_stop = 1e-9;
-    mc.runs = 6;
-    mc.grid_points = 11;
-
-    stochastic::Rng rng(7);
-    const engines::McResult serial =
-        engines::run_monte_carlo(assembler, mc, rng, 1);
-    runtime::ExecutionPolicy policy;
-    policy.threads = 2;
-    const engines::McResult parallel =
-        engines::run_monte_carlo_parallel(assembler, mc, 7, 1, policy);
-
-    EXPECT_EQ(serial.trial_steps, parallel.trial_steps);
-    EXPECT_EQ(serial.stats.paths(), parallel.stats.paths());
-    EXPECT_EQ(serial.mean.time(), parallel.mean.time());
-    EXPECT_EQ(serial.mean.value(), parallel.mean.value());
-    EXPECT_EQ(serial.stddev.time(), parallel.stddev.time());
-    EXPECT_EQ(serial.stddev.value(), parallel.stddev.value());
+    EXPECT_NE(one.mean.value(), other.mean.value());
 }
 
 TEST(MonteCarlo, ProbeOnThePrimaryNodeReproducesThePrimaryBlock) {
@@ -356,9 +394,8 @@ TEST(MonteCarlo, ProbeOnThePrimaryNodeReproducesThePrimaryBlock) {
     mc.probe_nodes = {out, ckt.find_node("in")};
 
     mna::SystemCache cache(assembler);
-    stochastic::Rng rng(1);
-    const engines::McResult res =
-        engines::run_monte_carlo(assembler, mc, rng, out, nullptr, &cache);
+    const engines::McResult res = engines::run_monte_carlo(
+        assembler, mc, 1, out, runtime::ExecutionPolicy{1}, nullptr, &cache);
     ASSERT_EQ(res.stats.paths(), 5u);
     ASSERT_EQ(res.trial_steps.size(), 5u);
     ASSERT_EQ(res.probes.size(), 2u);
@@ -407,10 +444,8 @@ TEST(ParallelEnsembleFacade, SimulatorEntryPoints) {
     mc.runs = 4;
     mc.t_stop = 1e-9;
     mc.grid_points = 21;
-    const auto c =
-        sim.monte_carlo_parallel(mc, "n1", 7, runtime::ExecutionPolicy{1});
-    const auto d =
-        sim.monte_carlo_parallel(mc, "n1", 7, runtime::ExecutionPolicy{4});
+    const auto c = sim.monte_carlo(mc, "n1", 7);
+    const auto d = sim.monte_carlo(mc, "n1", 7, runtime::ExecutionPolicy{4});
     EXPECT_EQ(c.mean.value(), d.mean.value());
 }
 

@@ -243,6 +243,16 @@ TEST(SessionCache, MonteCarloTrialsShareOneSymbolicAnalysis) {
     // And a follow-up analysis still pays nothing.
     const AnalysisResult op = session.run(OpSpec{});
     EXPECT_EQ(op.header.solver.full_factors, 0u);
+
+    // Two workers: the session cache plus one cache for the second
+    // worker, each analysed at most once for the whole campaign.
+    mc.parallel = true;
+    mc.threads = 2;
+    mc.runs = 8;
+    const AnalysisResult wide = session.run(mc);
+    EXPECT_EQ(wide.monte_carlo().stats.paths(), 8u);
+    EXPECT_LE(wide.header.solver.full_factors, 2u);
+    EXPECT_GT(wide.header.solver.fast_refactors, 0u);
 }
 
 TEST(SessionCache, RebindAfterParameterTweakKeepsSymbolicAnalysis) {

@@ -351,9 +351,9 @@ TEST(TabulatedModels, TablesBuiltOncePerMonteCarloBatch) {
 
     const std::uint64_t before = chord_table_build_count();
     {
-        stochastic::Rng rng(1);
         const auto res = engines::run_monte_carlo(
-            assembler, mc, rng, ckt.find_node("n3"), nullptr, &cache);
+            assembler, mc, 1, ckt.find_node("n3"),
+            runtime::ExecutionPolicy{1}, nullptr, &cache);
         EXPECT_EQ(res.mean.size(), mc.grid_points);
     }
     EXPECT_EQ(chord_table_build_count() - before, 1u)
@@ -362,9 +362,9 @@ TEST(TabulatedModels, TablesBuiltOncePerMonteCarloBatch) {
     EXPECT_EQ(cache.tabulated_devices(), 6u);
 
     {
-        stochastic::Rng rng(2);
         const auto res = engines::run_monte_carlo(
-            assembler, mc, rng, ckt.find_node("n3"), nullptr, &cache);
+            assembler, mc, 2, ckt.find_node("n3"),
+            runtime::ExecutionPolicy{1}, nullptr, &cache);
         EXPECT_EQ(res.mean.size(), mc.grid_points);
     }
     EXPECT_EQ(chord_table_build_count() - before, 1u)

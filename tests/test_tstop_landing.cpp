@@ -29,7 +29,6 @@
 #include "engines/tran_pwl.hpp"
 #include "engines/tran_swec.hpp"
 #include "mna/mna.hpp"
-#include "stochastic/rng.hpp"
 
 namespace nanosim {
 namespace {
@@ -166,9 +165,8 @@ TEST(TstopLanding, MonteCarloSamplesASolvedPointAtTstop) {
     opt.t_stop = 1.0000123e-6;
     opt.runs = 3;
     opt.grid_points = 11;
-    stochastic::Rng rng(7);
     const engines::McResult mc =
-        engines::run_monte_carlo(assembler, opt, rng, ckt.find_node("n1"));
+        engines::run_monte_carlo(assembler, opt, 7, ckt.find_node("n1"));
     EXPECT_EQ(mc.grid.back(), opt.t_stop);
     EXPECT_EQ(mc.mean.t_end(), opt.t_stop);
 
