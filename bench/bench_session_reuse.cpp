@@ -173,13 +173,7 @@ PathResults run_percall(const Workload& w, int mc_runs) {
     values_helper.step = w.sweep_step;
     const linalg::Vector values = values_helper.values();
     t0 = Clock::now();
-    {
-        // The legacy sweep parks the source at the final sweep value
-        // (the facade bug the session's SourceWaveGuard fixes); restore
-        // manually so the baseline computes the same downstream results.
-        const SourceWaveGuard guard(circuit, w.sweep_source);
-        out.sweep = engines::dc_sweep_swec(circuit, w.sweep_source, values);
-    }
+    out.sweep = engines::dc_sweep_swec(circuit, w.sweep_source, values);
     out.times.dc_ms = ms_since(t0);
 
     engines::SwecTranOptions tran;

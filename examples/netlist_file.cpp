@@ -37,45 +37,52 @@ CIN  in  0 10p
 )";
 
 void run_deck(const std::string& path) {
-    Simulator sim = Simulator::from_deck_file(path);
-    std::cout << "parsed deck with " << sim.circuit().device_count()
-              << " devices, " << sim.circuit().num_nodes()
-              << " nodes, " << sim.deck_analyses().size()
-              << " analysis cards\n";
+    SimSession session = SimSession::from_deck_file(path);
+    const Circuit& ckt = session.circuit();
+    std::cout << "parsed deck with " << ckt.device_count() << " devices, "
+              << ckt.num_nodes() << " nodes, "
+              << session.deck_analyses().size() << " analysis cards\n";
 
-    for (const auto& card : sim.deck_analyses()) {
+    // One spec per card, all run through the session's shared solver
+    // cache (session.run_deck() would do the same in one call).
+    for (const auto& card : session.deck_analyses()) {
         if (std::holds_alternative<OpCard>(card)) {
             std::cout << "\n== .op (SWEC engine) ==\n";
-            const auto op = sim.operating_point();
-            for (NodeId n = 1; n <= sim.circuit().num_nodes(); ++n) {
-                std::cout << "  v(" << sim.circuit().node_name(n)
-                          << ") = "
-                          << sim.assembler().view(op.x)(n) << " V\n";
+            const AnalysisResult op = session.run(OpSpec{});
+            const NodeVoltages v = session.assembler().view(op.dc().x);
+            for (NodeId n = 1; n <= ckt.num_nodes(); ++n) {
+                std::cout << "  v(" << ckt.node_name(n) << ") = " << v(n)
+                          << " V\n";
             }
         } else if (const auto* dc = std::get_if<DcCard>(&card)) {
             std::cout << "\n== .dc " << dc->source << ' ' << dc->start
                       << " .. " << dc->stop << " ==\n";
-            const auto sweep =
-                sim.dc_sweep(dc->source, dc->start, dc->stop, dc->step);
-            const NodeId out = sim.circuit().find_node("out");
+            DcSweepSpec spec;
+            spec.source = dc->source;
+            spec.start = dc->start;
+            spec.stop = dc->stop;
+            spec.step = dc->step;
+            const AnalysisResult result = session.run(spec);
+            const engines::SweepResult& sweep = result.sweep();
+            const NodeId out = ckt.find_node("out");
             for (std::size_t k = 0; k < sweep.values.size(); ++k) {
-                std::cout << "  " << dc->source << '='
-                          << sweep.values[k] << "  v(out)="
-                          << sim.assembler().view(sweep.solutions[k])(out)
+                std::cout << "  " << dc->source << '=' << sweep.values[k]
+                          << "  v(out)="
+                          << session.assembler().view(sweep.solutions[k])(out)
                           << '\n';
             }
         } else if (const auto* tran = std::get_if<TranCard>(&card)) {
             std::cout << "\n== .tran to " << tran->tstop * 1e9
                       << " ns (SWEC engine) ==\n";
-            engines::SwecTranOptions opt;
-            opt.t_stop = tran->tstop;
-            opt.dt_init = tran->tstep;
-            const auto res = sim.transient(opt);
+            TranSpec spec;
+            spec.t_stop = tran->tstop;
+            spec.common.dt_init = tran->tstep;
+            const AnalysisResult result = session.run(spec);
+            const engines::TranResult& res = result.tran();
             analysis::PlotOptions plot;
             plot.title = "v(out)";
             plot.x_label = "t [s]";
-            analysis::ascii_plot(std::cout,
-                                 {res.node(sim.circuit(), "out")}, plot);
+            analysis::ascii_plot(std::cout, {res.node(ckt, "out")}, plot);
             std::cout << "  " << res.steps_accepted << " steps, "
                       << res.flops.total() << " flops\n";
         }

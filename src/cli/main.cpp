@@ -29,7 +29,7 @@
 //
 // `run` maps every analysis card in the deck (.op, .dc, .tran) onto an
 // AnalysisSpec and executes it through one SimSession — the same single
-// execution path the library facade and the sweep campaigns use, so the
+// execution path library callers and the sweep campaigns use, so the
 // whole deck shares one cached symbolic factorisation — then prints
 // results in SPICE-batch style.  Exit code 0 on success, 1 on
 // simulation failure, 2 on usage errors.

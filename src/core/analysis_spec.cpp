@@ -1,5 +1,6 @@
 #include "core/analysis_spec.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "linalg/vecops.hpp"
@@ -47,13 +48,20 @@ const char* analysis_kind_name(AnalysisKind kind) noexcept {
 }
 
 linalg::Vector DcSweepSpec::values() const {
-    if (step == 0.0 || (stop - start) * step < 0.0) {
+    const double intervals = (stop - start) / step;
+    if (step == 0.0 || intervals < 0.0 || !std::isfinite(intervals)) {
         throw AnalysisError("DcSweepSpec '" + name +
                             "': inconsistent start/stop/step");
     }
-    const auto count =
-        static_cast<std::size_t>(std::abs((stop - start) / step)) + 1;
-    return linalg::linspace(start, stop, count);
+    // A step that divides the span exactly can leave the quotient a
+    // rounding error short of the integer (0.3 / 0.1 gives
+    // 2.9999999999999996); snap it so the endpoint is not lost.
+    const double nearest = std::round(intervals);
+    const double whole =
+        std::abs(intervals - nearest) <= 1e-9 * std::max(nearest, 1.0)
+            ? nearest
+            : std::floor(intervals);
+    return linalg::linspace(start, stop, static_cast<std::size_t>(whole) + 1);
 }
 
 } // namespace nanosim

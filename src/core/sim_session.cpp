@@ -5,7 +5,6 @@
 #include <sstream>
 #include <utility>
 
-#include "devices/sources.hpp"
 #include "engines/dc_mla.hpp"
 #include "engines/dc_nr.hpp"
 #include "engines/dc_swec.hpp"
@@ -45,33 +44,6 @@ void apply_tolerances(const CommonOptions& common, EngineOptions& options) {
 }
 
 } // namespace
-
-// ---- SourceWaveGuard --------------------------------------------------
-
-SourceWaveGuard::SourceWaveGuard(Circuit& circuit, const std::string& source)
-    : circuit_(&circuit), source_(source) {
-    if (const Device* d = circuit.find(source); d != nullptr) {
-        if (d->kind() == DeviceKind::vsource) {
-            saved_ = circuit.get_mutable<VSource>(source).wave_ptr();
-            is_vsource_ = true;
-            return;
-        }
-        if (d->kind() == DeviceKind::isource) {
-            saved_ = circuit.get_mutable<ISource>(source).wave_ptr();
-            return;
-        }
-    }
-    throw NetlistError("dc sweep: '" + source +
-                       "' is not a V or I source");
-}
-
-SourceWaveGuard::~SourceWaveGuard() {
-    if (is_vsource_) {
-        circuit_->get_mutable<VSource>(source_).set_wave(saved_);
-    } else {
-        circuit_->get_mutable<ISource>(source_).set_wave(saved_);
-    }
-}
 
 // ---- SimSession -------------------------------------------------------
 
@@ -412,12 +384,9 @@ SimSession::run_dc_sweep(const DcSweepSpec& spec,
     out.header.kind = AnalysisKind::dc_sweep;
     out.header.engine = engine_name(spec.engine);
 
+    // The engines' dc_sweep driver puts the swept source's original
+    // stimulus back on every exit path.
     const linalg::Vector values = spec.values();
-    // Exception-safe restore of the swept stimulus: the engines park the
-    // source at the last applied level; the guard puts the exact original
-    // waveform object back on every exit path.
-    const SourceWaveGuard guard(*circuit_, spec.source);
-
     engines::SweepResult sweep;
     switch (spec.engine) {
     case DcEngine::swec: {

@@ -19,8 +19,8 @@
 //
 // Every run accepts an engines::AnalysisObserver for progress reporting
 // and cooperative cancellation.  run()/run_all()/run_deck() are the
-// single execution path shared by the Simulator facade (a thin shim),
-// the CLI, and the sweep-campaign jobs.
+// single execution path shared by library callers, the CLI, the service
+// and the sweep-campaign jobs.
 #ifndef NANOSIM_CORE_SIM_SESSION_HPP
 #define NANOSIM_CORE_SIM_SESSION_HPP
 
@@ -41,30 +41,6 @@
 #include "runtime/sweep.hpp"
 
 namespace nanosim {
-
-/// RAII restore of a named V/I source's stimulus: saves the shared
-/// waveform handle at construction and puts the exact original object
-/// back on destruction — on both success and throw.  This is what makes
-/// SimSession's DC sweeps side-effect free on the circuit (the historic
-/// facade left the source parked at the final sweep value).
-class SourceWaveGuard {
-public:
-    /// Throws NetlistError when `source` is not a V or I source.
-    SourceWaveGuard(Circuit& circuit, const std::string& source);
-    ~SourceWaveGuard();
-
-    SourceWaveGuard(const SourceWaveGuard&) = delete;
-    SourceWaveGuard& operator=(const SourceWaveGuard&) = delete;
-
-    /// The saved original stimulus (for tests).
-    [[nodiscard]] const WaveformPtr& saved() const noexcept { return saved_; }
-
-private:
-    Circuit* circuit_;
-    std::string source_;
-    WaveformPtr saved_;
-    bool is_vsource_ = false;
-};
 
 /// Persistent analysis session over one circuit.
 class SimSession {

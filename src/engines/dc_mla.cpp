@@ -3,10 +3,9 @@
 #include <algorithm>
 #include <cmath>
 
-#include "devices/sources.hpp"
+#include "engines/dc_sweep.hpp"
 #include "engines/options_common.hpp"
 #include "linalg/vecops.hpp"
-#include "util/error.hpp"
 
 namespace nanosim::engines {
 
@@ -136,60 +135,20 @@ SweepResult dc_sweep_mla(Circuit& circuit,
                          const linalg::Vector& values,
                          const MlaOptions& options,
                          const AnalysisObserver* observer) {
-    const FlopScope scope;
-    if (values.empty()) {
-        throw AnalysisError("dc_sweep_mla: empty sweep");
-    }
-    SweepResult result;
-    // Reuse the NR sweep's source plumbing by setting DC levels directly.
-    auto set_level = [&](double v) {
-        if (const Device* d = circuit.find(source_name); d != nullptr) {
-            if (d->kind() == DeviceKind::vsource) {
-                circuit.get_mutable<VSource>(source_name)
-                    .set_wave(std::make_shared<DcWave>(v));
-                return;
-            }
-            if (d->kind() == DeviceKind::isource) {
-                circuit.get_mutable<ISource>(source_name)
-                    .set_wave(std::make_shared<DcWave>(v));
-                return;
-            }
-        }
-        throw NetlistError("dc_sweep_mla: '" + source_name +
-                           "' is not a V or I source");
-    };
-
     MlaOptions opt = options;
-    const int total = static_cast<int>(values.size());
-    for (const double v : values) {
-        if (observer != nullptr && observer->cancelled()) {
-            result.aborted = true;
-            break;
+    auto solve_point = [&](const linalg::Vector& previous) {
+        if (!previous.empty()) {
+            opt.initial_guess = previous; // warm start from the last point
         }
-        set_level(v);
-        const DcResult point = solve_op_mla(assembler, opt);
-        result.values.push_back(v);
-        result.solutions.push_back(point.x);
-        result.converged.push_back(point.converged);
-        result.total_iterations += point.iterations;
-        opt.initial_guess = point.x;
-        if (observer != nullptr) {
-            const int done = static_cast<int>(result.values.size());
-            observer->trial(done, total);
-            observer->progress(static_cast<double>(done) / total);
-        }
-    }
-    result.flops = scope.counter();
-    return result;
+        return solve_op_mla(assembler, opt);
+    };
+    return dc_sweep(circuit, source_name, values, observer, solve_point);
 }
 
 SweepResult dc_sweep_mla(Circuit& circuit, const std::string& source_name,
                          const linalg::Vector& values,
                          const MlaOptions& options,
                          const AnalysisObserver* observer) {
-    if (values.empty()) {
-        throw AnalysisError("dc_sweep_mla: empty sweep");
-    }
     const mna::MnaAssembler assembler(circuit);
     return dc_sweep_mla(circuit, assembler, source_name, values, options,
                         observer);

@@ -43,9 +43,11 @@ struct MlaOptions {
                                     double t = 0.0,
                                     double source_scale = 1.0);
 
-/// DC sweep with the MLA, warm-starting each point (the configuration
-/// Table I measures).  `observer` gets per-point trial callbacks and may
-/// cancel between points (partial SweepResult flagged `aborted`).
+/// DC sweep with the MLA on the engines::dc_sweep driver, warm-starting
+/// each point (the configuration Table I measures).  The swept source
+/// gets its original stimulus back on return, throw or cancel.
+/// `observer` gets per-point trial callbacks and may cancel between
+/// points (partial SweepResult flagged `aborted`).
 [[nodiscard]] SweepResult dc_sweep_mla(Circuit& circuit,
                                        const std::string& source_name,
                                        const linalg::Vector& values,
@@ -53,7 +55,7 @@ struct MlaOptions {
                                        const AnalysisObserver* observer = nullptr);
 
 /// DC sweep against a caller-owned assembler built from `circuit` (the
-/// SimSession path; the session's SourceWaveGuard owns the restore).
+/// SimSession path).
 [[nodiscard]] SweepResult dc_sweep_mla(Circuit& circuit,
                                        const mna::MnaAssembler& assembler,
                                        const std::string& source_name,

@@ -4,7 +4,7 @@
 #include <cmath>
 #include <limits>
 
-#include "devices/sources.hpp"
+#include "engines/dc_sweep.hpp"
 #include "engines/options_common.hpp"
 #include "linalg/vecops.hpp"
 #include "util/error.hpp"
@@ -12,47 +12,6 @@
 #include "util/log.hpp"
 
 namespace nanosim::engines {
-
-namespace {
-
-/// Replace a named V/I source's stimulus with a DC level, returning the
-/// previous waveform so the caller can restore it.
-WaveformPtr swap_source_level(Circuit& circuit, const std::string& name,
-                              double level) {
-    if (const Device* d = circuit.find(name); d != nullptr) {
-        if (d->kind() == DeviceKind::vsource) {
-            auto& vs = circuit.get_mutable<VSource>(name);
-            // Remember the previous stimulus as its t=0 DC level — sweeps
-            // only ever replace DC levels, so this restores faithfully.
-            auto prev = std::make_shared<DcWave>(vs.wave().value(0.0));
-            vs.set_wave(std::make_shared<DcWave>(level));
-            return prev;
-        }
-        if (d->kind() == DeviceKind::isource) {
-            auto& is = circuit.get_mutable<ISource>(name);
-            auto prev = std::make_shared<DcWave>(is.wave().value(0.0));
-            is.set_wave(std::make_shared<DcWave>(level));
-            return prev;
-        }
-    }
-    throw NetlistError("dc sweep: '" + name + "' is not a V or I source");
-}
-
-void restore_source(Circuit& circuit, const std::string& name,
-                    WaveformPtr wave) {
-    if (const Device* d = circuit.find(name); d != nullptr) {
-        if (d->kind() == DeviceKind::vsource) {
-            circuit.get_mutable<VSource>(name).set_wave(std::move(wave));
-            return;
-        }
-        if (d->kind() == DeviceKind::isource) {
-            circuit.get_mutable<ISource>(name).set_wave(std::move(wave));
-            return;
-        }
-    }
-}
-
-} // namespace
 
 DcResult solve_op_nr(const mna::MnaAssembler& assembler,
                      const NrOptions& options, double t,
@@ -226,55 +185,23 @@ SweepResult dc_sweep_nr(Circuit& circuit,
                         const linalg::Vector& values,
                         const NrOptions& options,
                         const AnalysisObserver* observer) {
-    const FlopScope scope;
-    SweepResult result;
-    if (values.empty()) {
-        throw AnalysisError("dc_sweep_nr: empty sweep");
-    }
     NrOptions nr = options;
-    const int total = static_cast<int>(values.size());
-    for (const double v : values) {
-        if (observer != nullptr && observer->cancelled()) {
-            result.aborted = true;
-            break;
+    auto solve_point = [&](const linalg::Vector& previous) {
+        if (!previous.empty()) {
+            nr.initial_guess = previous; // warm start from the last point
         }
-        swap_source_level(circuit, source_name, v);
-        const DcResult point = solve_op_nr(assembler, nr);
-        result.values.push_back(v);
-        result.solutions.push_back(point.x);
-        result.converged.push_back(point.converged);
-        result.total_iterations += point.iterations;
-        nr.initial_guess = point.x; // warm start the next point
-        if (observer != nullptr) {
-            const int done = static_cast<int>(result.values.size());
-            observer->trial(done, total);
-            observer->progress(static_cast<double>(done) / total);
-        }
-    }
-    result.flops = scope.counter();
-    return result;
+        return solve_op_nr(assembler, nr);
+    };
+    return dc_sweep(circuit, source_name, values, observer, solve_point);
 }
 
 SweepResult dc_sweep_nr(Circuit& circuit, const std::string& source_name,
                         const linalg::Vector& values,
                         const NrOptions& options,
                         const AnalysisObserver* observer) {
-    if (values.empty()) {
-        throw AnalysisError("dc_sweep_nr: empty sweep");
-    }
-    WaveformPtr saved = swap_source_level(circuit, source_name,
-                                          values.front());
-    SweepResult result;
-    try {
-        const mna::MnaAssembler assembler(circuit);
-        result = dc_sweep_nr(circuit, assembler, source_name, values,
-                             options, observer);
-    } catch (...) {
-        restore_source(circuit, source_name, std::move(saved));
-        throw;
-    }
-    restore_source(circuit, source_name, std::move(saved));
-    return result;
+    const mna::MnaAssembler assembler(circuit);
+    return dc_sweep_nr(circuit, assembler, source_name, values, options,
+                       observer);
 }
 
 } // namespace nanosim::engines

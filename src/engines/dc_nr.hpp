@@ -51,11 +51,12 @@ struct SourceSteppingOptions {
 solve_op_source_stepping(const mna::MnaAssembler& assembler,
                          const SourceSteppingOptions& options = {});
 
-/// DC sweep: set `source_name` (a VSource or ISource) to each value in
-/// turn and solve with NR, warm-starting from the previous point.
-/// The circuit is mutated (source waveform replaced) and restored after.
-/// `observer` gets per-point trial callbacks and may cancel between
-/// points (partial SweepResult flagged `aborted`).
+/// DC sweep on the engines::dc_sweep driver: set `source_name` (a
+/// VSource or ISource) to each value in turn and solve with NR,
+/// warm-starting from the previous point.  The source gets its original
+/// stimulus back on return, throw or cancel.  `observer` gets per-point
+/// trial callbacks and may cancel between points (partial SweepResult
+/// flagged `aborted`).
 [[nodiscard]] SweepResult dc_sweep_nr(Circuit& circuit,
                                       const std::string& source_name,
                                       const linalg::Vector& values,
@@ -63,7 +64,7 @@ solve_op_source_stepping(const mna::MnaAssembler& assembler,
                                       const AnalysisObserver* observer = nullptr);
 
 /// DC sweep against a caller-owned assembler built from `circuit` (the
-/// SimSession path; the session's SourceWaveGuard owns the restore).
+/// SimSession path).
 [[nodiscard]] SweepResult dc_sweep_nr(Circuit& circuit,
                                       const mna::MnaAssembler& assembler,
                                       const std::string& source_name,

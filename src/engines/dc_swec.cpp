@@ -5,7 +5,7 @@
 #include <limits>
 #include <optional>
 
-#include "devices/sources.hpp"
+#include "engines/dc_sweep.hpp"
 #include "engines/options_common.hpp"
 #include "linalg/vecops.hpp"
 #include "obs/trace.hpp"
@@ -131,72 +131,30 @@ SweepResult dc_sweep_swec(Circuit& circuit,
                           const SwecDcOptions& options,
                           const AnalysisObserver* observer,
                           mna::SystemCache* cache) {
-    const FlopScope scope;
-    if (values.empty()) {
-        throw AnalysisError("dc_sweep_swec: empty sweep");
-    }
-    auto set_level = [&](double v) {
-        if (const Device* d = circuit.find(source_name); d != nullptr) {
-            if (d->kind() == DeviceKind::vsource) {
-                circuit.get_mutable<VSource>(source_name)
-                    .set_wave(std::make_shared<DcWave>(v));
-                return;
-            }
-            if (d->kind() == DeviceKind::isource) {
-                circuit.get_mutable<ISource>(source_name)
-                    .set_wave(std::make_shared<DcWave>(v));
-                return;
-            }
-        }
-        throw NetlistError("dc_sweep_swec: '" + source_name +
-                           "' is not a V or I source");
-    };
-
-    SweepResult result;
-    set_level(values.front());
-    // One cache for the whole sweep: it re-solves the same structure at
-    // every point, so the symbolic analysis is paid for exactly once —
+    // One cache for the whole sweep, built at the first point inside the
+    // sweep's flop tally: the symbolic analysis is paid for exactly once,
     // or zero times when the caller shares an already-frozen one.
     std::optional<mna::SystemCache> local_cache;
-    if (cache == nullptr) {
-        local_cache.emplace(assembler);
-        cache = &*local_cache;
-    }
     SwecDcOptions opt = options;
-    const int total = static_cast<int>(values.size());
-    for (const double v : values) {
-        if (observer != nullptr && observer->cancelled()) {
-            result.aborted = true;
-            break;
+    auto solve_point = [&](const linalg::Vector& previous) {
+        if (cache == nullptr) {
+            cache = &local_cache.emplace(assembler);
         }
-        const obs::Span point_span("sweep-point", "engine");
-        set_level(v);
-        const DcResult point = solve_op_swec(assembler, opt, 0.0, 1.0, cache);
-        result.values.push_back(v);
-        result.solutions.push_back(point.x);
-        result.converged.push_back(point.converged);
-        result.total_iterations += point.iterations;
-        opt.initial_guess = point.x;
-        // A warm-started continuation settles fast; start the next march
-        // with a larger pseudo-step (clamped so the options stay valid).
-        opt.dt_init = std::min(options.dt_init * 10.0, opt.dt_max);
-        if (observer != nullptr) {
-            const int done = static_cast<int>(result.values.size());
-            observer->trial(done, total);
-            observer->progress(static_cast<double>(done) / total);
+        if (!previous.empty()) {
+            // A warm-started continuation settles fast; start the march
+            // with a larger pseudo-step (clamped so the options stay valid).
+            opt.initial_guess = previous;
+            opt.dt_init = std::min(options.dt_init * 10.0, opt.dt_max);
         }
-    }
-    result.flops = scope.counter();
-    return result;
+        return solve_op_swec(assembler, opt, 0.0, 1.0, cache);
+    };
+    return dc_sweep(circuit, source_name, values, observer, solve_point);
 }
 
 SweepResult dc_sweep_swec(Circuit& circuit, const std::string& source_name,
                           const linalg::Vector& values,
                           const SwecDcOptions& options,
                           const AnalysisObserver* observer) {
-    if (values.empty()) {
-        throw AnalysisError("dc_sweep_swec: empty sweep");
-    }
     // The assembler only caches structure (the swept DC level lives in
     // the source waveform, read per rhs evaluation), so building it once
     // up front is safe for the whole sweep.

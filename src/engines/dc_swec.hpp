@@ -49,9 +49,12 @@ struct SwecDcOptions {
                                      mna::SystemCache* cache = nullptr,
                                      const AnalysisObserver* observer = nullptr);
 
-/// DC sweep with SWEC, warm-starting every point from the previous
-/// solution (the configuration of paper Fig. 7 / Table I).  Builds its
-/// own assembler + cache for the circuit.
+/// DC sweep with SWEC on the engines::dc_sweep driver, warm-starting
+/// every point from the previous solution with a x10 larger first
+/// pseudo-step (the configuration of paper Fig. 7 / Table I).  Builds
+/// its own assembler + cache for the circuit.  The swept source gets its
+/// original stimulus back on return, throw or cancel; `observer` gets
+/// per-point trial callbacks and may cancel between points.
 [[nodiscard]] SweepResult dc_sweep_swec(Circuit& circuit,
                                         const std::string& source_name,
                                         const linalg::Vector& values,
@@ -61,10 +64,7 @@ struct SwecDcOptions {
 /// DC sweep against a caller-owned assembler (which must have been built
 /// from `circuit`) and, optionally, a caller-owned SystemCache — the
 /// SimSession path: the symbolic LU analysis is shared with every other
-/// analysis on the same stamp pattern.  The swept source's waveform is
-/// replaced per point; the caller owns restoring it (SimSession wraps
-/// this in a SourceWaveGuard).  `observer` gets per-point trial
-/// callbacks and may cancel between points.
+/// analysis on the same stamp pattern.
 [[nodiscard]] SweepResult dc_sweep_swec(Circuit& circuit,
                                         const mna::MnaAssembler& assembler,
                                         const std::string& source_name,

@@ -1,11 +1,11 @@
 // Nano-Sim — execution policy for batch/ensemble orchestration.
 //
 // An ExecutionPolicy says how much parallel hardware a driver may use.
-// It is a plain value so every facade can take it by default argument;
-// threads == 0 defers to the machine.  Determinism note: no Nano-Sim
-// parallel driver lets the thread count influence results — RNG streams
-// are derived per job (stochastic::SeedSequence) and reductions happen
-// in job-index order — so the policy is purely a performance knob.
+// It is a plain value so every parallel driver can take it by default
+// argument; threads == 0 defers to the machine.  Determinism note: no
+// Nano-Sim parallel driver lets the thread count influence results — RNG
+// streams are derived per job (stochastic::SeedSequence) and reductions
+// happen in job-index order — so the policy is purely a performance knob.
 #ifndef NANOSIM_RUNTIME_EXECUTION_POLICY_HPP
 #define NANOSIM_RUNTIME_EXECUTION_POLICY_HPP
 

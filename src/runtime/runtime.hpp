@@ -2,7 +2,7 @@
 //
 // The runtime layer turns the single-shot simulator into a batch
 // platform: a worker ThreadPool (thread_pool.hpp), the ExecutionPolicy
-// knob every parallel facade takes (execution_policy.hpp), named device
+// knob every parallel driver takes (execution_policy.hpp), named device
 // parameter access (params.hpp), and the JobPlan / sweep-campaign
 // orchestration with CSV aggregation (sweep.hpp).  Deterministic
 // parallel RNG streams live next to the other stochastic tools in

@@ -235,7 +235,7 @@ struct MetricSchema {
                                                  const MetricSchema& schema) {
     // One per-job session: the job's .op and .tran cards (and every step
     // inside them) share a single frozen stamp pattern + symbolic LU —
-    // the same execution path the facade, the specs API and the CLI use.
+    // the execution path library callers, the CLI and the service use.
     SimSession session(std::move(circuit));
     const std::vector<AnalysisResult> results =
         session.run_all(SimSession::specs_from_deck(schema.cards));

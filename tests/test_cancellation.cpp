@@ -7,10 +7,13 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <utility>
 #include <vector>
 
 #include "core/ref_circuits.hpp"
 #include "core/sim_session.hpp"
+#include "engines/dc_mla.hpp"
+#include "engines/dc_nr.hpp"
 #include "engines/dc_swec.hpp"
 #include "engines/monte_carlo.hpp"
 #include "engines/observer.hpp"
@@ -101,17 +104,39 @@ TEST(Cancellation, SwecDcMarchAbortsAtPseudoStepGranularity) {
 }
 
 TEST(Cancellation, DcSweepStopsBetweenPoints) {
-    Circuit ckt = refckt::rtd_divider();
-    int trials = 0;
-    engines::AnalysisObserver obs;
-    obs.on_trial = [&trials](int, int) { ++trials; };
-    obs.cancel = [&trials] { return trials >= 3; };
     const linalg::Vector values = {0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0};
-    const engines::SweepResult res =
-        engines::dc_sweep_swec(ckt, "V1", values, {}, &obs);
-    EXPECT_TRUE(res.aborted);
-    EXPECT_EQ(res.values.size(), 3u);
-    EXPECT_EQ(res.solutions.size(), 3u);
+    using Sweep = engines::SweepResult (*)(
+        Circuit&, const linalg::Vector&, const engines::AnalysisObserver*);
+    const std::vector<std::pair<const char*, Sweep>> engines_under_test = {
+        {"swec",
+         [](Circuit& c, const linalg::Vector& v,
+            const engines::AnalysisObserver* o) {
+             return engines::dc_sweep_swec(c, "V1", v, {}, o);
+         }},
+        {"nr",
+         [](Circuit& c, const linalg::Vector& v,
+            const engines::AnalysisObserver* o) {
+             return engines::dc_sweep_nr(c, "V1", v, {}, o);
+         }},
+        {"mla",
+         [](Circuit& c, const linalg::Vector& v,
+            const engines::AnalysisObserver* o) {
+             return engines::dc_sweep_mla(c, "V1", v, {}, o);
+         }},
+    };
+    for (const auto& [name, sweep] : engines_under_test) {
+        SCOPED_TRACE(name);
+        Circuit ckt = refckt::rtd_divider();
+        int trials = 0;
+        engines::AnalysisObserver obs;
+        obs.on_trial = [&trials](int, int) { ++trials; };
+        obs.cancel = [&trials] { return trials >= 3; };
+        const engines::SweepResult res = sweep(ckt, values, &obs);
+        EXPECT_TRUE(res.aborted);
+        EXPECT_EQ(res.values.size(), 3u);
+        EXPECT_EQ(res.solutions.size(), 3u);
+        EXPECT_EQ(res.converged.size(), 3u);
+    }
 }
 
 TEST(Cancellation, MonteCarloStopsBetweenTrials) {

@@ -19,7 +19,7 @@
 #include <thread>
 
 #include "core/ref_circuits.hpp"
-#include "core/simulator.hpp"
+#include "core/sim_session.hpp"
 #include "devices/sources.hpp"
 #include "engines/monte_carlo.hpp"
 #include "engines/parallel.hpp"
@@ -247,12 +247,12 @@ constexpr const char* k_divider_deck =
     ".end\n";
 
 TEST(SweepCampaign, ResistorDividerMatchesAnalytic) {
-    const Simulator sim = Simulator::from_deck(k_divider_deck);
+    const SimSession session = SimSession::from_deck(k_divider_deck);
     runtime::JobPlan plan;
     plan.add_axis(runtime::parse_param_axis("R2:R=1k:3k:3"));
     runtime::CampaignOptions options;
     options.policy.threads = 2;
-    const auto result = sim.sweep(plan, options);
+    const auto result = session.sweep(plan, options);
 
     ASSERT_EQ(result.rows.size(), 3u);
     EXPECT_EQ(result.failures(), 0u);
@@ -277,10 +277,10 @@ TEST(SweepCampaign, ResistorDividerMatchesAnalytic) {
 }
 
 TEST(SweepCampaign, DescendingAxisStillYieldsMetricWave) {
-    const Simulator sim = Simulator::from_deck(k_divider_deck);
+    const SimSession session = SimSession::from_deck(k_divider_deck);
     runtime::JobPlan plan;
     plan.add_axis(runtime::parse_param_axis("R2:R=3k:1k:3")); // high -> low
-    const auto result = sim.sweep(plan);
+    const auto result = session.sweep(plan);
     EXPECT_EQ(result.failures(), 0u);
     const auto wave = result.metric_wave("op.v(out)");
     ASSERT_EQ(wave.size(), 3u);
@@ -289,11 +289,11 @@ TEST(SweepCampaign, DescendingAxisStillYieldsMetricWave) {
 }
 
 TEST(SweepCampaign, PerJobFailuresAreCapturedNotThrown) {
-    const Simulator sim = Simulator::from_deck(k_divider_deck);
+    const SimSession session = SimSession::from_deck(k_divider_deck);
     runtime::JobPlan plan;
     // -1k and 0 are invalid resistances: those rows fail, 1k succeeds.
     plan.add_axis(runtime::parse_param_axis("R2:R=-1k:1k:3"));
-    const auto result = sim.sweep(plan);
+    const auto result = session.sweep(plan);
     ASSERT_EQ(result.rows.size(), 3u);
     EXPECT_EQ(result.failures(), 2u);
     EXPECT_FALSE(result.rows[0].ok);
@@ -302,15 +302,15 @@ TEST(SweepCampaign, PerJobFailuresAreCapturedNotThrown) {
 }
 
 TEST(SweepCampaign, IdenticalResultsForAnyThreadCount) {
-    const Simulator sim = Simulator::from_deck(k_divider_deck);
+    const SimSession session = SimSession::from_deck(k_divider_deck);
     runtime::JobPlan plan;
     plan.add_axis(runtime::parse_param_axis("R2:R=0.5k:4k:8"));
     runtime::CampaignOptions serial;
     serial.policy.threads = 1;
     runtime::CampaignOptions wide;
     wide.policy.threads = 8;
-    const auto a = sim.sweep(plan, serial);
-    const auto b = sim.sweep(plan, wide);
+    const auto a = session.sweep(plan, serial);
+    const auto b = session.sweep(plan, wide);
     ASSERT_EQ(a.rows.size(), b.rows.size());
     for (std::size_t i = 0; i < a.rows.size(); ++i) {
         EXPECT_EQ(a.rows[i].metrics, b.rows[i].metrics);
@@ -318,8 +318,8 @@ TEST(SweepCampaign, IdenticalResultsForAnyThreadCount) {
 }
 
 TEST(SweepCampaign, ProgrammaticCircuitNeedsFactory) {
-    const Simulator sim{refckt::rc_lowpass()};
-    EXPECT_THROW((void)sim.sweep(runtime::JobPlan{}), AnalysisError);
+    const SimSession session{refckt::rc_lowpass()};
+    EXPECT_THROW((void)session.sweep(runtime::JobPlan{}), AnalysisError);
 
     // The factory-based entry point covers programmatic circuits.
     runtime::JobPlan plan;
@@ -428,25 +428,34 @@ TEST(ParallelEmEnsemble, BitIdenticalAcrossThreadCounts) {
     EXPECT_EQ(serial.flops.total(), wide.flops.total());
 }
 
-TEST(ParallelEnsembleFacade, SimulatorEntryPoints) {
-    Circuit ckt = refckt::noisy_rc();
-    const Simulator sim{std::move(ckt)};
+TEST(ParallelEnsembleSession, SpecEntryPoints) {
+    SimSession session(refckt::noisy_rc());
 
-    engines::EmOptions em;
+    EnsembleSpec em;
+    em.node = "n1";
     em.t_stop = 1e-9;
     em.dt = 2e-11;
     em.scheme = engines::EmScheme::implicit_be;
-    const auto a = sim.ensemble(em, 8, "n1", 7, runtime::ExecutionPolicy{1});
-    const auto b = sim.ensemble(em, 8, "n1", 7, runtime::ExecutionPolicy{4});
-    EXPECT_EQ(a.mean.value(), b.mean.value());
+    em.paths = 8;
+    em.seed = 7;
+    em.parallel = true;
+    em.threads = 1;
+    const AnalysisResult a = session.run(em);
+    em.threads = 4;
+    const AnalysisResult b = session.run(em);
+    EXPECT_EQ(a.ensemble().mean.value(), b.ensemble().mean.value());
 
-    engines::McOptions mc;
+    MonteCarloSpec mc;
+    mc.node = "n1";
     mc.runs = 4;
     mc.t_stop = 1e-9;
     mc.grid_points = 21;
-    const auto c = sim.monte_carlo(mc, "n1", 7);
-    const auto d = sim.monte_carlo(mc, "n1", 7, runtime::ExecutionPolicy{4});
-    EXPECT_EQ(c.mean.value(), d.mean.value());
+    mc.seed = 7;
+    const AnalysisResult c = session.run(mc);
+    mc.parallel = true;
+    mc.threads = 4;
+    const AnalysisResult d = session.run(mc);
+    EXPECT_EQ(c.monte_carlo().mean.value(), d.monte_carlo().mean.value());
 }
 
 } // namespace

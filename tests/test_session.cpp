@@ -1,8 +1,8 @@
-// Tests for the AnalysisSpec/SimSession API: facade parity (session
-// results are bit-identical to direct engine calls), the persistent
-// solver-cache registry (a second analysis on an unchanged circuit runs
-// ZERO new symbolic factorisations), exception-safe source restore, and
-// the deck-card -> spec mapping.
+// Tests for the AnalysisSpec/SimSession API: parity (session results are
+// bit-identical to direct engine calls), the persistent solver-cache
+// registry (a second analysis on an unchanged circuit runs ZERO new
+// symbolic factorisations), the swept source's restore on every exit of
+// a DC sweep, and the deck-card -> spec mapping.
 #include <gtest/gtest.h>
 
 #include <functional>
@@ -12,7 +12,6 @@
 
 #include "core/ref_circuits.hpp"
 #include "core/sim_session.hpp"
-#include "core/simulator.hpp"
 #include "devices/sources.hpp"
 #include "engines/dc_mla.hpp"
 #include "engines/dc_nr.hpp"
@@ -60,6 +59,23 @@ const std::vector<ParityCase>& parity_cases() {
          0.5, 20e-9},
     };
     return cases;
+}
+
+/// DC sweep of `source` straight through the engine's Circuit-level
+/// entry point.
+engines::SweepResult direct_sweep(
+    DcEngine engine, Circuit& ckt, const std::string& source,
+    const linalg::Vector& values,
+    const engines::AnalysisObserver* observer = nullptr) {
+    switch (engine) {
+    case DcEngine::swec:
+        return engines::dc_sweep_swec(ckt, source, values, {}, observer);
+    case DcEngine::newton_raphson:
+        return engines::dc_sweep_nr(ckt, source, values, {}, observer);
+    case DcEngine::mla:
+        return engines::dc_sweep_mla(ckt, source, values, {}, observer);
+    }
+    return {};
 }
 
 TEST(SessionParity, OperatingPointBitIdenticalAllEngines) {
@@ -161,18 +177,8 @@ TEST(SessionParity, DcSweepBitIdenticalAllEngines) {
             const linalg::Vector values = spec.values();
 
             Circuit direct_ckt = c.make();
-            engines::SweepResult direct;
-            switch (engine) {
-            case DcEngine::swec:
-                direct = engines::dc_sweep_swec(direct_ckt, c.source, values);
-                break;
-            case DcEngine::newton_raphson:
-                direct = engines::dc_sweep_nr(direct_ckt, c.source, values);
-                break;
-            case DcEngine::mla:
-                direct = engines::dc_sweep_mla(direct_ckt, c.source, values);
-                break;
-            }
+            const engines::SweepResult direct =
+                direct_sweep(engine, direct_ckt, c.source, values);
 
             SimSession session(c.make());
             const AnalysisResult result = session.run(spec);
@@ -273,64 +279,95 @@ TEST(SessionCache, RebindAfterParameterTweakKeepsSymbolicAnalysis) {
     EXPECT_GT(second.header.solver.fast_refactors, 0u);
 }
 
-// ---- source restore (RAII guard) -------------------------------------
+// ---- source restore --------------------------------------------------
 
-TEST(SessionSweep, SourceStimulusRestoredAfterSweep) {
-    SimSession session = SimSession::from_deck(R"(
+const char* const k_pulse_divider = R"(
 V1 in 0 PULSE(0 2 10n 1n 1n 50n 100n)
 R1 in out 50
 RTD1 out 0
-.op
-)");
-    const Waveform* original =
-        session.circuit().get<VSource>("V1").wave_ptr().get();
-    ASSERT_NE(original, nullptr);
+)";
 
-    DcSweepSpec spec;
-    spec.source = "V1";
-    spec.start = 0.0;
-    spec.stop = 2.0;
-    spec.step = 0.5;
-    const AnalysisResult result = session.run(spec);
-    EXPECT_EQ(result.sweep().values.size(), 5u);
-    // The EXACT original waveform object is back (not a DC snapshot).
-    EXPECT_EQ(session.circuit().get<VSource>("V1").wave_ptr().get(),
-              original);
+const WaveformPtr& v1_wave(const Circuit& ckt) {
+    return ckt.get<VSource>("V1").wave_ptr();
 }
 
-TEST(SessionSweep, SourceWaveGuardRestoresOnThrow) {
-    Circuit ckt = refckt::rtd_divider();
-    const Waveform* original = ckt.get<VSource>("V1").wave_ptr().get();
-    try {
-        const SourceWaveGuard guard(ckt, "V1");
-        ckt.get_mutable<VSource>("V1").set_wave(
-            std::make_shared<DcWave>(3.0));
-        ASSERT_NE(ckt.get<VSource>("V1").wave_ptr().get(), original);
-        throw std::runtime_error("mid-sweep failure");
-    } catch (const std::runtime_error&) {
+/// The swept source's stimulus before and after one way of running (or
+/// abandoning) a sweep.  Holding `before` keeps the original alive, so
+/// a replacement can never reuse its address.
+struct Stimulus {
+    WaveformPtr before;
+    WaveformPtr after;
+};
+
+struct RestoreCase {
+    const char* label;
+    std::function<Stimulus(DcEngine)> run;
+};
+
+TEST(SweepRestore, OriginalStimulusBackOnEveryExitAllEngines) {
+    const linalg::Vector values = {0.0, 0.5, 1.0, 1.5, 2.0};
+    const std::vector<RestoreCase> cases = {
+        {"circuit sweep",
+         [&](DcEngine engine) {
+             Circuit ckt = parse_deck(k_pulse_divider).circuit;
+             const WaveformPtr before = v1_wave(ckt);
+             EXPECT_EQ(direct_sweep(engine, ckt, "V1", values).values.size(),
+                       5u);
+             return Stimulus{before, v1_wave(ckt)};
+         }},
+        {"session sweep",
+         [](DcEngine engine) {
+             SimSession session = SimSession::from_deck(k_pulse_divider);
+             const WaveformPtr before = v1_wave(session.circuit());
+             DcSweepSpec spec;
+             spec.engine = engine;
+             spec.source = "V1";
+             spec.start = 0.0;
+             spec.stop = 2.0;
+             spec.step = 0.5;
+             EXPECT_EQ(session.run(spec).sweep().values.size(), 5u);
+             return Stimulus{before, v1_wave(session.circuit())};
+         }},
+        {"cancelled after two points",
+         [&](DcEngine engine) {
+             Circuit ckt = parse_deck(k_pulse_divider).circuit;
+             const WaveformPtr before = v1_wave(ckt);
+             int trials = 0;
+             engines::AnalysisObserver obs;
+             obs.on_trial = [&trials](int, int) { ++trials; };
+             obs.cancel = [&trials] { return trials >= 2; };
+             const engines::SweepResult res =
+                 direct_sweep(engine, ckt, "V1", values, &obs);
+             EXPECT_TRUE(res.aborted);
+             EXPECT_EQ(res.values.size(), 2u);
+             return Stimulus{before, v1_wave(ckt)};
+         }},
+        {"observer throws",
+         [&](DcEngine engine) {
+             Circuit ckt = parse_deck(k_pulse_divider).circuit;
+             const WaveformPtr before = v1_wave(ckt);
+             engines::AnalysisObserver obs;
+             obs.on_trial = [](int done, int) {
+                 if (done == 2) {
+                     throw std::runtime_error("observer failure");
+                 }
+             };
+             EXPECT_THROW((void)direct_sweep(engine, ckt, "V1", values, &obs),
+                          std::runtime_error);
+             return Stimulus{before, v1_wave(ckt)};
+         }},
+    };
+    for (const RestoreCase& c : cases) {
+        SCOPED_TRACE(c.label);
+        for (const DcEngine engine :
+             {DcEngine::swec, DcEngine::newton_raphson, DcEngine::mla}) {
+            SCOPED_TRACE(engine_name(engine));
+            const Stimulus s = c.run(engine);
+            ASSERT_NE(s.before, nullptr);
+            // The EXACT original PULSE object is back, not a DC snapshot.
+            EXPECT_EQ(s.after.get(), s.before.get());
+        }
     }
-    EXPECT_EQ(ckt.get<VSource>("V1").wave_ptr().get(), original);
-}
-
-TEST(SessionSweep, GuardRejectsNonSources) {
-    Circuit ckt = refckt::rtd_divider();
-    EXPECT_THROW(SourceWaveGuard(ckt, "R1"), NetlistError);
-    EXPECT_THROW(SourceWaveGuard(ckt, "nope"), NetlistError);
-}
-
-TEST(SimulatorFacade, DcSweepNoLongerParksSourceAtFinalValue) {
-    // The historic facade bug: after dc_sweep the source stayed at the
-    // last sweep value.  Through the session layer the original stimulus
-    // (DC 1 V here) survives.
-    Simulator sim = Simulator::from_deck(R"(
-V1 in 0 DC 1
-R1 in out 50
-RTD1 out 0
-)");
-    const auto sweep = sim.dc_sweep("V1", 0.0, 5.0, 0.5);
-    EXPECT_EQ(sweep.values.size(), 11u);
-    EXPECT_DOUBLE_EQ(sim.circuit().get<VSource>("V1").wave().value(0.0),
-                     1.0);
 }
 
 // ---- spec plumbing ---------------------------------------------------
@@ -394,6 +431,44 @@ TEST(SessionSpecs, BadSweepSpecThrows) {
     bad.stop = 5.0;
     bad.step = -0.5; // wrong direction
     EXPECT_THROW((void)session.run(bad), AnalysisError);
+    bad.step = 0.5;
+    bad.source = "R1"; // not a V or I source
+    EXPECT_THROW((void)session.run(bad), NetlistError);
+    bad.source = "nope";
+    EXPECT_THROW((void)session.run(bad), NetlistError);
+}
+
+TEST(SessionSpecs, DcCardsKeepTheEndpointOnEveryEngine) {
+    // 0.3 / 0.1 and 0.7 / 0.1 land a rounding error below 3 and 7; the
+    // sweep must still reach `stop` on the card's step.  5 / 0.1 is
+    // exactly 50.
+    SimSession session = SimSession::from_deck(R"(
+V1 in 0 DC 1
+R1 in out 50
+RTD1 out 0
+.dc V1 0 0.3 0.1
+.dc V1 0 0.7 0.1
+.dc V1 0 5 0.1
+)");
+    const std::vector<std::size_t> points = {4, 8, 51};
+    for (const DcEngine engine :
+         {DcEngine::swec, DcEngine::newton_raphson, DcEngine::mla}) {
+        SCOPED_TRACE(engine_name(engine));
+        const std::vector<AnalysisSpec> specs =
+            SimSession::specs_from_deck(session.deck_analyses(), engine);
+        ASSERT_EQ(specs.size(), points.size());
+        for (std::size_t i = 0; i < specs.size(); ++i) {
+            const auto& spec = std::get<DcSweepSpec>(specs[i]);
+            const linalg::Vector values = spec.values();
+            ASSERT_EQ(values.size(), points[i]) << "stop " << spec.stop;
+            EXPECT_DOUBLE_EQ(values.front(), 0.0);
+            EXPECT_DOUBLE_EQ(values.back(), spec.stop);
+            EXPECT_NEAR(values[1] - values[0], 0.1, 1e-12);
+            const AnalysisResult result = session.run(spec);
+            EXPECT_EQ(result.sweep().values, values);
+            EXPECT_EQ(result.sweep().failures(), 0);
+        }
+    }
 }
 
 TEST(SessionSpecs, EnsembleAndMonteCarloRunThroughSession) {
