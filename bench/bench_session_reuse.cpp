@@ -81,8 +81,13 @@ struct PathResults {
                          .mean = analysis::Waveform("mean"),
                          .stddev = analysis::Waveform("stddev"),
                          .stats = stochastic::EnsembleStats(1),
+                         .probes = {},
+                         .trial_steps = {},
+                         .failed_trials = {},
+                         .rescues = {},
                          .aborted = false,
-                         .flops = {}};
+                         .flops = {},
+                         .solver = {}};
     PathTimes times;
     std::size_t full_factors = 0;
     std::size_t fast_refactors = 0;

@@ -73,12 +73,30 @@ struct CommonOptions {
     double deadline_s = 0.0;
 };
 
+constexpr auto field_table(std::type_identity<CommonOptions>) {
+    return std::tuple{
+        Field{"abstol", &CommonOptions::abstol},
+        Field{"reltol", &CommonOptions::reltol},
+        Field{"dt_init", &CommonOptions::dt_init},
+        Field{"dt_min", &CommonOptions::dt_min},
+        Field{"dt_max", &CommonOptions::dt_max},
+        Field{"tabulate", &CommonOptions::tabulate},
+        Field{"deadline_s", &CommonOptions::deadline_s}};
+}
+
 /// DC operating point.
 struct OpSpec {
     std::string name = "op";
     DcEngine engine = DcEngine::swec;
     CommonOptions common;
 };
+
+constexpr auto field_table(std::type_identity<OpSpec>) {
+    return std::tuple{
+        Field{"name", &OpSpec::name},
+        Field{"engine", &OpSpec::engine},
+        Field{"common", &OpSpec::common}};
+}
 
 /// DC sweep of a named V/I source over [start, stop] by `step`.  The
 /// source gets its original stimulus back however the sweep ends.
@@ -99,6 +117,17 @@ struct DcSweepSpec {
     [[nodiscard]] linalg::Vector values() const;
 };
 
+constexpr auto field_table(std::type_identity<DcSweepSpec>) {
+    return std::tuple{
+        Field{"name", &DcSweepSpec::name},
+        Field{"engine", &DcSweepSpec::engine},
+        Field{"common", &DcSweepSpec::common},
+        Field{"source", &DcSweepSpec::source},
+        Field{"start", &DcSweepSpec::start},
+        Field{"stop", &DcSweepSpec::stop},
+        Field{"step", &DcSweepSpec::step}};
+}
+
 /// Transient over [0, t_stop].
 struct TranSpec {
     std::string name = "tran";
@@ -116,6 +145,22 @@ struct TranSpec {
     /// Noise realizations (Monte-Carlo internals; normally empty).
     mna::MnaAssembler::NoiseRealization noise;
 };
+
+/// `noise` is not listed: it is Monte-Carlo engine state, never wire state.
+constexpr auto field_table(std::type_identity<TranSpec>) {
+    return std::tuple{
+        Field{"name", &TranSpec::name},
+        Field{"engine", &TranSpec::engine},
+        Field{"common", &TranSpec::common},
+        Field{"t_stop", &TranSpec::t_stop},
+        Field{"start_from_dc", &TranSpec::start_from_dc},
+        Field{"initial", &TranSpec::initial},
+        Field{"eps", &TranSpec::eps},
+        Field{"adaptive", &TranSpec::adaptive},
+        Field{"use_predictor", &TranSpec::use_predictor},
+        Field{"growth_limit", &TranSpec::growth_limit},
+        Field{"geq_floor", &TranSpec::geq_floor}};
+}
 
 /// Monte-Carlo noise analysis on one node (SWEC transient per trial).
 struct MonteCarloSpec {
@@ -151,6 +196,24 @@ struct MonteCarloSpec {
     engines::SwecTranOptions tran;
 };
 
+constexpr auto field_table(std::type_identity<MonteCarloSpec>) {
+    return std::tuple{
+        Field{"name", &MonteCarloSpec::name},
+        Field{"common", &MonteCarloSpec::common},
+        Field{"node", &MonteCarloSpec::node},
+        Field{"t_stop", &MonteCarloSpec::t_stop},
+        Field{"runs", &MonteCarloSpec::runs},
+        Field{"noise_dt", &MonteCarloSpec::noise_dt},
+        Field{"grid_points", &MonteCarloSpec::grid_points},
+        Field{"seed", &MonteCarloSpec::seed},
+        Field{"parallel", &MonteCarloSpec::parallel},
+        Field{"threads", &MonteCarloSpec::threads},
+        Field{"probes", &MonteCarloSpec::probes},
+        Field{"checkpoint_every", &MonteCarloSpec::checkpoint_every},
+        Field{"resume", &MonteCarloSpec::resume},
+        Field{"tran", &MonteCarloSpec::tran}};
+}
+
 /// Euler-Maruyama stochastic ensemble on one node (paper Sec. 4).
 struct EnsembleSpec {
     std::string name = "em";
@@ -172,6 +235,23 @@ struct EnsembleSpec {
     bool parallel = false;
     int threads = 0;           ///< parallel worker count; 0 = all cores
 };
+
+constexpr auto field_table(std::type_identity<EnsembleSpec>) {
+    return std::tuple{
+        Field{"name", &EnsembleSpec::name},
+        Field{"common", &EnsembleSpec::common},
+        Field{"node", &EnsembleSpec::node},
+        Field{"t_stop", &EnsembleSpec::t_stop},
+        Field{"dt", &EnsembleSpec::dt},
+        Field{"paths", &EnsembleSpec::paths},
+        Field{"scheme", &EnsembleSpec::scheme},
+        Field{"swec_update", &EnsembleSpec::swec_update},
+        Field{"start_from_dc", &EnsembleSpec::start_from_dc},
+        Field{"initial", &EnsembleSpec::initial},
+        Field{"seed", &EnsembleSpec::seed},
+        Field{"parallel", &EnsembleSpec::parallel},
+        Field{"threads", &EnsembleSpec::threads}};
+}
 
 /// One analysis request.
 using AnalysisSpec =
@@ -195,6 +275,17 @@ struct AnalysisHeader {
     SolverWork solver;         ///< cache work spent in this run
     std::uint64_t cache_signature = 0; ///< stamp-pattern signature used
 };
+
+constexpr auto field_table(std::type_identity<AnalysisHeader>) {
+    return std::tuple{
+        Field{"name", &AnalysisHeader::name},
+        Field{"kind", &AnalysisHeader::kind},
+        Field{"engine", &AnalysisHeader::engine},
+        Field{"elapsed_s", &AnalysisHeader::elapsed_s},
+        Field{"aborted", &AnalysisHeader::aborted},
+        Field{"solver", &AnalysisHeader::solver},
+        Field{"cache_signature", &AnalysisHeader::cache_signature}};
+}
 
 /// Typed response: uniform header + engine-native payload.  The typed
 /// accessors throw AnalysisError when the payload kind does not match —
@@ -240,6 +331,13 @@ private:
                             analysis_kind_name(header.kind) + ")");
     }
 };
+
+constexpr auto field_table(std::type_identity<AnalysisResult>) {
+    return std::tuple{
+        Field{"header", &AnalysisResult::header},
+        Field{"payload", &AnalysisResult::payload},
+        Field{"report", &AnalysisResult::report}};
+}
 
 } // namespace nanosim
 

@@ -41,6 +41,7 @@
 #include <vector>
 
 #include "devices/device.hpp"
+#include "util/fields.hpp"
 
 namespace nanosim {
 
@@ -57,6 +58,15 @@ struct TableConfig {
 
     [[nodiscard]] bool operator==(const TableConfig&) const = default;
 };
+
+constexpr auto field_table(std::type_identity<TableConfig>) {
+    return std::tuple{
+        Field{"enabled", &TableConfig::enabled},
+        Field{"v_min", &TableConfig::v_min},
+        Field{"v_max", &TableConfig::v_max},
+        Field{"points", &TableConfig::points},
+        Field{"rel_tol", &TableConfig::rel_tol}};
+}
 
 /// Uniform-grid cubic-Hermite tabulation of one two-terminal model:
 /// current I(V) (with exact dI/dV node slopes) and chord conductance

@@ -38,6 +38,13 @@ struct McFailedTrial {
     std::string diagnostic;
 };
 
+constexpr auto field_table(std::type_identity<McFailedTrial>) {
+    return std::tuple{
+        Field{"trial", &McFailedTrial::trial},
+        Field{"seed", &McFailedTrial::seed},
+        Field{"diagnostic", &McFailedTrial::diagnostic}};
+}
+
 /// Raw Welford accumulator state (stochastic::RunningStats).
 struct McStatState {
     std::uint64_t n = 0;
@@ -47,6 +54,15 @@ struct McStatState {
     double max = 0.0;
 };
 
+constexpr auto field_table(std::type_identity<McStatState>) {
+    return std::tuple{
+        Field{"n", &McStatState::n},
+        Field{"mean", &McStatState::mean},
+        Field{"m2", &McStatState::m2},
+        Field{"min", &McStatState::min},
+        Field{"max", &McStatState::max}};
+}
+
 /// Raw state of one stochastic::EnsembleStats.
 struct McEnsembleState {
     std::vector<McStatState> per_point;
@@ -54,6 +70,15 @@ struct McEnsembleState {
     std::vector<double> peaks;
     std::uint64_t paths = 0;
 };
+
+/// per_point is not listed: it travels as one array per McStatState field
+/// (service/wire.cpp).
+constexpr auto field_table(std::type_identity<McEnsembleState>) {
+    return std::tuple{
+        Field{"peak", &McEnsembleState::peak},
+        Field{"peaks", &McEnsembleState::peaks},
+        Field{"paths", &McEnsembleState::paths}};
+}
 
 /// Resumable Monte-Carlo campaign state (see file comment).
 struct McCheckpoint {
@@ -69,6 +94,20 @@ struct McCheckpoint {
     FlopCounter flops;                     ///< campaign flop tally so far
     obs::RescueCounts rescues;             ///< ladder outcomes so far
 };
+
+constexpr auto field_table(std::type_identity<McCheckpoint>) {
+    return std::tuple{
+        Field{"base_seed", &McCheckpoint::base_seed},
+        Field{"next_trial", &McCheckpoint::next_trial},
+        Field{"runs", &McCheckpoint::runs},
+        Field{"grid_points", &McCheckpoint::grid_points},
+        Field{"primary", &McCheckpoint::primary},
+        Field{"probes", &McCheckpoint::probes},
+        Field{"trial_steps", &McCheckpoint::trial_steps},
+        Field{"failed_trials", &McCheckpoint::failed_trials},
+        Field{"flops", &McCheckpoint::flops},
+        Field{"rescues", &McCheckpoint::rescues}};
+}
 
 /// Snapshot the raw accumulator state of an EnsembleStats.
 [[nodiscard]] McEnsembleState

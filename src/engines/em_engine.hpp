@@ -73,6 +73,16 @@ struct EmEnsembleResult {
     FlopCounter flops;
 };
 
+constexpr auto field_table(std::type_identity<EmEnsembleResult>) {
+    return std::tuple{
+        Field{"grid", &EmEnsembleResult::grid},
+        Field{"mean", &EmEnsembleResult::mean},
+        Field{"stddev", &EmEnsembleResult::stddev},
+        Field{"stats", &EmEnsembleResult::stats},
+        Field{"aborted", &EmEnsembleResult::aborted},
+        Field{"flops", &EmEnsembleResult::flops}};
+}
+
 /// Euler-Maruyama engine bound to one assembled circuit.
 class EmEngine {
 public:

@@ -63,6 +63,15 @@ struct McNodeStats {
     stochastic::EnsembleStats stats;
 };
 
+constexpr auto field_table(std::type_identity<McNodeStats>) {
+    return std::tuple{
+        Field{"node", &McNodeStats::node},
+        Field{"name", &McNodeStats::name},
+        Field{"mean", &McNodeStats::mean},
+        Field{"stddev", &McNodeStats::stddev},
+        Field{"stats", &McNodeStats::stats}};
+}
+
 /// Ensemble statistics of one node voltage over the MC runs.
 struct McResult {
     std::vector<double> grid;
@@ -89,6 +98,22 @@ struct McResult {
     /// not included: its own stats carry that work.
     SolverWork solver;
 };
+
+/// `solver` is not on the wire: the result header carries the run's
+/// solver work.
+constexpr auto field_table(std::type_identity<McResult>) {
+    return std::tuple{
+        Field{"grid", &McResult::grid},
+        Field{"mean", &McResult::mean},
+        Field{"stddev", &McResult::stddev},
+        Field{"stats", &McResult::stats},
+        Field{"probes", &McResult::probes},
+        Field{"trial_steps", &McResult::trial_steps},
+        Field{"failed_trials", &McResult::failed_trials},
+        Field{"rescues", &McResult::rescues},
+        Field{"aborted", &McResult::aborted},
+        Field{"flops", &McResult::flops}};
+}
 
 /// Run the Monte-Carlo analysis, observing `node`.  Trials run on
 /// min(policy workers, trials left) workers — one by default, and then

@@ -30,6 +30,16 @@ struct SolverOrderingStats {
     }
 };
 
+constexpr auto field_table(std::type_identity<SolverOrderingStats>) {
+    using S = SolverOrderingStats;
+    return std::tuple{
+        Field{"ordering", &S::ordering},
+        Field{"pattern_nnz", &S::pattern_nnz},
+        Field{"predicted_fill_natural", &S::predicted_fill_natural},
+        Field{"predicted_fill_chosen", &S::predicted_fill_chosen},
+        Field{"factor_nnz", &S::factor_nnz}};
+}
+
 /// Copy the ordering decision out of a cache's Stats (templated so this
 /// header stays independent of mna/system_cache.hpp).
 template <typename CacheStats>
@@ -94,6 +104,24 @@ struct SolverWork {
         return *this;
     }
 };
+
+constexpr auto field_table(std::type_identity<SolverWork>) {
+    return std::tuple{
+        Field{"full_factors", &SolverWork::full_factors},
+        Field{"fast_refactors", &SolverWork::fast_refactors},
+        Field{"refactors_skipped", &SolverWork::refactors_skipped},
+        Field{"dense_solves", &SolverWork::dense_solves},
+        Field{"pivot_fallbacks", &SolverWork::pivot_fallbacks},
+        Field{"pattern_rebuilds", &SolverWork::pattern_rebuilds},
+        Field{"refine_sweeps", &SolverWork::refine_sweeps},
+        Field{"max_backward_error", &SolverWork::max_backward_error},
+        Field{"analyze_s", &SolverWork::analyze_s},
+        Field{"eval_s", &SolverWork::eval_s},
+        Field{"stamp_s", &SolverWork::stamp_s},
+        Field{"factor_s", &SolverWork::factor_s},
+        Field{"solve_s", &SolverWork::solve_s},
+        Field{"tables_built", &SolverWork::tables_built}};
+}
 
 /// A cache's work between two Stats snapshots (templated, like
 /// make_ordering_stats).  The backward-error peak is `after`'s: callers
@@ -163,6 +191,26 @@ struct DcResult {
     std::vector<linalg::Vector> trace;
 };
 
+constexpr auto field_table(std::type_identity<DcResult>) {
+    using S = DcResult;
+    return std::tuple{
+        Field{"x", &S::x},
+        Field{"converged", &S::converged},
+        Field{"aborted", &S::aborted},
+        Field{"oscillation_detected", &S::oscillation_detected},
+        Field{"iterations", &S::iterations},
+        Field{"residual", &S::residual},
+        Field{"flops", &S::flops},
+        Field{"solver_full_factors", &S::solver_full_factors},
+        Field{"solver_fast_refactors", &S::solver_fast_refactors},
+        Field{"solver_refactors_skipped", &S::solver_refactors_skipped},
+        Field{"solver_dense_solves", &S::solver_dense_solves},
+        Field{"solver_refine_sweeps", &S::solver_refine_sweeps},
+        Field{"solver_max_backward_error", &S::solver_max_backward_error},
+        Field{"solver_ordering", &S::solver_ordering},
+        Field{"trace", &S::trace}};
+}
+
 /// Outcome of a DC sweep: one solution per sweep value.
 struct SweepResult {
     std::vector<double> values;               ///< swept source values
@@ -183,6 +231,16 @@ struct SweepResult {
         return n;
     }
 };
+
+constexpr auto field_table(std::type_identity<SweepResult>) {
+    return std::tuple{
+        Field{"values", &SweepResult::values},
+        Field{"solutions", &SweepResult::solutions},
+        Field{"converged", &SweepResult::converged},
+        Field{"total_iterations", &SweepResult::total_iterations},
+        Field{"aborted", &SweepResult::aborted},
+        Field{"flops", &SweepResult::flops}};
+}
 
 /// Outcome of a transient run.
 struct TranResult {
@@ -232,6 +290,31 @@ struct TranResult {
         return node_waves.at(static_cast<std::size_t>(id - 1));
     }
 };
+
+constexpr auto field_table(std::type_identity<TranResult>) {
+    using S = TranResult;
+    return std::tuple{
+        Field{"node_waves", &S::node_waves},
+        Field{"aborted", &S::aborted},
+        Field{"steps_accepted", &S::steps_accepted},
+        Field{"steps_rejected", &S::steps_rejected},
+        Field{"nr_iterations", &S::nr_iterations},
+        Field{"nonconverged_steps", &S::nonconverged_steps},
+        Field{"min_dt_used", &S::min_dt_used},
+        Field{"max_dt_used", &S::max_dt_used},
+        Field{"max_local_error", &S::max_local_error},
+        Field{"avg_local_error", &S::avg_local_error},
+        Field{"step_bounds", &S::step_bounds},
+        Field{"rescues", &S::rescues},
+        Field{"flops", &S::flops},
+        Field{"solver_full_factors", &S::solver_full_factors},
+        Field{"solver_fast_refactors", &S::solver_fast_refactors},
+        Field{"solver_refactors_skipped", &S::solver_refactors_skipped},
+        Field{"solver_dense_solves", &S::solver_dense_solves},
+        Field{"solver_refine_sweeps", &S::solver_refine_sweeps},
+        Field{"solver_max_backward_error", &S::solver_max_backward_error},
+        Field{"solver_ordering", &S::solver_ordering}};
+}
 
 } // namespace nanosim::engines
 

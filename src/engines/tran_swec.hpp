@@ -52,6 +52,23 @@ struct SwecTranOptions {
     mna::MnaAssembler::NoiseRealization noise;
 };
 
+/// `noise` is not listed: it is Monte-Carlo engine state, never wire state.
+constexpr auto field_table(std::type_identity<SwecTranOptions>) {
+    return std::tuple{
+        Field{"t_stop", &SwecTranOptions::t_stop},
+        Field{"dt_init", &SwecTranOptions::dt_init},
+        Field{"dt_min", &SwecTranOptions::dt_min},
+        Field{"dt_max", &SwecTranOptions::dt_max},
+        Field{"eps", &SwecTranOptions::eps},
+        Field{"adaptive", &SwecTranOptions::adaptive},
+        Field{"use_predictor", &SwecTranOptions::use_predictor},
+        Field{"growth_limit", &SwecTranOptions::growth_limit},
+        Field{"geq_floor", &SwecTranOptions::geq_floor},
+        Field{"start_from_dc", &SwecTranOptions::start_from_dc},
+        Field{"tables", &SwecTranOptions::tables},
+        Field{"initial", &SwecTranOptions::initial}};
+}
+
 /// Run the SWEC transient.  Throws AnalysisError on bad options.
 /// `observer` (optional) receives per-step progress and may cancel
 /// cooperatively — a cancelled run returns the partial waveforms with

@@ -10,17 +10,6 @@ namespace nanosim::obs {
 
 namespace {
 
-void append_number(std::ostream& os, double v) {
-    if (!std::isfinite(v)) {
-        os << "null";
-        return;
-    }
-    std::ostringstream tmp;
-    tmp.precision(17);
-    tmp << v;
-    os << tmp.str();
-}
-
 /// "  label: value" line for pretty(); seconds rendered in ms.
 void time_line(std::ostream& os, const char* label, double seconds) {
     os << "  " << std::left << std::setw(22) << label << std::right
@@ -34,60 +23,42 @@ void count_line(std::ostream& os, const char* label, std::uint64_t v) {
        << '\n';
 }
 
+// to_json: one writer per member type, then the field-table walk.
+void append_json(std::ostream& os, const std::string& s) {
+    os << '"' << json_escape(s) << '"';
+}
+void append_json(std::ostream& os, bool v) { os << (v ? "true" : "false"); }
+void append_json(std::ostream& os, std::uint64_t v) { os << v; }
+
+/// 17 significant digits (exact round trip); non-finite values are null.
+void append_json(std::ostream& os, double v) {
+    if (!std::isfinite(v)) {
+        os << "null";
+        return;
+    }
+    std::ostringstream tmp;
+    tmp.precision(17);
+    tmp << v;
+    os << tmp.str();
+}
+
+template <HasFields S>
+void append_json(std::ostream& os, const S& s) {
+    os << '{';
+    const char* sep = "";
+    for_each_field<S>([&](const auto& field) {
+        os << sep << '"' << field.key << "\":";
+        append_json(os, s.*field.member);
+        sep = ",";
+    });
+    os << '}';
+}
+
 } // namespace
 
 std::string RunReport::to_json() const {
     std::ostringstream os;
-    os << "{\"analysis\":\"" << json_escape(analysis) << "\",\"kind\":\""
-       << json_escape(kind) << "\",\"engine\":\"" << json_escape(engine)
-       << "\",\"elapsed_s\":";
-    append_number(os, elapsed_s);
-    os << ",\"aborted\":" << (aborted ? "true" : "false")
-       << ",\"steps_accepted\":" << steps_accepted
-       << ",\"steps_rejected\":" << steps_rejected
-       << ",\"nr_iterations\":" << nr_iterations
-       << ",\"nonconverged_steps\":" << nonconverged_steps
-       << ",\"step_bounds\":{\"device\":" << bounds.device
-       << ",\"node\":" << bounds.node << ",\"growth\":" << bounds.growth
-       << ",\"dt_max\":" << bounds.dt_max << ",\"dt_min\":" << bounds.dt_min
-       << ",\"breakpoint\":" << bounds.breakpoint
-       << ",\"horizon\":" << bounds.horizon << ",\"fixed\":" << bounds.fixed
-       << "},\"min_dt\":";
-    append_number(os, min_dt);
-    os << ",\"max_dt\":";
-    append_number(os, max_dt);
-    os << ",\"rescues\":{\"dt_backoff_attempted\":"
-       << rescues.dt_backoff_attempted
-       << ",\"dt_backoff_succeeded\":" << rescues.dt_backoff_succeeded
-       << ",\"gmin_attempted\":" << rescues.gmin_attempted
-       << ",\"gmin_succeeded\":" << rescues.gmin_succeeded
-       << ",\"source_attempted\":" << rescues.source_attempted
-       << ",\"source_succeeded\":" << rescues.source_succeeded
-       << "},\"failed_trials\":" << failed_trials
-       << ",\"trials\":" << trials
-       << ",\"full_factors\":" << full_factors
-       << ",\"fast_refactors\":" << fast_refactors
-       << ",\"refactors_skipped\":" << refactors_skipped
-       << ",\"dense_solves\":" << dense_solves
-       << ",\"pivot_fallbacks\":" << pivot_fallbacks
-       << ",\"pattern_rebuilds\":" << pattern_rebuilds
-       << ",\"refine_sweeps\":" << refine_sweeps
-       << ",\"max_backward_error\":";
-    append_number(os, max_backward_error);
-    os << ",\"tables_built\":" << tables_built << ",\"analyze_s\":";
-    append_number(os, analyze_s);
-    os << ",\"eval_s\":";
-    append_number(os, eval_s);
-    os << ",\"stamp_s\":";
-    append_number(os, stamp_s);
-    os << ",\"factor_s\":";
-    append_number(os, factor_s);
-    os << ",\"solve_s\":";
-    append_number(os, solve_s);
-    os << ",\"cache_signature\":" << cache_signature
-       << ",\"pool_tasks\":" << pool_tasks << ",\"pool_queue_wait_s\":";
-    append_number(os, pool_queue_wait_s);
-    os << '}';
+    append_json(os, *this);
     return os.str();
 }
 

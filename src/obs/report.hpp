@@ -18,6 +18,8 @@
 #include <cstdint>
 #include <string>
 
+#include "util/fields.hpp"
+
 namespace nanosim::obs {
 
 /// How many accepted steps were limited by each step-size bound.  For
@@ -43,6 +45,18 @@ struct StepBoundCounts {
                horizon + fixed;
     }
 };
+
+constexpr auto field_table(std::type_identity<StepBoundCounts>) {
+    return std::tuple{
+        Field{"device", &StepBoundCounts::device},
+        Field{"node", &StepBoundCounts::node},
+        Field{"growth", &StepBoundCounts::growth},
+        Field{"dt_max", &StepBoundCounts::dt_max},
+        Field{"dt_min", &StepBoundCounts::dt_min},
+        Field{"breakpoint", &StepBoundCounts::breakpoint},
+        Field{"horizon", &StepBoundCounts::horizon},
+        Field{"fixed", &StepBoundCounts::fixed}};
+}
 
 /// Numerical rescue-ladder outcomes (PR-10 robustness subsystem).  When a
 /// step fails to solve (NR non-convergence, singular/non-finite SWEC
@@ -74,6 +88,16 @@ struct RescueCounts {
         return *this;
     }
 };
+
+constexpr auto field_table(std::type_identity<RescueCounts>) {
+    return std::tuple{
+        Field{"dt_backoff_attempted", &RescueCounts::dt_backoff_attempted},
+        Field{"dt_backoff_succeeded", &RescueCounts::dt_backoff_succeeded},
+        Field{"gmin_attempted", &RescueCounts::gmin_attempted},
+        Field{"gmin_succeeded", &RescueCounts::gmin_succeeded},
+        Field{"source_attempted", &RescueCounts::source_attempted},
+        Field{"source_succeeded", &RescueCounts::source_succeeded}};
+}
 
 /// Aggregated diagnostics for one analysis run.
 struct RunReport {
@@ -124,12 +148,48 @@ struct RunReport {
     std::uint64_t pool_tasks = 0;       ///< thread-pool tasks this run
     double pool_queue_wait_s = 0.0;     ///< summed submit→dequeue latency
 
-    /// One JSON object (keys in declaration order; deterministic).
+    /// One JSON object: the field table below, in order; deterministic.
     [[nodiscard]] std::string to_json() const;
 
     /// Human-readable multi-line rendering for the CLI `report` verb.
     [[nodiscard]] std::string pretty() const;
 };
+
+constexpr auto field_table(std::type_identity<RunReport>) {
+    return std::tuple{
+        Field{"analysis", &RunReport::analysis},
+        Field{"kind", &RunReport::kind},
+        Field{"engine", &RunReport::engine},
+        Field{"elapsed_s", &RunReport::elapsed_s},
+        Field{"aborted", &RunReport::aborted},
+        Field{"steps_accepted", &RunReport::steps_accepted},
+        Field{"steps_rejected", &RunReport::steps_rejected},
+        Field{"nr_iterations", &RunReport::nr_iterations},
+        Field{"nonconverged_steps", &RunReport::nonconverged_steps},
+        Field{"step_bounds", &RunReport::bounds},
+        Field{"min_dt", &RunReport::min_dt},
+        Field{"max_dt", &RunReport::max_dt},
+        Field{"rescues", &RunReport::rescues},
+        Field{"failed_trials", &RunReport::failed_trials},
+        Field{"trials", &RunReport::trials},
+        Field{"full_factors", &RunReport::full_factors},
+        Field{"fast_refactors", &RunReport::fast_refactors},
+        Field{"refactors_skipped", &RunReport::refactors_skipped},
+        Field{"dense_solves", &RunReport::dense_solves},
+        Field{"pivot_fallbacks", &RunReport::pivot_fallbacks},
+        Field{"pattern_rebuilds", &RunReport::pattern_rebuilds},
+        Field{"refine_sweeps", &RunReport::refine_sweeps},
+        Field{"max_backward_error", &RunReport::max_backward_error},
+        Field{"tables_built", &RunReport::tables_built},
+        Field{"analyze_s", &RunReport::analyze_s},
+        Field{"eval_s", &RunReport::eval_s},
+        Field{"stamp_s", &RunReport::stamp_s},
+        Field{"factor_s", &RunReport::factor_s},
+        Field{"solve_s", &RunReport::solve_s},
+        Field{"cache_signature", &RunReport::cache_signature},
+        Field{"pool_tasks", &RunReport::pool_tasks},
+        Field{"pool_queue_wait_s", &RunReport::pool_queue_wait_s}};
+}
 
 } // namespace nanosim::obs
 

@@ -105,6 +105,9 @@ public:
     /// Serialize (compact, deterministic).  Non-finite numbers → null.
     [[nodiscard]] std::string dump() const;
 
+    /// Same kind and contents (numbers compare as doubles: -0 == 0).
+    [[nodiscard]] bool operator==(const Value&) const = default;
+
 private:
     std::variant<std::nullptr_t, bool, double, std::string, Array, Object>
         data_;

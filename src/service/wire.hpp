@@ -4,32 +4,33 @@
 // results as JSON documents; this module is the schema, usable standalone
 // (save a spec to disk, replay a result) without any networking.
 //
-// Spec encoding contract:
-//  * Discriminated by "kind": "op" | "dc" | "tran" | "mc" | "em" (the
-//    analysis_kind_name strings).
-//  * Fields equal to the default-constructed spec are OMITTED, and
-//    parsing fills them back from the same defaults — so
-//    spec_from_json(spec_to_json(s)) reproduces `s` bit-identically and
-//    `{"kind":"op"}` is a complete request.
-//  * Unknown keys are REJECTED (ServiceError), not ignored: a typo like
-//    "t_sop" must not silently run a different simulation.
-//  * TranSpec::noise / MonteCarloSpec::tran.noise (per-trial noise
-//    realizations) are Monte-Carlo ENGINE internals, never wire state;
-//    spec_to_json throws if they are set.
-//  * uint64 fields (seed, cache_signature) that exceed 2^53 travel as
-//    decimal strings (JSON numbers are doubles); the parser accepts
-//    both spellings.
+// One codec walks the field table declared beside each struct
+// (util/fields.hpp), in one of two modes; both REJECT unknown keys
+// (ServiceError), so a typo like "t_sop" cannot silently run a different
+// simulation.
 //
-// Result encoding: full header (incl. the SolverWork split), the
-// engine-native payload, and the obs::RunReport.  Waveforms serialize as
-// {"label","t":[...],"v":[...]} with shortest-round-trip doubles, so a
-// result crossing the wire compares BIT-IDENTICAL to the in-process
-// AnalysisResult — the service acceptance criterion.  Two payload
-// members do not round-trip and are documented as summaries:
-// FlopCounter internals beyond the category tallies (exact), and
-// stochastic::EnsembleStats (serialized as paths/points/peak summary +
-// per-path peaks; parsing restores an empty accumulator — the mean and
-// stddev WAVEFORMS carry the ensemble statistics losslessly).
+//  * Spec mode (the five specs, their option blocks, CircuitSource):
+//    fields equal to the default-constructed struct are OMITTED and
+//    parsing refills them from the same defaults, so
+//    spec_from_json(spec_to_json(s)) reproduces `s` bit-identically and
+//    `{"kind":"op"}` is a complete request.  A spec is discriminated by
+//    "kind": "op" | "dc" | "tran" | "mc" | "em" (analysis_kind_name).
+//    null is rejected.  TranSpec::noise / SwecTranOptions::noise
+//    (per-trial noise realizations) are Monte-Carlo ENGINE internals,
+//    never wire state; spec_to_json throws if they are set.
+//  * Record mode (results: header with its SolverWork, payload and
+//    RunReport; Monte-Carlo checkpoints): every key is written and
+//    required.  Non-finite doubles have no JSON spelling: they encode as
+//    null and decode as NaN, losing the sign of an infinity.
+//
+// Unsigned counters, seeds and signatures above 2^53 travel as decimal
+// strings (JSON numbers are doubles); the parser accepts both spellings,
+// so the header and report cache_signature are exact.  Doubles print as
+// shortest round-trip decimals, so a result crossing the wire compares
+// BIT-IDENTICAL to the in-process AnalysisResult, except for the one
+// summary member: stochastic::EnsembleStats travels as paths/points/peak
+// summary + per-path peaks and decodes to an empty accumulator (the mean
+// and stddev WAVEFORMS carry the ensemble statistics losslessly).
 #ifndef NANOSIM_SERVICE_WIRE_HPP
 #define NANOSIM_SERVICE_WIRE_HPP
 

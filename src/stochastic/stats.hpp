@@ -79,6 +79,7 @@ private:
 /// Point-by-point aggregation of equal-length sample paths.
 class EnsembleStats {
 public:
+    EnsembleStats() = default;
     /// `points` = number of time samples per path.
     explicit EnsembleStats(std::size_t points);
 

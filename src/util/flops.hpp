@@ -16,6 +16,8 @@
 #include <cstdint>
 #include <string>
 
+#include "util/fields.hpp"
+
 namespace nanosim {
 
 /// Tally of floating point work, split by broad category so that benches
@@ -48,6 +50,17 @@ struct FlopCounter {
     /// Human-readable one-line summary (used by bench tables).
     [[nodiscard]] std::string summary() const;
 };
+
+constexpr auto field_table(std::type_identity<FlopCounter>) {
+    return std::tuple{
+        Field{"add", &FlopCounter::add},
+        Field{"mul", &FlopCounter::mul},
+        Field{"div", &FlopCounter::div},
+        Field{"special", &FlopCounter::special},
+        Field{"lu_factor", &FlopCounter::lu_factor},
+        Field{"lu_solve", &FlopCounter::lu_solve},
+        Field{"device_eval", &FlopCounter::device_eval}};
+}
 
 /// Access the thread-local counter that instrumented code charges into.
 /// Never null: a default counter exists even outside any FlopScope.

@@ -9,6 +9,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <memory>
 #include <string>
 #include <thread>
@@ -481,6 +482,52 @@ TEST(ServerLoopback, SubscribeAfterCompletionStillGetsTerminalEvent) {
     const auto event = client.read(); // replayed terminal event
     ASSERT_TRUE(event.has_value());
     EXPECT_EQ(event->at("event").as_string(), "done");
+    server.stop(true);
+    server.wait();
+}
+
+TEST(ServerLoopback, DivergedOpResultDecodesOnEveryEngine) {
+    // A 1e300 A source into 1e300 ohm diverges on every DC engine: the op
+    // comes back unconverged with a non-finite residual and solution,
+    // which travel as null and must decode as NaN.
+    svc::Server server{svc::ServerOptions{}};
+    server.start();
+    svc::Client client("127.0.0.1", server.port());
+    wire::CircuitSource circuit;
+    circuit.deck = "* diverging op\nI1 0 a 1e300\nR1 a 0 1e300\n"
+                   "C1 a 0 1p\n.op\n.end\n";
+    for (const DcEngine engine :
+         {DcEngine::swec, DcEngine::newton_raphson, DcEngine::mla}) {
+        SCOPED_TRACE(engine_name(engine));
+        OpSpec op;
+        op.engine = engine;
+        bool done = false;
+        const auto collect = [&](const json::Value& event) {
+            done = done || event.at("event").as_string() == "done";
+        };
+        const json::Value accepted = client.request(
+            submit_message(circuit, op, /*subscribe=*/true), collect);
+        ASSERT_TRUE(accepted.at("ok").as_bool());
+        const std::uint64_t id = accepted.at("id").as_uint();
+        if (!done) {
+            EXPECT_EQ(client.wait_for_terminal(id, collect)
+                          .at("event")
+                          .as_string(),
+                      "done");
+        }
+        json::Value fetch{json::Object{}};
+        fetch.set("op", "result");
+        fetch.set("id", json::Value(static_cast<double>(id)));
+        const json::Value reply = client.request(fetch);
+        ASSERT_TRUE(reply.at("ok").as_bool());
+        const json::Value& doc = reply.at("result");
+
+        const AnalysisResult result = wire::result_from_json(doc);
+        EXPECT_EQ(result.header.engine, engine_name(engine));
+        EXPECT_FALSE(result.dc().converged);
+        EXPECT_TRUE(std::isnan(result.dc().residual));
+        EXPECT_EQ(wire::result_to_json(result).dump(), doc.dump());
+    }
     server.stop(true);
     server.wait();
 }

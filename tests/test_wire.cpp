@@ -216,6 +216,45 @@ TEST(WireSpec, NoiseRealizationsNeverSerialize) {
                  ServiceError);
 }
 
+TEST(WireSpec, EnginesAndSchemesAreEncoded) {
+    OpSpec op;
+    op.engine = DcEngine::mla;
+    TranSpec tran;
+    tran.engine = TranEngine::newton_raphson;
+    EnsembleSpec em;
+    em.scheme = engines::EmScheme::implicit_be;
+    const json::Value op_doc = wire::spec_to_json(op);
+    const json::Value tran_doc = wire::spec_to_json(tran);
+    const json::Value em_doc = wire::spec_to_json(em);
+    EXPECT_EQ(op_doc.at("engine").as_string(), "mla");
+    EXPECT_EQ(tran_doc.at("engine").as_string(), "nr");
+    EXPECT_EQ(em_doc.at("scheme").as_string(), "implicit");
+    EXPECT_EQ(std::get<OpSpec>(wire::spec_from_json(op_doc)).engine,
+              DcEngine::mla);
+    EXPECT_EQ(std::get<TranSpec>(wire::spec_from_json(tran_doc)).engine,
+              TranEngine::newton_raphson);
+    EXPECT_EQ(std::get<EnsembleSpec>(wire::spec_from_json(em_doc)).scheme,
+              engines::EmScheme::implicit_be);
+    EXPECT_THROW(wire::spec_from_json(json::parse(
+                     R"({"kind":"op","engine":"spice"})")),
+                 ServiceError);
+}
+
+TEST(WireSpec, MonteCarloTranNoiseNeverSerializes) {
+    MonteCarloSpec mc;
+    mc.tran.noise.emplace_back(); // engine-internal per-trial state
+    EXPECT_THROW((void)wire::spec_to_json(AnalysisSpec{mc}), ServiceError);
+}
+
+TEST(WireSpec, NullIsRejected) {
+    EXPECT_THROW(wire::spec_from_json(json::parse(
+                     R"({"kind":"tran","t_stop":null})")),
+                 ServiceError);
+    EXPECT_THROW(wire::spec_from_json(json::parse(
+                     R"({"kind":"tran","initial":[0.5,null]})")),
+                 ServiceError);
+}
+
 // ---- result round-trips -----------------------------------------------
 
 TEST(WireResult, TranResultRoundTripsBitIdentically) {
@@ -336,6 +375,50 @@ TEST(WireResult, MonteCarloResultRoundTrips) {
     doc_b.as_object()[std::string("payload")].as_object().erase(
         std::string("stats"));
     EXPECT_EQ(doc_b.dump(), doc_a.dump());
+}
+
+AnalysisResult small_op_result() {
+    SimSession session(refckt::rc_mesh(2, 2));
+    return session.run(OpSpec{});
+}
+
+TEST(WireResult, UnknownKeysInRecordBlocksAreRejected) {
+    const json::Value doc = wire::result_to_json(small_op_result());
+    for (const char* block : {"report", "payload", "header"}) {
+        SCOPED_TRACE(block);
+        json::Value bad = doc;
+        bad.as_object()[std::string(block)].set("bogus", json::Value(1));
+        EXPECT_THROW((void)wire::result_from_json(bad), ServiceError);
+    }
+}
+
+TEST(WireResult, ReportSignatureTravelsExactly) {
+    AnalysisResult r = small_op_result();
+    // Distinct from the header's, so the report must be decoded from its
+    // own block; neither is representable as a double.
+    r.header.cache_signature = (1ULL << 60) + 1;
+    r.report.cache_signature = (1ULL << 60) + 3;
+    const json::Value doc = wire::result_to_json(r);
+    EXPECT_EQ(doc.at("report").at("cache_signature").as_string(),
+              std::to_string(r.report.cache_signature));
+    const AnalysisResult back = wire::result_from_json(json::parse(doc.dump()));
+    EXPECT_EQ(back.header.cache_signature, r.header.cache_signature);
+    EXPECT_EQ(back.report.cache_signature, r.report.cache_signature);
+}
+
+TEST(WireResult, NonFiniteNumbersDecodeAsNan) {
+    AnalysisResult r = small_op_result();
+    engines::DcResult& dc = std::get<engines::DcResult>(r.payload);
+    dc.residual = std::numeric_limits<double>::infinity();
+    dc.x[0] = -std::numeric_limits<double>::infinity();
+    r.report.max_dt = std::numeric_limits<double>::quiet_NaN();
+    const json::Value doc = json::parse(wire::result_to_json(r).dump());
+    EXPECT_TRUE(doc.at("payload").at("residual").is_null());
+    const AnalysisResult back = wire::result_from_json(doc);
+    EXPECT_TRUE(std::isnan(back.dc().residual));
+    EXPECT_TRUE(std::isnan(back.dc().x[0])); // the sign of inf is lost
+    EXPECT_TRUE(std::isnan(back.report.max_dt));
+    EXPECT_EQ(wire::result_to_json(back).dump(), doc.dump());
 }
 
 // ---- circuit source ---------------------------------------------------
