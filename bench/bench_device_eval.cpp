@@ -19,11 +19,12 @@
 //     slot lookups, per-step MnaBuilder rhs assembly, over the same flat
 //     LU as the other paths.  The reference the program is checked
 //     against;
-//   * program  — the default compiled StampProgram path: flat SoA
-//     per-class evaluation + precomputed-slot scatters, exact closed-form
-//     models.  Gated BIT-IDENTICAL to legacy;
-//   * tables   — program + tabulated chord models (cubic-Hermite chord /
-//     dG/dV lookups, closed-form fallback outside the range).  Gated to
+//   * program  — the compiled StampProgram path with tables.enabled =
+//     false: flat SoA per-class evaluation + precomputed-slot scatters,
+//     exact closed-form models.  Gated BIT-IDENTICAL to legacy;
+//   * tables   — the default SWEC path: program + lazily filled chord
+//     tables (cubic-Hermite chord / dG/dV lookups, closed form outside
+//     the range and in segments that fail the accuracy gate).  Gated to
 //     <= 1e-6 relative waveform deviation and faster than `program` on
 //     the Monte-Carlo workload.
 //

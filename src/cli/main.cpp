@@ -74,7 +74,6 @@ struct CliOptions {
     double tstop = 200e-9;                   ///< --circuit transient horizon
     bool quiet = false;
     bool progress = false;                   ///< stderr progress meter
-    bool tabulate = false;                   ///< tabulated SWEC device models
     bool report = false;                     ///< `report` verb: pretty RunReports
     double deadline_s = 0.0;                 ///< per-analysis wall budget [s]
     std::optional<std::string> trace_path;   ///< --trace FILE.json
@@ -178,7 +177,12 @@ void usage(std::ostream& os) {
           "       nanosim submit --port N (deck.cir | --circuit SPEC)\n"
           "                      [--spec JSON] [options]\n"
           "run options:\n"
-          "  --engine swec|nr|mla|pwl   analysis engine (default swec)\n"
+          "  --engine swec|nr|mla|pwl   analysis engine (default swec;\n"
+          "                             SWEC transients evaluate RTD,\n"
+          "                             diode and nanowire chords from\n"
+          "                             lazily filled lookup tables, each\n"
+          "                             segment gated to <= 1e-6 rel.\n"
+          "                             error, closed form elsewhere)\n"
           "  --csv PREFIX               export results as PREFIX_*.csv\n"
           "  --trace FILE.json          write a Chrome/Perfetto trace of\n"
           "                             the run (load in ui.perfetto.dev\n"
@@ -195,11 +199,6 @@ void usage(std::ostream& os) {
           "                             .tran to --tstop\n"
           "  --tstop T                  --circuit transient horizon [s]\n"
           "                             (default 200e-9)\n"
-          "  --tabulate                 tabulated chord-conductance models\n"
-          "                             for the SWEC engines (cubic-Hermite\n"
-          "                             lookup tables, <= 1e-6 rel. error,\n"
-          "                             exact closed-form fallback outside\n"
-          "                             the tabulated voltage range)\n"
           "  --deadline T               wall-clock budget per analysis [s];\n"
           "                             on expiry the run is cancelled via\n"
           "                             the observer path and returns an\n"
@@ -213,7 +212,8 @@ void usage(std::ostream& os) {
           "  --version                  print version\n"
           "report verb: run the deck's analyses like `run`, then print a\n"
           "  structured per-run solver report (step-bound winners, factor\n"
-          "  strategy mix, analyze/eval/stamp/factor/solve time split)\n"
+          "  strategy mix, analyze/eval/stamp/factor/solve time split,\n"
+          "  chord tables built)\n"
           "  instead of waveform plots; accepts all run options\n"
           "sweep options:\n"
           "  --param DEV:P=a:b:n        axis: device DEV, parameter P, n\n"
@@ -307,8 +307,6 @@ std::optional<CliOptions> parse_args(int argc, char** argv) {
             opt.quiet = true;
         } else if (arg == "--progress") {
             opt.progress = true;
-        } else if (arg == "--tabulate") {
-            opt.tabulate = true;
         } else if (arg == "--verbose") {
             log::set_level(log::Level::info);
         } else if (arg == "--engine") {
@@ -1234,11 +1232,6 @@ int main(int argc, char** argv) {
             std::cout << "deck has no analysis cards (.op/.dc/.tran); "
                          "nothing to do\n";
             return 0;
-        }
-        if (cli->tabulate) {
-            for (AnalysisSpec& spec : specs) {
-                std::visit([](auto& s) { s.common.tabulate = true; }, spec);
-            }
         }
         if (cli->deadline_s > 0.0) {
             for (AnalysisSpec& spec : specs) {

@@ -60,12 +60,6 @@ struct CommonOptions {
     double dt_init = 0.0; ///< transient first step [s]
     double dt_min = 0.0;  ///< transient step floor [s]
     double dt_max = 0.0;  ///< transient step ceiling [s]
-    /// Opt-in tabulated chord-conductance models for the SWEC engines
-    /// (devices/tabulated.hpp): cubic-Hermite lookups replace the
-    /// closed-form transcendentals inside the default voltage range,
-    /// exact fallback outside.  Tables build once per session solver
-    /// cache and are shared across analyses / Monte-Carlo trials.
-    bool tabulate = false;
     /// Wall-clock budget for the whole analysis [s]; 0 = none.  When the
     /// budget runs out the run is cancelled through the observer path and
     /// returns an `aborted` partial result (never an exception) — the
@@ -80,7 +74,6 @@ constexpr auto field_table(std::type_identity<CommonOptions>) {
         Field{"dt_init", &CommonOptions::dt_init},
         Field{"dt_min", &CommonOptions::dt_min},
         Field{"dt_max", &CommonOptions::dt_max},
-        Field{"tabulate", &CommonOptions::tabulate},
         Field{"deadline_s", &CommonOptions::deadline_s}};
 }
 
@@ -193,6 +186,8 @@ struct MonteCarloSpec {
     std::shared_ptr<const engines::McCheckpoint> resume;
     /// Base options for the per-trial transient (t_stop/noise overridden
     /// per trial); lets a spec reproduce engines::McOptions exactly.
+    /// Trials run on tabulated chord models; only an in-process spec can
+    /// set `tran.tables.enabled = false` (tables are not on the wire).
     engines::SwecTranOptions tran;
 };
 

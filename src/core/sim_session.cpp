@@ -353,7 +353,6 @@ AnalysisResult SimSession::run_op(const OpSpec& spec,
         if (spec.common.abstol > 0.0) {
             o.settle_tol = spec.common.abstol;
         }
-        o.tables.enabled = spec.common.tabulate;
         dc = engines::solve_op_swec(*assembler_, o, 0.0, 1.0,
                                     &solver_cache(), observer);
         break;
@@ -394,7 +393,6 @@ SimSession::run_dc_sweep(const DcSweepSpec& spec,
         if (spec.common.abstol > 0.0) {
             o.settle_tol = spec.common.abstol;
         }
-        o.tables.enabled = spec.common.tabulate;
         sweep = engines::dc_sweep_swec(*circuit_, *assembler_, spec.source,
                                        values, o, observer, &solver_cache());
         break;
@@ -442,7 +440,6 @@ AnalysisResult SimSession::run_tran(const TranSpec& spec,
         o.start_from_dc = spec.start_from_dc;
         o.initial = spec.initial;
         o.noise = spec.noise;
-        o.tables.enabled = spec.common.tabulate;
         tran = engines::run_tran_swec(*assembler_, o, observer,
                                       &solver_cache());
         break;
@@ -502,9 +499,6 @@ SimSession::run_monte_carlo(const MonteCarloSpec& spec,
     }
     if (spec.common.dt_max > 0.0) {
         mc.tran.dt_max = spec.common.dt_max;
-    }
-    if (spec.common.tabulate) {
-        mc.tran.tables.enabled = true;
     }
     mc.checkpoint_every = spec.checkpoint_every;
     mc.resume = spec.resume;

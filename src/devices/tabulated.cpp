@@ -3,9 +3,9 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
-#include <cstring>
 #include <limits>
 #include <typeinfo>
+#include <utility>
 
 #include "devices/diode.hpp"
 #include "devices/nanowire.hpp"
@@ -33,8 +33,9 @@ std::uint64_t chord_table_build_count() noexcept {
     return g_build_count.load(std::memory_order_relaxed);
 }
 
-ChordTable::ChordTable(const Model& model, double v_min, double v_max,
-                       std::size_t points) {
+ChordTable::ChordTable(Model model, double v_min, double v_max,
+                       std::size_t points, double rel_tol)
+    : model_(std::move(model)) {
     if (!(v_max > v_min) || points < 2 || !std::isfinite(v_min) ||
         !std::isfinite(v_max)) {
         throw AnalysisError("ChordTable: need finite v_min < v_max and "
@@ -44,43 +45,23 @@ ChordTable::ChordTable(const Model& model, double v_min, double v_max,
     v_max_ = v_max;
     h_ = (v_max - v_min) / static_cast<double>(points - 1);
     inv_h_ = 1.0 / h_;
-    i_.resize(points);
-    di_.resize(points);
-    g_.resize(points);
-    dg_.resize(points);
-    for (std::size_t k = 0; k < points; ++k) {
-        const double v =
-            v_min + (v_max - v_min) * static_cast<double>(k) /
-                        static_cast<double>(points - 1);
-        i_[k] = model.current(v);
-        di_[k] = model.didv(v);
-        g_[k] = model.chord(v);
-        dg_[k] = model.chord_dv(v);
-    }
+    rel_tol_ = rel_tol;
+    nodes_ = std::make_unique_for_overwrite<Node[]>(points);
+    state_.assign(points - 1, State::empty);
     g_build_count.fetch_add(1, std::memory_order_relaxed);
 
-    // Self-measure the chord accuracy at the interval midpoints — the
-    // maxima of the cubic-Hermite interpolation error.
+    // The gate's floor comes from a fixed coarse scan of the whole range,
+    // so no verdict depends on which segments happen to be visited first.
+    const FlopMute mute;
     double g_scale = 0.0;
-    for (const double g : g_) {
-        g_scale = std::max(g_scale, std::abs(g));
+    for (std::size_t j = 0; j <= k_floor_scan; ++j) {
+        g_scale = std::max(
+            g_scale, std::abs(model_.chord(
+                         v_min + (v_max - v_min) * static_cast<double>(j) /
+                                     static_cast<double>(k_floor_scan))));
     }
-    const double floor = std::max(k_error_floor_frac * g_scale,
-                                  std::numeric_limits<double>::min());
-    for (std::size_t k = 0; k + 1 < points; ++k) {
-        const double v = v_min + h_ * (static_cast<double>(k) + 0.5);
-        const double exact = model.chord(v);
-        const double err = std::abs(chord(v) - exact);
-        max_rel_error_ = std::max(
-            max_rel_error_, err / std::max(std::abs(exact), floor));
-    }
-}
-
-ChordTable::Segment ChordTable::segment(double v) const noexcept {
-    const double f = (v - v_min_) * inv_h_;
-    auto i = static_cast<std::size_t>(f);
-    i = std::min(i, g_.size() - 2); // v == v_max lands in the last segment
-    return Segment{i, (v - (v_min_ + h_ * static_cast<double>(i))) * inv_h_};
+    floor_ = std::max(k_error_floor_frac * g_scale,
+                      std::numeric_limits<double>::min());
 }
 
 namespace {
@@ -107,21 +88,57 @@ inline double hermite_dv(double t, double y0, double y1, double d0,
 
 } // namespace
 
-double ChordTable::chord(double v) const noexcept {
-    const Segment s = segment(v);
-    return hermite(s.t, g_[s.i], g_[s.i + 1], dg_[s.i], dg_[s.i + 1], h_);
+bool ChordTable::node_filled(std::size_t k) const noexcept {
+    return (k > 0 && state_[k - 1] != State::empty) ||
+           (k < state_.size() && state_[k] != State::empty);
 }
 
-double ChordTable::chord_dv(double v) const noexcept {
-    const Segment s = segment(v);
-    return hermite_dv(s.t, g_[s.i], g_[s.i + 1], dg_[s.i], dg_[s.i + 1], h_);
+void ChordTable::fill(std::size_t i) {
+    const FlopMute mute;
+    for (const std::size_t k : {i, i + 1}) {
+        if (!node_filled(k)) {
+            model_.chord_and_dv(node_v(static_cast<double>(k)), nodes_[k].g,
+                                nodes_[k].dg);
+        }
+    }
+    const double exact = model_.chord(node_v(static_cast<double>(i) + 0.5));
+    const Node& a = nodes_[i];
+    const Node& b = nodes_[i + 1];
+    const double err = std::abs(hermite(0.5, a.g, b.g, a.dg, b.dg, h_) -
+                                exact);
+    state_[i] = err <= rel_tol_ * std::max(std::abs(exact), floor_)
+                    ? State::accepted
+                    : State::rejected;
 }
 
-double ChordTable::current(double v) const noexcept {
-    const Segment s = segment(v);
-    return hermite(s.t, i_[s.i], i_[s.i + 1], di_[s.i], di_[s.i + 1], h_);
+bool ChordTable::lookup(double v, double& g, double* dg) {
+    if (!contains(v)) {
+        return false;
+    }
+    // v == v_max lands in the last segment.
+    const std::size_t i = std::min(static_cast<std::size_t>((v - v_min_) *
+                                                            inv_h_),
+                                   state_.size() - 1);
+    if (state_[i] == State::empty) {
+        fill(i);
+    }
+    if (state_[i] == State::rejected) {
+        return false;
+    }
+    const double t = (v - node_v(static_cast<double>(i))) * inv_h_;
+    const Node& a = nodes_[i];
+    const Node& b = nodes_[i + 1];
+    g = hermite(t, a.g, b.g, a.dg, b.dg, h_);
+    if (dg != nullptr) {
+        *dg = hermite_dv(t, a.g, b.g, a.dg, b.dg, h_);
+    }
+    return true;
 }
 
+namespace {
+
+/// Identity key of a device's tabulated model: class tag + parameter
+/// bytes + grid config.  Empty when the device class is not tabulatable.
 std::string chord_table_key(const Device& dev, const TableConfig& cfg) {
     std::string key;
     if (typeid(dev) == typeid(Rtd)) {
@@ -154,47 +171,63 @@ std::string chord_table_key(const Device& dev, const TableConfig& cfg) {
     append_bytes(key, cfg.v_min);
     append_bytes(key, cfg.v_max);
     append_bytes(key, cfg.points);
-    // rel_tol is part of the identity: acquire() caches accept/REJECT
-    // decisions, and the same grid can pass one tolerance while failing
-    // a stricter one requested by a later analysis.
+    // rel_tol is part of the identity: a table caches per-segment
+    // accept/reject verdicts, and the same segment can pass one tolerance
+    // while failing a stricter one.
     append_bytes(key, cfg.rel_tol);
     return key;
 }
 
-std::shared_ptr<const ChordTable>
-TableStore::acquire(const Device& dev, const TableConfig& cfg,
-                    std::size_t& builds_out) {
+/// The closed-form chord of a two-terminal device of class Dev, over a
+/// private copy built from its parameters.
+template <typename Dev>
+ChordTable::Model copied_model(const Device& dev) {
+    const auto copy = std::make_shared<const Dev>(
+        dev.name(), 1, k_ground, static_cast<const Dev&>(dev).params());
+    return {[copy](double v, double& g, double& dg) {
+                g = copy->chord_conductance(v);
+                dg = copy->chord_conductance_dv(v);
+            },
+            [copy](double v) { return copy->chord_conductance(v); }};
+}
+
+/// The closed-form model a table of `dev` fills from (`dev` must be
+/// tabulatable).  RTD nodes use the fused evaluator, bit-identical to
+/// the separate chord / chord_dv closed forms.
+ChordTable::Model chord_model(const Device& dev) {
+    if (typeid(dev) == typeid(Rtd)) {
+        const RtdParams p = static_cast<const Rtd&>(dev).params();
+        return {[p](double v, double& g, double& dg) {
+                    rtd_math::chord_and_dv(p, v, g, dg);
+                },
+                [p](double v) { return rtd_math::chord(p, v); }};
+    }
+    if (typeid(dev) == typeid(Diode)) {
+        return copied_model<Diode>(dev);
+    }
+    return copied_model<Nanowire>(dev);
+}
+
+} // namespace
+
+std::shared_ptr<ChordTable> TableStore::acquire(const Device& dev,
+                                                const TableConfig& cfg,
+                                                std::size_t& builds_out) {
     const std::string key = chord_table_key(dev, cfg);
     if (key.empty()) {
         return nullptr;
     }
     if (const auto it = tables_.find(key); it != tables_.end()) {
-        return it->second; // may be a cached rejection (nullptr)
+        return it->second;
     }
-
-    // All tabulatable classes are TwoTerminalNonlinear; the virtual
-    // closed forms resolve any per-class overrides (e.g. the RTD's
-    // analytic eq. (8) chord derivative).
-    const auto& tt = dynamic_cast<const TwoTerminalNonlinear&>(dev);
-    ChordTable::Model model;
-    model.current = [&tt](double v) { return tt.current(v); };
-    model.didv = [&tt](double v) { return tt.didv(v); };
-    model.chord = [&tt](double v) { return tt.chord_conductance(v); };
-    model.chord_dv = [&tt](double v) { return tt.chord_conductance_dv(v); };
-
-    auto table = std::make_shared<const ChordTable>(model, cfg.v_min,
-                                                    cfg.v_max, cfg.points);
+    auto table = std::make_shared<ChordTable>(
+        chord_model(dev), cfg.v_min, cfg.v_max, cfg.points, cfg.rel_tol);
     ++builds_out;
-    std::shared_ptr<const ChordTable> result;
-    if (table->max_rel_error() <= cfg.rel_tol) {
-        result = std::move(table);
-    } // else: accuracy gate failed; cache the rejection as nullptr
-
     if (tables_.size() >= k_max_tables) {
         tables_.erase(tables_.begin());
     }
-    tables_.emplace(key, result);
-    return result;
+    tables_.emplace(key, table);
+    return table;
 }
 
 } // namespace nanosim

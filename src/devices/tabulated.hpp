@@ -2,29 +2,44 @@
 //
 // The SWEC inner loop spends most of its device-model time in the
 // closed-form transcendentals of the Schulman RTD equation (exp / ln /
-// atan per device, per step, per trial).  The paper's own SWEC
-// formulation is table-driven in spirit — the chord conductance is a
-// scalar function of one branch voltage — so this module captures each
-// two-terminal model's
+// atan per device, per step, per trial).  The chord conductance
+// G_eq(V) = I(V)/V and its slope dG_eq/dV each depend on one branch
+// voltage (paper eqs. 6-9), so this module serves both from a
+// uniform-grid cubic-Hermite table over a configured voltage range.
+// Inside the range a lookup is a handful of FMAs; outside it the engines
+// fall back to the exact closed form, so the table can never change
+// which operating branch a circuit settles on.  SWEC transients, and so
+// every Monte-Carlo trial, use tables by default; the SWEC DC march
+// stays closed form.
 //
-//     I(V),  G_eq(V) = I(V)/V,  dG_eq/dV
+// Lazy fill: a table starts empty.  The first lookup that lands in a
+// segment computes that segment's two grid nodes (G_eq and dG_eq/dV from
+// the closed form) and checks the Hermite patch against the closed form
+// at the segment midpoint, where the interpolation error peaks.  A
+// segment that misses TableConfig::rel_tol is rejected: every lookup in
+// it answers "use the closed form", so a table trades at most `rel_tol`
+// of accuracy.  A run pays only for the voltage range it visits.
 //
-// once into a uniform-grid cubic-Hermite table over a configured voltage
-// range.  Inside the range a lookup is a handful of FMAs; outside it the
-// engines fall back to the exact closed form, so the table can never
-// change which operating branch a circuit settles on.
-//
-// Accuracy gating: a freshly built table measures its own worst relative
-// chord error against the closed form on the interval midpoints (the
-// maxima of the Hermite error).  A table that misses TableConfig::rel_tol
-// is rejected at build time and the device stays closed-form — enabling
-// tables can therefore trade at most `rel_tol` of accuracy.
+// Determinism: a node's value depends only on its voltage, and the
+// error floor of the gate is fixed at construction from a coarse scan,
+// never from the segments visited so far.  A lookup therefore returns
+// the same bits, and a segment the same accept/reject verdict, whatever
+// order the segments were filled in.  Construction and fills charge no
+// flops (FlopMute): they are set-up work, and a run's flop total must not
+// depend on which segments its cache filled before.
 //
 // Sharing: tables are keyed by (device class, parameter set, grid
 // config) in a TableStore, so the 1024 identical RTDs of a mesh share
 // ONE table, and a SimSession's persistent solver cache shares that
 // table across every Monte-Carlo trial and sweep point
-// (chord_table_build_count() lets tests assert the reuse).
+// (chord_table_build_count() lets tests assert the reuse).  A table owns
+// a copy of the parameters it tabulates: a later parameter change cannot
+// reach a table filed under the old key.
+//
+// Confinement: a lookup may fill a segment, so a table mutates as it is
+// read.  Each table, and the TableStore holding it, belongs to ONE
+// SystemCache and is used by one thread at a time.  Monte-Carlo workers
+// each own a cache, and so their own tables.
 //
 // Tabulatable classes: Rtd, Diode, Nanowire — two-terminal models whose
 // chord depends on a single branch voltage.  Mosfet/Rtt chords depend on
@@ -41,132 +56,117 @@
 #include <vector>
 
 #include "devices/device.hpp"
-#include "util/fields.hpp"
 
 namespace nanosim {
 
-/// Configuration of the tabulated-model layer (engine option block; a
-/// default-constructed config leaves every model closed-form).
+/// Configuration of the tabulated-model layer (SwecTranOptions::tables).
+/// `enabled = false` is the in-process closed-form reference for tests
+/// and benches; it is not a user-facing option.
 struct TableConfig {
-    bool enabled = false;
+    bool enabled = true;
     double v_min = -2.0;    ///< table range lower bound [V]
     double v_max = 8.0;     ///< table range upper bound [V]
-    std::size_t points = 4097; ///< grid nodes (>= 2)
-    /// Build-time accuracy gate: a table whose measured max relative
-    /// chord error exceeds this is rejected (device stays closed-form).
+    std::size_t points = 1025; ///< grid nodes (>= 2)
+    /// Per-segment accuracy gate: a segment whose midpoint relative
+    /// chord error exceeds this stays closed form.
     double rel_tol = 1e-6;
 
     [[nodiscard]] bool operator==(const TableConfig&) const = default;
 };
 
-constexpr auto field_table(std::type_identity<TableConfig>) {
-    return std::tuple{
-        Field{"enabled", &TableConfig::enabled},
-        Field{"v_min", &TableConfig::v_min},
-        Field{"v_max", &TableConfig::v_max},
-        Field{"points", &TableConfig::points},
-        Field{"rel_tol", &TableConfig::rel_tol}};
-}
-
-/// Uniform-grid cubic-Hermite tabulation of one two-terminal model:
-/// current I(V) (with exact dI/dV node slopes) and chord conductance
-/// G_eq(V) (with exact dG/dV node slopes).  chord_dv() is the analytic
-/// derivative of the chord's Hermite patch, so the tabulated model is a
-/// self-consistent C1 function — the eq. (5) predictor sees exactly the
-/// slope of the conductance the stamp uses.
+/// Lazily filled uniform-grid cubic-Hermite tabulation of one
+/// two-terminal model's chord conductance G_eq(V), with exact dG/dV node
+/// slopes.  The dG_eq/dV a lookup returns is the analytic derivative of
+/// the chord's Hermite patch, so the tabulated model is a
+/// self-consistent C1 function: the eq. (5) predictor sees exactly the
+/// slope of the conductance the stamp uses.  Not thread-safe: lookups
+/// fill segments (see the confinement note above).
 class ChordTable {
 public:
-    /// Closed-form callbacks of the model being tabulated.
+    /// Closed forms of the tabulated model: G_eq(v) and dG_eq/dV at the
+    /// grid nodes, G_eq(v) alone at the midpoints the gate checks (the
+    /// cheaper call).  Both must own everything they read: fills run long
+    /// after construction.
     struct Model {
-        std::function<double(double)> current;  ///< I(V)
-        std::function<double(double)> didv;     ///< dI/dV
-        std::function<double(double)> chord;    ///< I(V)/V (with V->0 limit)
-        std::function<double(double)> chord_dv; ///< d(chord)/dV
+        std::function<void(double v, double& g, double& dg)> chord_and_dv;
+        std::function<double(double v)> chord;
     };
 
-    /// Sample the model on `points` uniform nodes over [v_min, v_max] and
-    /// measure the worst-case midpoint chord error.  Throws AnalysisError
-    /// on a degenerate range or points < 2.
-    ChordTable(const Model& model, double v_min, double v_max,
-               std::size_t points);
+    /// Empty table on `points` uniform nodes over [v_min, v_max] whose
+    /// segments are gated at `rel_tol`.  Fixes the gate's error floor
+    /// from a coarse scan of the model.  Throws AnalysisError on a
+    /// degenerate range or points < 2.
+    ChordTable(Model model, double v_min, double v_max, std::size_t points,
+               double rel_tol);
 
-    [[nodiscard]] double v_min() const noexcept { return v_min_; }
-    [[nodiscard]] double v_max() const noexcept { return v_max_; }
-    [[nodiscard]] std::size_t points() const noexcept { return g_.size(); }
-
-    /// True when v is inside the tabulated range (callers must fall back
-    /// to the closed form outside it).
+    /// True when v is inside the tabulated range.
     [[nodiscard]] bool contains(double v) const noexcept {
         return v >= v_min_ && v <= v_max_;
     }
 
-    /// Chord conductance G_eq(v); only valid when contains(v).
-    [[nodiscard]] double chord(double v) const noexcept;
-    /// dG_eq/dV — exact derivative of the chord() Hermite patch.
-    [[nodiscard]] double chord_dv(double v) const noexcept;
-    /// Branch current I(v); only valid when contains(v).
-    [[nodiscard]] double current(double v) const noexcept;
+    /// Tabulated G_eq(v) into `g` and, when `dg` is non-null, dG_eq/dV
+    /// into *dg; fills v's segment on its first visit.  Returns false and
+    /// writes nothing when v lies outside the range or in a segment that
+    /// failed the accuracy gate: the caller evaluates the closed form.
+    [[nodiscard]] bool lookup(double v, double& g, double* dg = nullptr);
 
-    /// Worst midpoint |table - closed form| / max(|closed form|, floor)
-    /// measured at build time, where floor is k_error_floor_frac of the
-    /// model's conductance scale over the range (errors in conductances
-    /// a thousand times below the device's own scale are circuit noise).
-    [[nodiscard]] double max_rel_error() const noexcept {
-        return max_rel_error_;
-    }
-
-    /// Fraction of the range's max |chord| below which absolute error is
-    /// measured against the floor instead of the (vanishing) local value.
+    /// Fraction of the scanned max |chord| below which absolute error is
+    /// measured against that floor instead of the (vanishing) local value:
+    /// errors in conductances a thousand times below the device's own
+    /// scale are circuit noise.
     static constexpr double k_error_floor_frac = 1e-3;
+    /// Intervals of the construction-time scan that sets the floor (a
+    /// scale, so coarse: a short cold run must not pay for it).
+    static constexpr std::size_t k_floor_scan = 16;
 
 private:
-    struct Segment {
-        std::size_t i;  ///< left node
-        double t;       ///< normalised position in [0, 1]
+    enum class State : std::uint8_t { empty, accepted, rejected };
+    struct Node {
+        double g;  ///< chord at the node
+        double dg; ///< d(chord)/dV at the node
     };
-    [[nodiscard]] Segment segment(double v) const noexcept;
 
+    /// Compute segment i's missing nodes and gate it at its midpoint.
+    void fill(std::size_t i);
+    /// Node k holds a value (a filled segment touches it).
+    [[nodiscard]] bool node_filled(std::size_t k) const noexcept;
+    [[nodiscard]] double node_v(double k) const noexcept {
+        return v_min_ + h_ * k;
+    }
+
+    Model model_;
     double v_min_ = 0.0;
     double v_max_ = 0.0;
-    double inv_h_ = 0.0; ///< 1 / node spacing
     double h_ = 0.0;     ///< node spacing
-    std::vector<double> i_;  ///< current at nodes
-    std::vector<double> di_; ///< dI/dV at nodes
-    std::vector<double> g_;  ///< chord at nodes
-    std::vector<double> dg_; ///< d(chord)/dV at nodes
-    double max_rel_error_ = 0.0;
+    double inv_h_ = 0.0; ///< 1 / node spacing
+    double rel_tol_ = 0.0;
+    double floor_ = 0.0; ///< absolute error floor of the gate
+    /// Left uninitialised: a node is written before any filled segment
+    /// reads it, and a run touches only the pages it visits.
+    std::unique_ptr<Node[]> nodes_;
+    std::vector<State> state_; ///< per segment
 };
 
-/// Process-wide count of ChordTable builds — lets tests assert that a
-/// Monte-Carlo batch built its tables once, not once per trial.
+/// Process-wide count of ChordTable constructions — lets tests assert
+/// that a Monte-Carlo batch built its tables once, not once per trial.
 [[nodiscard]] std::uint64_t chord_table_build_count() noexcept;
 
-/// Registry of built tables keyed by (device class, parameters, grid
-/// config).  acquire() is get-or-build; devices of an untabulatable
-/// class, and tables failing the config's accuracy gate, yield nullptr
-/// (the nullptr is cached too, so a rejected build is not repeated).
+/// Registry of tables keyed by (device class, parameters, grid config).
+/// acquire() is get-or-build; devices of an untabulatable class yield
+/// nullptr.  Confined to one SystemCache, like its tables.
 class TableStore {
 public:
-    [[nodiscard]] std::shared_ptr<const ChordTable>
+    [[nodiscard]] std::shared_ptr<ChordTable>
     acquire(const Device& dev, const TableConfig& cfg,
             std::size_t& builds_out);
-
-    [[nodiscard]] std::size_t size() const noexcept {
-        return tables_.size();
-    }
 
 private:
     /// Bounded: a parameter-sweep session retains recent tables without
     /// accumulating one per sweep point forever.
     static constexpr std::size_t k_max_tables = 64;
 
-    std::map<std::string, std::shared_ptr<const ChordTable>> tables_;
+    std::map<std::string, std::shared_ptr<ChordTable>> tables_;
 };
-
-/// Identity key of a device's tabulated model: class tag + parameter
-/// bytes + grid config.  Empty when the device class is not tabulatable.
-[[nodiscard]] std::string chord_table_key(const Device& dev,
-                                          const TableConfig& cfg);
 
 } // namespace nanosim
 

@@ -44,7 +44,7 @@ DcResult solve_op_swec(const mna::MnaAssembler& assembler,
     }
     const mna::SystemCache::Stats stats_before = cache->stats();
     cache->start_run();
-    cache->configure_tables(options.tables);
+    cache->configure_tables(TableConfig{.enabled = false});
 
     DcResult result;
     result.x = options.initial_guess.empty()

@@ -8,7 +8,9 @@
 // conductances refreshed each step), and the march ends when the state
 // stops moving.  Each step is non-iterative; the chord conductance is
 // positive even across the NDR region, so the march cannot oscillate the
-// way Newton-Raphson does (paper Fig. 7).
+// way Newton-Raphson does (paper Fig. 7).  The march always evaluates
+// the closed-form device models, never the chord tables the transient
+// uses, so Table I's flop accounting stays exact.
 #ifndef NANOSIM_ENGINES_DC_SWEC_HPP
 #define NANOSIM_ENGINES_DC_SWEC_HPP
 
@@ -28,9 +30,6 @@ struct SwecDcOptions {
     double settle_tol = 1e-9; ///< |dx| threshold for steady state [V]
     int settle_checks = 3;    ///< consecutive settled steps required
     int max_steps = 2000;
-    /// Opt-in tabulated chord models for the pseudo-transient march (see
-    /// SwecTranOptions::tables); disabled = exact closed forms.
-    TableConfig tables;
     /// Optional warm start (previous sweep point).
     linalg::Vector initial_guess;
 };

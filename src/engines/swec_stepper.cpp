@@ -50,8 +50,8 @@ SwecStepper::SwecStepper(const mna::MnaAssembler& assembler,
         x_.assign(n_, 0.0);
     }
 
-    // Tabulated chord models (opt-in): bound after the DC solve so the
-    // operating point keeps its own (closed-form by default) setting.
+    // Tabulated chord models: bound after the DC solve, which runs the
+    // closed forms.
     cache_->configure_tables(options_.tables);
     // The transient starts from an exact factor whether or not the DC
     // march ran through this cache.

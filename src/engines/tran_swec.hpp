@@ -38,13 +38,14 @@ struct SwecTranOptions {
     double growth_limit = 2.0; ///< max step growth per step
     double geq_floor = 1e-12;  ///< conductance floor [S] (matrix safety)
     bool start_from_dc = true; ///< initial condition = SWEC DC op
-    /// Opt-in tabulated chord models (devices/tabulated.hpp): chord /
-    /// dG/dV lookups replace the closed-form transcendentals inside the
-    /// configured voltage range, exact closed-form fallback outside it.
-    /// Tables build once per solver cache and are shared across every
-    /// analysis re-enabling the same config (Monte-Carlo trials, sweep
-    /// points).  Disabled by default — the default path stays
-    /// bit-identical to the closed forms.
+    /// Tabulated chord models (devices/tabulated.hpp), on by default:
+    /// chord / dG/dV lookups replace the closed-form transcendentals
+    /// inside the table range, exact closed form outside it and in any
+    /// segment that fails the 1e-6 accuracy gate.  Tables are created
+    /// once per solver cache, fill lazily per segment, and are shared by
+    /// every later transient on that cache (Monte-Carlo trials, sweep
+    /// points).  `tables.enabled = false` is the in-process closed-form
+    /// reference for tests and benches; it is not on the wire.
     TableConfig tables;
     /// Explicit initial condition (overrides start_from_dc when set).
     linalg::Vector initial;
@@ -52,7 +53,8 @@ struct SwecTranOptions {
     mna::MnaAssembler::NoiseRealization noise;
 };
 
-/// `noise` is not listed: it is Monte-Carlo engine state, never wire state.
+/// `noise` is not listed: it is Monte-Carlo engine state, never wire
+/// state.  Neither is `tables`: every wire run tabulates.
 constexpr auto field_table(std::type_identity<SwecTranOptions>) {
     return std::tuple{
         Field{"t_stop", &SwecTranOptions::t_stop},
@@ -65,7 +67,6 @@ constexpr auto field_table(std::type_identity<SwecTranOptions>) {
         Field{"growth_limit", &SwecTranOptions::growth_limit},
         Field{"geq_floor", &SwecTranOptions::geq_floor},
         Field{"start_from_dc", &SwecTranOptions::start_from_dc},
-        Field{"tables", &SwecTranOptions::tables},
         Field{"initial", &SwecTranOptions::initial}};
 }
 

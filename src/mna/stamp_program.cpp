@@ -350,11 +350,12 @@ void StampProgram::eval_chords(const NodeVoltages& v,
     for (std::size_t i = 0; i < n_rtd; ++i) {
         const double vd = vd_[i];
         const std::uint32_t k = rtds_.idx[i];
-        const ChordTable* tb = tables ? rtds_.table[i] : nullptr;
-        if (tb != nullptr && tb->contains(vd)) {
-            geq[k] = tb->chord(vd);
+        ChordTable* tb = tables ? rtds_.table[i] : nullptr;
+        double dg = 0.0;
+        if (tb != nullptr &&
+            tb->lookup(vd, geq[k], with_rate ? &dg : nullptr)) {
             if (with_rate) {
-                geq_rate[k] = tb->chord_dv(vd) * vdot_[i];
+                geq_rate[k] = dg * vdot_[i];
             }
             continue;
         }
@@ -384,11 +385,12 @@ void StampProgram::eval_chords(const NodeVoltages& v,
     for (std::size_t i = 0; i < n_diode; ++i) {
         const double vd = vd_[i];
         const std::uint32_t k = diodes_.idx[i];
-        const ChordTable* tb = tables ? diodes_.table[i] : nullptr;
-        if (tb != nullptr && tb->contains(vd)) {
-            geq[k] = tb->chord(vd);
+        ChordTable* tb = tables ? diodes_.table[i] : nullptr;
+        double dg = 0.0;
+        if (tb != nullptr &&
+            tb->lookup(vd, geq[k], with_rate ? &dg : nullptr)) {
             if (with_rate) {
-                geq_rate[k] = tb->chord_dv(vd) * vdot_[i];
+                geq_rate[k] = dg * vdot_[i];
             }
             continue;
         }
@@ -410,11 +412,12 @@ void StampProgram::eval_chords(const NodeVoltages& v,
     for (std::size_t i = 0; i < n_wire; ++i) {
         const double vd = vd_[i];
         const std::uint32_t k = wires_.idx[i];
-        const ChordTable* tb = tables ? wires_.table[i] : nullptr;
-        if (tb != nullptr && tb->contains(vd)) {
-            geq[k] = tb->chord(vd);
+        ChordTable* tb = tables ? wires_.table[i] : nullptr;
+        double dg = 0.0;
+        if (tb != nullptr &&
+            tb->lookup(vd, geq[k], with_rate ? &dg : nullptr)) {
             if (with_rate) {
-                geq_rate[k] = tb->chord_dv(vd) * vdot_[i];
+                geq_rate[k] = dg * vdot_[i];
             }
             continue;
         }
@@ -744,11 +747,9 @@ std::size_t StampProgram::bind_tables(TableStore& store,
                                       const TableConfig& cfg) {
     std::size_t builds = 0;
     table_refs_.clear();
-    auto bind = [&](const Device* dev,
-                    const ChordTable*& slot) {
+    auto bind = [&](const Device* dev, ChordTable*& slot) {
         slot = nullptr;
-        std::shared_ptr<const ChordTable> table =
-            store.acquire(*dev, cfg, builds);
+        std::shared_ptr<ChordTable> table = store.acquire(*dev, cfg, builds);
         if (table != nullptr) {
             slot = table.get();
             table_refs_.push_back(std::move(table));
@@ -763,6 +764,7 @@ std::size_t StampProgram::bind_tables(TableStore& store,
     for (std::size_t i = 0; i < wires_.dev.size(); ++i) {
         bind(wires_.dev[i], wires_.table[i]);
     }
+    tables_bound_ = true;
     tables_on_ = true;
     return builds;
 }

@@ -16,7 +16,7 @@
 //  * per-device-class SoA evaluation loops (chord conductance + rate) —
 //    RTDs evaluate through rtd_math on their parameter structs, diodes /
 //    nanowires / MOSFETs / RTTs through devirtualised qualified calls,
-//    with opt-in ChordTable lookups replacing the transcendentals;
+//    with ChordTable lookups replacing the transcendentals when bound;
 //  * per-device conductance-pair scatters: the 4 CSC value slots of a
 //    two-terminal conductance stamp, precomputed so a SWEC / PWL / NR /
 //    time-varying restamp is `values[slot] += ±g` — zero virtual calls,
@@ -79,7 +79,8 @@ public:
     /// Chord conductances (and, when `with_rate`, their time rates) of
     /// every nonlinear device, written to geq[k] / geq_rate[k] parallel
     /// to assembler.nonlinear_devices().  Tight per-class loops; bound
-    /// tables short-circuit the closed forms inside their range.
+    /// tables short-circuit the closed forms inside their range.  Const
+    /// for the plan: lookups may still fill segments of the bound tables.
     void eval_chords(const NodeVoltages& v, const NodeVoltages& dvdt,
                      bool with_rate, std::span<double> geq,
                      std::span<double> geq_rate) const;
@@ -146,13 +147,15 @@ public:
     // ---- tabulated models --------------------------------------------
 
     /// Attach tables for every tabulatable device (get-or-build through
-    /// `store`).  Returns the number of tables actually built.
+    /// `store`) and evaluate through them.  Returns the number of tables
+    /// actually built.
     std::size_t bind_tables(TableStore& store, const TableConfig& cfg);
 
-    /// Detach tables — evaluation returns to the exact closed forms.
-    void unbind_tables() noexcept { tables_on_ = false; }
+    /// Evaluate through the bound tables (true) or the exact closed forms
+    /// (false); the bindings survive either way.
+    void use_tables(bool on) noexcept { tables_on_ = on && tables_bound_; }
 
-    [[nodiscard]] bool tables_bound() const noexcept { return tables_on_; }
+    [[nodiscard]] bool tables_bound() const noexcept { return tables_bound_; }
 
     /// Devices currently evaluating through a table (for reporting).
     [[nodiscard]] std::size_t tabulated_devices() const noexcept;
@@ -236,21 +239,21 @@ private:
         /// reads exactly 0.0) — the vectorised gather of eval_chords.
         std::vector<std::uint32_t> pos_slot, neg_slot;
         std::vector<std::uint32_t> idx;
-        std::vector<const ChordTable*> table;
+        std::vector<ChordTable*> table;
     };
     struct DiodeSoA {
         std::vector<const Diode*> dev;
         std::vector<NodeId> pos, neg;
         std::vector<std::uint32_t> pos_slot, neg_slot;
         std::vector<std::uint32_t> idx;
-        std::vector<const ChordTable*> table;
+        std::vector<ChordTable*> table;
     };
     struct WireSoA {
         std::vector<const Nanowire*> dev;
         std::vector<NodeId> pos, neg;
         std::vector<std::uint32_t> pos_slot, neg_slot;
         std::vector<std::uint32_t> idx;
-        std::vector<const ChordTable*> table;
+        std::vector<ChordTable*> table;
     };
     struct MosSoA {
         std::vector<const Mosfet*> dev;
@@ -308,6 +311,7 @@ private:
 
     bool norton_fast_ = true;
     bool gdiag_fast_ = true;
+    bool tables_bound_ = false; ///< table slots hold bind_tables' result
     bool tables_on_ = false;
     // ---- vectorised eval scratch (eval_chords) ------------------------
     // vpad_/dpad_: ground-padded copies of the step's node voltages /
@@ -316,7 +320,7 @@ private:
     // contiguous terminal differences the model loops then read.
     mutable std::vector<double> vpad_, dpad_, vd_, vdot_;
     /// Pins the shared tables the SoA raw pointers refer to.
-    std::vector<std::shared_ptr<const ChordTable>> table_refs_;
+    std::vector<std::shared_ptr<ChordTable>> table_refs_;
 };
 
 } // namespace nanosim::mna

@@ -607,16 +607,14 @@ void SystemCache::configure_tables(const TableConfig& cfg) {
     if (program_ == nullptr) {
         return; // legacy baseline: closed forms only
     }
-    if (!cfg.enabled) {
-        program_->unbind_tables();
+    // Bindings survive a closed-form interlude (the DC march before each
+    // Monte-Carlo trial), so re-enabling the same config costs nothing.
+    if (cfg.enabled &&
+        !(program_->tables_bound() && cfg == bound_table_cfg_)) {
+        stats_.tables_built += program_->bind_tables(table_store_, cfg);
         bound_table_cfg_ = cfg;
-        return;
     }
-    if (program_->tables_bound() && cfg == bound_table_cfg_) {
-        return; // shared across MC trials / sweep points: nothing to do
-    }
-    stats_.tables_built += program_->bind_tables(table_store_, cfg);
-    bound_table_cfg_ = cfg;
+    program_->use_tables(cfg.enabled);
 }
 
 void SystemCache::add_entry(std::size_t row, std::size_t col, double value) {

@@ -233,11 +233,15 @@ public:
                                            std::span<const double> geq_rate,
                                            double eps);
 
-    /// Enable/disable tabulated chord models for eval_chords.  Tables
+    /// Enable/disable tabulated chord models for eval_chords (SWEC
+    /// transients enable them, the SWEC DC march disables them).  Tables
     /// are built once per (device class, params, grid) through the
-    /// cache's TableStore and shared across every later analysis that
-    /// re-enables the same config (Monte-Carlo trials, sweep points).
-    /// Ignored on caches without a program (the legacy baseline).
+    /// cache's TableStore, fill lazily as lookups visit their segments,
+    /// and are shared across every later analysis on this cache
+    /// (Monte-Carlo trials, sweep points).  A table mutates as it is
+    /// read, so it is confined to this cache: one thread at a time, like
+    /// the rest of the cache.  Ignored on caches without a program (the
+    /// legacy baseline).
     void configure_tables(const TableConfig& cfg);
 
     /// Devices currently evaluating through a table.
@@ -283,7 +287,7 @@ public:
         double stamp_s = 0.0;
         double factor_s = 0.0;
         double solve_s = 0.0;
-        std::size_t tables_built = 0; ///< ChordTable builds by this cache
+        std::size_t tables_built = 0; ///< ChordTables this cache created
     };
     [[nodiscard]] const Stats& stats() const noexcept { return stats_; }
 
@@ -383,7 +387,8 @@ private:
 
     /// Compiled per-step execution plan (null on the legacy baseline).
     std::unique_ptr<StampProgram> program_;
-    /// Shared chord tables + the config they were last bound under.
+    /// This cache's chord tables + the config the program's table slots
+    /// were last bound under.
     TableStore table_store_;
     TableConfig bound_table_cfg_;
 

@@ -31,4 +31,8 @@ FlopScope::~FlopScope() {
     g_current = previous_;
 }
 
+FlopMute::FlopMute() : previous_(g_current) { g_current = &scratch_; }
+
+FlopMute::~FlopMute() { g_current = previous_; }
+
 } // namespace nanosim

@@ -103,6 +103,22 @@ private:
     FlopCounter* previous_ = nullptr;
 };
 
+/// RAII scope whose work charges no counter: the tally inside it is
+/// dropped on exit instead of merged into the enclosing scope.  For
+/// set-up work whose cost depends on cache history (chord-table fills),
+/// which must not leak into a run's flop total.
+class FlopMute {
+public:
+    FlopMute();
+    FlopMute(const FlopMute&) = delete;
+    FlopMute& operator=(const FlopMute&) = delete;
+    ~FlopMute();
+
+private:
+    FlopCounter scratch_;
+    FlopCounter* previous_ = nullptr;
+};
+
 } // namespace nanosim
 
 #endif // NANOSIM_UTIL_FLOPS_HPP

@@ -48,7 +48,6 @@ CommonOptions common() {
                          .dt_init = 1e-12,
                          .dt_min = 1e-15,
                          .dt_max = 1e-10,
-                         .tabulate = true,
                          .deadline_s = 2.5};
 }
 
@@ -268,11 +267,6 @@ MonteCarloSpec mc_spec() {
     s.tran.growth_limit = 3.0;
     s.tran.geq_floor = 1e-13;
     s.tran.start_from_dc = false;
-    s.tran.tables = TableConfig{.enabled = true,
-                                .v_min = -1.0,
-                                .v_max = 4.0,
-                                .points = 1025,
-                                .rel_tol = 1e-5};
     s.tran.initial = {0.25, 0.5};
     return s;
 }

@@ -139,7 +139,6 @@ TEST(WireSpec, TranRoundTrip) {
     tran.adaptive = false;
     tran.growth_limit = 1.5;
     tran.common.dt_init = 1e-12;
-    tran.common.tabulate = true;
     expect_spec_roundtrip(tran);
 }
 
