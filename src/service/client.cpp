@@ -167,29 +167,21 @@ void Client::send(const json::Value& message) {
 
 std::optional<json::Value> Client::read() {
     for (;;) {
-        const std::size_t nl = buffer_.find('\n');
-        if (nl != std::string::npos) {
-            std::string line = buffer_.substr(0, nl);
-            buffer_.erase(0, nl + 1);
-            if (line.empty()) {
-                continue;
-            }
-            return json::parse(line);
+        if (const auto line = lines_.next_line()) {
+            return json::parse(*line);
         }
         if (read_timeout_s_ > 0.0 &&
             poll_fd(fd_, POLLIN, read_timeout_s_) <= 0) {
             throw IoError("client: read timed out after " +
                           std::to_string(read_timeout_s_) + " s");
         }
-        char chunk[4096];
-        const ssize_t n = ::recv(fd_, chunk, sizeof(chunk), 0);
+        const ssize_t n = lines_.recv_from(fd_);
         if (n <= 0) {
             if (n < 0 && errno == EINTR) {
                 continue;
             }
             return std::nullopt;
         }
-        buffer_.append(chunk, static_cast<std::size_t>(n));
     }
 }
 

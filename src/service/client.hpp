@@ -25,6 +25,7 @@
 #include <string>
 
 #include "service/json.hpp"
+#include "service/line_buffer.hpp"
 
 namespace nanosim::service {
 
@@ -87,7 +88,7 @@ public:
 private:
     int fd_ = -1;
     double read_timeout_s_ = 0.0;
-    std::string buffer_;
+    LineBuffer lines_;
 };
 
 /// Connect with the RetryPolicy schedule: each failed attempt sleeps

@@ -2,6 +2,7 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -13,6 +14,7 @@
 #include <future>
 #include <map>
 #include <mutex>
+#include <string_view>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -23,6 +25,7 @@
 #include "runtime/thread_pool.hpp"
 #include "service/job_queue.hpp"
 #include "service/json.hpp"
+#include "service/line_buffer.hpp"
 #include "service/session_registry.hpp"
 #include "service/wire.hpp"
 #include "util/error.hpp"
@@ -54,19 +57,20 @@ struct Connection {
 
 using ConnectionPtr = std::shared_ptr<Connection>;
 
-/// Write one NDJSON line; on any send failure the connection is marked
-/// closed (the reader notices on its next recv).
-void send_line(const ConnectionPtr& conn, const std::string& line) {
+/// Write `line` plus its '\n' as one NDJSON line; on any send failure
+/// the connection is marked closed (the reader notices on its next
+/// recv).  Taken by value: callers move their document in, so the '\n'
+/// is appended without copying it.
+void send_line(const ConnectionPtr& conn, std::string line) {
     if (!conn->open.load(std::memory_order_relaxed)) {
         return;
     }
+    line.push_back('\n');
     const std::lock_guard<std::mutex> lock(conn->write_mutex);
-    std::string out = line;
-    out.push_back('\n');
     std::size_t sent = 0;
-    while (sent < out.size()) {
-        const ssize_t n = ::send(conn->fd, out.data() + sent,
-                                 out.size() - sent, MSG_NOSIGNAL);
+    while (sent < line.size()) {
+        const ssize_t n = ::send(conn->fd, line.data() + sent,
+                                 line.size() - sent, MSG_NOSIGNAL);
         if (n <= 0) {
             if (n < 0 && errno == EINTR) {
                 continue;
@@ -288,7 +292,14 @@ struct Server::Impl {
                         std::chrono::milliseconds(2000));
                 }
             }
+            const auto t_run = Clock::now();
             AnalysisResult result = lease.session().run(spec, &observer);
+            // run() starts the elapsed_s clock after it takes the session
+            // lock, so the rest is time spent waiting for another job on
+            // the same circuit.
+            observe("service.session_wait_s",
+                    seconds_between(t_run, Clock::now()) -
+                        result.header.elapsed_s);
             if (failpoints::enabled()) {
                 static auto& fp =
                     failpoints::site("service.result_serialize");
@@ -600,12 +611,16 @@ struct Server::Impl {
             return;
         }
         // Splice the cached wire document instead of re-parsing it; the
-        // response is {"id":...,"ok":true,"result":<doc>}.
+        // response is {"id":...,"ok":true,"phase":...,"result":<doc>},
+        // built with one copy of the document.
+        const std::string& doc = *record->job->result_json;
         std::string line = "{\"id\":" + std::to_string(id) +
                            ",\"ok\":true,\"phase\":\"" +
-                           job_phase_name(phase) + "\",\"result\":" +
-                           *record->job->result_json + "}";
-        send_line(conn, line);
+                           job_phase_name(phase) + "\",\"result\":";
+        line.reserve(line.size() + doc.size() + 2); // "}" and the '\n'
+        line += doc;
+        line += '}';
+        send_line(conn, std::move(line));
     }
 
     void handle_cancel(const ConnectionPtr& conn, std::uint64_t id) {
@@ -654,7 +669,7 @@ struct Server::Impl {
         }
     }
 
-    void handle_line(const ConnectionPtr& conn, const std::string& line) {
+    void handle_line(const ConnectionPtr& conn, std::string_view line) {
         try {
             const json::Value msg = json::parse(line);
             const std::string& op = msg.at("op").as_string();
@@ -718,8 +733,7 @@ struct Server::Impl {
     }
 
     void reader_loop(const ConnectionPtr& conn) {
-        std::string buffer;
-        char chunk[4096];
+        LineBuffer lines;
         bool probed = false; // heartbeat already sent this quiet spell
         while (conn->open.load(std::memory_order_relaxed)) {
             if (options.idle_timeout_s > 0.0) {
@@ -747,7 +761,7 @@ struct Server::Impl {
                 }
                 probed = false;
             }
-            ssize_t n = ::recv(conn->fd, chunk, sizeof(chunk), 0);
+            ssize_t n = lines.recv_from(conn->fd);
             if (failpoints::enabled() && n > 0) {
                 static auto& fp = failpoints::site("service.socket_eof");
                 if (fp.fire()) {
@@ -760,21 +774,9 @@ struct Server::Impl {
                 }
                 break;
             }
-            buffer.append(chunk, static_cast<std::size_t>(n));
-            std::size_t start = 0;
-            for (std::size_t nl = buffer.find('\n', start);
-                 nl != std::string::npos;
-                 nl = buffer.find('\n', start)) {
-                std::string line = buffer.substr(start, nl - start);
-                start = nl + 1;
-                if (!line.empty() && line.back() == '\r') {
-                    line.pop_back();
-                }
-                if (!line.empty()) {
-                    handle_line(conn, line);
-                }
+            while (const auto line = lines.next_line()) {
+                handle_line(conn, *line);
             }
-            buffer.erase(0, start);
         }
         conn->open.store(false, std::memory_order_relaxed);
         // The fd itself is reclaimed later (reaper or stop), but the
@@ -806,6 +808,11 @@ struct Server::Impl {
             if (fd < 0) {
                 continue;
             }
+            // Replies and events are small writes back to back (a submit
+            // reply, then "started").  With Nagle's algorithm on, the
+            // second waits for the client's delayed ACK, 40 ms on Linux.
+            const int one = 1;
+            ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
             auto conn = std::make_shared<Connection>();
             conn->fd = fd;
             conn->reader =
@@ -859,13 +866,18 @@ struct Server::Impl {
         for (const JobRecordPtr& record : records) {
             const JobPhase phase =
                 record->job->phase.load(std::memory_order_acquire);
-            if (phase == JobPhase::queued) {
-                if (queue.cancel(record->job->id)) {
-                    count("service.jobs_cancelled");
-                    publish(record, terminal_event_line(
-                                        *record->job, JobPhase::cancelled));
-                }
-            } else if (phase == JobPhase::running) {
+            if (job_phase_terminal(phase)) {
+                continue;
+            }
+            if (phase == JobPhase::queued &&
+                queue.cancel(record->job->id)) {
+                count("service.jobs_cancelled");
+                publish(record, terminal_event_line(*record->job,
+                                                    JobPhase::cancelled));
+            } else {
+                // Running, or popped by a worker that has not marked it
+                // running yet (still "queued", but no longer in the
+                // queue): execute() and the engine poll this flag.
                 record->job->cancel_requested.store(
                     true, std::memory_order_relaxed);
             }

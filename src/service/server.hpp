@@ -12,7 +12,9 @@
 // Protocol: every request is ONE line of JSON; every response is one
 // line with an "ok" field.  Subscribed connections additionally receive
 // asynchronous event lines ({"event":...,"id":...}) interleaved between
-// responses — a client tells them apart by the "event" key.
+// responses — a client tells them apart by the "event" key.  Accepted
+// sockets set TCP_NODELAY, so an event written right after a reply is
+// not held for the client's delayed ACK.
 //
 //   {"op":"ping"}
 //     -> {"ok":true}

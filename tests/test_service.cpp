@@ -7,11 +7,20 @@
 // SimSession::run.
 #include <gtest/gtest.h>
 
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <netinet/tcp.h>
+#include <poll.h>
+#include <sys/socket.h>
+#include <unistd.h>
+
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cmath>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -528,6 +537,258 @@ TEST(ServerLoopback, DivergedOpResultDecodesOnEveryEngine) {
         EXPECT_TRUE(std::isnan(result.dc().residual));
         EXPECT_EQ(wire::result_to_json(result).dump(), doc.dump());
     }
+    server.stop(true);
+    server.wait();
+}
+
+TEST(ServerLoopback, RoundTripIsNotDelayedAckBound) {
+    // The submit reply and the "started" event are two small writes back
+    // to back.  With Nagle's algorithm on the server socket the second
+    // waits for the client's delayed ACK (40 ms on Linux) on every job
+    // after the first on a connection.
+    svc::Server server{svc::ServerOptions{}};
+    server.start();
+    svc::Client client("127.0.0.1", server.port());
+    wire::CircuitSource circuit;
+    circuit.deck = "* divider\nV1 in 0 DC 1\nR1 in out 1000\n"
+                   "R2 out 0 1000\n.op\n.end\n";
+    json::Value fetch{json::Object{}};
+    fetch.set("op", "result");
+
+    constexpr std::size_t k_round_trips = 21;
+    std::vector<double> rtt_s;
+    for (std::size_t i = 0; i < k_round_trips; ++i) {
+        const auto t0 = std::chrono::steady_clock::now();
+        bool done = false;
+        const auto collect = [&](const json::Value& event) {
+            done = done || event.at("event").as_string() == "done";
+        };
+        const json::Value accepted = client.request(
+            submit_message(circuit, OpSpec{}, /*subscribe=*/true), collect);
+        ASSERT_TRUE(accepted.at("ok").as_bool());
+        const std::uint64_t id = accepted.at("id").as_uint();
+        if (!done) {
+            ASSERT_EQ(client.wait_for_terminal(id).at("event").as_string(),
+                      "done");
+        }
+        fetch.set("id", json::Value(static_cast<double>(id)));
+        ASSERT_TRUE(client.request(fetch).at("ok").as_bool());
+        rtt_s.push_back(std::chrono::duration<double>(
+                            std::chrono::steady_clock::now() - t0)
+                            .count());
+    }
+    const auto mid = rtt_s.begin() + k_round_trips / 2;
+    std::nth_element(rtt_s.begin(), mid, rtt_s.end());
+    EXPECT_LT(*mid, 20e-3) << "median submit -> done -> result round trip";
+    server.stop(true);
+    server.wait();
+}
+
+TEST(ServerLoopback, SessionLockWaitIsObserved) {
+    // Jobs on one circuit share one SimSession, whose run() serializes on
+    // the session lock: the second MC job waits for the first, and
+    // service.session_wait_s shows that wait.
+    obs::set_metrics_enabled(true);
+    obs::metrics().reset();
+    svc::ServerOptions options;
+    options.workers = 2;
+    svc::Server server(options);
+    server.start();
+
+    wire::CircuitSource circuit;
+    circuit.builtin = "mesh:12x12";
+    circuit.noise.push_back({"n6_6", 1e-9});
+    MonteCarloSpec mc;
+    mc.node = "n6_6";
+    mc.t_stop = 2e-9;
+    mc.runs = 16;
+    mc.noise_dt = 1e-10;
+
+    svc::Client first("127.0.0.1", server.port());
+    svc::Client second("127.0.0.1", server.port());
+    bool first_started = false;
+    const json::Value a = first.request(
+        submit_message(circuit, mc, /*subscribe=*/true),
+        [&](const json::Value& event) {
+            first_started = first_started ||
+                            event.at("event").as_string() == "started";
+        });
+    ASSERT_TRUE(a.at("ok").as_bool());
+    while (!first_started) {
+        const auto line = first.read();
+        ASSERT_TRUE(line.has_value());
+        first_started = line->at("event").as_string() == "started";
+    }
+    const json::Value b =
+        second.request(submit_message(circuit, mc, /*subscribe=*/true));
+    ASSERT_TRUE(b.at("ok").as_bool());
+
+    double shorter_run_s = 1e300;
+    for (const auto& [client, reply] :
+         {std::pair{&first, &a}, std::pair{&second, &b}}) {
+        const std::uint64_t id = reply->at("id").as_uint();
+        ASSERT_EQ(client->wait_for_terminal(id).at("event").as_string(),
+                  "done");
+        json::Value fetch{json::Object{}};
+        fetch.set("op", "result");
+        fetch.set("id", json::Value(static_cast<double>(id)));
+        const AnalysisResult result =
+            wire::result_from_json(client->request(fetch).at("result"));
+        shorter_run_s = std::min(shorter_run_s, result.header.elapsed_s);
+    }
+    server.stop(true);
+    server.wait();
+
+    const obs::Histogram& wait = obs::metrics().histogram(
+        "service.session_wait_s", obs::time_buckets());
+    EXPECT_EQ(wait.count(), 2U);
+    // Whichever job took the lock second waited for most of the other's
+    // run (the second was submitted once the first had started), so the
+    // sum is not merely positive.
+    EXPECT_GT(wait.sum(), 0.25 * shorter_run_s);
+    obs::metrics().reset();
+    obs::set_metrics_enabled(false);
+}
+
+// ---- line framing -----------------------------------------------------
+
+/// Owns a socket descriptor.
+struct Fd {
+    int fd = -1;
+    explicit Fd(int f) : fd(f) {}
+    Fd(const Fd&) = delete;
+    Fd& operator=(const Fd&) = delete;
+    ~Fd() {
+        if (fd >= 0) {
+            ::close(fd);
+        }
+    }
+};
+
+/// Turns Nagle's algorithm off on `sock`, so each write below leaves as
+/// its own segment.
+void no_delay(const Fd& sock) {
+    const int one = 1;
+    ::setsockopt(sock.fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+}
+
+/// Binds `sock` to an ephemeral loopback port and listens; returns the
+/// port.
+int listen_loopback(const Fd& sock) {
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    socklen_t len = sizeof(addr);
+    if (sock.fd < 0 ||
+        ::bind(sock.fd, reinterpret_cast<const sockaddr*>(&addr),
+               sizeof(addr)) != 0 ||
+        ::listen(sock.fd, 1) != 0 ||
+        ::getsockname(sock.fd, reinterpret_cast<sockaddr*>(&addr), &len) !=
+            0) {
+        throw IoError("test: cannot listen on loopback");
+    }
+    return ntohs(addr.sin_port);
+}
+
+/// Connects `sock` to a loopback port.
+void connect_loopback(const Fd& sock, int port) {
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    addr.sin_port = htons(static_cast<std::uint16_t>(port));
+    if (sock.fd < 0 ||
+        ::connect(sock.fd, reinterpret_cast<const sockaddr*>(&addr),
+                  sizeof(addr)) != 0) {
+        throw IoError("test: cannot connect on loopback");
+    }
+}
+
+/// Sends all of `bytes`; false when the socket fails.
+bool write_all(int fd, std::string_view bytes) {
+    while (!bytes.empty()) {
+        const ssize_t n =
+            ::send(fd, bytes.data(), bytes.size(), MSG_NOSIGNAL);
+        if (n <= 0) {
+            return false;
+        }
+        bytes.remove_prefix(static_cast<std::size_t>(n));
+    }
+    return true;
+}
+
+void pause_between_writes() {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+}
+
+TEST(LineFraming, ClientReadReturnsEachLineWholeAndInOrder) {
+    const Fd listener(::socket(AF_INET, SOCK_STREAM, 0));
+    const int port = listen_loopback(listener);
+    svc::ClientOptions options;
+    options.read_timeout_s = 30.0; // a framing bug fails, not hangs
+    svc::Client client("127.0.0.1", port, options);
+    const Fd peer(::accept(listener.fd, nullptr, nullptr));
+    ASSERT_GE(peer.fd, 0);
+    no_delay(peer);
+
+    const std::string blob(1200 * 1000, 'x'); // a 1.2 MB line
+    // Two lines in one write, one line over three writes, the 1.2 MB
+    // line, and one more after it.
+    const std::vector<std::string> writes = {
+        "{\"n\":1}\n{\"n\":2}\n", "{\"n\"", ":3", "}\n",
+        "{\"blob\":\"" + blob + "\"}\n", "{\"n\":4}\n"};
+    std::thread writer([&] {
+        for (const std::string& bytes : writes) {
+            if (!write_all(peer.fd, bytes)) {
+                return; // the reader gave up and reports why
+            }
+            pause_between_writes();
+        }
+    });
+    std::vector<json::Value> lines;
+    try {
+        while (lines.size() < 5) {
+            std::optional<json::Value> line = client.read();
+            if (!line.has_value()) {
+                break;
+            }
+            lines.push_back(*std::move(line));
+        }
+    } catch (const std::exception& e) {
+        ADD_FAILURE() << e.what();
+    }
+    ::shutdown(peer.fd, SHUT_RDWR); // unblocks the writer if reads stopped
+    writer.join();
+
+    ASSERT_EQ(lines.size(), 5U);
+    EXPECT_EQ(lines[0].at("n").as_int(), 1);
+    EXPECT_EQ(lines[1].at("n").as_int(), 2);
+    EXPECT_EQ(lines[2].at("n").as_int(), 3);
+    EXPECT_TRUE(lines[3].at("blob").as_string() == blob);
+    EXPECT_EQ(lines[4].at("n").as_int(), 4);
+}
+
+TEST(LineFraming, ServerAnswersCoalescedAndSplitRequests) {
+    svc::Server server{svc::ServerOptions{}};
+    server.start();
+    const Fd sock(::socket(AF_INET, SOCK_STREAM, 0));
+    connect_loopback(sock, server.port());
+    no_delay(sock);
+    // Two pings in one write, then one ping split across two writes.
+    ASSERT_TRUE(write_all(sock.fd, "{\"op\":\"ping\"}\n{\"op\":\"ping\"}\n"));
+    ASSERT_TRUE(write_all(sock.fd, "{\"op\":"));
+    pause_between_writes();
+    ASSERT_TRUE(write_all(sock.fd, "\"ping\"}\n"));
+
+    std::string replies;
+    while (std::count(replies.begin(), replies.end(), '\n') < 3) {
+        pollfd p{sock.fd, POLLIN, 0};
+        ASSERT_GT(::poll(&p, 1, 30000), 0) << "waiting after: " << replies;
+        char chunk[256];
+        const ssize_t n = ::recv(sock.fd, chunk, sizeof(chunk), 0);
+        ASSERT_GT(n, 0) << "closed after: " << replies;
+        replies.append(chunk, static_cast<std::size_t>(n));
+    }
+    EXPECT_EQ(replies, "{\"ok\":true}\n{\"ok\":true}\n{\"ok\":true}\n");
     server.stop(true);
     server.wait();
 }
