@@ -37,8 +37,8 @@ int main() {
     em.t_stop = t_stop;
     em.dt = t_stop / steps;
     const engines::EmEngine engine(assembler, em);
-    stochastic::Rng rng(2024);
-    const auto ens = engine.run_ensemble(500, rng, ckt.find_node("n1"));
+    const auto ens =
+        engines::run_em_ensemble(engine, 500, 2024, ckt.find_node("n1"));
 
     // One EM sample path for the figure.
     stochastic::Rng rng_path(7);

@@ -98,9 +98,8 @@ void flop_table() {
     em.t_stop = t_stop;
     em.dt = dt;
     const engines::EmEngine engine(assembler, em);
-    stochastic::Rng rng(1);
     const FlopScope em_scope;
-    const auto ens = engine.run_ensemble(paths, rng, 1);
+    const auto ens = engines::run_em_ensemble(engine, paths, 1, 1);
     const std::uint64_t em_flops = em_scope.counter().total();
 
     engines::McOptions mc;

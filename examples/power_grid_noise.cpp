@@ -90,8 +90,8 @@ int main(int argc, char** argv) {
     opt.start_from_dc = true;
     const engines::EmEngine engine(assembler, opt);
 
-    stochastic::Rng rng(7);
-    const auto ens = engine.run_ensemble(200, rng, ckt.find_node(far));
+    const auto ens =
+        engines::run_em_ensemble(engine, 200, 7, ckt.find_node(far));
 
     std::cout << "far-corner voltage, " << ens.stats.paths()
               << " paths over " << opt.t_stop * 1e9 << " ns:\n"

@@ -27,9 +27,8 @@ int main() {
     opt.dt = 2e-12;
     const engines::EmEngine engine(assembler, opt);
 
-    stochastic::Rng rng(12345);
-    const auto ens = engine.run_ensemble(1000, rng,
-                                         ckt.find_node("n1"));
+    const auto ens =
+        engines::run_em_ensemble(engine, 1000, 12345, ckt.find_node("n1"));
 
     analysis::PlotOptions plot;
     plot.title = "ensemble mean and +1 sigma of V(n1)";

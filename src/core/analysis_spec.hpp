@@ -218,17 +218,17 @@ struct EnsembleSpec {
     double dt = 0.0;           ///< uniform SDE step [s] (required, > 0)
     int paths = 100;           ///< sample paths
     engines::EmScheme scheme = engines::EmScheme::explicit_em;
-    bool swec_update = true;   ///< refresh chord conductances per step
     bool start_from_dc = false;
     linalg::Vector initial;
     std::uint64_t seed = 1;
-    /// false = EmEngine::run_ensemble, every path drawn in turn from one
-    /// Rng(seed); true = engines::run_em_ensemble_parallel on `threads`
-    /// workers, path k drawn from its own SeedSequence stream.  The
-    /// parallel ensemble is bit-identical at any `threads`, but it is a
-    /// different sample from the serial one.
+    /// Picks only the worker count, as MonteCarloSpec::parallel does:
+    /// false = one worker on the calling thread and the session's solver
+    /// cache; true = `threads` workers (engines::run_em_ensemble).  Path
+    /// k draws from SeedSequence(seed).stream(k) and paths reduce in
+    /// path order, so for one seed the result is bit-identical either
+    /// way and at any worker count.
     bool parallel = false;
-    int threads = 0;           ///< parallel worker count; 0 = all cores
+    int threads = 0; ///< worker count when `parallel`; 0 = all cores
 };
 
 constexpr auto field_table(std::type_identity<EnsembleSpec>) {
@@ -240,7 +240,6 @@ constexpr auto field_table(std::type_identity<EnsembleSpec>) {
         Field{"dt", &EnsembleSpec::dt},
         Field{"paths", &EnsembleSpec::paths},
         Field{"scheme", &EnsembleSpec::scheme},
-        Field{"swec_update", &EnsembleSpec::swec_update},
         Field{"start_from_dc", &EnsembleSpec::start_from_dc},
         Field{"initial", &EnsembleSpec::initial},
         Field{"seed", &EnsembleSpec::seed},

@@ -8,7 +8,6 @@
 #include "engines/dc_mla.hpp"
 #include "engines/dc_nr.hpp"
 #include "engines/dc_swec.hpp"
-#include "engines/parallel.hpp"
 #include "engines/tran_nr.hpp"
 #include "engines/tran_pwl.hpp"
 #include "obs/metrics.hpp"
@@ -215,9 +214,13 @@ AnalysisResult SimSession::run(const AnalysisSpec& spec,
         result.header.solver =
             engines::solver_work(before, it->second->stats());
     }
-    if (const auto* mc = std::get_if<engines::McResult>(&result.payload)) {
-        result.header.solver += mc->solver; // the driver's worker caches
-    }
+    std::visit(
+        [&result](const auto& payload) {
+            if constexpr (requires { payload.solver; }) {
+                result.header.solver += payload.solver; // ensemble workers
+            }
+        },
+        result.payload);
     result.header.cache_signature = signature_;
     result.header.elapsed_s = seconds_since(t0);
 
@@ -531,24 +534,17 @@ SimSession::run_ensemble(const EnsembleSpec& spec,
     o.t_stop = spec.t_stop;
     o.dt = spec.dt;
     o.scheme = spec.scheme;
-    o.swec_update = spec.swec_update;
     o.start_from_dc = spec.start_from_dc;
     o.initial = spec.initial;
     const engines::EmEngine engine(*assembler_, o);
     const NodeId node = circuit_->find_node(spec.node);
 
-    auto serial = [&] {
-        stochastic::Rng rng(spec.seed);
-        return engine.run_ensemble(spec.paths, rng, node, observer);
-    };
-    auto parallel = [&] {
-        runtime::ExecutionPolicy policy;
-        policy.threads = spec.threads;
-        return engines::run_em_ensemble_parallel(engine, spec.paths,
-                                                 spec.seed, node, policy,
-                                                 observer);
-    };
-    engines::EmEnsembleResult res = spec.parallel ? parallel() : serial();
+    // As for Monte-Carlo: worker 0 (the only one when !parallel) runs on
+    // the session cache, which also solves the DC operating point.
+    const runtime::ExecutionPolicy policy{spec.parallel ? spec.threads : 1};
+    engines::EmEnsembleResult res =
+        engines::run_em_ensemble(engine, spec.paths, spec.seed, node, policy,
+                                 observer, &solver_cache());
     out.header.aborted = res.aborted;
     out.payload = std::move(res);
     return out;

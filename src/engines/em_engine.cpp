@@ -2,12 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <memory>
+#include <optional>
 
 #include "devices/sources.hpp"
 #include "engines/dc_swec.hpp"
-#include "linalg/lu.hpp"
-#include "obs/trace.hpp"
 #include "util/error.hpp"
 
 namespace nanosim::engines {
@@ -52,8 +50,14 @@ EmEngine::EmEngine(const mna::MnaAssembler& assembler,
         throw AnalysisError(
             "EmEngine: circuit has no noise sources (nothing stochastic)");
     }
+    if (!options_.initial.empty() &&
+        options_.initial.size() !=
+            static_cast<std::size_t>(assembler.unknowns())) {
+        throw AnalysisError("EmEngine: initial size mismatch");
+    }
     if (options_.scheme == EmScheme::explicit_em) {
         check_explicit_feasible();
+        c_lu_.emplace(assembler.c_triplets());
     }
 }
 
@@ -77,32 +81,34 @@ void EmEngine::check_explicit_feasible() const {
     }
 }
 
-linalg::Vector EmEngine::initial_state() const {
-    const auto n = static_cast<std::size_t>(assembler_->unknowns());
+linalg::Vector EmEngine::initial_state(mna::SystemCache& cache) const {
     if (!options_.initial.empty()) {
-        if (options_.initial.size() != n) {
-            throw AnalysisError("EmEngine: initial size mismatch");
-        }
         return options_.initial;
     }
     if (options_.start_from_dc) {
-        return solve_op_swec(*assembler_).x;
+        return solve_op_swec(*assembler_, {}, 0.0, 1.0, &cache).x;
     }
-    return linalg::Vector(n, 0.0);
+    return linalg::Vector(static_cast<std::size_t>(assembler_->unknowns()),
+                          0.0);
 }
 
-EmPathResult EmEngine::run_path(stochastic::Rng& rng) const {
+std::vector<stochastic::WienerPath>
+EmEngine::draw_paths(stochastic::Rng& rng) const {
     std::vector<stochastic::WienerPath> paths;
     paths.reserve(assembler_->noise_sources().size());
     for (std::size_t k = 0; k < assembler_->noise_sources().size(); ++k) {
         paths.emplace_back(rng, options_.t_stop, steps_);
     }
-    return run_path(paths);
+    return paths;
 }
 
-EmPathResult
-EmEngine::run_path(std::span<const stochastic::WienerPath> paths) const {
-    const FlopScope scope;
+EmPathResult EmEngine::run_path(stochastic::Rng& rng,
+                                mna::SystemCache* cache) const {
+    return run_path(draw_paths(rng), cache);
+}
+
+EmPathResult EmEngine::run_path(std::span<const stochastic::WienerPath> paths,
+                                mna::SystemCache* cache) const {
     if (paths.size() != assembler_->noise_sources().size()) {
         throw AnalysisError("EmEngine: need one Wiener path per source");
     }
@@ -112,35 +118,41 @@ EmEngine::run_path(std::span<const stochastic::WienerPath> paths) const {
                 "EmEngine: Wiener path grid does not match engine grid");
         }
     }
-    const auto n = static_cast<std::size_t>(assembler_->unknowns());
-    const auto& nonlinear = assembler_->nonlinear_devices();
-    const double dt = options_.t_stop / static_cast<double>(steps_);
-
-    linalg::Vector x = initial_state();
-
+    std::optional<mna::SystemCache> local_cache; // set-up: outside the tally
+    if (cache == nullptr) {
+        cache = &local_cache.emplace(*assembler_);
+    }
+    const FlopScope scope;
     EmPathResult result;
     for (int i = 0; i < assembler_->num_nodes(); ++i) {
         result.node_waves.emplace_back(
             "v(" + assembler_->circuit().node_name(i + 1) + ")");
     }
-    auto record = [&](double t, const linalg::Vector& state) {
-        for (int i = 0; i < assembler_->num_nodes(); ++i) {
-            result.node_waves[static_cast<std::size_t>(i)].append(
-                t, state[static_cast<std::size_t>(i)]);
-        }
-    };
-    record(0.0, x);
+    integrate(paths, initial_state(*cache), *cache,
+              [&](double t, const linalg::Vector& x) {
+                  for (std::size_t i = 0; i < result.node_waves.size(); ++i) {
+                      result.node_waves[i].append(t, x[i]);
+                  }
+              });
+    result.flops = scope.counter();
+    return result;
+}
 
-    // Explicit scheme: factor C once.
-    std::unique_ptr<linalg::DenseLu> c_lu;
-    if (options_.scheme == EmScheme::explicit_em) {
-        c_lu = std::make_unique<linalg::DenseLu>(
-            assembler_->c_triplets().to_dense());
-    }
-
-    std::vector<double> geq(nonlinear.size(), 0.0);
+void EmEngine::integrate(std::span<const stochastic::WienerPath> paths,
+                         linalg::Vector x, mna::SystemCache& cache,
+                         const Recorder& record) const {
+    // The chord tables SWEC transients use, bound after any DC march
+    // (which runs the closed forms); every path starts from an exact
+    // factor whatever the cache solved before.
+    cache.configure_tables(TableConfig{});
+    cache.start_run();
+    const auto n = static_cast<std::size_t>(assembler_->unknowns());
+    const bool explicit_scheme = options_.scheme == EmScheme::explicit_em;
+    const double dt = options_.t_stop / static_cast<double>(steps_);
+    std::vector<double> geq(assembler_->nonlinear_devices().size(), 0.0);
     std::vector<double> dw(paths.size(), 0.0);
 
+    record(0.0, x);
     for (std::size_t j = 0; j < steps_; ++j) {
         const double t = dt * static_cast<double>(j);
         const double t_next = t + dt;
@@ -148,103 +160,40 @@ EmEngine::run_path(std::span<const stochastic::WienerPath> paths) const {
             dw[k] = paths[k].increment(j);
         }
 
-        // Assemble G(t): static + time-varying + SWEC chords at X_j.
-        linalg::Triplets g = assembler_->static_g();
-        assembler_->add_time_varying_stamps(t, g);
-        if (!nonlinear.empty()) {
-            const NodeVoltages v = assembler_->view(x);
-            for (std::size_t k = 0; k < nonlinear.size(); ++k) {
-                geq[k] = options_.swec_update
-                             ? std::max(nonlinear[k]->swec_conductance(v),
-                                        0.0)
-                             : geq[k];
-            }
-            assembler_->add_swec_stamps(geq, g);
-        }
-
-        if (options_.scheme == EmScheme::explicit_em) {
-            // z solves C z = dt (b - G x) + B dW;  x += z   (eq. 18).
-            const linalg::CsrMatrix g_csr(g);
-            const linalg::Vector gx = g_csr.multiply(x);
-            linalg::Vector rhs = assembler_->rhs(t);
-            for (std::size_t i = 0; i < n; ++i) {
-                rhs[i] = dt * (rhs[i] - gx[i]);
-            }
-            add_noise_injection(*assembler_, dw, rhs, 1.0);
-            const linalg::Vector z = c_lu->solve(rhs);
-            for (std::size_t i = 0; i < n; ++i) {
-                x[i] += z[i];
-            }
-        } else {
+        linalg::Vector rhs = cache.rhs(explicit_scheme ? t : t_next);
+        if (!explicit_scheme) {
             // (C/dt + G) x' = (C/dt) x + b + B dW/dt.
-            linalg::Triplets a = g;
-            linalg::Vector rhs = assembler_->rhs(t_next);
             const linalg::Vector cx = assembler_->c_csr().multiply(x);
             for (std::size_t i = 0; i < n; ++i) {
                 rhs[i] += cx[i] / dt;
             }
-            for (const auto& e : assembler_->c_triplets().entries()) {
-                a.add(e.row, e.col, e.value / dt);
-            }
             add_noise_injection(*assembler_, dw, rhs, 1.0 / dt);
-            x = mna::solve_system(a, rhs);
+        }
+        // G(t) in place: static + time-varying + SWEC chords at X_j.
+        cache.eval_chords(x, {}, false, geq, {});
+        for (double& g : geq) {
+            g = std::max(g, 0.0);
+        }
+        cache.begin(explicit_scheme ? 0.0 : 1.0 / dt, rhs);
+        cache.restamp_time_varying(t);
+        cache.restamp_swec(geq);
+
+        if (explicit_scheme) {
+            // z solves C z = dt (b - G x) + B dW;  x += z   (eq. 18).
+            const linalg::Vector gx = cache.multiply(x);
+            for (std::size_t i = 0; i < n; ++i) {
+                rhs[i] = dt * (rhs[i] - gx[i]);
+            }
+            add_noise_injection(*assembler_, dw, rhs, 1.0);
+            const linalg::Vector z = c_lu_->solve(rhs);
+            for (std::size_t i = 0; i < n; ++i) {
+                x[i] += z[i];
+            }
+        } else {
+            x = cache.solve(rhs);
         }
         record(t_next, x);
     }
-
-    result.flops = scope.counter();
-    return result;
-}
-
-EmEnsembleResult EmEngine::run_ensemble(int num_paths, stochastic::Rng& rng,
-                                        NodeId node,
-                                        const AnalysisObserver* observer) const {
-    const FlopScope scope;
-    if (num_paths < 1) {
-        throw AnalysisError("EmEngine::run_ensemble: need >= 1 path");
-    }
-    if (node == k_ground || node > assembler_->num_nodes()) {
-        throw AnalysisError("EmEngine::run_ensemble: bad node");
-    }
-    const double dt = options_.t_stop / static_cast<double>(steps_);
-
-    EmEnsembleResult out{.grid = {},
-                         .mean = analysis::Waveform("mean"),
-                         .stddev = analysis::Waveform("stddev"),
-                         .stats = stochastic::EnsembleStats(steps_ + 1),
-                         .aborted = false,
-                         .flops = {}};
-    out.grid.resize(steps_ + 1);
-    for (std::size_t j = 0; j <= steps_; ++j) {
-        out.grid[j] = dt * static_cast<double>(j);
-    }
-
-    const auto node_idx = static_cast<std::size_t>(node - 1);
-    std::vector<double> samples(steps_ + 1);
-    for (int p = 0; p < num_paths; ++p) {
-        if (observer != nullptr && observer->cancelled()) {
-            out.aborted = true;
-            break;
-        }
-        const obs::Span path_span("trial", "em");
-        const EmPathResult path = run_path(rng);
-        const auto& w = path.node_waves[node_idx];
-        for (std::size_t j = 0; j <= steps_; ++j) {
-            samples[j] = w.value_at(j);
-        }
-        out.stats.add_path(samples);
-        if (observer != nullptr) {
-            observer->trial(p + 1, num_paths);
-            observer->progress(static_cast<double>(p + 1) / num_paths);
-        }
-    }
-
-    for (std::size_t j = 0; j <= steps_; ++j) {
-        out.mean.append(out.grid[j], out.stats.at(j).mean());
-        out.stddev.append(out.grid[j], out.stats.at(j).stddev());
-    }
-    out.flops = scope.counter();
-    return out;
 }
 
 } // namespace nanosim::engines

@@ -4,17 +4,21 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <functional>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "devices/sources.hpp"
+#include "engines/em_engine.hpp"
 #include "mna/system_cache.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "runtime/thread_pool.hpp"
+#include "stochastic/seed_sequence.hpp"
 #include "stochastic/rng.hpp"
 #include "util/error.hpp"
 #include "util/failpoints.hpp"
@@ -137,9 +141,6 @@ struct McTrial {
     int steps_accepted = 0;
     /// Rescue-ladder outcomes of the inner transient.
     obs::RescueCounts rescues;
-    /// The trial's own flops: tallies are thread-local, so each trial
-    /// measures itself and the sum does not depend on the scheduling.
-    FlopCounter flops;
     /// mc.trial_fail decision, drawn in trial order before dispatch so
     /// an armed site hits the same trials at any worker count.
     bool inject_fail = false;
@@ -264,6 +265,104 @@ int restore_mc_checkpoint(const McCheckpoint& checkpoint,
     return checkpoint.next_trial;
 }
 
+/// The worker loop of both ensemble drivers (run_monte_carlo and
+/// run_em_ensemble).  Runs trials [first, count) on min(policy workers,
+/// count - first) workers, in chunks that end on multiples of `every`
+/// (0 = one chunk).  Workers claim trials in index order; each runs its
+/// trials through one SystemCache for the whole campaign — worker 0
+/// through `cache` when the caller passes one, every other worker
+/// through a cache it builds on its first trial, outside the flop tally.
+/// A cancel stops workers before they start a trial.  Per chunk, on the
+/// calling thread: `prepare(begin, end)` (optional) before dispatch,
+/// then, after the barrier, `reduce(begin, end)`, which returns false to
+/// stop the campaign.  `trial(k, cache)` runs trial k inside a FlopScope
+/// whose tally lands in flops[k], and returns false when the trial was
+/// cancelled mid-way (its worker then stops); every trial that returns
+/// true reports observer->trial / progress out of `count`.  Returns the
+/// solver work of the caches the loop built.
+SolverWork run_trials(
+    const mna::MnaAssembler& assembler, std::size_t first, std::size_t count,
+    std::size_t every, const runtime::ExecutionPolicy& policy,
+    const AnalysisObserver* observer, mna::SystemCache* cache,
+    std::span<FlopCounter> flops,
+    const std::function<void(std::size_t, std::size_t)>& prepare,
+    const std::function<bool(std::size_t, mna::SystemCache&)>& trial,
+    const std::function<bool(std::size_t, std::size_t)>& reduce) {
+    const std::size_t workers = std::min(
+        static_cast<std::size_t>(policy.resolved()), count - first);
+    std::vector<mna::SystemCache*> caches(workers, nullptr);
+    std::vector<std::unique_ptr<mna::SystemCache>> built(workers);
+    if (workers > 0) {
+        caches[0] = cache;
+    }
+    std::atomic<std::size_t> next{0};
+    std::atomic<int> done{static_cast<int>(first)};
+    const int total = static_cast<int>(count);
+
+    // Worker w claims trials below `end` in index order until none are
+    // left, the run is cancelled, or its trial is cancelled mid-way.
+    auto work = [&](std::size_t w, std::size_t end) {
+        for (std::size_t k = next.fetch_add(1); k < end;
+             k = next.fetch_add(1)) {
+            if (observer != nullptr && observer->cancelled()) {
+                return; // unstarted trials stay empty: skipped
+            }
+            if (caches[w] == nullptr) {
+                // Outside the trial's flop tally: the pattern dry-run is
+                // set-up, and the flops must not depend on the workers.
+                built[w] = std::make_unique<mna::SystemCache>(assembler);
+                caches[w] = built[w].get();
+            }
+            bool finished = false;
+            {
+                const FlopScope scope;
+                finished = trial(k, *caches[w]);
+                flops[k] = scope.counter();
+            }
+            if (!finished) {
+                return;
+            }
+            if (observer != nullptr) {
+                const int d = done.fetch_add(1) + 1;
+                observer->trial(d, total);
+                observer->progress(static_cast<double>(d) / total);
+            }
+        }
+    };
+
+    // Each chunk is a barrier: `reduce` sees a complete prefix.
+    const std::size_t chunk = every > 0 ? every : count;
+    std::optional<runtime::ThreadPool> pool; // declared last: joins first
+    if (workers > 1) {
+        pool.emplace(static_cast<int>(workers));
+    }
+    for (std::size_t begin = first; begin < count;) {
+        const std::size_t end = std::min(count, (begin / chunk + 1) * chunk);
+        if (prepare) {
+            prepare(begin, end);
+        }
+        next.store(begin);
+        if (pool) {
+            runtime::parallel_for(*pool, std::min(workers, end - begin),
+                                  [&](std::size_t w) { work(w, end); });
+        } else {
+            work(0, end);
+        }
+        if (!reduce(begin, end)) {
+            break;
+        }
+        begin = end;
+    }
+
+    SolverWork solver;
+    for (const auto& c : built) {
+        if (c != nullptr) {
+            solver += solver_work(mna::SystemCache::Stats{}, c->stats());
+        }
+    }
+    return solver;
+}
+
 } // namespace
 
 McResult run_monte_carlo(const mna::MnaAssembler& assembler,
@@ -316,85 +415,48 @@ McResult run_monte_carlo(const mna::MnaAssembler& assembler,
         trial_hist = &th;
     }
 
-    // One cache per worker for the whole campaign, built on the worker's
-    // first trial; worker 0 runs on the caller's cache when it has one.
-    const std::size_t workers = std::min(
-        static_cast<std::size_t>(policy.resolved()), runs - first);
-    std::vector<mna::SystemCache*> caches(workers, nullptr);
-    std::vector<std::unique_ptr<mna::SystemCache>> built(workers);
-    if (workers > 0) {
-        caches[0] = cache;
-    }
-
     std::vector<McTrial> trials(runs);
-    std::atomic<std::size_t> next{0};
-    std::atomic<int> done{static_cast<int>(first)};
-    const auto cancelled = [observer] {
-        return observer != nullptr && observer->cancelled();
-    };
-
-    // Worker w claims trials below `end` in index order until none are
-    // left, the run is cancelled, or its trial is cancelled mid-way.
-    auto work = [&](std::size_t w, std::size_t end) {
-        for (std::size_t run = next.fetch_add(1); run < end;
-             run = next.fetch_add(1)) {
-            if (cancelled()) {
-                return; // unstarted trials stay empty: skipped
-            }
-            if (caches[w] == nullptr) {
-                // Outside the trial's flop tally: the pattern dry-run is
-                // set-up, and the flops must not depend on the workers.
-                built[w] = std::make_unique<mna::SystemCache>(assembler);
-                caches[w] = built[w].get();
-            }
-            McTrial& trial = trials[run];
-            const obs::Span trial_span("trial", "mc");
-            const auto trial_t0 = std::chrono::steady_clock::now();
-            {
-                const FlopScope scope;
-                try {
-                    if (trial.inject_fail) {
-                        throw AnalysisError("fail-point mc.trial_fail fired");
-                    }
-                    mc_realization(assembler, options, noise,
-                                   static_cast<int>(run), node, out.grid,
-                                   observer, *caches[w], trial);
-                } catch (const SimError& e) {
-                    // Rescue ladder exhausted: quarantine the trial (seed
-                    // + diagnostic replay it offline) and keep going —
-                    // one pathological realization must not abort the
-                    // campaign.
-                    trial.failed = true;
-                    trial.diagnostic = e.what();
-                }
-                trial.flops = scope.counter();
-            }
-            if (trial_hist != nullptr) {
-                trial_hist->observe(std::chrono::duration<double>(
-                                        std::chrono::steady_clock::now() -
-                                        trial_t0)
-                                        .count());
-            }
-            if (!trial.failed && trial.samples.empty()) {
-                return; // cancelled mid-trial: skipped, like unstarted
-            }
-            if (observer != nullptr) {
-                const int k = done.fetch_add(1) + 1;
-                observer->trial(k, options.runs);
-                observer->progress(static_cast<double>(k) / options.runs);
-            }
+    std::vector<FlopCounter> flops(runs);
+    auto draw_fail_points = [&](std::size_t begin, std::size_t end) {
+        for (std::size_t run = begin; run < end; ++run) {
+            trials[run].inject_fail = mc_trial_fail_injected();
         }
     };
-
-    // Reduce trials [begin, end) in trial order: bit-identical for any
-    // worker count.
+    auto run_trial = [&](std::size_t run, mna::SystemCache& trial_cache) {
+        McTrial& trial = trials[run];
+        const obs::Span trial_span("trial", "mc");
+        const auto trial_t0 = std::chrono::steady_clock::now();
+        try {
+            if (trial.inject_fail) {
+                throw AnalysisError("fail-point mc.trial_fail fired");
+            }
+            mc_realization(assembler, options, noise, static_cast<int>(run),
+                           node, out.grid, observer, trial_cache, trial);
+        } catch (const SimError& e) {
+            // Rescue ladder exhausted: quarantine the trial (seed +
+            // diagnostic replay it offline) and keep going — one
+            // pathological realization must not abort the campaign.
+            trial.failed = true;
+            trial.diagnostic = e.what();
+        }
+        if (trial_hist != nullptr) {
+            trial_hist->observe(std::chrono::duration<double>(
+                                    std::chrono::steady_clock::now() -
+                                    trial_t0)
+                                    .count());
+        }
+        // Cancelled mid-trial: skipped, like unstarted.
+        return trial.failed || !trial.samples.empty();
+    };
+    // Reduce trials [begin, end) in trial order (bit-identical for any
+    // worker count), then checkpoint the reduced prefix.
     auto reduce = [&](std::size_t begin, std::size_t end) {
         for (std::size_t run = begin; run < end; ++run) {
             McTrial& trial = trials[run];
             if (trial.failed) {
                 out.failed_trials.push_back(McFailedTrial{
                     static_cast<int>(run), base, std::move(trial.diagnostic)});
-                out.flops += trial.flops;
+                out.flops += flops[run];
                 continue;
             }
             if (trial.samples.empty()) { // skipped after a cancel
@@ -407,46 +469,21 @@ McResult run_monte_carlo(const mna::MnaAssembler& assembler,
                 out.probes[k].stats.add_path(trial.probe_samples[k]);
             }
             out.rescues += trial.rescues;
-            out.flops += trial.flops;
+            out.flops += flops[run];
         }
-    };
-
-    // Chunks end on the checkpoint boundaries (the whole campaign is one
-    // chunk without checkpoints).  Each chunk is a barrier, so the
-    // checkpoint snapshots a reduced prefix whatever the worker count.
-    const std::size_t every =
-        options.checkpoint_every > 0
-            ? static_cast<std::size_t>(options.checkpoint_every)
-            : runs;
-    std::optional<runtime::ThreadPool> pool; // declared last: joins first
-    if (workers > 1) {
-        pool.emplace(static_cast<int>(workers));
-    }
-    for (std::size_t begin = first; begin < runs && !out.aborted;) {
-        const std::size_t end = std::min(runs, (begin / every + 1) * every);
-        for (std::size_t run = begin; run < end; ++run) {
-            trials[run].inject_fail = mc_trial_fail_injected();
-        }
-        next.store(begin);
-        if (pool) {
-            runtime::parallel_for(*pool, std::min(workers, end - begin),
-                                  [&](std::size_t w) { work(w, end); });
-        } else {
-            work(0, end);
-        }
-        reduce(begin, end);
         if (!out.aborted && end < runs && options.checkpoint_every > 0) {
-            emit_mc_checkpoint(observer, base, static_cast<int>(end),
-                               options, out);
+            emit_mc_checkpoint(observer, base, static_cast<int>(end), options,
+                               out);
         }
-        begin = end;
-    }
+        return !out.aborted;
+    };
+    // Chunks end on the checkpoint boundaries, so each checkpoint
+    // snapshots a reduced prefix whatever the worker count.
+    out.solver = run_trials(
+        assembler, first, runs,
+        static_cast<std::size_t>(std::max(options.checkpoint_every, 0)),
+        policy, observer, cache, flops, draw_fail_points, run_trial, reduce);
 
-    for (const auto& c : built) {
-        if (c != nullptr) {
-            out.solver += solver_work(mna::SystemCache::Stats{}, c->stats());
-        }
-    }
     for (std::size_t j = 0; j < options.grid_points; ++j) {
         const auto& s = out.stats.at(j);
         out.mean.append(out.grid[j], s.mean());
@@ -456,6 +493,85 @@ McResult run_monte_carlo(const mna::MnaAssembler& assembler,
             probe.mean.append(out.grid[j], p.mean());
             probe.stddev.append(out.grid[j], p.stddev());
         }
+    }
+    return out;
+}
+
+EmEnsembleResult run_em_ensemble(const EmEngine& engine, int num_paths,
+                                 std::uint64_t seed, NodeId node,
+                                 const runtime::ExecutionPolicy& policy,
+                                 const AnalysisObserver* observer,
+                                 mna::SystemCache* cache) {
+    const mna::MnaAssembler& assembler = *engine.assembler_;
+    if (num_paths < 1) {
+        throw AnalysisError("run_em_ensemble: need >= 1 path");
+    }
+    if (node == k_ground || node > assembler.num_nodes()) {
+        throw AnalysisError("run_em_ensemble: bad node");
+    }
+    const std::size_t steps = engine.steps();
+    const double dt = engine.options_.t_stop / static_cast<double>(steps);
+
+    EmEnsembleResult out{.grid = {},
+                         .mean = analysis::Waveform("mean"),
+                         .stddev = analysis::Waveform("stddev"),
+                         .stats = stochastic::EnsembleStats(steps + 1),
+                         .aborted = false,
+                         .flops = {},
+                         .solver = {}};
+    out.grid.resize(steps + 1);
+    for (std::size_t j = 0; j <= steps; ++j) {
+        out.grid[j] = dt * static_cast<double>(j);
+    }
+
+    std::optional<mna::SystemCache> local_cache;
+    if (cache == nullptr) {
+        cache = &local_cache.emplace(assembler);
+    }
+    linalg::Vector x0;
+    {
+        const FlopScope scope;
+        x0 = engine.initial_state(*cache);
+        out.flops += scope.counter();
+    }
+
+    const stochastic::SeedSequence seq(seed);
+    const auto paths = static_cast<std::size_t>(num_paths);
+    const auto row = static_cast<std::size_t>(node - 1);
+    std::vector<std::vector<double>> samples(paths);
+    std::vector<FlopCounter> flops(paths);
+    auto run_path = [&](std::size_t p, mna::SystemCache& path_cache) {
+        const obs::Span trial_span("trial", "em");
+        stochastic::Rng rng = seq.stream(p);
+        std::vector<double>& s = samples[p];
+        s.reserve(steps + 1);
+        engine.integrate(engine.draw_paths(rng), x0, path_cache,
+                         [&s, row](double, const linalg::Vector& x) {
+                             s.push_back(x[row]);
+                         });
+        return true;
+    };
+    auto reduce = [&](std::size_t begin, std::size_t end) {
+        for (std::size_t p = begin; p < end; ++p) {
+            if (samples[p].empty()) { // skipped after a cancel
+                out.aborted = true;
+                continue;
+            }
+            out.stats.add_path(samples[p]);
+            out.flops += flops[p];
+        }
+        return !out.aborted;
+    };
+    out.solver = run_trials(assembler, 0, paths, 0, policy, observer, cache,
+                            flops, {}, run_path, reduce);
+    if (local_cache) {
+        out.solver +=
+            solver_work(mna::SystemCache::Stats{}, local_cache->stats());
+    }
+
+    for (std::size_t j = 0; j <= steps; ++j) {
+        out.mean.append(out.grid[j], out.stats.at(j).mean());
+        out.stddev.append(out.grid[j], out.stats.at(j).stddev());
     }
     return out;
 }

@@ -13,7 +13,9 @@
 // One driver runs every campaign, on one worker or many: trial k draws
 // its noise from a stochastic::NoisePathSet keyed by (trial, source) and
 // trials reduce in trial order, so the worker count never changes the
-// result.
+// result.  Its worker loop also runs the Euler-Maruyama ensembles
+// (run_em_ensemble, declared in engines/em_engine.hpp, defined in
+// monte_carlo.cpp).
 #ifndef NANOSIM_ENGINES_MONTE_CARLO_HPP
 #define NANOSIM_ENGINES_MONTE_CARLO_HPP
 

@@ -15,18 +15,19 @@
 //  * `cancel` is polled at step granularity by the per-step engines
 //    (SWEC/NR/PWL transients, the SWEC pseudo-transient DC march) and at
 //    trial granularity by the batch drivers (DC sweeps, Monte-Carlo,
-//    Euler-Maruyama ensembles); both Monte-Carlo drivers also forward
-//    it into each running trial.  Returning true makes the engine stop
+//    Euler-Maruyama ensembles); Monte-Carlo also forwards it into each
+//    running trial.  Returning true makes the engine stop
 //    cooperatively and return its partial result with `aborted = true` —
 //    no exception, no leak, waveforms contain everything accepted so far.
 //  * `on_progress` receives a completed fraction in [0, 1] (time-based
 //    for transients, trial-based for batch drivers).
 //  * `on_step` fires after every accepted step of a per-step engine;
 //    `on_trial` after every completed trial of a batch driver.
-//  * The serial engines invoke all hooks on the calling thread.  The
-//    parallel EM driver (engines/parallel.hpp) and a Monte-Carlo campaign
-//    on more than one worker invoke `on_trial` / `on_progress` from
-//    worker threads — hooks passed there must be thread-safe.  `cancel`
+//  * The serial engines invoke all hooks on the calling thread.  A
+//    Monte-Carlo campaign or an Euler-Maruyama ensemble on more than one
+//    worker (they share one worker loop) invokes
+//    `on_trial` / `on_progress` from worker threads — hooks passed there
+//    must be thread-safe.  `cancel`
 //    must always be safe to call concurrently.
 #ifndef NANOSIM_ENGINES_OBSERVER_HPP
 #define NANOSIM_ENGINES_OBSERVER_HPP

@@ -538,6 +538,17 @@ void SystemCache::restamp_swec(std::span<const double> geq) {
     }
 }
 
+linalg::Vector SystemCache::multiply(std::span<const double> x) const {
+    linalg::Vector y(n_, 0.0);
+    for (std::size_t c = 0; c < n_; ++c) {
+        for (std::size_t p = col_ptr_[c]; p < col_ptr_[c + 1]; ++p) {
+            y[row_idx_[p]] += values_[p] * x[c];
+        }
+    }
+    count_fma(row_idx_.size());
+    return y;
+}
+
 void SystemCache::restamp_nr(std::span<const double> x) {
     const ScopedTimer timer(stats_.stamp_s, "stamp");
     if (program_ != nullptr) {

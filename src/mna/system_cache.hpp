@@ -196,6 +196,10 @@ public:
     /// Restamp SWEC chord conductances (parallel to nonlinear_devices()).
     void restamp_swec(std::span<const double> geq);
 
+    /// A x for the current values (after begin() and the restamps) — the
+    /// explicit Euler-Maruyama drift G(t) x when begin() had scale 0.
+    [[nodiscard]] linalg::Vector multiply(std::span<const double> x) const;
+
     /// Restamp the Newton-Raphson linearisation at trial point x
     /// (tangents into the matrix, Norton currents into the rhs bound by
     /// begin()).

@@ -4,10 +4,10 @@
 // std::future so results and *exceptions* propagate to the caller (a job
 // that throws poisons only its own future, never the pool).  The pool is
 // the execution substrate of the runtime orchestration layer: the sweep
-// campaigns and the parallel Monte-Carlo / Euler-Maruyama drivers all
-// express their work as independent tasks and reduce in job-index order,
-// which is what keeps parallel results bit-identical to single-threaded
-// ones.
+// campaigns and the ensemble worker loop that Monte-Carlo and
+// Euler-Maruyama share express their work as
+// independent tasks and reduce in job-index order, which is what keeps
+// parallel results bit-identical to single-threaded ones.
 #ifndef NANOSIM_RUNTIME_THREAD_POOL_HPP
 #define NANOSIM_RUNTIME_THREAD_POOL_HPP
 

@@ -15,9 +15,9 @@
 #include "engines/dc_mla.hpp"
 #include "engines/dc_nr.hpp"
 #include "engines/dc_swec.hpp"
+#include "engines/em_engine.hpp"
 #include "engines/monte_carlo.hpp"
 #include "engines/observer.hpp"
-#include "engines/parallel.hpp"
 #include "engines/tran_nr.hpp"
 #include "engines/tran_pwl.hpp"
 #include "engines/tran_swec.hpp"
@@ -168,9 +168,8 @@ TEST(Cancellation, EmEnsembleStopsBetweenPaths) {
     engines::AnalysisObserver obs;
     obs.on_trial = [&paths](int, int) { ++paths; };
     obs.cancel = [&paths] { return paths >= 3; };
-    stochastic::Rng rng(1);
-    const engines::EmEnsembleResult res =
-        engine.run_ensemble(10, rng, 1, &obs);
+    const engines::EmEnsembleResult res = engines::run_em_ensemble(
+        engine, 10, 1, 1, runtime::ExecutionPolicy{1}, &obs);
     EXPECT_TRUE(res.aborted);
     EXPECT_EQ(res.stats.at(0).count(), 3u);
 }
@@ -195,7 +194,7 @@ TEST(Cancellation, ParallelDriversHonourPreCancelledObserver) {
     em.dt = 2e-11;
     em.scheme = engines::EmScheme::implicit_be;
     const engines::EmEngine engine(assembler, em);
-    const engines::EmEnsembleResult ens = engines::run_em_ensemble_parallel(
+    const engines::EmEnsembleResult ens = engines::run_em_ensemble(
         engine, 4, 1, 1, runtime::ExecutionPolicy{2}, &obs);
     EXPECT_TRUE(ens.aborted);
 }

@@ -8,6 +8,10 @@
 // closed-form run (tables.enabled = false) and stay within 1e-6 of each
 // node waveform's max |v|.  Both legs run on a fresh cache.
 //
+// Euler-Maruyama paths restamp their chords through the same cache: the
+// same gate holds for one Wiener path through a default cache (tables)
+// and through a cache without a stamp program (closed forms).
+//
 // The fill order must not matter either: a node's value depends only on
 // its voltage and the gate's floor is fixed at construction, so a table
 // read in any order returns the same bits.  That property keeps serial
@@ -28,10 +32,15 @@
 
 #include "core/ref_circuits.hpp"
 #include "devices/diode.hpp"
+#include "devices/passives.hpp"
 #include "devices/rtd.hpp"
+#include "devices/sources.hpp"
 #include "devices/tabulated.hpp"
+#include "devices/waveform.hpp"
+#include "engines/em_engine.hpp"
 #include "engines/tran_swec.hpp"
 #include "mna/mna.hpp"
+#include "mna/system_cache.hpp"
 
 namespace nanosim {
 namespace {
@@ -103,6 +112,85 @@ TEST(ChordTables, DefaultTransientWithinGateOfClosedForm) {
         }
         std::cout << "  " << c.name << ": " << exact.steps_accepted
                   << " steps, max |dv| / max |v| = " << worst << '\n';
+    }
+}
+
+/// A two-node RTD ladder for the explicit scheme: a pulsed current into
+/// "n1", an RTD and a capacitor at both nodes, white noise at "n1".
+Circuit current_driven_rtd_pair() {
+    Circuit ckt;
+    const NodeId n1 = ckt.node("n1");
+    const NodeId n2 = ckt.node("n2");
+    ckt.add<ISource>("I1", k_ground, n1,
+                     std::make_shared<PulseWave>(0.0, 20e-3, 1e-9, 1e-9,
+                                                 1e-9, 3e-9, 10e-9));
+    ckt.add<Rtd>("RTD1", n1, k_ground);
+    ckt.add<Capacitor>("C1", n1, k_ground, 10e-12);
+    ckt.add<Resistor>("R12", n1, n2, 100.0);
+    ckt.add<Rtd>("RTD2", n2, k_ground);
+    ckt.add<Capacitor>("C2", n2, k_ground, 10e-12);
+    ckt.add<NoiseCurrentSource>("NOISE1", k_ground, n1, 1e-9);
+    return ckt;
+}
+
+TEST(ChordTables, EmPathWithinGateOfClosedForm) {
+    constexpr double k_tol = 1e-6;
+    refckt::MeshSpec mesh;
+    mesh.period = 8e-9; // the pulse edge lands inside the window
+    mesh.edge = 1e-9;
+    struct EmCase {
+        std::string name;
+        Circuit ckt;
+        engines::EmScheme scheme;
+    };
+    EmCase cases[] = {
+        {"rtd_mesh8x8/implicit", refckt::rc_mesh(mesh),
+         engines::EmScheme::implicit_be},
+        {"rtd_pair/explicit", current_driven_rtd_pair(),
+         engines::EmScheme::explicit_em},
+    };
+    cases[0].ckt.add<NoiseCurrentSource>(
+        "NOISE1", k_ground, cases[0].ckt.find_node("n4_4"), 1e-9);
+    for (const EmCase& c : cases) {
+        SCOPED_TRACE(c.name);
+        const mna::MnaAssembler assembler(c.ckt);
+        engines::EmOptions o;
+        o.t_stop = 6e-9;
+        o.dt = 1e-11;
+        o.scheme = c.scheme;
+        const engines::EmEngine engine(assembler, o);
+        stochastic::Rng rng(7);
+        std::vector<stochastic::WienerPath> paths;
+        for (std::size_t k = 0; k < assembler.noise_sources().size(); ++k) {
+            paths.emplace_back(rng, o.t_stop, engine.steps());
+        }
+        mna::SystemCache tables(assembler);
+        mna::SystemCache closed(
+            assembler, mna::SystemCache::Options{.use_stamp_program = false});
+        const engines::EmPathResult tab = engine.run_path(paths, &tables);
+        const engines::EmPathResult exact = engine.run_path(paths, &closed);
+        EXPECT_GT(tables.stats().tables_built, 0u);
+
+        double worst = 0.0; // max over nodes of max|dv| / max|v|
+        double peak = 0.0;
+        for (std::size_t n = 0; n < exact.node_waves.size(); ++n) {
+            const auto& we = exact.node_waves[n];
+            const auto& wt = tab.node_waves[n];
+            ASSERT_EQ(wt.size(), we.size());
+            double dev = 0.0;
+            double scale = 0.0;
+            for (std::size_t j = 0; j < we.size(); ++j) {
+                dev = std::max(dev, std::abs(wt.value_at(j) - we.value_at(j)));
+                scale = std::max(scale, std::abs(we.value_at(j)));
+            }
+            EXPECT_LE(dev, k_tol * scale) << we.label();
+            if (scale > 0.0) {
+                worst = std::max(worst, dev / scale);
+            }
+            peak = std::max(peak, scale);
+        }
+        std::cout << "  " << c.name << ": max |v| " << peak
+                  << " V, max |dv| / max |v| = " << worst << '\n';
     }
 }
 

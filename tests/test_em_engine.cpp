@@ -4,15 +4,19 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <iostream>
+#include <string>
 
 #include "core/ref_circuits.hpp"
 #include "devices/passives.hpp"
 #include "devices/sources.hpp"
+#include "engines/dc_swec.hpp"
 #include "engines/em_engine.hpp"
 #include "engines/monte_carlo.hpp"
 #include "engines/ou_exact.hpp"
 #include "linalg/expm.hpp"
 #include "mna/mna.hpp"
+#include "runtime/execution_policy.hpp"
 #include "util/error.hpp"
 
 namespace nanosim {
@@ -91,8 +95,8 @@ TEST(EmEngine, EnsembleMeanAndVarianceMatchOuTheory) {
     Circuit ckt = refckt::noisy_rc(k_r, k_c, k_idc, k_sigma);
     const mna::MnaAssembler assembler(ckt);
     const EmEngine engine(assembler, em_opts(8e-9, 4e-12));
-    stochastic::Rng rng(12);
-    const auto ens = engine.run_ensemble(400, rng, ckt.find_node("n1"));
+    const auto ens =
+        engines::run_em_ensemble(engine, 400, 12, ckt.find_node("n1"));
 
     const double mean_inf = k_idc * k_r; // 1 V
     const double var_inf =
@@ -228,14 +232,128 @@ TEST(OuExact, EmEnsembleConvergesToExactMoments) {
     const auto exact = engines::exact_moments(assembler, 4e-9, 200);
 
     const EmEngine engine(assembler, em_opts(4e-9, 2e-11));
-    stochastic::Rng rng(16);
-    const auto ens = engine.run_ensemble(600, rng, ckt.find_node("n1"));
+    const auto ens =
+        engines::run_em_ensemble(engine, 600, 16, ckt.find_node("n1"));
 
     const double sd_end = std::sqrt(exact.variance.back()[0]);
     EXPECT_NEAR(ens.stats.at(ens.grid.size() - 1).mean(),
                 exact.mean.back()[0], 4.0 * sd_end / std::sqrt(600.0));
     EXPECT_NEAR(ens.stats.at(ens.grid.size() - 1).stddev(), sd_end,
                 0.15 * sd_end);
+}
+
+// ---- statistical oracles: the ensemble driver against exact moments ---
+
+/// Wilson-Hilferty approximation of the chi-square quantile with `nu`
+/// degrees of freedom at standard-normal quantile `z`.
+double chi2_quantile(double nu, double z) {
+    const double h = 2.0 / (9.0 * nu);
+    return nu * std::pow(1.0 - h + z * std::sqrt(h), 3.0);
+}
+
+/// `ens` (the voltage of unknown `row`) against the exact OU moments at
+/// every grid point after t = 0.  The mean lies within 4 sigma / sqrt(N)
+/// of the exact mean, sigma the exact stddev there.  The sample stddev s
+/// lies inside the two-sided chi-square band (N - 1) s^2 / sigma^2 ~
+/// chi2(N - 1) at z = +-5; the wide z covers the hundreds of correlated
+/// grid points checked per ensemble.  For N = 400 the band is
+/// 0.83 < s / sigma < 1.18.
+void expect_exact_moments(const engines::EmEnsembleResult& ens,
+                          const engines::OuMomentsResult& exact,
+                          std::size_t row, const std::string& what) {
+    ASSERT_EQ(ens.grid.size(), exact.grid.size()) << what;
+    const auto n = static_cast<double>(ens.stats.paths());
+    const double lo = std::sqrt(chi2_quantile(n - 1.0, -5.0) / (n - 1.0));
+    const double hi = std::sqrt(chi2_quantile(n - 1.0, 5.0) / (n - 1.0));
+    for (std::size_t j = 1; j < ens.grid.size(); ++j) {
+        ASSERT_NEAR(ens.grid[j], exact.grid[j], 1e-9 * exact.grid.back());
+        const double sigma = std::sqrt(exact.variance[j][row]);
+        ASSERT_GT(sigma, 0.0) << what << " t=" << ens.grid[j];
+        EXPECT_NEAR(ens.stats.at(j).mean(), exact.mean[j][row],
+                    4.0 * sigma / std::sqrt(n))
+            << what << " t=" << ens.grid[j];
+        const double ratio = ens.stats.at(j).stddev() / sigma;
+        EXPECT_GT(ratio, lo) << what << " t=" << ens.grid[j];
+        EXPECT_LT(ratio, hi) << what << " t=" << ens.grid[j];
+    }
+}
+
+/// 4x4 linear RC mesh ("m<r>_<c>"): 1 kOhm edges, 1 pF and 2 kOhm to
+/// ground at every node, 1 mA into the m0_0 corner, white noise at m1_1
+/// and m2_2.
+Circuit noisy_linear_mesh() {
+    Circuit ckt;
+    auto node = [&ckt](int r, int c) {
+        return ckt.node("m" + std::to_string(r) + "_" + std::to_string(c));
+    };
+    for (int r = 0; r < 4; ++r) {
+        for (int c = 0; c < 4; ++c) {
+            const std::string tag = std::to_string(r) + std::to_string(c);
+            ckt.add<Capacitor>("C" + tag, node(r, c), k_ground, 1e-12);
+            ckt.add<Resistor>("RG" + tag, node(r, c), k_ground, 2e3);
+            if (c + 1 < 4) {
+                ckt.add<Resistor>("RH" + tag, node(r, c), node(r, c + 1),
+                                  1e3);
+            }
+            if (r + 1 < 4) {
+                ckt.add<Resistor>("RV" + tag, node(r, c), node(r + 1, c),
+                                  1e3);
+            }
+        }
+    }
+    ckt.add<ISource>("IDRV", k_ground, node(0, 0), 1e-3);
+    ckt.add<NoiseCurrentSource>("NOISE1", k_ground, node(1, 1), 5e-9);
+    ckt.add<NoiseCurrentSource>("NOISE2", k_ground, node(2, 2), 5e-9);
+    return ckt;
+}
+
+TEST(OuExact, EnsembleMatchesExactMomentsAtEveryGridPoint) {
+    // noisy_rc and Fig. 10 (time-variant conductance) start from zero,
+    // so their means move; the mesh starts from its DC operating point,
+    // solved once per ensemble, and its variance builds up.
+    struct Case {
+        std::string name;
+        Circuit ckt;
+        const char* node;
+        double t_stop;
+        double dt;
+        bool start_from_dc;
+    };
+    Case cases[] = {
+        {"noisy_rc", refckt::noisy_rc(k_r, k_c, k_idc, k_sigma), "n1", 4e-9,
+         2e-11, false},
+        {"rc_mesh", noisy_linear_mesh(), "m1_1", 3e-9, 1e-11, true},
+        {"fig10", refckt::fig10_noisy_transistor(), "n1", 1e-9, 2e-12,
+         false},
+    };
+    constexpr int k_paths = 400;
+    for (const Case& c : cases) {
+        const mna::MnaAssembler assembler(c.ckt);
+        const NodeId node = c.ckt.find_node(c.node);
+        const auto steps =
+            static_cast<std::size_t>(std::llround(c.t_stop / c.dt));
+        const linalg::Vector x0 = c.start_from_dc
+                                      ? engines::solve_op_swec(assembler).x
+                                      : linalg::Vector{};
+        const auto exact =
+            engines::exact_moments(assembler, c.t_stop, steps, x0);
+        for (const EmScheme scheme :
+             {EmScheme::explicit_em, EmScheme::implicit_be}) {
+            const std::string what =
+                c.name + (scheme == EmScheme::explicit_em ? "/explicit"
+                                                          : "/implicit");
+            EmOptions o = em_opts(c.t_stop, c.dt, scheme);
+            o.start_from_dc = c.start_from_dc;
+            const EmEngine engine(assembler, o);
+            const auto one = engines::run_em_ensemble(engine, k_paths, 31, node);
+            const auto four = engines::run_em_ensemble(
+                engine, k_paths, 31, node, runtime::ExecutionPolicy{4});
+            EXPECT_EQ(one.mean.value(), four.mean.value()) << what;
+            EXPECT_EQ(one.stddev.value(), four.stddev.value()) << what;
+            expect_exact_moments(one, exact,
+                                 static_cast<std::size_t>(node - 1), what);
+        }
+    }
 }
 
 TEST(OuExact, RejectsNonlinearAndBranchCircuits) {
@@ -258,8 +376,8 @@ TEST(MonteCarlo, AgreesWithEmOnNoisyRc) {
         engines::run_monte_carlo(assembler, mc, 17, ckt.find_node("n1"));
 
     const EmEngine engine(assembler, em_opts(5e-9, 25e-12));
-    stochastic::Rng rng2(18);
-    const auto em = engine.run_ensemble(150, rng2, ckt.find_node("n1"));
+    const auto em =
+        engines::run_em_ensemble(engine, 150, 18, ckt.find_node("n1"));
 
     // Mean curves agree within Monte-Carlo error.
     const double sd =
@@ -289,6 +407,32 @@ TEST(MonteCarlo, CostsMoreThanEmPerPath) {
     EXPECT_LT(em_scope.counter().total(), mcr.flops.total())
         << "EM=" << em_scope.counter().total()
         << " MC=" << mcr.flops.total();
+
+    // The same on a 16x16 RTD mesh with noise at the centre, at matched
+    // grids (dt = noise_dt): per path, EM pays one restamp and one
+    // cached solve per step, MC an adaptive SWEC transient.
+    Circuit mesh = refckt::rc_mesh(16, 16);
+    const NodeId centre = mesh.find_node("n8_8");
+    mesh.add<NoiseCurrentSource>("NOISE1", k_ground, centre, 1e-9);
+    const mna::MnaAssembler mesh_assembler(mesh);
+    engines::McOptions mesh_mc;
+    mesh_mc.runs = 8;
+    mesh_mc.t_stop = 2e-9;
+    mesh_mc.noise_dt = 10e-12;
+    const auto mesh_mcr =
+        engines::run_monte_carlo(mesh_assembler, mesh_mc, 19, centre);
+    const EmEngine mesh_em(mesh_assembler,
+                           em_opts(2e-9, 10e-12, EmScheme::implicit_be));
+    const auto mesh_ens = engines::run_em_ensemble(mesh_em, 8, 20, centre);
+    const double em_per_path =
+        static_cast<double>(mesh_ens.flops.total()) / 8.0;
+    const double mc_per_trial =
+        static_cast<double>(mesh_mcr.flops.total()) / 8.0;
+    EXPECT_LT(em_per_path, mc_per_trial)
+        << "EM/path=" << em_per_path << " MC/trial=" << mc_per_trial;
+    std::cout << "  16x16 mesh flops: EM/path " << em_per_path
+              << ", MC/trial " << mc_per_trial << " ("
+              << em_per_path / mc_per_trial << "x)\n";
 }
 
 TEST(MonteCarlo, Validation) {

@@ -279,7 +279,6 @@ EnsembleSpec em_spec() {
                         .dt = 1e-12,
                         .paths = 64,
                         .scheme = engines::EmScheme::implicit_be,
-                        .swec_update = false,
                         .start_from_dc = true,
                         .initial = {0.1, 0.2},
                         .seed = k_seed,
@@ -369,7 +368,8 @@ engines::EmEnsembleResult em_result() {
                                      .stddev = wave("std v(out)", 0.2),
                                      .stats = stats(),
                                      .aborted = true,
-                                     .flops = flops()};
+                                     .flops = flops(),
+                                     .solver = {}};
 }
 
 wire::CircuitSource builtin_source() {

@@ -34,7 +34,6 @@
 #include "engines/dc_swec.hpp"
 #include "engines/monte_carlo.hpp"
 #include "engines/observer.hpp"
-#include "engines/parallel.hpp"
 #include "engines/tran_nr.hpp"
 #include "engines/tran_pwl.hpp"
 #include "engines/tran_swec.hpp"

