@@ -63,13 +63,28 @@ void append_escaped(std::string& out, const std::string& s) {
     out += '"';
 }
 
+/// Shortest round-trip form (std::to_chars), written straight into `out`:
+/// no string per number.  Bare integers ("42") are valid JSON numbers
+/// already; non-finite values have no spelling and print as null.
+void append_number(std::string& out, double v) {
+    if (!std::isfinite(v)) {
+        out += "null";
+        return;
+    }
+    char buf[32];
+    auto [ptr, ec] = std::to_chars(buf, buf + sizeof buf, v);
+    assert(ec == std::errc());
+    (void)ec;
+    out.append(buf, ptr);
+}
+
 void append_value(std::string& out, const Value& v) {
     if (v.is_null()) {
         out += "null";
     } else if (v.is_bool()) {
         out += v.as_bool() ? "true" : "false";
     } else if (v.is_number()) {
-        out += number_to_string(v.as_number());
+        append_number(out, v.as_number());
     } else if (v.is_string()) {
         append_escaped(out, v.as_string());
     } else if (v.is_array()) {
@@ -415,15 +430,8 @@ Value parse(std::string_view text) {
 }
 
 std::string number_to_string(double v) {
-    if (!std::isfinite(v)) return "null";
-    char buf[32];
-    auto [ptr, ec] = std::to_chars(buf, buf + sizeof buf, v);
-    assert(ec == std::errc());
-    (void)ec;
-    std::string s(buf, ptr);
-    // Bare integers ("42") still parse as JSON numbers, so no fixup is
-    // needed; to_chars shortest form is already valid JSON except for
-    // the non-finite cases handled above.
+    std::string s;
+    append_number(s, v);
     return s;
 }
 

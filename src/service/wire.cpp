@@ -1,7 +1,9 @@
 #include "service/wire.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <charconv>
+#include <cmath>
 #include <concepts>
 #include <limits>
 #include <memory>
@@ -61,6 +63,22 @@ constexpr auto field_table(std::type_identity<WaveDoc>) {
         Field{"label", &WaveDoc::label},
         Field{"t", &WaveDoc::t},
         Field{"v", &WaveDoc::v}};
+}
+
+/// A set of waveforms on one time axis (TranResult::node_waves: the
+/// engines record every node at each accepted step), sent once: one label
+/// and one value row per waveform.
+struct WavesDoc {
+    std::vector<std::string> labels;
+    std::vector<double> t;
+    std::vector<std::vector<double>> v;
+};
+
+constexpr auto field_table(std::type_identity<WavesDoc>) {
+    return std::tuple{
+        Field{"labels", &WavesDoc::labels},
+        Field{"t", &WavesDoc::t},
+        Field{"v", &WavesDoc::v}};
 }
 
 struct PeakDoc {
@@ -288,18 +306,90 @@ S decode(const Value& v, Mode mode, Key key) {
 
 // ---- hand-written members --------------------------------------------
 
+/// A decoded time axis must be finite (record mode reads null as NaN, and
+/// `NaN <= x` is false) and strictly increasing.
+void check_time_axis(const std::vector<double>& t, Key key) {
+    for (std::size_t i = 0; i < t.size(); ++i) {
+        if (!std::isfinite(t[i]) || (i > 0 && !(t[i] > t[i - 1]))) {
+            throw ServiceError("\"" + std::string(key) +
+                               "\": \"t\" is not finite and strictly "
+                               "increasing at sample " +
+                               std::to_string(i));
+        }
+    }
+}
+
+/// The waveform `label` with values `v` on the checked axis `t`.  An
+/// aborted run can legitimately record no sample, which the (label,
+/// time, value) constructor refuses.
+analysis::Waveform wave_on(std::string label, std::vector<double> t,
+                           std::vector<double> v, Key key) {
+    if (v.size() != t.size()) {
+        throw ServiceError("\"" + std::string(key) + "\": \"" + label +
+                           "\" has " + std::to_string(v.size()) +
+                           " values on " + std::to_string(t.size()) +
+                           " times");
+    }
+    return t.empty() ? analysis::Waveform(std::move(label))
+                     : analysis::Waveform(std::move(label), std::move(t),
+                                          std::move(v));
+}
+
 Value write(const analysis::Waveform& w, Mode mode) {
     return write(WaveDoc{w.label(), w.time(), w.value()}, mode);
 }
 
 void read(const Value& v, analysis::Waveform& out, Mode mode, Key key) {
     WaveDoc doc = decode<WaveDoc>(v, mode, key);
-    // The (label, time, value) constructor wants samples; an aborted run
-    // can legitimately produce an empty record.
-    out = doc.t.empty() ? analysis::Waveform(std::move(doc.label))
-                        : analysis::Waveform(std::move(doc.label),
-                                             std::move(doc.t),
-                                             std::move(doc.v));
+    check_time_axis(doc.t, key);
+    out = wave_on(std::move(doc.label), std::move(doc.t), std::move(doc.v),
+                  key);
+}
+
+/// Equal down to the bits, so the shared axis decodes to each wave's own.
+bool same_bits(const std::vector<double>& a, const std::vector<double>& b) {
+    return std::ranges::equal(a, b, [](double x, double y) {
+        return std::bit_cast<std::uint64_t>(x) ==
+               std::bit_cast<std::uint64_t>(y);
+    });
+}
+
+Value write(const std::vector<analysis::Waveform>& waves, Mode mode) {
+    WavesDoc doc;
+    if (!waves.empty()) {
+        doc.t = waves.front().time();
+    }
+    doc.labels.reserve(waves.size());
+    doc.v.reserve(waves.size());
+    for (const analysis::Waveform& w : waves) {
+        if (!same_bits(w.time(), doc.t)) {
+            throw ServiceError("waveform \"" + w.label() +
+                               "\" is not on the time axis of \"" +
+                               waves.front().label() +
+                               "\": a waveform set shares one axis");
+        }
+        doc.labels.push_back(w.label());
+        doc.v.push_back(w.value());
+    }
+    return write(doc, mode);
+}
+
+void read(const Value& v, std::vector<analysis::Waveform>& out, Mode mode,
+          Key key) {
+    WavesDoc doc = decode<WavesDoc>(v, mode, key);
+    if (doc.labels.size() != doc.v.size()) {
+        throw ServiceError("\"" + std::string(key) + "\": " +
+                           std::to_string(doc.labels.size()) +
+                           " labels but " + std::to_string(doc.v.size()) +
+                           " rows in \"v\"");
+    }
+    check_time_axis(doc.t, key);
+    out.clear();
+    out.reserve(doc.labels.size());
+    for (std::size_t i = 0; i < doc.labels.size(); ++i) {
+        out.push_back(wave_on(std::move(doc.labels[i]), doc.t,
+                              std::move(doc.v[i]), key));
+    }
 }
 
 Value write(const stochastic::EnsembleStats& s, Mode mode) {

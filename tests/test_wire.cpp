@@ -10,9 +10,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <functional>
 #include <limits>
 #include <string>
+#include <utility>
 #include <variant>
+#include <vector>
 
 #include "core/ref_circuits.hpp"
 #include "core/sim_session.hpp"
@@ -272,6 +275,28 @@ TEST(WireSpec, NullIsRejected) {
 
 // ---- result round-trips -----------------------------------------------
 
+/// Bit identity, not tolerance: the wire uses shortest round-trip
+/// doubles.
+void expect_same_waves(const std::vector<analysis::Waveform>& a,
+                       const std::vector<analysis::Waveform>& b) {
+    ASSERT_EQ(b.size(), a.size());
+    for (std::size_t w = 0; w < a.size(); ++w) {
+        EXPECT_EQ(b[w].label(), a[w].label());
+        EXPECT_EQ(b[w].time(), a[w].time());
+        EXPECT_EQ(b[w].value(), a[w].value());
+    }
+}
+
+/// Occurrences of `needle` in `text`.
+std::size_t count_of(const std::string& text, const std::string& needle) {
+    std::size_t n = 0;
+    for (std::size_t p = text.find(needle); p != std::string::npos;
+         p = text.find(needle, p + 1)) {
+        ++n;
+    }
+    return n;
+}
+
 TEST(WireResult, TranResultRoundTripsBitIdentically) {
     SimSession session(refckt::rc_mesh(3, 3));
     TranSpec tran;
@@ -292,22 +317,25 @@ TEST(WireResult, TranResultRoundTripsBitIdentically) {
 
     const auto& a = direct.tran();
     const auto& b = back.tran();
-    ASSERT_EQ(b.node_waves.size(), a.node_waves.size());
-    for (std::size_t w = 0; w < a.node_waves.size(); ++w) {
-        ASSERT_EQ(b.node_waves[w].size(), a.node_waves[w].size());
-        EXPECT_EQ(b.node_waves[w].label(), a.node_waves[w].label());
-        for (std::size_t i = 0; i < a.node_waves[w].size(); ++i) {
-            // Bit identity, not tolerance: the wire uses shortest
-            // round-trip doubles.
-            EXPECT_EQ(b.node_waves[w].time()[i], a.node_waves[w].time()[i]);
-            EXPECT_EQ(b.node_waves[w].value()[i],
-                      a.node_waves[w].value()[i]);
-        }
-    }
+    ASSERT_GT(a.node_waves.size(), 1U);
+    ASSERT_GT(a.node_waves[0].size(), 2U);
+    expect_same_waves(a.node_waves, b.node_waves);
     EXPECT_EQ(b.steps_accepted, a.steps_accepted);
     EXPECT_EQ(b.flops.total(), a.flops.total());
+    // The nodes share one time axis, and the document holds it once:
+    // one label and one value row per node, each row as long as "t".
+    const json::Value& waves = encoded.at("payload").at("node_waves");
+    EXPECT_EQ(waves.as_object().size(), 3U);
+    EXPECT_EQ(waves.at("labels").as_array().size(), a.node_waves.size());
+    const json::Array& rows = waves.at("v").as_array();
+    ASSERT_EQ(rows.size(), a.node_waves.size());
+    for (const json::Value& row : rows) {
+        EXPECT_EQ(row.as_array().size(), waves.at("t").as_array().size());
+    }
+    const std::string text = encoded.dump();
+    EXPECT_EQ(count_of(text, "\"t\":"), 1U);
     // Re-encoding the decoded result reproduces the document bytes.
-    EXPECT_EQ(wire::result_to_json(back).dump(), encoded.dump());
+    EXPECT_EQ(wire::result_to_json(back).dump(), text);
 }
 
 TEST(WireResult, SolverReuseCountersRoundTrip) {
@@ -357,7 +385,8 @@ TEST(WireResult, OpResultRoundTrips) {
     }
 }
 
-TEST(WireResult, MonteCarloResultRoundTrips) {
+/// A 4-trial MC on a noisy 3x3 mesh, observing n1_1 and probing n2_2.
+AnalysisResult small_mc_result() {
     wire::CircuitSource source;
     source.builtin = "mesh:3x3";
     source.noise.push_back({"n1_1", 1e-9});
@@ -368,7 +397,12 @@ TEST(WireResult, MonteCarloResultRoundTrips) {
     mc.runs = 4;
     mc.noise_dt = 5e-11;
     mc.grid_points = 21;
-    const AnalysisResult direct = session.run(mc);
+    mc.probes = {"n2_2"};
+    return session.run(mc);
+}
+
+TEST(WireResult, MonteCarloResultRoundTrips) {
+    const AnalysisResult direct = small_mc_result();
     const AnalysisResult back = wire::result_from_json(
         json::parse(wire::result_to_json(direct).dump()));
     const auto& a = direct.monte_carlo();
@@ -380,21 +414,183 @@ TEST(WireResult, MonteCarloResultRoundTrips) {
         EXPECT_EQ(b.mean.value()[i], a.mean.value()[i]);
         EXPECT_EQ(b.stddev.value()[i], a.stddev.value()[i]);
     }
+    ASSERT_EQ(b.probes.size(), 1U);
+    EXPECT_EQ(b.probes[0].mean.value(), a.probes[0].mean.value());
     // EnsembleStats is a documented summary (parsing restores an empty
-    // accumulator), so compare the documents with "stats" dropped —
+    // accumulator), so compare the documents with every "stats" dropped —
     // everything else must re-encode byte-identically.
-    json::Value doc_a = wire::result_to_json(direct);
-    json::Value doc_b = wire::result_to_json(back);
-    doc_a.as_object()[std::string("payload")].as_object().erase(
-        std::string("stats"));
-    doc_b.as_object()[std::string("payload")].as_object().erase(
-        std::string("stats"));
-    EXPECT_EQ(doc_b.dump(), doc_a.dump());
+    const auto without_stats = [](const AnalysisResult& r) {
+        json::Value doc = wire::result_to_json(r);
+        json::Object& payload = doc.as_object()["payload"].as_object();
+        payload.erase("stats");
+        for (json::Value& probe : payload["probes"].as_array()) {
+            probe.as_object().erase("stats");
+        }
+        return doc.dump();
+    };
+    EXPECT_EQ(without_stats(back), without_stats(direct));
 }
 
 AnalysisResult small_op_result() {
     SimSession session(refckt::rc_mesh(2, 2));
     return session.run(OpSpec{});
+}
+
+AnalysisResult small_tran_result() {
+    SimSession session(refckt::rc_mesh(2, 2));
+    TranSpec tran;
+    tran.t_stop = 1e-9;
+    tran.common.dt_init = 1e-10;
+    return session.run(tran);
+}
+
+json::Value& member(json::Value& v, const char* key) {
+    return v.as_object()[std::string(key)];
+}
+
+/// Decoding `doc` throws a ServiceError whose message names `key`.
+void expect_rejected(const json::Value& doc, const std::string& key) {
+    try {
+        (void)wire::result_from_json(json::parse(doc.dump()));
+        ADD_FAILURE() << "decoded without error";
+    } catch (const ServiceError& e) {
+        EXPECT_NE(std::string(e.what()).find('"' + key + '"'),
+                  std::string::npos)
+            << e.what();
+    } catch (const std::exception& e) {
+        ADD_FAILURE() << "not a ServiceError: " << e.what();
+    }
+}
+
+/// A waveform inside a result document: its key, and where it sits.
+struct WaveSite {
+    const char* key;
+    std::function<json::Value&(json::Value&)> find;
+};
+
+TEST(WireResult, MalformedWaveformsAreServiceErrors) {
+    const json::Value doc = wire::result_to_json(small_mc_result());
+    // The single-waveform reader: the MC mean and stddev, and a probe's.
+    const std::vector<WaveSite> sites = {
+        {"mean",
+         [](json::Value& d) -> json::Value& {
+             return member(member(d, "payload"), "mean");
+         }},
+        {"stddev",
+         [](json::Value& d) -> json::Value& {
+             return member(member(d, "payload"), "stddev");
+         }},
+        {"mean",
+         [](json::Value& d) -> json::Value& {
+             json::Value& probes = member(member(d, "payload"), "probes");
+             return member(probes.as_array().at(0), "mean");
+         }},
+    };
+    for (std::size_t i = 0; i < sites.size(); ++i) {
+        SCOPED_TRACE("site " + std::to_string(i));
+        const WaveSite& site = sites[i];
+        json::Value short_t = doc;
+        member(site.find(short_t), "t").as_array().pop_back();
+        expect_rejected(short_t, site.key);
+
+        json::Value null_t = doc;
+        member(site.find(null_t), "t").as_array()[1] = json::Value();
+        expect_rejected(null_t, site.key);
+
+        json::Value empty_t = doc;
+        member(site.find(empty_t), "t") = json::Value(json::Array{});
+        expect_rejected(empty_t, site.key);
+    }
+}
+
+TEST(WireResult, TranWavesOnDifferentAxesDoNotEncode) {
+    AnalysisResult r = small_tran_result();
+    auto& waves = std::get<engines::TranResult>(r.payload).node_waves;
+    ASSERT_GE(waves.size(), 2U);
+    std::vector<double> t = waves[1].time();
+    t.back() *= 1.5;
+    waves[1] = analysis::Waveform(waves[1].label(), t, waves[1].value());
+    EXPECT_THROW((void)wire::result_to_json(r), ServiceError);
+    // Equal as numbers is not enough: -0 would decode as the first axis's 0.
+    t = waves[0].time();
+    ASSERT_EQ(t[0], 0.0);
+    t[0] = -0.0;
+    waves[1] = analysis::Waveform(waves[1].label(), t, waves[1].value());
+    EXPECT_THROW((void)wire::result_to_json(r), ServiceError);
+}
+
+TEST(WireResult, MalformedTranWavesAreServiceErrors) {
+    const json::Value doc = wire::result_to_json(small_tran_result());
+    const auto node_waves = [](json::Value& d) -> json::Value& {
+        return member(member(d, "payload"), "node_waves");
+    };
+    const auto row = [&](json::Value& d, std::size_t i) -> json::Array& {
+        return member(node_waves(d), "v").as_array().at(i).as_array();
+    };
+
+    json::Value missing_row = doc;
+    member(node_waves(missing_row), "v").as_array().pop_back();
+    expect_rejected(missing_row, "node_waves");
+
+    json::Value extra_label = doc;
+    member(node_waves(extra_label), "labels").as_array().push_back("v(x)");
+    expect_rejected(extra_label, "node_waves");
+
+    json::Value short_row = doc;
+    row(short_row, 1).pop_back();
+    expect_rejected(short_row, "node_waves");
+
+    json::Value long_row = doc;
+    row(long_row, 1).push_back(0.5);
+    expect_rejected(long_row, "node_waves");
+
+    json::Value null_t = doc;
+    member(node_waves(null_t), "t").as_array()[1] = json::Value();
+    expect_rejected(null_t, "node_waves");
+
+    json::Value falling_t = doc;
+    json::Array& t = member(node_waves(falling_t), "t").as_array();
+    std::swap(t[1], t[2]);
+    expect_rejected(falling_t, "node_waves");
+
+    json::Value empty_t = doc;
+    member(node_waves(empty_t), "t") = json::Value(json::Array{});
+    expect_rejected(empty_t, "node_waves");
+}
+
+TEST(WireResult, EmptyNodeSetRoundTrips) {
+    AnalysisResult r = small_tran_result();
+    std::get<engines::TranResult>(r.payload).node_waves.clear();
+    const json::Value doc = wire::result_to_json(r);
+    EXPECT_EQ(doc.at("payload").at("node_waves").dump(),
+              R"({"labels":[],"t":[],"v":[]})");
+    const AnalysisResult back = wire::result_from_json(json::parse(doc.dump()));
+    EXPECT_TRUE(back.tran().node_waves.empty());
+    EXPECT_EQ(wire::result_to_json(back).dump(), doc.dump());
+}
+
+TEST(WireResult, CancelledTransientRoundTripsBitIdentically) {
+    SimSession session(refckt::rc_mesh(3, 3));
+    TranSpec tran;
+    tran.t_stop = 1e-9;
+    tran.common.dt_init = 1e-11;
+    int steps = 0;
+    engines::AnalysisObserver observer;
+    observer.on_step = [&steps](double, int) { ++steps; };
+    observer.cancel = [&steps] { return steps >= 5; };
+    const AnalysisResult direct = session.run(tran, &observer);
+    const auto& a = direct.tran();
+    ASSERT_TRUE(a.aborted);
+    ASSERT_FALSE(a.node_waves.empty());
+    ASSERT_GT(a.node_waves[0].size(), 1U);
+    ASSERT_LT(a.node_waves[0].t_end(), tran.t_stop);
+
+    const json::Value encoded = wire::result_to_json(direct);
+    const AnalysisResult back =
+        wire::result_from_json(json::parse(encoded.dump()));
+    EXPECT_TRUE(back.tran().aborted);
+    expect_same_waves(a.node_waves, back.tran().node_waves);
+    EXPECT_EQ(wire::result_to_json(back).dump(), encoded.dump());
 }
 
 TEST(WireResult, UnknownKeysInRecordBlocksAreRejected) {
