@@ -7,8 +7,7 @@
 // SWEC is a non iterative method and thus yields high simulation speed."
 // The scanned table's row content is not legible in the text source, so
 // the same KINDS of rows are reported: cold-start operating points and
-// full sweeps on the Sec. 5.1 circuits (see EXPERIMENTS.md for the
-// paper-vs-measured discussion).
+// full sweeps on the Sec. 5.1 circuits.
 #include <iostream>
 
 #include "bench_common.hpp"
@@ -153,8 +152,7 @@ int main() {
     t.print(std::cout);
     std::cout << "\nShape to check (paper): SWEC needs fewer flops than "
                  "the iterative MLA on every row; the paper reports "
-                 "20-30x for its workloads — see EXPERIMENTS.md for the "
-                 "measured band here and why warm-started sweeps narrow "
-                 "the gap.\n";
+                 "20-30x for its workloads, and warm-started sweeps "
+                 "narrow the gap.\n";
     return 0;
 }

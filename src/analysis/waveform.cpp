@@ -4,31 +4,73 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <string>
 
 #include "util/error.hpp"
 
 namespace nanosim::analysis {
 
-Waveform::Waveform(std::string label, std::vector<double> time,
-                   std::vector<double> value)
-    : label_(std::move(label)),
-      time_(std::move(time)),
-      value_(std::move(value)) {
-    if (time_.size() != value_.size()) {
-        throw AnalysisError("Waveform: time/value length mismatch");
-    }
-    for (std::size_t i = 1; i < time_.size(); ++i) {
-        if (time_[i] <= time_[i - 1]) {
+namespace {
+
+void check_increasing(const std::vector<double>& time) {
+    for (std::size_t i = 1; i < time.size(); ++i) {
+        if (time[i] <= time[i - 1]) {
             throw AnalysisError("Waveform: time must be strictly increasing");
         }
     }
 }
 
+} // namespace
+
+Waveform::Waveform(std::string label, std::vector<double> time,
+                   std::vector<double> value)
+    : label_(std::move(label)),
+      time_(std::make_shared<std::vector<double>>(std::move(time))),
+      value_(std::move(value)) {
+    if (time_->size() != value_.size()) {
+        throw AnalysisError("Waveform: time/value length mismatch");
+    }
+    check_increasing(*time_);
+}
+
+std::vector<Waveform>
+Waveform::on_shared_axis(std::vector<double> time,
+                         std::vector<std::string> labels,
+                         std::vector<std::vector<double>> rows) {
+    if (labels.size() != rows.size()) {
+        throw AnalysisError("Waveform::on_shared_axis: " +
+                            std::to_string(labels.size()) + " labels but " +
+                            std::to_string(rows.size()) + " rows");
+    }
+    check_increasing(time);
+    const auto axis = std::make_shared<std::vector<double>>(std::move(time));
+    std::vector<Waveform> waves(rows.size());
+    for (std::size_t k = 0; k < rows.size(); ++k) {
+        if (rows[k].size() != axis->size()) {
+            throw AnalysisError("Waveform: time/value length mismatch");
+        }
+        waves[k].label_ = std::move(labels[k]);
+        waves[k].time_ = axis;
+        waves[k].value_ = std::move(rows[k]);
+    }
+    return waves;
+}
+
+const std::vector<double>& Waveform::no_time() noexcept {
+    static const std::vector<double> empty;
+    return empty;
+}
+
 void Waveform::append(double t, double v) {
-    if (!time_.empty() && t <= time_.back()) {
+    if (!empty() && t <= time_->back()) {
         throw AnalysisError("Waveform::append: non-increasing time");
     }
-    time_.push_back(t);
+    if (time_ == nullptr) {
+        time_ = std::make_shared<std::vector<double>>();
+    } else if (time_.use_count() > 1) {
+        time_ = std::make_shared<std::vector<double>>(*time_); // un-share
+    }
+    time_->push_back(t);
     value_.push_back(v);
 }
 
@@ -60,19 +102,20 @@ double Waveform::at(double t) const {
     if (empty()) {
         throw AnalysisError("Waveform::at: empty waveform");
     }
-    if (t <= time_.front()) {
+    const std::vector<double>& time = *time_;
+    if (t <= time.front()) {
         return value_.front();
     }
-    if (t >= time_.back()) {
+    if (t >= time.back()) {
         return value_.back();
     }
     // Last-segment cursor: try the hinted segment and its successor
-    // before binary-searching.  Segment selection (time_[lo] <= t <
-    // time_[lo+1]) matches upper_bound exactly, so the interpolation is
+    // before binary-searching.  Segment selection (time[lo] <= t <
+    // time[lo+1]) matches upper_bound exactly, so the interpolation is
     // bit-identical to an uncached lookup.
-    const std::size_t n = time_.size();
+    const std::size_t n = time.size();
     auto in_segment = [&](std::size_t s) {
-        return s + 1 < n && time_[s] <= t && t < time_[s + 1];
+        return s + 1 < n && time[s] <= t && t < time[s + 1];
     };
     CursorHint& hint = cursor_slot(this);
     std::size_t lo = hint.wave == this ? hint.segment : 0;
@@ -80,14 +123,14 @@ double Waveform::at(double t) const {
         if (in_segment(lo + 1)) {
             ++lo;
         } else {
-            const auto it = std::upper_bound(time_.begin(), time_.end(), t);
-            lo = static_cast<std::size_t>(it - time_.begin()) - 1;
+            const auto it = std::upper_bound(time.begin(), time.end(), t);
+            lo = static_cast<std::size_t>(it - time.begin()) - 1;
         }
     }
     hint.wave = this;
     hint.segment = lo;
     const std::size_t hi = lo + 1;
-    const double f = (t - time_[lo]) / (time_[hi] - time_[lo]);
+    const double f = (t - time[lo]) / (time[hi] - time[lo]);
     return value_[lo] + f * (value_[hi] - value_[lo]);
 }
 

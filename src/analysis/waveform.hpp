@@ -9,6 +9,7 @@
 #define NANOSIM_ANALYSIS_WAVEFORM_HPP
 
 #include <cstddef>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -28,25 +29,38 @@ public:
     Waveform(std::string label, std::vector<double> time,
              std::vector<double> value);
 
+    /// Waveforms on one shared time axis: wave k is (labels[k], time,
+    /// rows[k]).  The axis is checked once (strictly increasing) and each
+    /// row against its length (AnalysisError otherwise); the waves then
+    /// hold one copy of it between them.  An empty axis gives empty
+    /// waves.
+    [[nodiscard]] static std::vector<Waveform>
+    on_shared_axis(std::vector<double> time, std::vector<std::string> labels,
+                   std::vector<std::vector<double>> rows);
+
     [[nodiscard]] const std::string& label() const noexcept { return label_; }
     void set_label(std::string label) { label_ = std::move(label); }
 
     /// Append one sample; time must exceed the previous sample's time.
+    /// A wave whose axis is shared copies it first (the other waves keep
+    /// theirs).
     void append(double t, double v);
 
-    [[nodiscard]] std::size_t size() const noexcept { return time_.size(); }
-    [[nodiscard]] bool empty() const noexcept { return time_.empty(); }
+    [[nodiscard]] std::size_t size() const noexcept { return value_.size(); }
+    [[nodiscard]] bool empty() const noexcept { return value_.empty(); }
+    /// The time axis; waves built by on_shared_axis (and copies of one
+    /// wave) return the same object.
     [[nodiscard]] const std::vector<double>& time() const noexcept {
-        return time_;
+        return time_ != nullptr ? *time_ : no_time();
     }
     [[nodiscard]] const std::vector<double>& value() const noexcept {
         return value_;
     }
-    [[nodiscard]] double time_at(std::size_t i) const { return time_[i]; }
+    [[nodiscard]] double time_at(std::size_t i) const { return time()[i]; }
     [[nodiscard]] double value_at(std::size_t i) const { return value_[i]; }
 
-    [[nodiscard]] double t_begin() const { return time_.front(); }
-    [[nodiscard]] double t_end() const { return time_.back(); }
+    [[nodiscard]] double t_begin() const { return time().front(); }
+    [[nodiscard]] double t_end() const { return time().back(); }
 
     /// Linear interpolation at time t (clamped to the end values outside
     /// the record).  Throws AnalysisError on an empty waveform.
@@ -71,8 +85,12 @@ public:
     [[nodiscard]] double min_value() const;
 
 private:
+    [[nodiscard]] static const std::vector<double>& no_time() noexcept;
+
     std::string label_;
-    std::vector<double> time_;
+    /// Null until the first sample; read-only while another wave holds
+    /// it too.
+    std::shared_ptr<std::vector<double>> time_;
     std::vector<double> value_;
 };
 

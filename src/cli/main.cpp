@@ -409,12 +409,12 @@ void maybe_plot(const CliOptions& cli,
 }
 
 /// Per-step wall-time attribution of a cached-solver analysis (the
-/// SolverWork analyze/eval/stamp/factor/solve split); silent when the
-/// analysis never went through a SystemCache.
+/// SolverWork analyze/eval/stamp/factor/solve/step/record split); silent
+/// when the analysis never went through a SystemCache.
 void print_step_split(const AnalysisHeader& header) {
     const SolverWork& sw = header.solver;
     const double total = sw.analyze_s + sw.eval_s + sw.stamp_s +
-                         sw.factor_s + sw.solve_s;
+                         sw.factor_s + sw.solve_s + sw.step_s + sw.record_s;
     if (total <= 0.0) {
         return;
     }
@@ -425,7 +425,8 @@ void print_step_split(const AnalysisHeader& header) {
               << " ms | eval "
               << sw.eval_s * 1e3 << " ms | stamp " << sw.stamp_s * 1e3
               << " ms | factor " << sw.factor_s * 1e3 << " ms | solve "
-              << sw.solve_s * 1e3 << " ms";
+              << sw.solve_s * 1e3 << " ms | step " << sw.step_s * 1e3
+              << " ms | record " << sw.record_s * 1e3 << " ms";
     if (sw.tables_built > 0) {
         std::cout << " | " << sw.tables_built << " chord tables built";
     }

@@ -246,6 +246,8 @@ AnalysisResult SimSession::run(const AnalysisSpec& spec,
     report.stamp_s = work.stamp_s;
     report.factor_s = work.factor_s;
     report.solve_s = work.solve_s;
+    report.step_s = work.step_s;
+    report.record_s = work.record_s;
     report.cache_signature = result.header.cache_signature;
     std::visit(
         [&report](const auto& payload) {

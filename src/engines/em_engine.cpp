@@ -6,6 +6,7 @@
 
 #include "devices/sources.hpp"
 #include "engines/dc_swec.hpp"
+#include "engines/wave_recorder.hpp"
 #include "util/error.hpp"
 
 namespace nanosim::engines {
@@ -124,16 +125,12 @@ EmPathResult EmEngine::run_path(std::span<const stochastic::WienerPath> paths,
     }
     const FlopScope scope;
     EmPathResult result;
-    for (int i = 0; i < assembler_->num_nodes(); ++i) {
-        result.node_waves.emplace_back(
-            "v(" + assembler_->circuit().node_name(i + 1) + ")");
-    }
+    WaveRecorder recorder(*assembler_, {}, cache->record_clock());
     integrate(paths, initial_state(*cache), *cache,
-              [&](double t, const linalg::Vector& x) {
-                  for (std::size_t i = 0; i < result.node_waves.size(); ++i) {
-                      result.node_waves[i].append(t, x[i]);
-                  }
+              [&recorder](double t, const linalg::Vector& x) {
+                  recorder.record(t, x);
               });
+    result.node_waves = recorder.take();
     result.flops = scope.counter();
     return result;
 }
@@ -163,10 +160,7 @@ void EmEngine::integrate(std::span<const stochastic::WienerPath> paths,
         linalg::Vector rhs = cache.rhs(explicit_scheme ? t : t_next);
         if (!explicit_scheme) {
             // (C/dt + G) x' = (C/dt) x + b + B dW/dt.
-            const linalg::Vector cx = assembler_->c_csr().multiply(x);
-            for (std::size_t i = 0; i < n; ++i) {
-                rhs[i] += cx[i] / dt;
-            }
+            cache.add_history(x, dt, rhs);
             add_noise_injection(*assembler_, dw, rhs, 1.0 / dt);
         }
         // G(t) in place: static + time-varying + SWEC chords at X_j.

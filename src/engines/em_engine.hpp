@@ -64,7 +64,8 @@ struct EmOptions {
     linalg::Vector initial; ///< explicit IC (size = unknowns)
 };
 
-/// One sample path result: per-node waveforms on the uniform grid.
+/// One sample path result: per-node waveforms on the uniform grid,
+/// sharing one time axis.
 struct EmPathResult {
     std::vector<analysis::Waveform> node_waves;
     FlopCounter flops;

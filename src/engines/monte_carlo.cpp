@@ -148,9 +148,9 @@ struct McTrial {
     std::string diagnostic;
 };
 
-/// Run trial `trial`'s deterministic transient through `cache` and
-/// sample the observed nodes on `grid` into `out`.  Options must come
-/// from normalize_mc_options.
+/// Run trial `trial`'s deterministic transient through `cache`, recording
+/// only the observed nodes (`node` and the probes), and sample them on
+/// `grid` into `out`.  Options must come from normalize_mc_options.
 void mc_realization(const mna::MnaAssembler& assembler,
                     const McOptions& normalized,
                     const stochastic::NoisePathSet& noise, int trial,
@@ -160,11 +160,16 @@ void mc_realization(const mna::MnaAssembler& assembler,
     SwecTranOptions tran = normalized.tran;
     tran.noise = mc_noise_waves(noise, trial);
 
+    std::vector<NodeId> observed{node};
+    observed.insert(observed.end(), normalized.probe_nodes.begin(),
+                    normalized.probe_nodes.end());
+
     // Cancellation forwarded at the inner transient's step granularity;
     // progress/step callbacks stay with the outer per-trial scale.
     const AnalysisObserver inner = cancel_only(observer);
-    const TranResult res = run_tran_swec(
-        assembler, tran, observer != nullptr ? &inner : nullptr, &cache);
+    const TranResult res =
+        run_tran_swec(assembler, tran, observer != nullptr ? &inner : nullptr,
+                      &cache, observed);
     if (res.aborted) {
         return; // partial trial: no usable samples
     }

@@ -11,6 +11,7 @@
 #include "linalg/ordering.hpp"
 #include "netlist/circuit.hpp"
 #include "obs/report.hpp"
+#include "util/error.hpp"
 #include "util/flops.hpp"
 
 namespace nanosim::engines {
@@ -76,12 +77,17 @@ struct SolverWork {
     // split under-counted the first step); eval_s: device-model
     // evaluation (chord conductances / rates); stamp_s: in-place
     // restamps + step-bound diagonals; factor_s: LU factorisations/
-    // refactorisations; solve_s: triangular solves and refinement.
+    // refactorisations; solve_s: triangular solves and refinement;
+    // step_s: the SWEC stepper's own step control (eq. 12 node bound,
+    // eq. 5 predictor, eq. 10 error, slope update); record_s: recording
+    // each accepted step into the result's waveforms.
     double analyze_s = 0.0;
     double eval_s = 0.0;
     double stamp_s = 0.0;
     double factor_s = 0.0;
     double solve_s = 0.0;
+    double step_s = 0.0;
+    double record_s = 0.0;
     /// Chord tables built during this run (0 = reused or disabled).
     std::size_t tables_built = 0;
 
@@ -100,6 +106,8 @@ struct SolverWork {
         stamp_s += o.stamp_s;
         factor_s += o.factor_s;
         solve_s += o.solve_s;
+        step_s += o.step_s;
+        record_s += o.record_s;
         tables_built += o.tables_built;
         return *this;
     }
@@ -120,6 +128,8 @@ constexpr auto field_table(std::type_identity<SolverWork>) {
         Field{"stamp_s", &SolverWork::stamp_s},
         Field{"factor_s", &SolverWork::factor_s},
         Field{"solve_s", &SolverWork::solve_s},
+        Field{"step_s", &SolverWork::step_s},
+        Field{"record_s", &SolverWork::record_s},
         Field{"tables_built", &SolverWork::tables_built}};
 }
 
@@ -143,6 +153,8 @@ template <typename CacheStats>
     w.stamp_s = after.stamp_s - before.stamp_s;
     w.factor_s = after.factor_s - before.factor_s;
     w.solve_s = after.solve_s - before.solve_s;
+    w.step_s = after.step_s - before.step_s;
+    w.record_s = after.record_s - before.record_s;
     w.tables_built = after.tables_built - before.tables_built;
     return w;
 }
@@ -245,7 +257,9 @@ constexpr auto field_table(std::type_identity<SweepResult>) {
 /// Outcome of a transient run.
 struct TranResult {
     /// One waveform per non-ground node, label "v(<name>)", index
-    /// = NodeId - 1.
+    /// = NodeId - 1, every one on the same time axis object (the engines
+    /// record each accepted time once).  A run given a node list
+    /// (run_tran_swec's `record`) leaves the other entries empty.
     std::vector<analysis::Waveform> node_waves;
     /// True when an AnalysisObserver cancelled the run cooperatively; the
     /// waveforms hold every step accepted before the abort (t_end < t_stop).
@@ -283,11 +297,21 @@ struct TranResult {
     /// Ordering chosen by the cached solver (natural on dense path).
     SolverOrderingStats solver_ordering;
 
-    /// Waveform of a node by name (throws NetlistError if unknown).
+    /// Waveform of a node by name.  Throws NetlistError when the name is
+    /// unknown, names ground, or names a node this run did not record.
     [[nodiscard]] const analysis::Waveform&
     node(const Circuit& circuit, const std::string& name) const {
         const NodeId id = circuit.find_node(name);
-        return node_waves.at(static_cast<std::size_t>(id - 1));
+        if (id == k_ground) {
+            throw NetlistError("TranResult::node: '" + name +
+                               "' is ground, which has no waveform");
+        }
+        const auto index = static_cast<std::size_t>(id - 1);
+        if (index >= node_waves.size() || node_waves[index].empty()) {
+            throw NetlistError("TranResult::node: node '" + name +
+                               "' was not recorded by this run");
+        }
+        return node_waves[index];
     }
 };
 

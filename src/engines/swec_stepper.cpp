@@ -28,11 +28,13 @@ SwecTranOptions resolve_swec_tran_options(const SwecTranOptions& in) {
 
 SwecStepper::SwecStepper(const mna::MnaAssembler& assembler,
                          SwecTranOptions options, mna::SystemCache& cache,
-                         bool dc_through_cache)
+                         bool dc_through_cache,
+                         std::span<const NodeId> record)
     : assembler_(&assembler), cache_(&cache), options_(std::move(options)),
       n_(static_cast<std::size_t>(assembler.unknowns())),
       nl_(assembler.nonlinear_devices().size()),
-      nn_(static_cast<std::size_t>(assembler.num_nodes())) {
+      nn_(static_cast<std::size_t>(assembler.num_nodes())),
+      recorder_(assembler, record, cache.record_clock()) {
     // --- Initial condition. ---
     if (!options_.initial.empty()) {
         if (options_.initial.size() != n_) {
@@ -57,12 +59,6 @@ SwecStepper::SwecStepper(const mna::MnaAssembler& assembler,
     // march ran through this cache.
     cache_->start_run();
 
-    result_.node_waves.reserve(nn_);
-    for (int i = 0; i < assembler.num_nodes(); ++i) {
-        result_.node_waves.emplace_back(
-            "v(" + assembler.circuit().node_name(i + 1) + ")");
-    }
-
     // --- Breakpoints (source corners) — never step across one. ---
     breakpoints_ = assembler.breakpoints(0.0, options_.t_stop);
 
@@ -83,7 +79,7 @@ SwecStepper::SwecStepper(const mna::MnaAssembler& assembler,
         c_node_diag_[r] = assembler.c_csr().at(r, r);
     }
 
-    record(0.0, x_);
+    recorder_.record(0.0, x_);
 
     // Accepted-step-size distribution (metrics on only; registered once,
     // then two relaxed atomics per accepted step).
@@ -101,13 +97,6 @@ SwecStepper::SwecStepper(const mna::MnaAssembler& assembler,
     result_.min_dt_used = options_.dt_max;
 
     noise_ = options_.noise.empty() ? nullptr : &options_.noise;
-}
-
-void SwecStepper::record(double t, const linalg::Vector& state) {
-    for (int i = 0; i < assembler_->num_nodes(); ++i) {
-        result_.node_waves[static_cast<std::size_t>(i)].append(
-            t, state[static_cast<std::size_t>(i)]);
-    }
 }
 
 void SwecStepper::eval() {
@@ -189,13 +178,7 @@ void SwecStepper::stamp() {
     // values restamped in place (no triplet rebuild), ready for a
     // pattern-reusing refactor instead of a fresh symbolic analysis.
     rhs_ = cache_->rhs(t_ + h_, noise_);
-    {
-        // rhs += (C/h) x  via the cached CSR C.
-        linalg::Vector cx = assembler_->c_csr().multiply(x_);
-        for (std::size_t i = 0; i < n_; ++i) {
-            rhs_[i] += cx[i] / h_;
-        }
-    }
+    cache_->add_history(x_, h_, rhs_); // rhs += (C/h) x
     restamp_system();
 }
 
@@ -352,7 +335,7 @@ void SwecStepper::accept(linalg::Vector x_next,
     }
     result_.min_dt_used = std::min(result_.min_dt_used, h_);
     result_.max_dt_used = std::max(result_.max_dt_used, h_);
-    record(t_, x_);
+    recorder_.record(t_, x_);
     if (observer != nullptr) {
         observer->step(t_, result_.steps_accepted);
         observer->sample(t_, x_.data(), static_cast<int>(x_.size()));
@@ -370,6 +353,7 @@ void SwecStepper::accept(linalg::Vector x_next,
 }
 
 TranResult SwecStepper::take_result() {
+    result_.node_waves = recorder_.take();
     if (local_error_count_ > 0) {
         result_.avg_local_error =
             local_error_sum_ / static_cast<double>(local_error_count_);

@@ -14,11 +14,13 @@
 #define NANOSIM_ENGINES_SWEC_STEPPER_HPP
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "engines/observer.hpp"
 #include "engines/results.hpp"
 #include "engines/tran_swec.hpp"
+#include "engines/wave_recorder.hpp"
 #include "mna/mna.hpp"
 #include "mna/system_cache.hpp"
 #include "obs/metrics.hpp"
@@ -35,14 +37,18 @@ resolve_swec_tran_options(const SwecTranOptions& options);
 /// accepted step per eval/prepare/stamp/solve/accept cycle through the
 /// caller's SystemCache.  Construction performs the initial condition
 /// (explicit / DC operating point / zeros) and records t = 0.
+/// The recorder bills its time to the cache's record_clock().
 class SwecStepper {
 public:
     /// `options` must already be resolved (resolve_swec_tran_options).
     /// `dc_through_cache` routes the start_from_dc operating point
     /// through `cache` (shared SimSession-style caches); engine-local
-    /// caches keep the historical self-contained DC solve.
+    /// caches keep the historical self-contained DC solve.  `record`
+    /// lists the nodes whose waveforms the result carries (see
+    /// run_tran_swec; empty = every node).
     SwecStepper(const mna::MnaAssembler& assembler, SwecTranOptions options,
-                mna::SystemCache& cache, bool dc_through_cache);
+                mna::SystemCache& cache, bool dc_through_cache,
+                std::span<const NodeId> record = {});
 
     /// True once the horizon is reached or the run was aborted.
     [[nodiscard]] bool done() const noexcept {
@@ -86,7 +92,6 @@ public:
     [[nodiscard]] TranResult take_result();
 
 private:
-    void record(double t, const linalg::Vector& state);
     /// begin() + in-place restamps for the current rhs_/h_/geq_pred_ (the
     /// second half of stamp(); the rescue ladder re-runs it after
     /// mutating the step or the rhs).
@@ -102,6 +107,7 @@ private:
     std::size_t nn_ = 0; ///< non-ground nodes
 
     TranResult result_;
+    WaveRecorder recorder_;
     std::vector<double> breakpoints_;
     std::size_t next_bp_ = 0;
     std::vector<double> static_gdiag_;

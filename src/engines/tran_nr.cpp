@@ -7,6 +7,7 @@
 #include "engines/dc_nr.hpp"
 #include "engines/options_common.hpp"
 #include "engines/step_control.hpp"
+#include "engines/wave_recorder.hpp"
 #include "linalg/vecops.hpp"
 #include "mna/system_cache.hpp"
 #include "obs/metrics.hpp"
@@ -58,7 +59,6 @@ StepSolve solve_companion(const mna::MnaAssembler& assembler,
                           const mna::MnaAssembler::NoiseRealization* noise,
                           double gmin = 0.0, double source_scale = 1.0,
                           bool allow_inject = true) {
-    const auto n = static_cast<std::size_t>(assembler.unknowns());
     const auto nn = static_cast<std::size_t>(assembler.num_nodes());
     StepSolve out;
     out.x = x_guess;
@@ -77,12 +77,7 @@ StepSolve solve_companion(const mna::MnaAssembler& assembler,
             b *= source_scale;
         }
     }
-    {
-        linalg::Vector cx = assembler.c_csr().multiply(x_n);
-        for (std::size_t i = 0; i < n; ++i) {
-            rhs_const[i] += cx[i] / h;
-        }
-    }
+    cache.add_history(x_n, h, rhs_const);
 
     for (int it = 0; it < options.max_nr_iterations; ++it) {
         linalg::Vector rhs = rhs_const;
@@ -217,16 +212,6 @@ TranResult run_tran_nr(const mna::MnaAssembler& assembler,
     }
 
     TranResult result;
-    for (int i = 0; i < assembler.num_nodes(); ++i) {
-        result.node_waves.emplace_back(
-            "v(" + assembler.circuit().node_name(i + 1) + ")");
-    }
-    auto record = [&](double t, const linalg::Vector& state) {
-        for (int i = 0; i < assembler.num_nodes(); ++i) {
-            result.node_waves[static_cast<std::size_t>(i)].append(
-                t, state[static_cast<std::size_t>(i)]);
-        }
-    };
 
     const std::vector<double> breakpoints =
         assembler.breakpoints(0.0, options.t_stop);
@@ -249,8 +234,9 @@ TranResult run_tran_nr(const mna::MnaAssembler& assembler,
     // Static G compressed once for the trapezoidal (linear-only) rhs.
     const linalg::CsrMatrix static_g_csr(assembler.static_g());
 
+    WaveRecorder recorder(assembler, {}, cache->record_clock());
     double t = 0.0;
-    record(t, x);
+    recorder.record(t, x);
 
     // Per-step NR-iteration distribution (metrics on only).
     obs::Histogram* it_hist = nullptr;
@@ -426,7 +412,7 @@ TranResult run_tran_nr(const mna::MnaAssembler& assembler,
             }
             result.min_dt_used = std::min(result.min_dt_used, h);
             result.max_dt_used = std::max(result.max_dt_used, h);
-            record(t, x);
+            recorder.record(t, x);
             if (observer != nullptr) {
                 observer->step(t, result.steps_accepted);
                 observer->sample(t, x.data(), static_cast<int>(x.size()));
@@ -439,6 +425,7 @@ TranResult run_tran_nr(const mna::MnaAssembler& assembler,
         }
     }
 
+    result.node_waves = recorder.take();
     record_solver_work(result, stats_before, cache->stats());
     result.flops = scope.counter();
     return result;

@@ -7,6 +7,7 @@
 #include "devices/mosfet.hpp"
 #include "engines/options_common.hpp"
 #include "engines/step_control.hpp"
+#include "engines/wave_recorder.hpp"
 #include "linalg/vecops.hpp"
 #include "mna/system_cache.hpp"
 #include "obs/trace.hpp"
@@ -171,10 +172,7 @@ TranResult run_tran_pwl(const mna::MnaAssembler& assembler,
             iters = it + 1;
             linalg::Vector rhs = cache->rhs(t, noise);
             if (h > 0.0) {
-                linalg::Vector cx = assembler.c_csr().multiply(x_n);
-                for (std::size_t i = 0; i < n; ++i) {
-                    rhs[i] += cx[i] / h;
-                }
+                cache->add_history(x_n, h, rhs);
             }
             Stamper& stamper = cache->begin(h > 0.0 ? 1.0 / h : 0.0, rhs);
             cache->restamp_time_varying(t);
@@ -231,23 +229,14 @@ TranResult run_tran_pwl(const mna::MnaAssembler& assembler,
     }
 
     TranResult result;
-    for (int i = 0; i < assembler.num_nodes(); ++i) {
-        result.node_waves.emplace_back(
-            "v(" + assembler.circuit().node_name(i + 1) + ")");
-    }
-    auto record = [&](double t, const linalg::Vector& state) {
-        for (int i = 0; i < assembler.num_nodes(); ++i) {
-            result.node_waves[static_cast<std::size_t>(i)].append(
-                t, state[static_cast<std::size_t>(i)]);
-        }
-    };
+    WaveRecorder recorder(assembler, {}, cache->record_clock());
 
     const std::vector<double> breakpoints =
         assembler.breakpoints(0.0, options.t_stop);
     std::size_t next_bp = 0;
 
     double t = 0.0;
-    record(t, x);
+    recorder.record(t, x);
     double h = options.dt_init;
     result.min_dt_used = options.dt_max;
     while (t < options.t_stop) {
@@ -328,7 +317,7 @@ TranResult run_tran_pwl(const mna::MnaAssembler& assembler,
         }
         result.min_dt_used = std::min(result.min_dt_used, h);
         result.max_dt_used = std::max(result.max_dt_used, h);
-        record(t, x);
+        recorder.record(t, x);
         if (observer != nullptr) {
             observer->step(t, result.steps_accepted);
             observer->sample(t, x.data(), static_cast<int>(x.size()));
@@ -337,6 +326,7 @@ TranResult run_tran_pwl(const mna::MnaAssembler& assembler,
         h = std::min(h * 1.5, options.dt_max);
     }
 
+    result.node_waves = recorder.take();
     record_solver_work(result, stats_before, cache->stats());
     result.flops = scope.counter();
     return result;

@@ -5,14 +5,15 @@
 
 #include "engines/swec_stepper.hpp"
 #include "mna/system_cache.hpp"
-#include "obs/trace.hpp"
+#include "obs/scoped_timer.hpp"
 
 namespace nanosim::engines {
 
 TranResult run_tran_swec(const mna::MnaAssembler& assembler,
                          const SwecTranOptions& options_in,
                          const AnalysisObserver* observer,
-                         mna::SystemCache* cache) {
+                         mna::SystemCache* cache,
+                         std::span<const NodeId> record) {
     const SwecTranOptions options = resolve_swec_tran_options(options_in);
     const FlopScope scope;
 
@@ -28,7 +29,7 @@ TranResult run_tran_swec(const mna::MnaAssembler& assembler,
     }
     const mna::SystemCache::Stats stats_before = cache->stats();
 
-    SwecStepper stepper(assembler, options, *cache, shared_cache);
+    SwecStepper stepper(assembler, options, *cache, shared_cache, record);
     while (!stepper.done()) {
         // Cooperative cancellation, polled once per step: the partial
         // waveforms recorded so far are the result.
@@ -36,7 +37,11 @@ TranResult run_tran_swec(const mna::MnaAssembler& assembler,
             stepper.abort();
             break;
         }
-        const obs::Span step_span("step", "engine");
+        // The step's own work outside the cache's layers and the
+        // recorder — the eq. 12 node bound, the eq. 5 predictor, the
+        // eq. 10 error, the slope update — is step control (self time).
+        const obs::ScopedTimer step_timer(cache->step_clock(), "step",
+                                          "engine");
         stepper.eval();
         stepper.prepare();
         stepper.stamp();

@@ -19,6 +19,8 @@
 #ifndef NANOSIM_ENGINES_TRAN_SWEC_HPP
 #define NANOSIM_ENGINES_TRAN_SWEC_HPP
 
+#include <span>
+
 #include "engines/observer.hpp"
 #include "engines/results.hpp"
 #include "mna/mna.hpp"
@@ -77,10 +79,15 @@ constexpr auto field_table(std::type_identity<SwecTranOptions>) {
 /// (and its symbolic LU analysis) instead of freezing a fresh one —
 /// SimSession passes its persistent cache; nullptr keeps the solve
 /// self-contained.  Solver stats in the result are deltas over this run.
+/// `record` lists the nodes whose waveforms the result carries (empty =
+/// every node; a node listed twice is recorded once): every other entry
+/// of TranResult::node_waves stays empty, so a caller that reads a few
+/// nodes (a Monte-Carlo trial) does not record the rest.
 [[nodiscard]] TranResult run_tran_swec(const mna::MnaAssembler& assembler,
                                        const SwecTranOptions& options,
                                        const AnalysisObserver* observer = nullptr,
-                                       mna::SystemCache* cache = nullptr);
+                                       mna::SystemCache* cache = nullptr,
+                                       std::span<const NodeId> record = {});
 
 } // namespace nanosim::engines
 

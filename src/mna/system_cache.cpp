@@ -1,7 +1,6 @@
 #include "mna/system_cache.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <limits>
 #include <new>
@@ -11,12 +10,14 @@
 #include "linalg/lu.hpp"
 #include "linalg/vecops.hpp"
 #include "obs/metrics.hpp"
-#include "obs/trace.hpp"
+#include "obs/scoped_timer.hpp"
 #include "util/error.hpp"
 #include "util/failpoints.hpp"
 #include "util/flops.hpp"
 
 namespace nanosim::mna {
+
+using obs::ScopedTimer;
 
 namespace {
 
@@ -31,39 +32,6 @@ void maybe_inject_factor_alloc() {
         }
     }
 }
-
-/// Accumulate a scope's wall time into one Stats field (the per-step
-/// analyze/eval/stamp/factor/solve attribution).  steady_clock::now()
-/// costs tens of nanoseconds — noise next to a restamp or a
-/// factorisation.  `span_name` doubles as an obs trace span (a no-op
-/// object unless tracing is on); `hist` (optional) receives the scope
-/// duration in seconds — resolve it behind obs::metrics_enabled().
-class ScopedTimer {
-public:
-    explicit ScopedTimer(double& acc, const char* span_name = "cache",
-                         obs::Histogram* hist = nullptr) noexcept
-        : span_(span_name, "cache"),
-          acc_(&acc),
-          hist_(hist),
-          t0_(std::chrono::steady_clock::now()) {}
-    ScopedTimer(const ScopedTimer&) = delete;
-    ScopedTimer& operator=(const ScopedTimer&) = delete;
-    ~ScopedTimer() {
-        const double dt = std::chrono::duration<double>(
-                              std::chrono::steady_clock::now() - t0_)
-                              .count();
-        *acc_ += dt;
-        if (hist_ != nullptr) {
-            hist_->observe(dt);
-        }
-    }
-
-private:
-    obs::Span span_; // first member: brackets the timed scope
-    double* acc_;
-    obs::Histogram* hist_;
-    std::chrono::steady_clock::time_point t0_;
-};
 
 /// Maps device-level stamps onto matrix coordinates exactly like
 /// MnaBuilder (ground rows dropped, node n -> row n-1, branch b -> row
@@ -520,6 +488,15 @@ SystemCache::rhs(double t, const MnaAssembler::NoiseRealization* noise) {
     return assembler_->rhs(t, noise);
 }
 
+void SystemCache::add_history(const linalg::Vector& x, double h,
+                              linalg::Vector& rhs) {
+    const ScopedTimer timer(stats_.stamp_s, "stamp");
+    const linalg::Vector cx = assembler_->c_csr().multiply(x);
+    for (std::size_t i = 0; i < n_; ++i) {
+        rhs[i] += cx[i] / h;
+    }
+}
+
 void SystemCache::restamp_time_varying(double t) {
     const ScopedTimer timer(stats_.stamp_s, "stamp");
     if (program_ != nullptr) {
@@ -672,7 +649,8 @@ linalg::Vector SystemCache::solve(const linalg::Vector& rhs) {
         linalg::Vector x;
         std::vector<std::pair<std::size_t, std::size_t>> coords;
         {
-            const ScopedTimer timer(stats_.factor_s, "factor", factor_hist);
+            const ScopedTimer timer(stats_.factor_s, "factor", "cache",
+                                    factor_hist);
             linalg::Triplets t(n_, n_);
             for (std::size_t c = 0; c < n_; ++c) {
                 for (std::size_t p = col_ptr_[c]; p < col_ptr_[c + 1]; ++p) {
@@ -707,7 +685,8 @@ linalg::Vector SystemCache::solve(const linalg::Vector& rhs) {
     if (dense_path()) {
         std::optional<linalg::DenseLu> lu;
         try {
-            const ScopedTimer timer(stats_.factor_s, "factor", factor_hist);
+            const ScopedTimer timer(stats_.factor_s, "factor", "cache",
+                                    factor_hist);
             maybe_inject_factor_alloc();
             dense_.set_zero();
             for (std::size_t c = 0; c < n_; ++c) {
@@ -737,7 +716,8 @@ linalg::Vector SystemCache::solve(const linalg::Vector& rhs) {
     }
 
     try {
-        const ScopedTimer timer(stats_.factor_s, "factor", factor_hist);
+        const ScopedTimer timer(stats_.factor_s, "factor", "cache",
+                                factor_hist);
         maybe_inject_factor_alloc();
         if (!lu_) {
             lu_ = std::make_unique<linalg::SparseLu>(

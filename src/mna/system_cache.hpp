@@ -190,6 +190,12 @@ public:
     rhs(double t,
         const MnaAssembler::NoiseRealization* noise = nullptr);
 
+    /// rhs += (C x) / h: the backward-Euler history term of a step of
+    /// size h from state x, through the assembler's CSR C.  Usable
+    /// outside begin()/solve(); time lands in Stats::stamp_s.
+    void add_history(const linalg::Vector& x, double h,
+                     linalg::Vector& rhs);
+
     /// Restamp all time-varying linear devices at time t.
     void restamp_time_varying(double t);
 
@@ -285,15 +291,28 @@ public:
         // baselines + restamps + gdiag; factor_s: LU factor/refactor
         // (incl. dense build+factor and overflow rebuilds); solve_s:
         // triangular solves.  NR restamps are fused eval+stamp and land
-        // in stamp_s.
+        // in stamp_s.  The engines bill their own per-step work outside
+        // the cache to the last two (step_clock(), record_clock()):
+        // step_s: the SWEC step loop's self time — step control, i.e.
+        // the eq. (12) node bound, the eq. (5) predictor, the eq. (10)
+        // error and the slope update; record_s: appending each accepted
+        // step to the recorded waveforms.
         double analyze_s = 0.0;
         double eval_s = 0.0;
         double stamp_s = 0.0;
         double factor_s = 0.0;
         double solve_s = 0.0;
+        double step_s = 0.0;
+        double record_s = 0.0;
         std::size_t tables_built = 0; ///< ChordTables this cache created
     };
     [[nodiscard]] const Stats& stats() const noexcept { return stats_; }
+
+    /// Accumulators of the engine-side layers (Stats::step_s and
+    /// Stats::record_s), billed with obs::ScopedTimer so that every layer
+    /// of a run lands in one Stats, on every worker's cache.
+    [[nodiscard]] double& step_clock() noexcept { return stats_.step_s; }
+    [[nodiscard]] double& record_clock() noexcept { return stats_.record_s; }
 
     /// The ordering the sparse path will factor with (natural until the
     /// pattern is frozen on a sparse system).

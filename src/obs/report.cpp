@@ -162,6 +162,8 @@ std::string RunReport::pretty() const {
     time_line(os, "stamp", stamp_s);
     time_line(os, "factor", factor_s);
     time_line(os, "solve", solve_s);
+    time_line(os, "step control", step_s);
+    time_line(os, "record", record_s);
 
     if (pool_tasks > 0) {
         os << "thread pool:\n";

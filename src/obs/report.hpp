@@ -4,11 +4,12 @@
 // attached to every AnalysisResult: step-control outcomes (accepted /
 // rejected counts, which bound limited each accepted step), solver-cache
 // work (factor strategy mix, pivot fallbacks, pattern rebuilds, table
-// builds), the five-way wall-time attribution including the symbolic
-// analyze bucket, and thread-pool queue pressure.  It aggregates data
-// the engines already track plus the counters this subsystem adds, so a
-// regression harness (or the `nanosim report` verb) can diff runs
-// without scraping log output.
+// builds), the seven-way wall-time attribution (the symbolic analyze
+// bucket, the cache's eval/stamp/factor/solve, and the engine's own step
+// control and waveform recording), and thread-pool queue pressure.  It
+// aggregates data the engines already track plus the counters this
+// subsystem adds, so a regression harness (or the `nanosim report`
+// verb) can diff runs without scraping log output.
 //
 // Deliberately std-only (no engine/mna includes): core/analysis_spec.hpp
 // embeds a RunReport by value, so this header must sit below everything.
@@ -142,6 +143,8 @@ struct RunReport {
     double stamp_s = 0.0;   ///< matrix restamps
     double factor_s = 0.0;  ///< LU factor / refactor (wall clock)
     double solve_s = 0.0;   ///< triangular solves
+    double step_s = 0.0;    ///< step control (eq. 5/10/12, slope update)
+    double record_s = 0.0;  ///< recording accepted steps into waveforms
 
     // ---- infrastructure -----------------------------------------------
     std::uint64_t cache_signature = 0;  ///< stamp-pattern signature
@@ -186,6 +189,8 @@ constexpr auto field_table(std::type_identity<RunReport>) {
         Field{"stamp_s", &RunReport::stamp_s},
         Field{"factor_s", &RunReport::factor_s},
         Field{"solve_s", &RunReport::solve_s},
+        Field{"step_s", &RunReport::step_s},
+        Field{"record_s", &RunReport::record_s},
         Field{"cache_signature", &RunReport::cache_signature},
         Field{"pool_tasks", &RunReport::pool_tasks},
         Field{"pool_queue_wait_s", &RunReport::pool_queue_wait_s}};

@@ -66,8 +66,8 @@ constexpr auto field_table(std::type_identity<WaveDoc>) {
 }
 
 /// A set of waveforms on one time axis (TranResult::node_waves: the
-/// engines record every node at each accepted step), sent once: one label
-/// and one value row per waveform.
+/// engines record every node at each accepted step, on one shared axis),
+/// sent once: one label and one value row per waveform.
 struct WavesDoc {
     std::vector<std::string> labels;
     std::vector<double> t;
@@ -319,20 +319,15 @@ void check_time_axis(const std::vector<double>& t, Key key) {
     }
 }
 
-/// The waveform `label` with values `v` on the checked axis `t`.  An
-/// aborted run can legitimately record no sample, which the (label,
-/// time, value) constructor refuses.
-analysis::Waveform wave_on(std::string label, std::vector<double> t,
-                           std::vector<double> v, Key key) {
-    if (v.size() != t.size()) {
+/// `label`'s row of values `v` must match its axis of `t_size` times.
+void check_row(const std::string& label, const std::vector<double>& v,
+               std::size_t t_size, Key key) {
+    if (v.size() != t_size) {
         throw ServiceError("\"" + std::string(key) + "\": \"" + label +
                            "\" has " + std::to_string(v.size()) +
-                           " values on " + std::to_string(t.size()) +
+                           " values on " + std::to_string(t_size) +
                            " times");
     }
-    return t.empty() ? analysis::Waveform(std::move(label))
-                     : analysis::Waveform(std::move(label), std::move(t),
-                                          std::move(v));
 }
 
 Value write(const analysis::Waveform& w, Mode mode) {
@@ -342,11 +337,12 @@ Value write(const analysis::Waveform& w, Mode mode) {
 void read(const Value& v, analysis::Waveform& out, Mode mode, Key key) {
     WaveDoc doc = decode<WaveDoc>(v, mode, key);
     check_time_axis(doc.t, key);
-    out = wave_on(std::move(doc.label), std::move(doc.t), std::move(doc.v),
-                  key);
+    check_row(doc.label, doc.v, doc.t.size(), key);
+    out = analysis::Waveform(std::move(doc.label), std::move(doc.t),
+                             std::move(doc.v));
 }
 
-/// Equal down to the bits, so the shared axis decodes to each wave's own.
+/// Equal down to the bits, so the one axis sent is every wave's own.
 bool same_bits(const std::vector<double>& a, const std::vector<double>& b) {
     return std::ranges::equal(a, b, [](double x, double y) {
         return std::bit_cast<std::uint64_t>(x) ==
@@ -362,7 +358,9 @@ Value write(const std::vector<analysis::Waveform>& waves, Mode mode) {
     doc.labels.reserve(waves.size());
     doc.v.reserve(waves.size());
     for (const analysis::Waveform& w : waves) {
-        if (!same_bits(w.time(), doc.t)) {
+        // Engine results share one axis object: nothing to compare.
+        if (&w.time() != &waves.front().time() &&
+            !same_bits(w.time(), doc.t)) {
             throw ServiceError("waveform \"" + w.label() +
                                "\" is not on the time axis of \"" +
                                waves.front().label() +
@@ -384,12 +382,11 @@ void read(const Value& v, std::vector<analysis::Waveform>& out, Mode mode,
                            " rows in \"v\"");
     }
     check_time_axis(doc.t, key);
-    out.clear();
-    out.reserve(doc.labels.size());
     for (std::size_t i = 0; i < doc.labels.size(); ++i) {
-        out.push_back(wave_on(std::move(doc.labels[i]), doc.t,
-                              std::move(doc.v[i]), key));
+        check_row(doc.labels[i], doc.v[i], doc.t.size(), key);
     }
+    out = analysis::Waveform::on_shared_axis(
+        std::move(doc.t), std::move(doc.labels), std::move(doc.v));
 }
 
 Value write(const stochastic::EnsembleStats& s, Mode mode) {

@@ -25,12 +25,14 @@
 //
 // A waveform travels as {"label","t","v"}, except a transient's node
 // waveforms (TranResult::node_waves): the engines record every node at
-// each accepted step, so they travel on one shared time axis,
+// each accepted step on one shared time axis, so they travel on it,
 // {"labels":[...],"t":[...],"v":[[...],...]}, one label and one value row
-// per node.  Encoding throws ServiceError when the waves do not share
-// that axis bit for bit.  Decoding throws ServiceError, naming the key,
-// on a time that is null or not strictly increasing and on value counts
-// that differ from the time count.
+// per node, and decode onto one shared axis again.  Encoding throws
+// ServiceError when the waves do not share that axis bit for bit (waves
+// holding the same axis object pass without a comparison).  Decoding
+// throws ServiceError, naming the key, on a time that is null or not
+// strictly increasing and on value counts that differ from the time
+// count.
 //
 // Unsigned counters, seeds and signatures above 2^53 travel as decimal
 // strings (JSON numbers are doubles); the parser accepts both spellings,

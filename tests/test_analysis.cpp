@@ -122,6 +122,40 @@ TEST(Waveform, CursorCacheSurvivesInterleavedWaveforms) {
     }
 }
 
+TEST(Waveform, SharedAxisIsOneVectorAndUnsharesOnAppend) {
+    std::vector<Waveform> waves = Waveform::on_shared_axis(
+        {0.0, 1.0, 2.0}, {"a", "b"}, {{1.0, 2.0, 3.0}, {-1.0, -2.0, -3.0}});
+    ASSERT_EQ(waves.size(), 2u);
+    EXPECT_EQ(waves[0].label(), "a");
+    EXPECT_EQ(&waves[0].time(), &waves[1].time());
+    EXPECT_DOUBLE_EQ(waves[1].at(1.5), -2.5);
+
+    // A copy shares the axis too; appending to it un-shares it first, so
+    // the waves it shared with keep their three samples.
+    Waveform copy = waves[0];
+    EXPECT_EQ(&copy.time(), &waves[0].time());
+    copy.append(3.0, 4.0);
+    EXPECT_NE(&copy.time(), &waves[0].time());
+    EXPECT_EQ(copy.time(), (std::vector<double>{0.0, 1.0, 2.0, 3.0}));
+    EXPECT_EQ(waves[0].size(), 3u);
+    EXPECT_EQ(waves[1].time(), (std::vector<double>{0.0, 1.0, 2.0}));
+    EXPECT_THROW(copy.append(3.0, 5.0), AnalysisError);
+
+    // The axis is checked once, each row against its length.
+    EXPECT_THROW((void)Waveform::on_shared_axis({0.0, 0.0}, {"a"},
+                                                {{1.0, 2.0}}),
+                 AnalysisError);
+    EXPECT_THROW((void)Waveform::on_shared_axis({0.0, 1.0}, {"a", "b"},
+                                                {{1.0, 2.0}, {1.0}}),
+                 AnalysisError);
+    EXPECT_THROW((void)Waveform::on_shared_axis({0.0}, {"a"}, {}),
+                 AnalysisError);
+    const std::vector<Waveform> none =
+        Waveform::on_shared_axis({}, {"a"}, {{}});
+    ASSERT_EQ(none.size(), 1u);
+    EXPECT_TRUE(none[0].empty());
+}
+
 TEST(Waveform, Extrema) {
     Waveform w("x");
     w.append(0.0, 1.0);

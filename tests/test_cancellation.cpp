@@ -88,6 +88,51 @@ TEST(Cancellation, PwlTransientAbortsMidRun) {
     EXPECT_LT(res.node_waves[0].t_end(), opt.t_stop);
 }
 
+/// A cancelled transient keeps the initial condition and every accepted
+/// step, each recorded once on the one time axis all node waves share.
+void expect_partial_on_one_axis(const engines::TranResult& res,
+                                std::size_t samples, const char* who) {
+    ASSERT_FALSE(res.node_waves.empty()) << who;
+    const std::vector<double>& axis = res.node_waves.front().time();
+    EXPECT_EQ(axis.size(), samples) << who;
+    for (const analysis::Waveform& w : res.node_waves) {
+        EXPECT_EQ(&w.time(), &axis) << who << " " << w.label();
+        EXPECT_EQ(w.size(), samples) << who << " " << w.label();
+    }
+}
+
+TEST(Cancellation, AbortedTransientsKeepTheirStepsOnOneAxis) {
+    const Circuit ckt = refckt::rtd_chain();
+    const mna::MnaAssembler assembler(ckt);
+    {
+        engines::SwecTranOptions opt;
+        opt.t_stop = 200e-9;
+        StepLimiter limiter(5);
+        const engines::TranResult res =
+            engines::run_tran_swec(assembler, opt, &limiter.observer);
+        ASSERT_TRUE(res.aborted);
+        expect_partial_on_one_axis(res, 6, "swec");
+    }
+    {
+        engines::NrTranOptions opt;
+        opt.t_stop = 200e-9;
+        StepLimiter limiter(5);
+        const engines::TranResult res =
+            engines::run_tran_nr(assembler, opt, &limiter.observer);
+        ASSERT_TRUE(res.aborted);
+        expect_partial_on_one_axis(res, 6, "nr");
+    }
+    {
+        engines::PwlTranOptions opt;
+        opt.t_stop = 200e-9;
+        StepLimiter limiter(4);
+        const engines::TranResult res =
+            engines::run_tran_pwl(assembler, opt, &limiter.observer);
+        ASSERT_TRUE(res.aborted);
+        expect_partial_on_one_axis(res, 5, "pwl");
+    }
+}
+
 TEST(Cancellation, SwecDcMarchAbortsAtPseudoStepGranularity) {
     // The inverter's op takes many pseudo-steps, so a cancel after one
     // accepted step lands mid-march.

@@ -88,6 +88,26 @@ TEST(EmEngine, ZeroNoiseReducesToDeterministicRc) {
     }
 }
 
+TEST(EmEngine, RunPathNodeWavesShareOneTimeAxis) {
+    // Every node of a path is recorded at each grid time once: the node
+    // waves hold one time vector between them, on both schemes.
+    Circuit ckt = refckt::rc_mesh(3, 3);
+    ckt.add<NoiseCurrentSource>("N1", k_ground, ckt.find_node("n2_2"), 1e-9);
+    const mna::MnaAssembler assembler(ckt);
+    const EmEngine engine(assembler,
+                          em_opts(1e-9, 1e-11, EmScheme::implicit_be));
+    stochastic::Rng rng(3);
+    const auto path = engine.run_path(rng);
+    ASSERT_EQ(path.node_waves.size(),
+              static_cast<std::size_t>(assembler.num_nodes()));
+    for (const auto& w : path.node_waves) {
+        EXPECT_EQ(&w.time(), &path.node_waves[0].time()) << w.label();
+        EXPECT_EQ(w.size(), engine.steps() + 1) << w.label();
+    }
+    const auto noisy = static_cast<std::size_t>(ckt.find_node("n2_2") - 1);
+    EXPECT_EQ(path.node_waves[noisy].label(), "v(n2_2)");
+}
+
 TEST(EmEngine, EnsembleMeanAndVarianceMatchOuTheory) {
     // Stationary OU: mean = I R, var = sigma^2 R / (2 C)... in circuit
     // form: dV = (-V/tau + I/C) dt + (sigma/C) dW, stationary variance

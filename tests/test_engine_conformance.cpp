@@ -31,6 +31,7 @@
 #include "engines/tran_pwl.hpp"
 #include "engines/tran_swec.hpp"
 #include "mna/mna.hpp"
+#include "util/error.hpp"
 
 namespace nanosim {
 namespace {
@@ -132,6 +133,18 @@ void expect_cached_path(const TranResult& r, const std::string& who) {
     }
 }
 
+/// Every engine records each accepted time once: all node waves hold
+/// the same time-axis object, one sample per accepted step plus t = 0.
+void expect_one_axis(const TranResult& r, const std::string& who) {
+    ASSERT_FALSE(r.node_waves.empty()) << who;
+    const std::vector<double>& axis = r.node_waves.front().time();
+    EXPECT_EQ(axis.size(), static_cast<std::size_t>(r.steps_accepted) + 1)
+        << who;
+    for (const Waveform& w : r.node_waves) {
+        EXPECT_EQ(&w.time(), &axis) << who << " " << w.label();
+    }
+}
+
 TEST_P(EngineConformance, SwecNrPwlAgree) {
     const ConformanceCase c = GetParam();
     Circuit ckt = c.make();
@@ -157,6 +170,10 @@ TEST_P(EngineConformance, SwecNrPwlAgree) {
     expect_cached_path(swec, c.name + " swec");
     expect_cached_path(nr, c.name + " nr");
     expect_cached_path(pwl, c.name + " pwl");
+
+    expect_one_axis(swec, c.name + " swec");
+    expect_one_axis(nr, c.name + " nr");
+    expect_one_axis(pwl, c.name + " pwl");
 
     // SWEC's core promise: one linear solve per accepted step, no NR.
     EXPECT_EQ(swec.nr_iterations, 0);
@@ -190,6 +207,50 @@ TEST(EngineConformance, SparseChainReusesSymbolicFactorisation) {
     EXPECT_GE(res.solver_fast_refactors,
               static_cast<std::size_t>(res.steps_accepted) - 2)
         << "accepted steps are not using the pattern-reusing refactor";
+}
+
+TEST(EngineConformance, NodeListRecordsTheSameRowsAsAFullRun) {
+    refckt::ChainSpec spec;
+    spec.stages = 3;
+    const Circuit ckt = refckt::rtd_chain(spec);
+    const mna::MnaAssembler assembler(ckt);
+    engines::SwecTranOptions opt;
+    opt.t_stop = 150e-9;
+    const TranResult full = engines::run_tran_swec(assembler, opt);
+
+    const NodeId n1 = ckt.find_node("n1");
+    const NodeId n3 = ckt.find_node("n3");
+    const std::vector<NodeId> nodes{n3, n1, n3}; // n3 twice: recorded once
+    const TranResult part =
+        engines::run_tran_swec(assembler, opt, nullptr, nullptr, nodes);
+    EXPECT_EQ(part.steps_accepted, full.steps_accepted);
+    ASSERT_EQ(part.node_waves.size(), full.node_waves.size());
+    for (std::size_t i = 0; i < part.node_waves.size(); ++i) {
+        const Waveform& w = part.node_waves[i];
+        const auto id = static_cast<NodeId>(i + 1);
+        if (id != n1 && id != n3) {
+            EXPECT_TRUE(w.empty()) << ckt.node_name(id);
+            continue;
+        }
+        // Bit-identical rows: the node list changes what is kept, never
+        // what is computed.
+        EXPECT_EQ(w.label(), full.node_waves[i].label());
+        EXPECT_EQ(w.time(), full.node_waves[i].time());
+        EXPECT_EQ(w.value(), full.node_waves[i].value());
+    }
+    EXPECT_EQ(&part.node(ckt, "n1").time(), &part.node(ckt, "n3").time());
+
+    // An unrecorded node, ground and an unknown name are NetlistErrors.
+    EXPECT_THROW((void)part.node(ckt, "n2"), NetlistError);
+    EXPECT_THROW((void)part.node(ckt, "0"), NetlistError);
+    EXPECT_THROW((void)full.node(ckt, "0"), NetlistError);
+    EXPECT_THROW((void)full.node(ckt, "no_such_node"), NetlistError);
+    EXPECT_NO_THROW((void)full.node(ckt, "n2"));
+
+    const std::vector<NodeId> ground{k_ground};
+    EXPECT_THROW((void)engines::run_tran_swec(assembler, opt, nullptr,
+                                              nullptr, ground),
+                 AnalysisError);
 }
 
 TEST(EngineConformance, DcSweepSharesOneSymbolicAnalysis) {

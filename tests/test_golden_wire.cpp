@@ -107,6 +107,8 @@ SolverWork solver_work() {
     w.stamp_s = 0.3;
     w.factor_s = 0.4;
     w.solve_s = 0.5;
+    w.step_s = 0.6;
+    w.record_s = 0.7;
     w.tables_built = 8;
     return w;
 }
@@ -142,6 +144,8 @@ obs::RunReport report(const char* kind) {
     r.stamp_s = 3.5e-3;
     r.factor_s = 4.5e-3;
     r.solve_s = 5.5e-3;
+    r.step_s = 7.5e-3;
+    r.record_s = 8.5e-3;
     r.cache_signature = k_signature;
     r.pool_tasks = 45;
     r.pool_queue_wait_s = 6.5e-3;

@@ -8,6 +8,7 @@
 
 #include <atomic>
 #include <cctype>
+#include <chrono>
 #include <cstdlib>
 #include <future>
 #include <map>
@@ -21,6 +22,7 @@
 #include "core/sim_session.hpp"
 #include "obs/metrics.hpp"
 #include "obs/report.hpp"
+#include "obs/scoped_timer.hpp"
 #include "obs/trace.hpp"
 #include "runtime/thread_pool.hpp"
 #include "util/log.hpp"
@@ -636,9 +638,56 @@ TEST(ObsReport, FactorTimeIsCallerWallClock) {
     EXPECT_LE(rep.factor_s, rep.elapsed_s)
         << "factor time is a section of the run's wall clock";
     EXPECT_LE(rep.analyze_s + rep.eval_s + rep.stamp_s + rep.factor_s +
-                  rep.solve_s,
+                  rep.solve_s + rep.step_s + rep.record_s,
               rep.elapsed_s)
         << "time-split buckets are disjoint sections of one wall clock";
+}
+
+TEST(ObsReport, NestedTimersBillSelfTime) {
+    // An inner timer's scope is billed to the inner layer only: the two
+    // layers add up to the outer scope's wall clock, not more.
+    double outer = 0.0;
+    double inner = 0.0;
+    const auto t0 = std::chrono::steady_clock::now();
+    {
+        const obs::ScopedTimer a(outer, "outer");
+        std::this_thread::sleep_for(std::chrono::milliseconds(2));
+        {
+            const obs::ScopedTimer b(inner, "inner");
+            std::this_thread::sleep_for(std::chrono::milliseconds(3));
+        }
+    }
+    const double wall = std::chrono::duration<double>(
+                            std::chrono::steady_clock::now() - t0)
+                            .count();
+    EXPECT_GE(inner, 3e-3);
+    EXPECT_GE(outer, 2e-3);
+    EXPECT_LE(outer + inner, wall);
+}
+
+TEST(ObsReport, LayersCoverAChainTransient) {
+    // On the RTD chain the step loop is billed whole: the cache's layers,
+    // the SWEC step control and the recorder.  What is left (session and
+    // result set-up) is a few percent of the run.
+    const TelemetryOff off;
+    refckt::ChainSpec chain;
+    chain.stages = 200;
+    SimSession session(refckt::rtd_chain(chain));
+    TranSpec spec;
+    spec.t_stop = 1e-6;
+    const obs::RunReport rep = session.run(spec).report;
+    EXPECT_GT(rep.step_s, 0.0);
+    EXPECT_GT(rep.record_s, 0.0);
+    const double layers = rep.analyze_s + rep.eval_s + rep.stamp_s +
+                          rep.factor_s + rep.solve_s + rep.step_s +
+                          rep.record_s;
+    EXPECT_LE(layers, rep.elapsed_s);
+    EXPECT_GE(layers, 0.8 * rep.elapsed_s)
+        << "unattributed: " << rep.elapsed_s - layers << " s of "
+        << rep.elapsed_s << " s";
+    const std::string text = rep.pretty();
+    EXPECT_NE(text.find("step control"), std::string::npos);
+    EXPECT_NE(text.find("record"), std::string::npos);
 }
 
 // ---- NANOSIM_LOG ------------------------------------------------------

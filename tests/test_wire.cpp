@@ -338,6 +338,31 @@ TEST(WireResult, TranResultRoundTripsBitIdentically) {
     EXPECT_EQ(wire::result_to_json(back).dump(), text);
 }
 
+TEST(WireResult, TranWavesShareOneAxisInMemoryAndAfterDecoding) {
+    SimSession session(refckt::rc_mesh(3, 3));
+    TranSpec tran;
+    tran.t_stop = 1e-9;
+    tran.common.dt_init = 1e-11;
+    const AnalysisResult direct = session.run(tran);
+    const AnalysisResult back = wire::result_from_json(
+        json::parse(wire::result_to_json(direct).dump()));
+    for (const AnalysisResult* r : {&direct, &back}) {
+        const auto& waves = r->tran().node_waves;
+        ASSERT_GT(waves.size(), 1U);
+        for (const analysis::Waveform& w : waves) {
+            EXPECT_EQ(&w.time(), &waves.front().time()) << w.label();
+        }
+    }
+    // The engine-side layers travel in the header and the report.
+    const SolverWork& work = direct.header.solver;
+    EXPECT_GT(work.step_s, 0.0);
+    EXPECT_GT(work.record_s, 0.0);
+    EXPECT_EQ(back.header.solver.step_s, work.step_s);
+    EXPECT_EQ(back.header.solver.record_s, work.record_s);
+    EXPECT_EQ(back.report.step_s, direct.report.step_s);
+    EXPECT_EQ(back.report.record_s, direct.report.record_s);
+}
+
 TEST(WireResult, SolverReuseCountersRoundTrip) {
     // A 16x16 mesh passes the stale-factor reuse gate: the transient
     // across the drive edge skips refactors and refines.
