@@ -468,11 +468,17 @@ int run_dc(const SimSession& session, const CliOptions& cli,
               << sweep.failures() << " failures, "
               << sweep.flops.total() << " flops\n";
 
-    // One waveform per node, indexed by the sweep value.
+    // One waveform per node, indexed by the sweep value in ascending
+    // order: the values are monotone, so a descending card (`.dc V1 1 0
+    // -0.1`) is read back to front.
+    const std::size_t points = sweep.values.size();
+    const bool descending =
+        points > 1 && sweep.values.front() > sweep.values.back();
     std::vector<analysis::Waveform> waves;
     for (NodeId n = 1; n <= session.circuit().num_nodes(); ++n) {
         analysis::Waveform w("v(" + session.circuit().node_name(n) + ")");
-        for (std::size_t k = 0; k < sweep.values.size(); ++k) {
+        for (std::size_t i = 0; i < points; ++i) {
+            const std::size_t k = descending ? points - 1 - i : i;
             if (w.empty() || sweep.values[k] > w.time().back()) {
                 w.append(sweep.values[k],
                          session.assembler().view(sweep.solutions[k])(n));

@@ -9,7 +9,7 @@
 // counter-keyed by (base_seed, trial) and Welford accumulation is
 // order-deterministic, restoring this state and continuing at
 // `next_trial` reproduces the uninterrupted campaign BIT-IDENTICALLY —
-// the contract bench_robustness gates.
+// the contract tests/test_robustness.cpp gates.
 //
 // Deliberately std-only below engines/ internals (plus the std-only
 // obs::RescueCounts / FlopCounter value types): observer.hpp and the

@@ -7,6 +7,7 @@
 #include "devices/sources.hpp"
 #include "engines/dc_swec.hpp"
 #include "engines/wave_recorder.hpp"
+#include "obs/scoped_timer.hpp"
 #include "util/error.hpp"
 
 namespace nanosim::engines {
@@ -149,6 +150,13 @@ void EmEngine::integrate(std::span<const stochastic::WienerPath> paths,
     std::vector<double> geq(assembler_->nonlinear_devices().size(), 0.0);
     std::vector<double> dw(paths.size(), 0.0);
 
+    // One timer over the whole step loop bills the steps' own work
+    // outside the cache's layers and the recorder (the noise injection,
+    // G·x, the x update) to step_s by self time; the explicit C⁻¹ solve
+    // goes to solve_s.  A timer per step would add two clock reads to a
+    // step that takes under a microsecond on a small circuit.
+    const obs::ScopedTimer steps_timer(cache.step_clock(), "steps",
+                                       "engine");
     record(0.0, x);
     for (std::size_t j = 0; j < steps_; ++j) {
         const double t = dt * static_cast<double>(j);
@@ -179,7 +187,12 @@ void EmEngine::integrate(std::span<const stochastic::WienerPath> paths,
                 rhs[i] = dt * (rhs[i] - gx[i]);
             }
             add_noise_injection(*assembler_, dw, rhs, 1.0);
-            const linalg::Vector z = c_lu_->solve(rhs);
+            linalg::Vector z;
+            {
+                const obs::ScopedTimer solve_timer(cache.solve_clock(),
+                                                   "solve");
+                z = c_lu_->solve(rhs);
+            }
             for (std::size_t i = 0; i < n; ++i) {
                 x[i] += z[i];
             }

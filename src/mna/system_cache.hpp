@@ -295,8 +295,11 @@ public:
         // the cache to the last two (step_clock(), record_clock()):
         // step_s: the SWEC step loop's self time — step control, i.e.
         // the eq. (12) node bound, the eq. (5) predictor, the eq. (10)
-        // error and the slope update; record_s: appending each accepted
-        // step to the recorded waveforms.
+        // error and the slope update — and the Euler-Maruyama step's
+        // (noise injection, G·x, the x update); record_s: appending each
+        // accepted step to the recorded waveforms.  Explicit EM bills its
+        // C⁻¹ solve, which runs outside the cache, to solve_s
+        // (solve_clock()).
         double analyze_s = 0.0;
         double eval_s = 0.0;
         double stamp_s = 0.0;
@@ -309,10 +312,12 @@ public:
     [[nodiscard]] const Stats& stats() const noexcept { return stats_; }
 
     /// Accumulators of the engine-side layers (Stats::step_s and
-    /// Stats::record_s), billed with obs::ScopedTimer so that every layer
-    /// of a run lands in one Stats, on every worker's cache.
+    /// Stats::record_s, plus Stats::solve_s for a solve the engine runs
+    /// on a factor of its own), billed with obs::ScopedTimer so that
+    /// every layer of a run lands in one Stats, on every worker's cache.
     [[nodiscard]] double& step_clock() noexcept { return stats_.step_s; }
     [[nodiscard]] double& record_clock() noexcept { return stats_.record_s; }
+    [[nodiscard]] double& solve_clock() noexcept { return stats_.solve_s; }
 
     /// The ordering the sparse path will factor with (natural until the
     /// pattern is frozen on a sparse system).

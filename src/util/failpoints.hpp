@@ -9,8 +9,8 @@
 //    one relaxed atomic load (`failpoints::enabled()`); a site costs one
 //    predictable branch when nothing is armed, so production runs execute
 //    the exact same numeric code.  Waveforms are bit-identical with the
-//    framework compiled in vs. sites never firing (gated by
-//    bench_robustness).
+//    framework compiled in vs. sites never firing (gated, with the
+//    disabled-site cost, by tests/test_robustness.cpp).
 //  * Sites have STABLE ADDRESSES for the life of the process: the
 //    registry never erases an entry, so hot loops resolve a `FailPoint&`
 //    once (static local) and keep the reference.

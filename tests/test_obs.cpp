@@ -2,8 +2,10 @@
 // safety under a real ThreadPool hammer), trace spans (nesting and
 // ordering invariants, Chrome JSON well-formedness — parsed back by a
 // minimal JSON reader), RunReport consistency against the SolverWork
-// counters, and the bit-identity guarantee (telemetry on/off never
-// changes simulation results).
+// counters and the time split's coverage, the bit-identity guarantee
+// (telemetry on/off never changes simulation results), and the cost of
+// the disabled path (at most 50 ns per site, under 2% of a Monte-Carlo
+// run).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -20,11 +22,14 @@
 
 #include "core/ref_circuits.hpp"
 #include "core/sim_session.hpp"
+#include "devices/passives.hpp"
+#include "devices/sources.hpp"
 #include "obs/metrics.hpp"
 #include "obs/report.hpp"
 #include "obs/scoped_timer.hpp"
 #include "obs/trace.hpp"
 #include "runtime/thread_pool.hpp"
+#include "timing_gate.hpp"
 #include "util/log.hpp"
 
 namespace nanosim {
@@ -520,42 +525,121 @@ TEST(ObsMetrics, McTrialTimeObservedForEveryTrialAtAnyWorkerCount) {
     EXPECT_EQ(trial_s.count() - before, 6u);
 }
 
-// ---- bit identity -----------------------------------------------------
+// ---- bit identity and the disabled path -------------------------------
+
+/// A 10x10 RC mesh with white noise at its centre node n5_5.
+Circuit noisy_mesh() {
+    Circuit ckt = refckt::rc_mesh(10, 10);
+    ckt.add<NoiseCurrentSource>("NOISE1", k_ground, ckt.find_node("n5_5"),
+                                1e-9);
+    return ckt;
+}
+
+/// 8 Monte-Carlo trials at n5_5 of noisy_mesh(), fixed steps on the
+/// noise grid.
+MonteCarloSpec noisy_mesh_mc() {
+    MonteCarloSpec mc;
+    mc.node = "n5_5";
+    mc.t_stop = 5e-9;
+    mc.noise_dt = 2.5e-10;
+    mc.runs = 8;
+    mc.grid_points = 26;
+    mc.tran.adaptive = false;
+    mc.tran.dt_init = mc.noise_dt;
+    return mc;
+}
+
+/// The waves an analysis returns: every node of a transient, the mean
+/// and stddev of a Monte-Carlo campaign.
+std::vector<analysis::Waveform> waves_of(const AnalysisResult& result) {
+    if (result.header.kind == AnalysisKind::monte_carlo) {
+        return {result.monte_carlo().mean, result.monte_carlo().stddev};
+    }
+    return result.tran().node_waves;
+}
 
 TEST(ObsBitIdentity, TelemetryOnOffIdenticalWaveforms) {
     const TelemetryOff off;
-    TranSpec spec;
-    spec.t_stop = 30e-9;
-    spec.common.dt_init = 0.1e-9;
+    TranSpec tran;
+    tran.t_stop = 30e-9;
+    tran.common.dt_init = 0.1e-9;
+    struct Input {
+        const char* label;
+        Circuit (*make)();
+        AnalysisSpec spec;
+    };
+    const Input inputs[] = {
+        {"transient", [] { return refckt::rc_mesh(5, 5); }, tran},
+        {"monte-carlo", noisy_mesh, noisy_mesh_mc()},
+    };
+    for (const Input& in : inputs) {
+        SCOPED_TRACE(in.label);
+        obs::set_metrics_enabled(false);
+        obs::stop_trace();
+        SimSession plain(in.make());
+        const AnalysisResult base = plain.run(in.spec);
 
-    obs::set_metrics_enabled(false);
-    obs::stop_trace();
-    SimSession plain(refckt::rc_mesh(5, 5));
-    const AnalysisResult base = plain.run(spec);
+        obs::set_metrics_enabled(true);
+        obs::start_trace();
+        SimSession instrumented(in.make());
+        const AnalysisResult traced = instrumented.run(in.spec);
+        obs::stop_trace();
+        obs::set_metrics_enabled(false);
+        // The instrumented run actually recorded something.
+        EXPECT_GT(obs::trace_event_count(), 0u);
 
-    obs::set_metrics_enabled(true);
-    obs::start_trace();
-    SimSession instrumented(refckt::rc_mesh(5, 5));
-    const AnalysisResult traced = instrumented.run(spec);
-    obs::stop_trace();
-    obs::set_metrics_enabled(false);
-
-    const auto& w0 = base.tran().node_waves;
-    const auto& w1 = traced.tran().node_waves;
-    ASSERT_EQ(w0.size(), w1.size());
-    for (std::size_t n = 0; n < w0.size(); ++n) {
-        ASSERT_EQ(w0[n].size(), w1[n].size()) << w0[n].label();
-        for (std::size_t i = 0; i < w0[n].size(); ++i) {
-            // Bit-exact, not approximately equal: telemetry must never
-            // perturb the numerics.
-            ASSERT_EQ(w0[n].time_at(i), w1[n].time_at(i));
-            ASSERT_EQ(w0[n].value_at(i), w1[n].value_at(i));
+        const std::vector<analysis::Waveform> w0 = waves_of(base);
+        const std::vector<analysis::Waveform> w1 = waves_of(traced);
+        ASSERT_EQ(w0.size(), w1.size());
+        for (std::size_t n = 0; n < w0.size(); ++n) {
+            ASSERT_EQ(w0[n].size(), w1[n].size()) << w0[n].label();
+            for (std::size_t i = 0; i < w0[n].size(); ++i) {
+                // Bit-exact, not approximately equal: telemetry must
+                // never perturb the numerics.
+                ASSERT_EQ(w0[n].time_at(i), w1[n].time_at(i));
+                ASSERT_EQ(w0[n].value_at(i), w1[n].value_at(i));
+            }
         }
     }
-    // The instrumented run actually recorded something.
-    EXPECT_GT(obs::trace_event_count(), 0u);
     EXPECT_GT(obs::metrics().histogram("swec.step_size_s", {1.0}).count(),
               0u);
+}
+
+TEST(ObsOverhead, DisabledSitesCostUnderTwoPercentOfAMonteCarloRun) {
+    // An idle instrumentation site is a Span whose constructor sees
+    // tracing off plus the metrics_enabled() gate: at most 50 ns.  The
+    // spans of a Monte-Carlo run (counted from its trace) times that
+    // cost, doubled for the metric gates beside them, must stay within
+    // 2% of the run.
+    if (timing::sanitized()) {
+        GTEST_SKIP() << timing::k_sanitized_skip;
+    }
+    const TelemetryOff off;
+    obs::set_metrics_enabled(false);
+    obs::stop_trace();
+    std::uint64_t open_gates = 0;
+    const double site_ns = timing::site_ns(5, 1 << 20, [&open_gates] {
+        const obs::Span span("test", "obs");
+        open_gates += obs::metrics_enabled() ? 1 : 0;
+        asm volatile("" : : "r"(&span) : "memory");
+    });
+    EXPECT_EQ(open_gates, 0u);
+
+    const auto run_mc = [] {
+        SimSession session(noisy_mesh());
+        (void)session.run(noisy_mesh_mc());
+    };
+    const double run_s = timing::min_seconds(3, run_mc);
+    obs::start_trace();
+    run_mc();
+    obs::stop_trace();
+    const std::size_t spans = obs::trace_event_count();
+    EXPECT_GT(spans, 0u);
+    const double predicted = timing::predicted_share(spans, site_ns, run_s);
+    EXPECT_LE(site_ns, 50.0);
+    EXPECT_LE(predicted, 0.02)
+        << spans << " spans x " << site_ns << " ns against a "
+        << run_s * 1e3 << " ms run";
 }
 
 // ---- thread-pool queue-wait metric ------------------------------------
@@ -688,6 +772,54 @@ TEST(ObsReport, LayersCoverAChainTransient) {
     const std::string text = rep.pretty();
     EXPECT_NE(text.find("step control"), std::string::npos);
     EXPECT_NE(text.find("record"), std::string::npos);
+}
+
+/// A branch-free RC ladder of `nodes` nodes, each with a capacitor to
+/// ground (so C is invertible and explicit Euler-Maruyama applies),
+/// driven by a current source at n1 and with white noise at its far end.
+Circuit noisy_rc_ladder(int nodes) {
+    Circuit ckt;
+    NodeId prev = ckt.node("n1");
+    ckt.add<ISource>("I1", k_ground, prev, 1e-3);
+    ckt.add<Capacitor>("C1", prev, k_ground, 1e-12);
+    for (int i = 2; i <= nodes; ++i) {
+        const std::string tag = std::to_string(i);
+        const NodeId node = ckt.node("n" + tag);
+        ckt.add<Resistor>("R" + tag, prev, node, 1e3);
+        ckt.add<Capacitor>("C" + tag, node, k_ground, 1e-12);
+        prev = node;
+    }
+    ckt.add<Resistor>("RL", prev, k_ground, 1e3);
+    ckt.add<NoiseCurrentSource>("NOISE1", k_ground, prev, 1e-9);
+    return ckt;
+}
+
+TEST(ObsReport, LayersCoverAnEulerMaruyamaEnsemble) {
+    // Both schemes bill the whole step: the cache's layers, the explicit
+    // scheme's C^-1 solve (solve_s) and the step's own work (step_s).
+    const TelemetryOff off;
+    for (const engines::EmScheme scheme :
+         {engines::EmScheme::explicit_em, engines::EmScheme::implicit_be}) {
+        SCOPED_TRACE(scheme == engines::EmScheme::explicit_em ? "explicit"
+                                                              : "implicit");
+        SimSession session(noisy_rc_ladder(256));
+        EnsembleSpec spec;
+        spec.node = "n256";
+        spec.t_stop = 2e-9;
+        spec.dt = 1e-11;
+        spec.paths = 8;
+        spec.scheme = scheme;
+        const obs::RunReport rep = session.run(spec).report;
+        EXPECT_GT(rep.step_s, 0.0);
+        EXPECT_GT(rep.solve_s, 0.0);
+        const double layers = rep.analyze_s + rep.eval_s + rep.stamp_s +
+                              rep.factor_s + rep.solve_s + rep.step_s +
+                              rep.record_s;
+        EXPECT_LE(layers, rep.elapsed_s);
+        EXPECT_GE(layers, 0.9 * rep.elapsed_s)
+            << "unattributed: " << rep.elapsed_s - layers << " s of "
+            << rep.elapsed_s << " s";
+    }
 }
 
 // ---- NANOSIM_LOG ------------------------------------------------------

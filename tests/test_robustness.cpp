@@ -6,7 +6,9 @@
 // one and two workers, checkpoints resume bit-identically (including
 // through the wire encoding), and the service isolates worker faults
 // into exactly one `failed` terminal event while the daemon keeps
-// serving.
+// serving.  Two gates bound the framework's own footprint: a disabled
+// site costs at most 25 ns and under 1% of a Monte-Carlo run, and sites
+// armed but never firing leave a campaign bit-identical.
 //
 // Fail points are process-global: every test that arms one goes through
 // the ArmedScope RAII guard so a failing assertion cannot leak an armed
@@ -43,6 +45,7 @@
 #include "service/json.hpp"
 #include "service/server.hpp"
 #include "service/wire.hpp"
+#include "timing_gate.hpp"
 #include "util/error.hpp"
 #include "util/failpoints.hpp"
 
@@ -422,6 +425,87 @@ TEST(McCheckpoint, MismatchedCampaignShapeIsRejected) {
         std::make_shared<const engines::McCheckpoint>(checkpoints[0]);
     EXPECT_THROW((void)engines::run_monte_carlo(assembler, other, 1, out),
                  AnalysisError);
+}
+
+// ---- the disabled path: free, and inert when armed but never firing ----
+
+/// 12 fixed-step Monte-Carlo trials on an 8x8 RC mesh with white noise at
+/// its centre: every solver, engine and Monte-Carlo driver injection site
+/// is on this path.
+engines::McResult run_noisy_mesh_mc() {
+    Circuit ckt = refckt::rc_mesh(8, 8);
+    const NodeId centre = ckt.find_node("n4_4");
+    ckt.add<NoiseCurrentSource>("NOISE1", k_ground, centre, 1e-9);
+    const mna::MnaAssembler assembler(ckt);
+    engines::McOptions mc;
+    mc.runs = 12;
+    mc.t_stop = 5e-9;
+    mc.noise_dt = 2.5e-10;
+    mc.grid_points = 26;
+    mc.tran.adaptive = false;
+    mc.tran.dt_init = mc.noise_dt;
+    return engines::run_monte_carlo(assembler, mc, 1, centre);
+}
+
+/// Sites armed at an evaluation no run reaches: the global gate is open,
+/// so every site counts its evaluations, but none fires.
+constexpr const char* k_never_firing =
+    "test.sentinel=1000000000,mc.trial_fail=1000000000,"
+    "linalg.singular_pivot=1000000000";
+
+/// fire() evaluations summed over every registered site.
+std::uint64_t total_evaluations() {
+    std::uint64_t total = 0;
+    for (const auto& [name, mode] : failpoints::catalog()) {
+        total += failpoints::site(name.c_str()).evaluations();
+    }
+    return total;
+}
+
+TEST(FailPoints, ArmedNeverFiringMonteCarloIsBitIdentical) {
+    failpoints::disarm_all();
+    const engines::McResult off = run_noisy_mesh_mc();
+    const engines::McResult armed = [] {
+        const ArmedScope scope(k_never_firing);
+        return run_noisy_mesh_mc();
+    }();
+    EXPECT_TRUE(off.failed_trials.empty());
+    EXPECT_EQ(off.stats.paths(), armed.stats.paths());
+    expect_identical_mc(off, armed);
+}
+
+TEST(FailPoints, DisabledPathCostIsNegligible) {
+    // With nothing armed a site costs one relaxed load and a branch: at
+    // most 25 ns.  The gate checks of a Monte-Carlo run (counted exactly
+    // by an armed, never-firing run) times that cost, doubled for
+    // headroom, must stay within 1% of the run.
+    if (timing::sanitized()) {
+        GTEST_SKIP() << timing::k_sanitized_skip;
+    }
+    failpoints::disarm_all();
+    auto& probe = failpoints::site("test.disabled_probe");
+    std::uint64_t fires = 0;
+    const double site_ns = timing::site_ns(5, 1 << 20, [&] {
+        fires += failpoints::fire(probe) ? 1 : 0;
+        asm volatile("" : : "r"(&fires) : "memory");
+    });
+    EXPECT_EQ(fires, 0U);
+
+    const double run_s =
+        timing::min_seconds(3, [] { (void)run_noisy_mesh_mc(); });
+    std::uint64_t checks = 0;
+    {
+        const ArmedScope scope(k_never_firing);
+        const std::uint64_t before = total_evaluations();
+        (void)run_noisy_mesh_mc();
+        checks = total_evaluations() - before;
+    }
+    EXPECT_GT(checks, 0U);
+    const double predicted = timing::predicted_share(checks, site_ns, run_s);
+    EXPECT_LE(site_ns, 25.0);
+    EXPECT_LE(predicted, 0.01)
+        << checks << " gate checks x " << site_ns << " ns against a "
+        << run_s * 1e3 << " ms run";
 }
 
 // ---- service resilience -----------------------------------------------

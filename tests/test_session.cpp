@@ -1,10 +1,13 @@
 // Tests for the AnalysisSpec/SimSession API: parity (session results are
-// bit-identical to direct engine calls), the persistent solver-cache
-// registry (a second analysis on an unchanged circuit runs ZERO new
-// symbolic factorisations), the swept source's restore on every exit of
-// a DC sweep, and the deck-card -> spec mapping.
+// bit-identical to direct engine calls; a Monte-Carlo campaign agrees to
+// 1e-12), the persistent solver-cache registry (a second analysis on an
+// unchanged circuit runs ZERO new symbolic factorisations), the swept
+// source's restore on every exit of a DC sweep, and the deck-card -> spec
+// mapping.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <functional>
 #include <stdexcept>
 #include <string>
@@ -16,6 +19,7 @@
 #include "engines/dc_mla.hpp"
 #include "engines/dc_nr.hpp"
 #include "engines/dc_swec.hpp"
+#include "engines/monte_carlo.hpp"
 #include "engines/tran_nr.hpp"
 #include "engines/tran_pwl.hpp"
 #include "engines/tran_swec.hpp"
@@ -190,6 +194,82 @@ TEST(SessionParity, DcSweepBitIdenticalAllEngines) {
                 EXPECT_EQ(sweep.solutions[k], direct.solutions[k]);
             }
         }
+    }
+}
+
+TEST(SessionParity, MonteCarloWithin1e12OfPerCallCampaign) {
+    // A campaign on a session whose cache already served an operating
+    // point and a transient agrees to 1e-12 with a per-call campaign on a
+    // cache of its own: on the dense inverter and on a 16x16 mesh, where
+    // the sparse path reuses stale factors.  Trials start from each
+    // path's operating point and march on the noise grid.
+    struct McCase {
+        const char* label;
+        Circuit (*make)();
+        const char* node;
+        double t_stop;
+        double noise_dt;
+    };
+    const McCase cases[] = {
+        {"fet_rtd_inverter",
+         [] {
+             Circuit ckt = refckt::fet_rtd_inverter();
+             ckt.add<NoiseCurrentSource>("NOISE1", k_ground,
+                                         ckt.find_node("out"), 1e-9);
+             return ckt;
+         },
+         "out", 20e-9, 1e-9},
+        {"rc_mesh16x16",
+         [] {
+             Circuit ckt = refckt::rc_mesh(16, 16);
+             ckt.add<NoiseCurrentSource>("NOISE1", k_ground,
+                                         ckt.find_node("n8_8"), 1e-9);
+             return ckt;
+         },
+         "n8_8", 5e-9, 2.5e-10},
+    };
+    for (const McCase& c : cases) {
+        SCOPED_TRACE(c.label);
+        engines::McOptions mc;
+        mc.runs = 10;
+        mc.t_stop = c.t_stop;
+        mc.noise_dt = c.noise_dt;
+        mc.grid_points = 26;
+        mc.tran.start_from_dc = false;
+        mc.tran.adaptive = false;
+        mc.tran.dt_init = c.noise_dt;
+
+        SimSession session(c.make());
+        const AnalysisResult op = session.run(OpSpec{});
+        TranSpec tran;
+        tran.t_stop = c.t_stop;
+        (void)session.run(tran);
+        MonteCarloSpec spec;
+        spec.node = c.node;
+        spec.runs = mc.runs;
+        spec.t_stop = mc.t_stop;
+        spec.noise_dt = mc.noise_dt;
+        spec.grid_points = mc.grid_points;
+        spec.tran = mc.tran;
+        spec.tran.initial = op.dc().x;
+        const AnalysisResult in_session = session.run(spec);
+
+        const Circuit ckt = c.make();
+        const mna::MnaAssembler assembler(ckt);
+        mc.tran.initial = engines::solve_op_swec(assembler).x;
+        const engines::McResult per_call = engines::run_monte_carlo(
+            assembler, mc, spec.seed, ckt.find_node(c.node));
+
+        const engines::McResult& a = in_session.monte_carlo();
+        ASSERT_EQ(a.mean.size(), per_call.mean.size());
+        double dev = 0.0;
+        for (std::size_t j = 0; j < a.mean.size(); ++j) {
+            dev = std::max(dev, std::abs(a.mean.value_at(j) -
+                                         per_call.mean.value_at(j)));
+            dev = std::max(dev, std::abs(a.stddev.value_at(j) -
+                                         per_call.stddev.value_at(j)));
+        }
+        EXPECT_LE(dev, 1e-12);
     }
 }
 

@@ -12,7 +12,10 @@
 //    produce a correct solution;
 //  * a failed fast-refactor attempt bills zero flops, and one fallback
 //    counts as full_factors + 1 and pivot_fallbacks + 1 in SystemCache,
-//    never as a fast refactor.
+//    never as a fast refactor;
+//  * refactor() is strictly faster than a fresh factorisation on RTD
+//    chains of 100-800 stages (a wall-clock gate: minimum of repeated
+//    runs, skipped under sanitizers).
 //
 // 200+ random sparse systems sweep size, density and conditioning.
 #include <gtest/gtest.h>
@@ -21,6 +24,7 @@
 #include <cstring>
 #include <random>
 #include <span>
+#include <vector>
 
 #include "core/ref_circuits.hpp"
 #include "linalg/lu.hpp"
@@ -30,6 +34,7 @@
 #include "linalg/vecops.hpp"
 #include "mna/mna.hpp"
 #include "mna/system_cache.hpp"
+#include "timing_gate.hpp"
 #include "util/error.hpp"
 #include "util/flops.hpp"
 
@@ -449,6 +454,44 @@ TEST(SolverEquivalence, SystemCacheFallbackCounterAlgebra) {
     EXPECT_EQ(cache.stats().fast_refactors, 1u);
     EXPECT_TRUE(bit_identical(x_full, x_fast));
     EXPECT_FALSE(bit_identical(x_full, x_degraded));
+}
+
+TEST(SolverEquivalence, RefactorFasterThanFreshFactorOnRtdChains) {
+    // What the split buys: on the SWEC step matrix of an RTD chain, a
+    // refactor along the recorded reach sets and pivots is strictly
+    // cheaper than a fresh factorisation (triplet sort + symbolic DFS +
+    // pivot search + numeric sweep).  Values drift each repetition, as
+    // chord conductances do step to step.
+    if (timing::sanitized()) {
+        GTEST_SKIP() << timing::k_sanitized_skip;
+    }
+    constexpr int k_calls = 10;
+    for (const int stages : {100, 200, 400, 800}) {
+        refckt::ChainSpec spec;
+        spec.stages = stages;
+        const Circuit ckt = refckt::rtd_chain(spec);
+        const mna::MnaAssembler assembler(ckt);
+        const Triplets a = mna::swec_step_matrix(assembler, 1e-10);
+
+        const double factor_s = timing::min_seconds(5, [&a] {
+            for (int i = 0; i < k_calls; ++i) {
+                const SparseLu fresh(a);
+            }
+        });
+        SparseLu lu(a);
+        std::vector<double> values = compress_columns(a).values;
+        const double refactor_s = timing::min_seconds(5, [&] {
+            for (int i = 0; i < k_calls; ++i) {
+                for (double& v : values) {
+                    v *= 1.0 + 1e-9;
+                }
+                (void)lu.refactor(std::span<const double>(values));
+            }
+        });
+        EXPECT_LT(refactor_s, factor_s)
+            << stages << " stages: refactor " << refactor_s / k_calls * 1e6
+            << " us, fresh factor " << factor_s / k_calls * 1e6 << " us";
+    }
 }
 
 } // namespace

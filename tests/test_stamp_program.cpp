@@ -11,10 +11,19 @@
 // TableConfig::rel_tol per accepted segment, not at all outside the
 // table range or in a rejected segment.  test_chord_tables.cpp gates the
 // default (tabulated) transients against the closed form.
+//
+// A Monte-Carlo trial is the one caller that hands the rhs a noise
+// realization: StampProgram::eval_rhs on the program path,
+// MnaAssembler::rhs on the legacy one.  A noisy RTD-mesh campaign gates
+// that pair bit for bit, and its default (tabulated) run to 1e-6 of the
+// closed form.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <functional>
+#include <iostream>
 #include <string>
 #include <vector>
 
@@ -208,6 +217,72 @@ TEST(StampProgram, DcSwecBitIdentical) {
         for (std::size_t i = 0; i < res_a.x.size(); ++i) {
             EXPECT_EQ(res_a.x[i], res_b.x[i]) << c.name << " x[" << i << "]";
         }
+    }
+}
+
+/// rtd_mesh9x9 with white noise into its centre node n4_4.
+Circuit noisy_rtd_mesh() {
+    refckt::MeshSpec spec;
+    spec.rows = 9;
+    spec.cols = 9;
+    spec.rtd_stride = 1;
+    Circuit ckt = refckt::rc_mesh(spec);
+    ckt.add<NoiseCurrentSource>("NOISE1", k_ground, ckt.find_node("n4_4"),
+                                1e-9);
+    return ckt;
+}
+
+/// Six adaptive SWEC trials at n4_4 of noisy_rtd_mesh() (fixed seed, one
+/// worker) on a fresh cache with or without the stamp program.
+engines::McResult run_noisy_mesh_mc(bool program, bool tables) {
+    Circuit ckt = noisy_rtd_mesh();
+    const mna::MnaAssembler assembler(ckt);
+    mna::SystemCache cache(assembler, cache_options(program));
+    EXPECT_EQ(cache.has_program(), program);
+    engines::McOptions mc;
+    mc.runs = 6;
+    mc.t_stop = 2e-9;
+    mc.noise_dt = 2.5e-10;
+    mc.grid_points = 26;
+    mc.tran.tables.enabled = tables;
+    return engines::run_monte_carlo(assembler, mc, 5, ckt.find_node("n4_4"),
+                                    runtime::ExecutionPolicy{1}, nullptr,
+                                    &cache);
+}
+
+TEST(StampProgram, MonteCarloBitIdentical) {
+    const engines::McResult legacy = run_noisy_mesh_mc(false, false);
+    const engines::McResult program = run_noisy_mesh_mc(true, false);
+    ASSERT_EQ(legacy.trial_steps.size(), 6u);
+    EXPECT_EQ(legacy.trial_steps, program.trial_steps);
+    expect_waves_bit_identical({legacy.mean, legacy.stddev},
+                               {program.mean, program.stddev});
+}
+
+TEST(TabulatedModels, MonteCarloWithinGateOfClosedForm) {
+    // The default campaign reads its chords from tables; on the grid the
+    // statistics are sampled on, its mean and stddev stay within 1e-6 of
+    // each wave's max |v| on the closed-form (legacy) run.
+    constexpr double k_tol = 1e-6;
+    const engines::McResult exact = run_noisy_mesh_mc(false, false);
+    const std::uint64_t before = chord_table_build_count();
+    const engines::McResult tab = run_noisy_mesh_mc(true, true);
+    EXPECT_GT(chord_table_build_count(), before);
+    const Waveform* pairs[][2] = {{&exact.mean, &tab.mean},
+                                  {&exact.stddev, &tab.stddev}};
+    for (const auto& [we, wt] : pairs) {
+        ASSERT_EQ(wt->size(), we->size()) << we->label();
+        double dev = 0.0;
+        double scale = 0.0;
+        for (std::size_t j = 0; j < we->size(); ++j) {
+            EXPECT_EQ(wt->time_at(j), we->time_at(j));
+            dev = std::max(dev, std::abs(wt->value_at(j) - we->value_at(j)));
+            scale = std::max(scale, std::abs(we->value_at(j)));
+        }
+        EXPECT_GT(scale, 0.0) << we->label();
+        EXPECT_LE(dev, k_tol * scale) << we->label();
+        std::cout << "  " << we->label() << ": max |dv| / max |v| = "
+                  << dev / scale << '\n';
     }
 }
 
