@@ -6,9 +6,10 @@
 // Builds the rc_mesh workload (an RxC resistor grid with grounded
 // capacitors and RTD loads, pulse-driven at one corner — the topology of
 // nanotech fabrics and power-distribution networks), runs the SWEC
-// transient, and reports what the cached sparse solver did: which
-// fill-reducing ordering SystemCache picked at pattern-freeze time, the
-// predicted vs actual LU fill, and the full-factor/fast-refactor split.
+// transient on a SystemCache of its own, and reports what the cached
+// sparse solver did (the cache's stats): which fill-reducing ordering it
+// picked at pattern-freeze time, the predicted vs actual LU fill, and the
+// full-factor/fast-refactor split.
 // The same workload is available from the CLI as
 // `nanosim run --circuit mesh:RxC`.
 #include <iostream>
@@ -30,22 +31,24 @@ int main(int argc, char** argv) {
 
     engines::SwecTranOptions opt;
     opt.t_stop = 100e-9;
-    const engines::TranResult res = engines::run_tran_swec(assembler, opt);
+    mna::SystemCache cache(assembler);
+    const engines::TranResult res =
+        engines::run_tran_swec(assembler, opt, nullptr, &cache);
+    const mna::SystemCache::Stats& solver = cache.stats();
 
     std::cout << "SWEC transient: " << res.steps_accepted
               << " accepted steps, last point at t = "
               << res.node_waves.front().t_end() << " s (t_stop = "
               << opt.t_stop << " s)\n";
-    std::cout << "sparse solver: ordering " << res.solver_ordering.name()
-              << ", pattern nnz " << res.solver_ordering.pattern_nnz
-              << ", factor nnz " << res.solver_ordering.factor_nnz
-              << " (predicted " << res.solver_ordering.predicted_fill_chosen
+    std::cout << "sparse solver: ordering "
+              << linalg::ordering_name(solver.ordering) << ", pattern nnz "
+              << solver.pattern_nnz << ", factor nnz " << solver.factor_nnz
+              << " (predicted " << solver.predicted_fill_chosen
               << ", natural order would be "
-              << res.solver_ordering.predicted_fill_natural << ")\n";
-    std::cout << "factorisations: " << res.solver_full_factors
-              << " full, " << res.solver_fast_refactors
-              << " pattern-reusing refactors, " << res.solver_dense_solves
-              << " dense solves\n";
+              << solver.predicted_fill_natural << ")\n";
+    std::cout << "factorisations: " << solver.full_factors << " full, "
+              << solver.fast_refactors << " pattern-reusing refactors, "
+              << solver.dense_solves << " dense solves\n";
 
     // The far-corner node shows the pulse diffusing across the grid.
     const std::string far = "n" + std::to_string(rows - 1) + "_" +

@@ -81,9 +81,9 @@ int main() {
     tran.t_stop = 100e-9;
     const AnalysisResult tr = session.run(tran, &observer);
     std::cout << "transient: " << tr.tran().steps_accepted
-              << " steps, solver did " << tr.header.solver.full_factors
-              << " full / " << tr.header.solver.fast_refactors
-              << " fast factorisations, " << tr.header.solver.dense_solves
+              << " steps, solver did " << tr.report.full_factors
+              << " full / " << tr.report.fast_refactors
+              << " fast factorisations, " << tr.report.dense_solves
               << " dense solves (cached pattern " << std::hex
               << tr.header.cache_signature << std::dec << ")\n";
     return 0;

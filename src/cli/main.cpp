@@ -47,6 +47,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <variant>
 #include <vector>
@@ -409,24 +410,24 @@ void maybe_plot(const CliOptions& cli,
 }
 
 /// Per-step wall-time attribution of a cached-solver analysis (the
-/// SolverWork analyze/eval/stamp/factor/solve/step/record split); silent
+/// RunReport's analyze/eval/stamp/factor/solve/step/record split); silent
 /// when the analysis never went through a SystemCache.
-void print_step_split(const AnalysisHeader& header) {
-    const SolverWork& sw = header.solver;
-    const double total = sw.analyze_s + sw.eval_s + sw.stamp_s +
-                         sw.factor_s + sw.solve_s + sw.step_s + sw.record_s;
+void print_step_split(const obs::SolverWork& sw) {
+    double total = 0.0;
+    obs::for_each_layer(sw, [&total](std::string_view, double s) {
+        total += s;
+    });
     if (total <= 0.0) {
         return;
     }
     const auto flags = std::cout.flags();
     const auto precision = std::cout.precision();
-    std::cout << std::fixed << std::setprecision(2)
-              << "  step time: analyze " << sw.analyze_s * 1e3
-              << " ms | eval "
-              << sw.eval_s * 1e3 << " ms | stamp " << sw.stamp_s * 1e3
-              << " ms | factor " << sw.factor_s * 1e3 << " ms | solve "
-              << sw.solve_s * 1e3 << " ms | step " << sw.step_s * 1e3
-              << " ms | record " << sw.record_s * 1e3 << " ms";
+    std::cout << std::fixed << std::setprecision(2) << "  step time:";
+    const char* sep = " ";
+    obs::for_each_layer(sw, [&sep](std::string_view layer, double s) {
+        std::cout << sep << layer << ' ' << s * 1e3 << " ms";
+        sep = " | ";
+    });
     if (sw.tables_built > 0) {
         std::cout << " | " << sw.tables_built << " chord tables built";
     }
@@ -453,7 +454,7 @@ int run_op(const SimSession& session, const AnalysisResult& result,
     }
     std::cout << "  [" << op.iterations << " iterations/steps, "
               << op.flops.total() << " flops]\n";
-    print_step_split(result.header);
+    print_step_split(result.report);
     return 0;
 }
 
@@ -496,8 +497,11 @@ int run_dc(const SimSession& session, const CliOptions& cli,
     return sweep.failures() == 0 ? 0 : 1;
 }
 
+/// `cache` is the session cache the transient ran on: the ordering
+/// decision of its sparse path.
 int run_tran(const CliOptions& cli, const TranSpec& spec,
-             const AnalysisResult& result, int index) {
+             const AnalysisResult& result,
+             const mna::SystemCache::Stats& cache, int index) {
     std::cout << "\n* analysis " << index << ": .tran "
               << spec.common.dt_init << ' ' << spec.t_stop << " (engine "
               << result.header.engine << ")\n";
@@ -507,21 +511,20 @@ int run_tran(const CliOptions& cli, const TranSpec& spec,
               << res.nr_iterations << " nonlinear iterations, "
               << res.nonconverged_steps << " non-converged, "
               << res.flops.total() << " flops\n";
-    if (res.solver_full_factors + res.solver_fast_refactors > 0) {
+    const obs::RunReport& rep = result.report;
+    if (rep.full_factors + rep.fast_refactors > 0) {
         std::cout << "  sparse solver: ordering "
-                  << res.solver_ordering.name() << ", factor nnz "
-                  << res.solver_ordering.factor_nnz << " (predicted "
-                  << res.solver_ordering.predicted_fill_chosen
-                  << " vs natural "
-                  << res.solver_ordering.predicted_fill_natural << "), "
-                  << res.solver_full_factors << " full / "
-                  << res.solver_fast_refactors << " fast factorisations, "
-                  << res.solver_refactors_skipped << " refactors skipped ("
-                  << res.solver_refine_sweeps
+                  << linalg::ordering_name(cache.ordering) << ", factor nnz "
+                  << cache.factor_nnz << " (predicted "
+                  << cache.predicted_fill_chosen << " vs natural "
+                  << cache.predicted_fill_natural << "), "
+                  << rep.full_factors << " full / " << rep.fast_refactors
+                  << " fast factorisations, " << rep.refactors_skipped
+                  << " refactors skipped (" << rep.refine_sweeps
                   << " refine sweeps, max backward error "
-                  << res.solver_max_backward_error << ")\n";
+                  << rep.max_backward_error << ")\n";
     }
-    print_step_split(result.header);
+    print_step_split(result.report);
     maybe_plot(cli, res.node_waves, "transient", "t [s]");
     if (cli.csv_prefix) {
         const std::string path =
@@ -1299,7 +1302,8 @@ int main(int argc, char** argv) {
             } else if (const auto* dc = std::get_if<DcSweepSpec>(&spec)) {
                 rc |= run_dc(session, *cli, *dc, result, index);
             } else if (const auto* tran = std::get_if<TranSpec>(&spec)) {
-                rc |= run_tran(*cli, *tran, result, index);
+                rc |= run_tran(*cli, *tran, result,
+                               session.solver_cache().stats(), index);
             }
         }
         write_telemetry(cli->trace_path, cli->metrics_path);

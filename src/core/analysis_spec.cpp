@@ -55,13 +55,15 @@ linalg::Vector DcSweepSpec::values() const {
     }
     // A step that divides the span exactly can leave the quotient a
     // rounding error short of the integer (0.3 / 0.1 gives
-    // 2.9999999999999996); snap it so the endpoint is not lost.
+    // 2.9999999999999996); snap it so the endpoint is not lost.  A step
+    // that does not divide it stops at the last whole step short of
+    // `stop` (0 to 0.35 by 0.1 ends at 0.3).
     const double nearest = std::round(intervals);
-    const double whole =
-        std::abs(intervals - nearest) <= 1e-9 * std::max(nearest, 1.0)
-            ? nearest
-            : std::floor(intervals);
-    return linalg::linspace(start, stop, static_cast<std::size_t>(whole) + 1);
+    const bool divides =
+        std::abs(intervals - nearest) <= 1e-9 * std::max(nearest, 1.0);
+    const double whole = divides ? nearest : std::floor(intervals);
+    const double last = divides ? stop : start + whole * step;
+    return linalg::linspace(start, last, static_cast<std::size_t>(whole) + 1);
 }
 
 } // namespace nanosim

@@ -6,13 +6,14 @@
 // selection plus the commonly tuned options factored out of the
 // per-engine `*Options` structs.  A SimSession executes specs against
 // one circuit and returns AnalysisResults — a uniform header (name,
-// kind, engine, elapsed time, abort flag, solver-cache work) over the
-// engine-native payload.
+// kind, engine, elapsed time, abort flag, cache signature) over the
+// engine-native payload, plus the run's obs::RunReport, which carries
+// the solver-cache work and the time split.
 //
 //     SimSession session = SimSession::from_deck_file("x.cir");
 //     AnalysisResult tr = session.run(TranSpec{.t_stop = 1e-6});
 //     tr.tran().node(session.circuit(), "out");        // typed payload
-//     tr.header.solver.full_factors;                   // uniform header
+//     tr.report.full_factors;                          // run report
 //
 // Power users still reach the engines directly (the benches do); the
 // spec layer is the ergonomic, cache-sharing front door.
@@ -102,11 +103,13 @@ struct DcSweepSpec {
     double stop = 0.0;
     double step = 0.0;   ///< signed increment (sign must match stop-start)
 
-    /// The sweep values, endpoints included: floor((stop - start) / step)
-    /// + 1 evenly spaced points, the quotient first snapped to the
-    /// nearest integer when within 1e-9 relative (0 to 0.3 by 0.1 is 4
-    /// points).  Throws AnalysisError on an inconsistent start/stop/step
-    /// triple.
+    /// The sweep values: floor((stop - start) / step) + 1 points from
+    /// `start` on the card's step, the quotient first snapped to the
+    /// nearest integer when within 1e-9 relative.  `stop` is the last
+    /// point when the step divides the span (0 to 0.3 by 0.1 is 4
+    /// points); otherwise the last whole step short of it is (0 to 0.35
+    /// by 0.1 is 0, 0.1, 0.2, 0.3).  Throws AnalysisError on an
+    /// inconsistent start/stop/step triple.
     [[nodiscard]] linalg::Vector values() const;
 };
 
@@ -256,9 +259,6 @@ enum class AnalysisKind { op, dc_sweep, tran, monte_carlo, ensemble };
 
 [[nodiscard]] const char* analysis_kind_name(AnalysisKind kind) noexcept;
 
-/// Solver-cache work spent inside one analysis (engines/results.hpp).
-using SolverWork = engines::SolverWork;
-
 /// Uniform result header shared by every analysis kind.
 struct AnalysisHeader {
     std::string name;          ///< spec name (echoed back)
@@ -266,7 +266,6 @@ struct AnalysisHeader {
     std::string engine;        ///< engine display name
     double elapsed_s = 0.0;    ///< wall-clock time of this run
     bool aborted = false;      ///< observer cancelled mid-run
-    SolverWork solver;         ///< cache work spent in this run
     std::uint64_t cache_signature = 0; ///< stamp-pattern signature used
 };
 
@@ -277,7 +276,6 @@ constexpr auto field_table(std::type_identity<AnalysisHeader>) {
         Field{"engine", &AnalysisHeader::engine},
         Field{"elapsed_s", &AnalysisHeader::elapsed_s},
         Field{"aborted", &AnalysisHeader::aborted},
-        Field{"solver", &AnalysisHeader::solver},
         Field{"cache_signature", &AnalysisHeader::cache_signature}};
 }
 
@@ -293,9 +291,9 @@ struct AnalysisResult {
     AnalysisHeader header;
     Payload payload;
     /// Aggregated per-run diagnostics (obs/report.hpp): step-control
-    /// outcomes, solver-cache work, time attribution, pool pressure.
-    /// Machine-readable via report.to_json(); the CLI `report` verb
-    /// pretty-prints it.
+    /// outcomes, the solver-cache work and time split (the only copy of
+    /// them in a result), pool pressure.  Machine-readable via
+    /// report.to_json(); the CLI `report` verb pretty-prints it.
     obs::RunReport report;
 
     [[nodiscard]] const engines::DcResult& dc() const {

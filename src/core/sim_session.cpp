@@ -179,7 +179,7 @@ AnalysisResult SimSession::run(const AnalysisSpec& spec,
             std::visit([](const auto& s) { return s.name; }, spec),
         "session");
     const auto t0 = Clock::now();
-    mna::SystemCache::Stats before{};
+    obs::SolverWork before;
     if (const auto it = caches_.find(signature_); it != caches_.end()) {
         it->second->reset_backward_error_peak();
         before = it->second->stats();
@@ -210,17 +210,6 @@ AnalysisResult SimSession::run(const AnalysisSpec& spec,
         },
         spec);
 
-    if (const auto it = caches_.find(signature_); it != caches_.end()) {
-        result.header.solver =
-            engines::solver_work(before, it->second->stats());
-    }
-    std::visit(
-        [&result](const auto& payload) {
-            if constexpr (requires { payload.solver; }) {
-                result.header.solver += payload.solver; // ensemble workers
-            }
-        },
-        result.payload);
     result.header.cache_signature = signature_;
     result.header.elapsed_s = seconds_since(t0);
 
@@ -231,23 +220,19 @@ AnalysisResult SimSession::run(const AnalysisSpec& spec,
     report.engine = result.header.engine;
     report.elapsed_s = result.header.elapsed_s;
     report.aborted = result.header.aborted;
-    const SolverWork& work = result.header.solver;
-    report.full_factors = work.full_factors;
-    report.fast_refactors = work.fast_refactors;
-    report.refactors_skipped = work.refactors_skipped;
-    report.dense_solves = work.dense_solves;
-    report.pivot_fallbacks = work.pivot_fallbacks;
-    report.pattern_rebuilds = work.pattern_rebuilds;
-    report.refine_sweeps = work.refine_sweeps;
-    report.max_backward_error = work.max_backward_error;
-    report.tables_built = work.tables_built;
-    report.analyze_s = work.analyze_s;
-    report.eval_s = work.eval_s;
-    report.stamp_s = work.stamp_s;
-    report.factor_s = work.factor_s;
-    report.solve_s = work.solve_s;
-    report.step_s = work.step_s;
-    report.record_s = work.record_s;
+    // The solver work: the session cache's delta over this run, plus the
+    // caches an ensemble driver built for its extra workers.
+    obs::SolverWork& work = report;
+    if (const auto it = caches_.find(signature_); it != caches_.end()) {
+        work = it->second->stats().since(before);
+    }
+    std::visit(
+        [&work](const auto& payload) {
+            if constexpr (requires { payload.solver; }) {
+                work += payload.solver;
+            }
+        },
+        result.payload);
     report.cache_signature = result.header.cache_signature;
     std::visit(
         [&report](const auto& payload) {

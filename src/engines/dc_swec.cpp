@@ -42,7 +42,6 @@ DcResult solve_op_swec(const mna::MnaAssembler& assembler,
         local_cache.emplace(assembler);
         cache = &*local_cache;
     }
-    const mna::SystemCache::Stats stats_before = cache->stats();
     cache->start_run();
     cache->configure_tables(TableConfig{.enabled = false});
 
@@ -119,7 +118,6 @@ DcResult solve_op_swec(const mna::MnaAssembler& assembler,
         }
         h = std::min(h * options.growth, options.dt_max);
     }
-    record_solver_work(result, stats_before, cache->stats());
     result.flops = scope.counter();
     return result;
 }

@@ -82,11 +82,11 @@ struct EmEnsembleResult {
     bool aborted = false;
     FlopCounter flops;
     /// Solver work on the caches the driver built (as McResult::solver).
-    SolverWork solver;
+    obs::SolverWork solver;
 };
 
-/// `solver` is not on the wire: the result header carries the run's
-/// solver work.
+/// `solver` is not on the wire: the run's RunReport carries its solver
+/// work, this share included.
 constexpr auto field_table(std::type_identity<EmEnsembleResult>) {
     return std::tuple{
         Field{"grid", &EmEnsembleResult::grid},

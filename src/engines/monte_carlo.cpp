@@ -285,7 +285,7 @@ int restore_mc_checkpoint(const McCheckpoint& checkpoint,
 /// cancelled mid-way (its worker then stops); every trial that returns
 /// true reports observer->trial / progress out of `count`.  Returns the
 /// solver work of the caches the loop built.
-SolverWork run_trials(
+obs::SolverWork run_trials(
     const mna::MnaAssembler& assembler, std::size_t first, std::size_t count,
     std::size_t every, const runtime::ExecutionPolicy& policy,
     const AnalysisObserver* observer, mna::SystemCache* cache,
@@ -359,10 +359,10 @@ SolverWork run_trials(
         begin = end;
     }
 
-    SolverWork solver;
+    obs::SolverWork solver;
     for (const auto& c : built) {
         if (c != nullptr) {
-            solver += solver_work(mna::SystemCache::Stats{}, c->stats());
+            solver += c->stats();
         }
     }
     return solver;
@@ -570,8 +570,7 @@ EmEnsembleResult run_em_ensemble(const EmEngine& engine, int num_paths,
     out.solver = run_trials(assembler, 0, paths, 0, policy, observer, cache,
                             flops, {}, run_path, reduce);
     if (local_cache) {
-        out.solver +=
-            solver_work(mna::SystemCache::Stats{}, local_cache->stats());
+        out.solver += local_cache->stats();
     }
 
     for (std::size_t j = 0; j <= steps; ++j) {

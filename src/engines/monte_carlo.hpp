@@ -98,11 +98,11 @@ struct McResult {
     /// Solver work on the caches the driver built for its workers (all
     /// of them when the caller passed no cache).  The caller's cache is
     /// not included: its own stats carry that work.
-    SolverWork solver;
+    obs::SolverWork solver;
 };
 
-/// `solver` is not on the wire: the result header carries the run's
-/// solver work.
+/// `solver` is not on the wire: the run's RunReport carries its solver
+/// work, this share included.
 constexpr auto field_table(std::type_identity<McResult>) {
     return std::tuple{
         Field{"grid", &McResult::grid},

@@ -57,59 +57,10 @@ ClippedStep clip_step_to_events(double t, double h, double t_stop,
     return out;
 }
 
-double swec_step_bound(const mna::MnaAssembler& assembler,
-                       const linalg::Triplets& g_assembled,
-                       std::span<const double> x,
-                       std::span<const double> dvdt, double eps,
-                       double v_floor) {
-    const int nn = assembler.num_nodes();
-    std::vector<double> gdiag(static_cast<std::size_t>(nn), 0.0);
-    for (const auto& e : g_assembled.entries()) {
-        if (e.row == e.col && e.row < static_cast<std::size_t>(nn)) {
-            gdiag[e.row] += e.value;
-        }
-    }
-    return swec_step_bound_diag(assembler, gdiag, x, dvdt, eps, v_floor);
-}
-
-double swec_step_bound_diag(const mna::MnaAssembler& assembler,
-                            std::span<const double> node_gdiag,
-                            std::span<const double> x,
-                            std::span<const double> dvdt, double eps,
-                            double v_floor) {
-    double bound = std::numeric_limits<double>::infinity();
-
-    // Device bounds (eq. 12, first argument of the MIN).
-    const NodeVoltages v = assembler.view(x);
-    const NodeVoltages rate = assembler.view(dvdt);
-    for (const Device* dev : assembler.nonlinear_devices()) {
-        bound = std::min(bound, dev->step_limit(v, rate, eps));
-    }
-
-    // Node RC bounds (eq. 12, second argument): eps * C_j / sum_k G_jk.
-    const int nn = assembler.num_nodes();
-    for (int j = 0; j < nn; ++j) {
-        const auto r = static_cast<std::size_t>(j);
-        const double cj = assembler.c_csr().at(r, r);
-        const double gj = std::abs(node_gdiag[r]);
-        if (cj <= 0.0 || gj <= 0.0) {
-            continue;
-        }
-        const double h_j = eps * cj / gj;
-        // Activity guard (see header): enforce only while the node moves.
-        if (std::abs(dvdt[r]) * h_j > v_floor) {
-            bound = std::min(bound, h_j);
-        }
-    }
-    return bound;
-}
-
 double swec_node_step_bound(std::span<const double> c_node_diag,
                             std::span<const double> node_gdiag,
                             std::span<const double> dvdt, double eps,
                             double v_floor) {
-    // Exactly the node loop of swec_step_bound_diag, reading the
-    // precomputed C diagonal instead of c_csr().at per node.
     double bound = std::numeric_limits<double>::infinity();
     for (std::size_t r = 0; r < c_node_diag.size(); ++r) {
         const double cj = c_node_diag[r];
@@ -118,6 +69,7 @@ double swec_node_step_bound(std::span<const double> c_node_diag,
             continue;
         }
         const double h_j = eps * cj / gj;
+        // Activity guard (see header): enforce only while the node moves.
         if (std::abs(dvdt[r]) * h_j > v_floor) {
             bound = std::min(bound, h_j);
         }

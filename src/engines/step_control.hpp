@@ -4,7 +4,7 @@
 // For a target local error ratio eps, the next step is the minimum over
 //   * every conducting transistor:   eps * 2 (V_GS - V_th) / |dV_GS/dt|
 //     and the analogous chord-rate bound for RTD/RTT/nanowire devices
-//     (both supplied by Device::step_limit), and
+//     (both from mna::SystemCache::device_step_bound), and
 //   * every node j with grounded capacitance C_j:
 //                                    eps * C_j / sum_k G_jk(t_n)
 // — eq. (12).  The a-posteriori error of a completed step is measured as
@@ -14,7 +14,6 @@
 
 #include <span>
 
-#include "linalg/sparse.hpp"
 #include "mna/mna.hpp"
 
 namespace nanosim::engines {
@@ -61,11 +60,15 @@ clip_step_to_events(double t, double h, double t_stop, double dt_min,
                     std::span<const double> breakpoints,
                     std::size_t& next_bp, bool floor_to_dt_min);
 
-/// Minimum step bound over all devices and nodes (eq. 12).
-/// `g_assembled` must be the FULL conductance triplets of the current
-/// time point (static + SWEC stamps) — its node-diagonal entries are the
-/// sum-of-conductances term.  Returns +infinity when nothing constrains
-/// the step.
+/// The node-capacitance half of eq. (12): min over nodes of
+/// eps * C_j / |G_jj|, where `node_gdiag` holds the node-diagonal sums of
+/// conductance at the current time point and `c_node_diag` the per-node
+/// grounded capacitance (the C-matrix diagonal, constant per assembly —
+/// precompute it once per analysis instead of binary-searching c_csr
+/// every step).  The SWEC engine takes the min of this and the device
+/// half, mna::SystemCache::device_step_bound, which reuses the chord/rate
+/// values of the current step instead of re-evaluating every device
+/// model.  Returns +infinity when no node constrains the step.
 ///
 /// Activity guard: the node bound eps * C_j / sum G_jk protects the
 /// accuracy of a node that is *relaxing*; clamping a quiescent node to a
@@ -74,30 +77,6 @@ clip_step_to_events(double t, double h, double t_stop, double dt_min,
 /// would still move that node by more than `v_floor` at its current
 /// slew rate — paper [4] applies the constraint to conducting/active
 /// devices in the same spirit.
-[[nodiscard]] double swec_step_bound(const mna::MnaAssembler& assembler,
-                                     const linalg::Triplets& g_assembled,
-                                     std::span<const double> x,
-                                     std::span<const double> dvdt,
-                                     double eps, double v_floor = 1e-6);
-
-/// Same bound, but taking the node-diagonal conductance sums directly —
-/// the hot-loop form used by the SWEC engine, which maintains the
-/// diagonal incrementally instead of assembling G twice per step.
-[[nodiscard]] double
-swec_step_bound_diag(const mna::MnaAssembler& assembler,
-                     std::span<const double> node_gdiag,
-                     std::span<const double> x,
-                     std::span<const double> dvdt, double eps,
-                     double v_floor = 1e-6);
-
-/// The node-capacitance half of eq. (12) alone: min over nodes of
-/// eps * C_j / |G_jj| under the activity guard.  `c_node_diag` holds the
-/// per-node grounded capacitance (the C-matrix diagonal, constant per
-/// assembly — precompute it once per analysis instead of binary-
-/// searching c_csr every step).  The SWEC engine combines this with the
-/// device bounds it gets from the solver cache's compiled evaluation
-/// plan, which reuses the chord/rate values of the current step instead
-/// of re-evaluating every device model through Device::step_limit.
 [[nodiscard]] double
 swec_node_step_bound(std::span<const double> c_node_diag,
                      std::span<const double> node_gdiag,

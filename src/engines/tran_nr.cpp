@@ -229,7 +229,6 @@ TranResult run_tran_nr(const mna::MnaAssembler& assembler,
         local_cache.emplace(assembler);
         cache = &*local_cache;
     }
-    const mna::SystemCache::Stats stats_before = cache->stats();
     cache->start_run();
     // Static G compressed once for the trapezoidal (linear-only) rhs.
     const linalg::CsrMatrix static_g_csr(assembler.static_g());
@@ -426,7 +425,6 @@ TranResult run_tran_nr(const mna::MnaAssembler& assembler,
     }
 
     result.node_waves = recorder.take();
-    record_solver_work(result, stats_before, cache->stats());
     result.flops = scope.counter();
     return result;
 }

@@ -147,7 +147,6 @@ TranResult run_tran_pwl(const mna::MnaAssembler& assembler,
         local_cache.emplace(assembler);
         cache = &*local_cache;
     }
-    const mna::SystemCache::Stats stats_before = cache->stats();
     cache->start_run();
 
     // Fast Norton restamps when the compiled program covers every PWL
@@ -327,7 +326,6 @@ TranResult run_tran_pwl(const mna::MnaAssembler& assembler,
     }
 
     result.node_waves = recorder.take();
-    record_solver_work(result, stats_before, cache->stats());
     result.flops = scope.counter();
     return result;
 }

@@ -27,7 +27,6 @@ TranResult run_tran_swec(const mna::MnaAssembler& assembler,
         local_cache.emplace(assembler);
         cache = &*local_cache;
     }
-    const mna::SystemCache::Stats stats_before = cache->stats();
 
     SwecStepper stepper(assembler, options, *cache, shared_cache, record);
     while (!stepper.done()) {
@@ -52,8 +51,6 @@ TranResult run_tran_swec(const mna::MnaAssembler& assembler,
     }
 
     TranResult result = stepper.take_result();
-    // Deltas over this run, so a shared cache reports per-analysis work.
-    record_solver_work(result, stats_before, cache->stats());
     result.flops = scope.counter();
     return result;
 }

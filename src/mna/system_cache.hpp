@@ -33,8 +33,10 @@
 //    the pattern is re-frozen including the new coordinates so subsequent
 //    steps are fast again.
 //
-// Engines own one SystemCache per analysis loop; the struct Stats counters
-// let tests assert which path ran: on a healthy run every solve() lands in
+// Engines own one SystemCache per analysis loop (or share a SimSession's).
+// Its Stats are the one accumulator of the solver work: a run's share is
+// the delta SimSession takes into the RunReport, and the counters let
+// tests assert which path ran: on a healthy run every solve() lands in
 // exactly one of full_factors / fast_refactors / refactors_skipped /
 // dense_solves / pattern_rebuilds.
 #ifndef NANOSIM_MNA_SYSTEM_CACHE_HPP
@@ -52,6 +54,7 @@
 #include "linalg/sparse_lu.hpp"
 #include "mna/mna.hpp"
 #include "mna/stamp_program.hpp"
+#include "obs/report.hpp"
 
 namespace nanosim::mna {
 
@@ -259,55 +262,17 @@ public:
         return program_ != nullptr ? program_->tabulated_devices() : 0;
     }
 
-    struct Stats {
-        std::size_t steps = 0;            ///< solve() calls
-        std::size_t full_factors = 0;     ///< symbolic + pivoting factors
-        std::size_t fast_refactors = 0;   ///< pattern-reusing refactors
-        /// Sparse solves answered by the last exact LU plus refinement.
-        std::size_t refactors_skipped = 0;
-        std::size_t dense_solves = 0;     ///< dense-path solves
-        std::size_t pattern_rebuilds = 0; ///< overflow-triggered re-freezes
-        /// refactor() detected pivot degradation and fell back to a full
-        /// re-pivoting factorisation (a subset of full_factors after the
-        /// first one).
-        std::size_t pivot_fallbacks = 0;
-        /// Residual-correction sweeps run on the stale factor, including
-        /// those of attempts that fell back to an exact refactor.
-        std::size_t refine_sweeps = 0;
-        /// Largest normwise backward error of an accepted refined solve
-        /// since construction or reset_backward_error_peak().
-        double max_backward_error = 0.0;
+    /// Cumulative since construction: the obs::SolverWork counters and
+    /// time split (one run's share is stats().since(before)), plus the
+    /// solve() count and the ordering decision.
+    struct Stats : obs::SolverWork {
+        std::size_t steps = 0; ///< solve() calls
         // ---- ordering decision (sparse path; natural/0 on dense) ----
         linalg::Ordering ordering = linalg::Ordering::natural; ///< chosen
         std::size_t pattern_nnz = 0;           ///< frozen pattern nonzeros
         std::size_t predicted_fill_natural = 0;///< symbolic L+U, natural
         std::size_t predicted_fill_chosen = 0; ///< symbolic L+U, chosen
         std::size_t factor_nnz = 0;            ///< actual L+U of the LU
-        // ---- per-step wall-time attribution (seconds, cumulative) ----
-        // analyze_s: symbolic analysis — pattern freeze, fill-reducing
-        // ordering selection, StampProgram compilation (freeze_pattern /
-        // rebind; the numeric half of the first LU stays in factor_s);
-        // eval_s: device-model evaluation (eval_chords); stamp_s: begin()
-        // baselines + restamps + gdiag; factor_s: LU factor/refactor
-        // (incl. dense build+factor and overflow rebuilds); solve_s:
-        // triangular solves.  NR restamps are fused eval+stamp and land
-        // in stamp_s.  The engines bill their own per-step work outside
-        // the cache to the last two (step_clock(), record_clock()):
-        // step_s: the SWEC step loop's self time — step control, i.e.
-        // the eq. (12) node bound, the eq. (5) predictor, the eq. (10)
-        // error and the slope update — and the Euler-Maruyama step's
-        // (noise injection, G·x, the x update); record_s: appending each
-        // accepted step to the recorded waveforms.  Explicit EM bills its
-        // C⁻¹ solve, which runs outside the cache, to solve_s
-        // (solve_clock()).
-        double analyze_s = 0.0;
-        double eval_s = 0.0;
-        double stamp_s = 0.0;
-        double factor_s = 0.0;
-        double solve_s = 0.0;
-        double step_s = 0.0;
-        double record_s = 0.0;
-        std::size_t tables_built = 0; ///< ChordTables this cache created
     };
     [[nodiscard]] const Stats& stats() const noexcept { return stats_; }
 

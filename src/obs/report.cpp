@@ -3,6 +3,7 @@
 #include <cmath>
 #include <iomanip>
 #include <sstream>
+#include <string_view>
 
 #include "obs/metrics.hpp" // json_escape
 
@@ -11,7 +12,7 @@ namespace nanosim::obs {
 namespace {
 
 /// "  label: value" line for pretty(); seconds rendered in ms.
-void time_line(std::ostream& os, const char* label, double seconds) {
+void time_line(std::ostream& os, std::string_view label, double seconds) {
     os << "  " << std::left << std::setw(22) << label << std::right
        << std::fixed << std::setprecision(3) << seconds * 1e3 << " ms\n";
     os.unsetf(std::ios::fixed);
@@ -157,13 +158,9 @@ std::string RunReport::pretty() const {
        << std::dec << std::noshowbase << '\n';
 
     os << "time split:\n";
-    time_line(os, "analyze", analyze_s);
-    time_line(os, "eval", eval_s);
-    time_line(os, "stamp", stamp_s);
-    time_line(os, "factor", factor_s);
-    time_line(os, "solve", solve_s);
-    time_line(os, "step control", step_s);
-    time_line(os, "record", record_s);
+    for_each_layer(*this, [&os](std::string_view layer, double seconds) {
+        time_line(os, layer == "step" ? "step control" : layer, seconds);
+    });
 
     if (pool_tasks > 0) {
         os << "thread pool:\n";

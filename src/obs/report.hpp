@@ -2,22 +2,33 @@
 //
 // A RunReport is the machine-readable summary of one analysis run,
 // attached to every AnalysisResult: step-control outcomes (accepted /
-// rejected counts, which bound limited each accepted step), solver-cache
-// work (factor strategy mix, pivot fallbacks, pattern rebuilds, table
-// builds), the seven-way wall-time attribution (the symbolic analyze
-// bucket, the cache's eval/stamp/factor/solve, and the engine's own step
-// control and waveform recording), and thread-pool queue pressure.  It
-// aggregates data the engines already track plus the counters this
-// subsystem adds, so a regression harness (or the `nanosim report`
-// verb) can diff runs without scraping log output.
+// rejected counts, which bound limited each accepted step), the run's
+// solver work (its SolverWork base: factor strategy mix, pivot
+// fallbacks, pattern rebuilds, table builds and the seven-way wall-time
+// split), and thread-pool queue pressure.  It aggregates data the
+// engines already track plus the counters this subsystem adds, so a
+// regression harness (or the `nanosim report` verb) can diff runs
+// without scraping log output.
+//
+// SolverWork is the one declaration of the solver-work numbers.  The
+// solver cache accumulates them (mna::SystemCache::Stats derives from
+// it), SimSession takes one analysis's delta of its cache into the run's
+// RunReport (which derives from it too), and the ensemble drivers sum
+// the caches their extra workers built into it.  The delta and the sum
+// walk SolverWork's field table, so a new field is one member plus one
+// table line.
 //
 // Deliberately std-only (no engine/mna includes): core/analysis_spec.hpp
-// embeds a RunReport by value, so this header must sit below everything.
+// embeds a RunReport by value and mna/system_cache.hpp derives from
+// SolverWork, so this header must sit below everything.
 #ifndef NANOSIM_OBS_REPORT_HPP
 #define NANOSIM_OBS_REPORT_HPP
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
+#include <string_view>
+#include <tuple>
 
 #include "util/fields.hpp"
 
@@ -100,8 +111,116 @@ constexpr auto field_table(std::type_identity<RescueCounts>) {
         Field{"source_succeeded", &RescueCounts::source_succeeded}};
 }
 
-/// Aggregated diagnostics for one analysis run.
-struct RunReport {
+/// Solver-cache work.  On a healthy run every cached solve lands in
+/// exactly one of full_factors / fast_refactors / refactors_skipped /
+/// dense_solves / pattern_rebuilds.
+struct SolverWork {
+    // ---- solver cache -------------------------------------------------
+    /// Symbolic + pivoting factorisations: what a persistent SimSession
+    /// cache drives to zero for repeat analyses on an unchanged circuit.
+    std::uint64_t full_factors = 0;
+    std::uint64_t fast_refactors = 0;    ///< pattern-reusing refactors
+    std::uint64_t refactors_skipped = 0; ///< last LU reused + refined
+    std::uint64_t dense_solves = 0;      ///< dense-path solves
+    /// refactor() detected pivot degradation and fell back to a full
+    /// re-pivoting factorisation (a subset of full_factors).
+    std::uint64_t pivot_fallbacks = 0;
+    /// Stamp-pattern misses that forced a re-freeze (exotic devices).
+    std::uint64_t pattern_rebuilds = 0;
+    /// Residual-correction sweeps on the stale factor, including those of
+    /// attempts that fell back to an exact refactor.
+    std::uint64_t refine_sweeps = 0;
+    /// Largest normwise backward error of an accepted refined solve: a
+    /// peak, so a sum keeps the larger and a delta keeps the later one
+    /// (SystemCache::reset_backward_error_peak scopes it to a run).
+    double max_backward_error = 0.0;
+    std::uint64_t tables_built = 0; ///< chord tables built
+
+    // ---- wall-time split [s] ------------------------------------------
+    // The seven layers are the fields whose key ends in "_s"; they are
+    // disjoint (obs::ScopedTimer nests by self time).  analyze_s:
+    // symbolic analysis — pattern freeze, ordering selection,
+    // StampProgram compile (the numeric half of the first LU stays in
+    // factor_s); eval_s: device-model evaluation (chord conductances and
+    // rates); stamp_s: begin() baselines, restamps and step-bound
+    // diagonals (NR restamps are fused eval+stamp and land here);
+    // factor_s: LU factor/refactor, incl. the dense path and overflow
+    // rebuilds; solve_s: triangular solves and refinement, plus the
+    // explicit Euler-Maruyama C⁻¹ solve the engine runs on a factor of
+    // its own; step_s: the engines' step loop self time — SWEC step
+    // control (eq. 12 node bound, eq. 5 predictor, eq. 10 error, slope
+    // update) and the Euler-Maruyama step (noise injection, G·x, the x
+    // update); record_s: recording accepted steps into waveforms.
+    double analyze_s = 0.0;
+    double eval_s = 0.0;
+    double stamp_s = 0.0;
+    double factor_s = 0.0;
+    double solve_s = 0.0;
+    double step_s = 0.0;
+    double record_s = 0.0;
+
+    /// Add another record's work to this one (the peak: the larger).
+    SolverWork& operator+=(const SolverWork& o) noexcept;
+
+    /// The work this record gained since `before`, an earlier snapshot
+    /// of the same accumulator (the peak: this record's).
+    [[nodiscard]] SolverWork since(const SolverWork& before) const noexcept;
+};
+
+constexpr auto field_table(std::type_identity<SolverWork>) {
+    using S = SolverWork;
+    return std::tuple{
+        Field{"full_factors", &S::full_factors},
+        Field{"fast_refactors", &S::fast_refactors},
+        Field{"refactors_skipped", &S::refactors_skipped},
+        Field{"dense_solves", &S::dense_solves},
+        Field{"pivot_fallbacks", &S::pivot_fallbacks},
+        Field{"pattern_rebuilds", &S::pattern_rebuilds},
+        Field{"refine_sweeps", &S::refine_sweeps},
+        Field{"max_backward_error", &S::max_backward_error},
+        Field{"tables_built", &S::tables_built},
+        Field{"analyze_s", &S::analyze_s},
+        Field{"eval_s", &S::eval_s},
+        Field{"stamp_s", &S::stamp_s},
+        Field{"factor_s", &S::factor_s},
+        Field{"solve_s", &S::solve_s},
+        Field{"step_s", &S::step_s},
+        Field{"record_s", &S::record_s}};
+}
+
+/// Call f(layer, seconds) for each time layer in table order; `layer` is
+/// the key without its "_s" ("analyze", "eval", ..., "record").
+template <typename F>
+void for_each_layer(const SolverWork& w, F&& f) {
+    for_each_field<SolverWork>([&](const auto& field) {
+        const std::string_view key = field.key;
+        if (key.ends_with("_s")) {
+            f(key.substr(0, key.size() - 2),
+              static_cast<double>(w.*field.member));
+        }
+    });
+}
+
+inline SolverWork& SolverWork::operator+=(const SolverWork& o) noexcept {
+    const double peak = std::max(max_backward_error, o.max_backward_error);
+    for_each_field<SolverWork>(
+        [&](const auto& field) { this->*field.member += o.*field.member; });
+    max_backward_error = peak;
+    return *this;
+}
+
+inline SolverWork SolverWork::since(const SolverWork& before) const noexcept {
+    SolverWork delta = *this;
+    for_each_field<SolverWork>([&](const auto& field) {
+        delta.*field.member -= before.*field.member;
+    });
+    delta.max_backward_error = max_backward_error;
+    return delta;
+}
+
+/// Aggregated diagnostics for one analysis run; the SolverWork base
+/// holds the run's solver-cache work and time split (this run's delta).
+struct RunReport : SolverWork {
     // ---- identity -----------------------------------------------------
     std::string analysis;   ///< spec name
     std::string kind;       ///< analysis kind ("tran", "monte_carlo", ...)
@@ -126,26 +245,6 @@ struct RunReport {
     // ---- batch drivers ------------------------------------------------
     std::uint64_t trials = 0; ///< MC trials / EM paths / sweep points
 
-    // ---- solver cache work (deltas for this run) ----------------------
-    std::uint64_t full_factors = 0;
-    std::uint64_t fast_refactors = 0;
-    std::uint64_t refactors_skipped = 0; ///< last LU reused + refined
-    std::uint64_t dense_solves = 0;
-    std::uint64_t pivot_fallbacks = 0;  ///< refactor() bailed to full LU
-    std::uint64_t pattern_rebuilds = 0; ///< stamp-pattern misses
-    std::uint64_t refine_sweeps = 0;    ///< stale-factor correction sweeps
-    double max_backward_error = 0.0;    ///< worst accepted refined solve
-    std::uint64_t tables_built = 0;     ///< chord tables built this run
-
-    // ---- wall-time attribution [s] ------------------------------------
-    double analyze_s = 0.0; ///< symbolic analysis + ordering + compile
-    double eval_s = 0.0;    ///< device-model evaluation
-    double stamp_s = 0.0;   ///< matrix restamps
-    double factor_s = 0.0;  ///< LU factor / refactor (wall clock)
-    double solve_s = 0.0;   ///< triangular solves
-    double step_s = 0.0;    ///< step control (eq. 5/10/12, slope update)
-    double record_s = 0.0;  ///< recording accepted steps into waveforms
-
     // ---- infrastructure -----------------------------------------------
     std::uint64_t cache_signature = 0;  ///< stamp-pattern signature
     std::uint64_t pool_tasks = 0;       ///< thread-pool tasks this run
@@ -158,42 +257,29 @@ struct RunReport {
     [[nodiscard]] std::string pretty() const;
 };
 
+/// The SolverWork keys sit between "trials" and "cache_signature".
 constexpr auto field_table(std::type_identity<RunReport>) {
-    return std::tuple{
-        Field{"analysis", &RunReport::analysis},
-        Field{"kind", &RunReport::kind},
-        Field{"engine", &RunReport::engine},
-        Field{"elapsed_s", &RunReport::elapsed_s},
-        Field{"aborted", &RunReport::aborted},
-        Field{"steps_accepted", &RunReport::steps_accepted},
-        Field{"steps_rejected", &RunReport::steps_rejected},
-        Field{"nr_iterations", &RunReport::nr_iterations},
-        Field{"nonconverged_steps", &RunReport::nonconverged_steps},
-        Field{"step_bounds", &RunReport::bounds},
-        Field{"min_dt", &RunReport::min_dt},
-        Field{"max_dt", &RunReport::max_dt},
-        Field{"rescues", &RunReport::rescues},
-        Field{"failed_trials", &RunReport::failed_trials},
-        Field{"trials", &RunReport::trials},
-        Field{"full_factors", &RunReport::full_factors},
-        Field{"fast_refactors", &RunReport::fast_refactors},
-        Field{"refactors_skipped", &RunReport::refactors_skipped},
-        Field{"dense_solves", &RunReport::dense_solves},
-        Field{"pivot_fallbacks", &RunReport::pivot_fallbacks},
-        Field{"pattern_rebuilds", &RunReport::pattern_rebuilds},
-        Field{"refine_sweeps", &RunReport::refine_sweeps},
-        Field{"max_backward_error", &RunReport::max_backward_error},
-        Field{"tables_built", &RunReport::tables_built},
-        Field{"analyze_s", &RunReport::analyze_s},
-        Field{"eval_s", &RunReport::eval_s},
-        Field{"stamp_s", &RunReport::stamp_s},
-        Field{"factor_s", &RunReport::factor_s},
-        Field{"solve_s", &RunReport::solve_s},
-        Field{"step_s", &RunReport::step_s},
-        Field{"record_s", &RunReport::record_s},
-        Field{"cache_signature", &RunReport::cache_signature},
-        Field{"pool_tasks", &RunReport::pool_tasks},
-        Field{"pool_queue_wait_s", &RunReport::pool_queue_wait_s}};
+    using R = RunReport;
+    return std::tuple_cat(
+        std::tuple{Field{"analysis", &R::analysis},
+                   Field{"kind", &R::kind},
+                   Field{"engine", &R::engine},
+                   Field{"elapsed_s", &R::elapsed_s},
+                   Field{"aborted", &R::aborted},
+                   Field{"steps_accepted", &R::steps_accepted},
+                   Field{"steps_rejected", &R::steps_rejected},
+                   Field{"nr_iterations", &R::nr_iterations},
+                   Field{"nonconverged_steps", &R::nonconverged_steps},
+                   Field{"step_bounds", &R::bounds},
+                   Field{"min_dt", &R::min_dt},
+                   Field{"max_dt", &R::max_dt},
+                   Field{"rescues", &R::rescues},
+                   Field{"failed_trials", &R::failed_trials},
+                   Field{"trials", &R::trials}},
+        field_table(std::type_identity<SolverWork>{}),
+        std::tuple{Field{"cache_signature", &R::cache_signature},
+                   Field{"pool_tasks", &R::pool_tasks},
+                   Field{"pool_queue_wait_s", &R::pool_queue_wait_s}});
 }
 
 } // namespace nanosim::obs

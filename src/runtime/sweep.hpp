@@ -13,7 +13,6 @@
 #ifndef NANOSIM_RUNTIME_SWEEP_HPP
 #define NANOSIM_RUNTIME_SWEEP_HPP
 
-#include <cstdint>
 #include <functional>
 #include <iosfwd>
 #include <string>
@@ -122,10 +121,6 @@ public:
 /// Campaign knobs.
 struct CampaignOptions {
     ExecutionPolicy policy; ///< worker threads
-    /// Base seed, reserved for when the deck grammar grows stochastic
-    /// analysis cards — the current .op/.tran evaluations are fully
-    /// deterministic and do not consume it.
-    std::uint64_t seed = 1;
 };
 
 /// Builds one fresh Circuit per job (called concurrently — must be

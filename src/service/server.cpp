@@ -314,7 +314,7 @@ struct Server::Impl {
                 // factorisations performed on behalf of service jobs.
                 obs::metrics()
                     .counter("service.solver_full_factors")
-                    .inc(result.header.solver.full_factors);
+                    .inc(result.report.full_factors);
             }
             job->result_json = std::make_shared<const std::string>(
                 wire::result_to_json(result).dump());

@@ -121,7 +121,6 @@ constexpr auto field_table(std::type_identity<StatsDoc>) {
 
 const char* name_of(DcEngine e) { return engine_name(e); }
 const char* name_of(TranEngine e) { return engine_name(e); }
-const char* name_of(linalg::Ordering o) { return linalg::ordering_name(o); }
 const char* name_of(AnalysisKind k) { return analysis_kind_name(k); }
 const char* name_of(engines::EmScheme s) {
     switch (s) {

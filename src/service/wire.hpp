@@ -18,9 +18,9 @@
 //    null is rejected.  TranSpec::noise / SwecTranOptions::noise
 //    (per-trial noise realizations) are Monte-Carlo ENGINE internals,
 //    never wire state; spec_to_json throws if they are set.
-//  * Record mode (results: header with its SolverWork, payload and
-//    RunReport; Monte-Carlo checkpoints): every key is written and
-//    required.  Non-finite doubles have no JSON spelling: they encode as
+//  * Record mode (results: header, payload and RunReport, which alone
+//    carries the solver work; Monte-Carlo checkpoints): every key is
+//    written and required.  Non-finite doubles have no JSON spelling: they encode as
 //    null and decode as NaN, losing the sign of an infinity.
 //
 // A waveform travels as {"label","t","v"}, except a transient's node

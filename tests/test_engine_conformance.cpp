@@ -31,6 +31,7 @@
 #include "engines/tran_pwl.hpp"
 #include "engines/tran_swec.hpp"
 #include "mna/mna.hpp"
+#include "mna/system_cache.hpp"
 #include "util/error.hpp"
 
 namespace nanosim {
@@ -122,13 +123,14 @@ void expect_agreement(const Circuit& ckt, const TranResult& a,
 /// Every solve must have gone through the cached system: on small (dense
 /// auto-select) systems all solves are dense; on sparse systems nearly
 /// every step must be a fast refactor.
-void expect_cached_path(const TranResult& r, const std::string& who) {
-    const std::size_t solves = r.solver_dense_solves +
-                               r.solver_full_factors +
-                               r.solver_fast_refactors;
+void expect_cached_path(const mna::SystemCache& cache,
+                        const std::string& who) {
+    const mna::SystemCache::Stats& s = cache.stats();
+    const std::size_t solves =
+        s.dense_solves + s.full_factors + s.fast_refactors;
     EXPECT_GT(solves, 0u) << who << ": no cached solves recorded";
-    if (r.solver_dense_solves == 0) {
-        EXPECT_LE(r.solver_full_factors, 3u)
+    if (s.dense_solves == 0) {
+        EXPECT_LE(s.full_factors, 3u)
             << who << ": sparse path refactored from scratch too often";
     }
 }
@@ -152,24 +154,30 @@ TEST_P(EngineConformance, SwecNrPwlAgree) {
 
     engines::SwecTranOptions sopt;
     sopt.t_stop = c.t_stop;
-    const TranResult swec = engines::run_tran_swec(assembler, sopt);
+    mna::SystemCache swec_cache(assembler);
+    const TranResult swec =
+        engines::run_tran_swec(assembler, sopt, nullptr, &swec_cache);
 
     engines::NrTranOptions nopt;
     nopt.t_stop = c.t_stop;
     nopt.lte_tol = 1e-4; // matched-accuracy configuration (measured)
-    const TranResult nr = engines::run_tran_nr(assembler, nopt);
+    mna::SystemCache nr_cache(assembler);
+    const TranResult nr =
+        engines::run_tran_nr(assembler, nopt, nullptr, &nr_cache);
 
     engines::PwlTranOptions popt;
     popt.t_stop = c.t_stop;
     popt.segments = 256; // table resolution below the conformance bounds
-    const TranResult pwl = engines::run_tran_pwl(assembler, popt);
+    mna::SystemCache pwl_cache(assembler);
+    const TranResult pwl =
+        engines::run_tran_pwl(assembler, popt, nullptr, &pwl_cache);
 
     expect_agreement(ckt, swec, nr, c, "swec-vs-nr");
     expect_agreement(ckt, swec, pwl, c, "swec-vs-pwl");
 
-    expect_cached_path(swec, c.name + " swec");
-    expect_cached_path(nr, c.name + " nr");
-    expect_cached_path(pwl, c.name + " pwl");
+    expect_cached_path(swec_cache, c.name + " swec");
+    expect_cached_path(nr_cache, c.name + " nr");
+    expect_cached_path(pwl_cache, c.name + " pwl");
 
     expect_one_axis(swec, c.name + " swec");
     expect_one_axis(nr, c.name + " nr");
@@ -196,15 +204,18 @@ TEST(EngineConformance, SparseChainReusesSymbolicFactorisation) {
 
     engines::SwecTranOptions opt;
     opt.t_stop = 40e-9;
-    const TranResult res = engines::run_tran_swec(assembler, opt);
+    mna::SystemCache cache(assembler);
+    const TranResult res =
+        engines::run_tran_swec(assembler, opt, nullptr, &cache);
+    const mna::SystemCache::Stats& s = cache.stats();
 
     ASSERT_GT(res.steps_accepted, 10);
-    EXPECT_EQ(res.solver_dense_solves, 0u);
+    EXPECT_EQ(s.dense_solves, 0u);
     // One symbolic factorisation for the whole run (the DC operating
-    // point owns its own cache); every accepted step is a fast refactor.
-    EXPECT_LE(res.solver_full_factors, 2u)
+    // point shares the cache); every accepted step is a fast refactor.
+    EXPECT_LE(s.full_factors, 2u)
         << "accepted-step loop is re-running the symbolic analysis";
-    EXPECT_GE(res.solver_fast_refactors,
+    EXPECT_GE(s.fast_refactors,
               static_cast<std::size_t>(res.steps_accepted) - 2)
         << "accepted steps are not using the pattern-reusing refactor";
 }

@@ -98,13 +98,18 @@ void expect_counter_algebra(const mna::SystemCache::Stats& s) {
                            s.pattern_rebuilds);
 }
 
-engines::TranResult tran_on(const mna::MnaAssembler& assembler,
-                            mna::SystemCache::Options options,
-                            double t_stop) {
+/// A transient plus the stats of the fresh cache it ran on.
+struct TranRun : engines::TranResult {
+    mna::SystemCache::Stats solver;
+};
+
+TranRun tran_on(const mna::MnaAssembler& assembler,
+                mna::SystemCache::Options options, double t_stop) {
     mna::SystemCache cache(assembler, options);
     engines::SwecTranOptions opt;
     opt.t_stop = t_stop;
-    return engines::run_tran_swec(assembler, opt, nullptr, &cache);
+    return {engines::run_tran_swec(assembler, opt, nullptr, &cache),
+            cache.stats()};
 }
 
 // ---- reuse vs the exact path where the gate engages --------------------
@@ -114,17 +119,16 @@ constexpr double k_after_edge = 56e-9;
 
 void expect_transient_within_gate(const Circuit& ckt, double t_stop) {
     const mna::MnaAssembler assembler(ckt);
-    const engines::TranResult exact = tran_on(assembler, exact_path(),
-                                              t_stop);
-    const engines::TranResult reuse = tran_on(assembler, {}, t_stop);
+    const TranRun exact = tran_on(assembler, exact_path(), t_stop);
+    const TranRun reuse = tran_on(assembler, {}, t_stop);
 
-    EXPECT_EQ(exact.solver_refactors_skipped, 0U);
-    EXPECT_GT(reuse.solver_refactors_skipped, 0U);
-    EXPECT_GT(reuse.solver_max_backward_error, 0.0);
-    EXPECT_LE(reuse.solver_max_backward_error,
+    EXPECT_EQ(exact.solver.refactors_skipped, 0U);
+    EXPECT_GT(reuse.solver.refactors_skipped, 0U);
+    EXPECT_GT(reuse.solver.max_backward_error, 0.0);
+    EXPECT_LE(reuse.solver.max_backward_error,
               mna::SystemCache::k_refine_tol);
     // Reuse replaces refactors; it never adds full factorisations.
-    EXPECT_LE(reuse.solver_full_factors, exact.solver_full_factors);
+    EXPECT_LE(reuse.solver.full_factors, exact.solver.full_factors);
     EXPECT_EQ(reuse.steps_accepted, exact.steps_accepted);
     ASSERT_EQ(reuse.node_waves.size(), exact.node_waves.size());
     for (std::size_t w = 0; w < exact.node_waves.size(); ++w) {
@@ -182,16 +186,15 @@ TEST(FactorReuse, NoisyMeshMonteCarloMatchesExactPath) {
 
 void expect_bit_identical_to_exact(const Circuit& ckt, double t_stop) {
     const mna::MnaAssembler assembler(ckt);
-    const engines::TranResult exact = tran_on(assembler, exact_path(),
-                                              t_stop);
-    const engines::TranResult reuse = tran_on(assembler, {}, t_stop);
+    const TranRun exact = tran_on(assembler, exact_path(), t_stop);
+    const TranRun reuse = tran_on(assembler, {}, t_stop);
 
-    EXPECT_EQ(reuse.solver_refactors_skipped, 0U);
-    EXPECT_EQ(reuse.solver_refine_sweeps, 0U);
-    EXPECT_EQ(reuse.solver_max_backward_error, 0.0);
-    EXPECT_EQ(reuse.solver_full_factors, exact.solver_full_factors);
-    EXPECT_EQ(reuse.solver_fast_refactors, exact.solver_fast_refactors);
-    EXPECT_EQ(reuse.solver_dense_solves, exact.solver_dense_solves);
+    EXPECT_EQ(reuse.solver.refactors_skipped, 0U);
+    EXPECT_EQ(reuse.solver.refine_sweeps, 0U);
+    EXPECT_EQ(reuse.solver.max_backward_error, 0.0);
+    EXPECT_EQ(reuse.solver.full_factors, exact.solver.full_factors);
+    EXPECT_EQ(reuse.solver.fast_refactors, exact.solver.fast_refactors);
+    EXPECT_EQ(reuse.solver.dense_solves, exact.solver.dense_solves);
     EXPECT_EQ(reuse.flops.total(), exact.flops.total());
     ASSERT_EQ(reuse.node_waves.size(), exact.node_waves.size());
     for (std::size_t w = 0; w < exact.node_waves.size(); ++w) {
@@ -361,12 +364,14 @@ TEST(FactorReuse, RunsDoNotDependOnWhatTheCacheSolvedBefore) {
     engines::SwecTranOptions other = opt;
     other.t_stop = 53e-9;
     (void)engines::run_tran_swec(assembler, other, nullptr, &warmed);
+    const mna::SystemCache::Stats warm = warmed.stats();
     const engines::TranResult b =
         engines::run_tran_swec(assembler, opt, nullptr, &warmed);
+    const obs::SolverWork b_work = warmed.stats().since(warm);
 
-    ASSERT_GT(a.solver_refactors_skipped, 0U);
-    EXPECT_EQ(a.solver_refactors_skipped, b.solver_refactors_skipped);
-    EXPECT_EQ(a.solver_refine_sweeps, b.solver_refine_sweeps);
+    ASSERT_GT(fresh.stats().refactors_skipped, 0U);
+    EXPECT_EQ(fresh.stats().refactors_skipped, b_work.refactors_skipped);
+    EXPECT_EQ(fresh.stats().refine_sweeps, b_work.refine_sweeps);
     ASSERT_EQ(a.node_waves.size(), b.node_waves.size());
     for (std::size_t w = 0; w < a.node_waves.size(); ++w) {
         EXPECT_TRUE(
@@ -526,14 +531,14 @@ TEST(FactorReuse, RescueLadderRunsTheSameRungs) {
     const mna::MnaAssembler assembler(ckt);
     const auto run = [&](mna::SystemCache::Options options) {
         failpoints::arm_from_spec("linalg.singular_pivot=250");
-        engines::TranResult res = tran_on(assembler, options, k_after_edge);
+        TranRun res = tran_on(assembler, options, k_after_edge);
         failpoints::disarm_all();
         return res;
     };
-    const engines::TranResult exact = run(exact_path());
-    const engines::TranResult reuse = run({});
+    const TranRun exact = run(exact_path());
+    const TranRun reuse = run({});
 
-    ASSERT_GT(reuse.solver_refactors_skipped, 0U);
+    ASSERT_GT(reuse.solver.refactors_skipped, 0U);
     EXPECT_GT(exact.rescues.total_attempted(), 0U);
     EXPECT_EQ(reuse.rescues.dt_backoff_attempted,
               exact.rescues.dt_backoff_attempted);

@@ -87,32 +87,6 @@ obs::RescueCounts rescues() {
     return r;
 }
 
-engines::SolverOrderingStats ordering() {
-    return engines::SolverOrderingStats{linalg::Ordering::min_degree, 40, 60,
-                                        50, 48};
-}
-
-SolverWork solver_work() {
-    SolverWork w;
-    w.full_factors = 1;
-    w.fast_refactors = 2;
-    w.refactors_skipped = 3;
-    w.dense_solves = 4;
-    w.pivot_fallbacks = 5;
-    w.pattern_rebuilds = 6;
-    w.refine_sweeps = 7;
-    w.max_backward_error = 2.5e-17;
-    w.analyze_s = 0.1;
-    w.eval_s = 0.2;
-    w.stamp_s = 0.3;
-    w.factor_s = 0.4;
-    w.solve_s = 0.5;
-    w.step_s = 0.6;
-    w.record_s = 0.7;
-    w.tables_built = 8;
-    return w;
-}
-
 obs::RunReport report(const char* kind) {
     obs::RunReport r;
     r.analysis = "golden \"run\"";
@@ -159,7 +133,6 @@ AnalysisHeader header(AnalysisKind kind) {
     h.engine = "swec";
     h.elapsed_s = 0.125;
     h.aborted = true;
-    h.solver = solver_work();
     h.cache_signature = k_signature;
     return h;
 }
@@ -299,13 +272,6 @@ engines::DcResult dc_result() {
     r.iterations = 17;
     r.residual = 1.5e-13;
     r.flops = flops();
-    r.solver_full_factors = 1;
-    r.solver_fast_refactors = 2;
-    r.solver_refactors_skipped = 3;
-    r.solver_dense_solves = 4;
-    r.solver_refine_sweeps = 5;
-    r.solver_max_backward_error = 4.5e-17;
-    r.solver_ordering = ordering();
     r.trace = {{0.1, 0.2, 0.3}, {0.4, 0.5, 0.6}};
     return r;
 }
@@ -336,13 +302,6 @@ engines::TranResult tran_result() {
     r.step_bounds = bounds();
     r.rescues = rescues();
     r.flops = flops();
-    r.solver_full_factors = 1;
-    r.solver_fast_refactors = 2;
-    r.solver_refactors_skipped = 3;
-    r.solver_dense_solves = 4;
-    r.solver_refine_sweeps = 5;
-    r.solver_max_backward_error = 4.5e-17;
-    r.solver_ordering = ordering();
     return r;
 }
 

@@ -50,17 +50,21 @@ TEST(StepLimits, DefaultedBoundsWidenAroundExplicitInit) {
 }
 
 TEST(StepLimits, RejectsBadTStop) {
-    EXPECT_THROW(resolve_step_limits("t", 0.0, 0, 0, 0), AnalysisError);
-    EXPECT_THROW(resolve_step_limits("t", -1.0, 0, 0, 0), AnalysisError);
-    EXPECT_THROW(resolve_step_limits("t", k_nan, 0, 0, 0), AnalysisError);
-    EXPECT_THROW(resolve_step_limits("t", k_inf, 0, 0, 0), AnalysisError);
+    EXPECT_THROW((void)resolve_step_limits("t", 0.0, 0, 0, 0), AnalysisError);
+    EXPECT_THROW((void)resolve_step_limits("t", -1.0, 0, 0, 0), AnalysisError);
+    EXPECT_THROW((void)resolve_step_limits("t", k_nan, 0, 0, 0), AnalysisError);
+    EXPECT_THROW((void)resolve_step_limits("t", k_inf, 0, 0, 0), AnalysisError);
 }
 
 TEST(StepLimits, RejectsNegativeOrNonFiniteSteps) {
-    EXPECT_THROW(resolve_step_limits("t", 1.0, -1e-3, 0, 0), AnalysisError);
-    EXPECT_THROW(resolve_step_limits("t", 1.0, 0, -1e-9, 0), AnalysisError);
-    EXPECT_THROW(resolve_step_limits("t", 1.0, 0, 0, -1e-2), AnalysisError);
-    EXPECT_THROW(resolve_step_limits("t", 1.0, k_nan, 0, 0), AnalysisError);
+    EXPECT_THROW((void)resolve_step_limits("t", 1.0, -1e-3, 0, 0),
+                 AnalysisError);
+    EXPECT_THROW((void)resolve_step_limits("t", 1.0, 0, -1e-9, 0),
+                 AnalysisError);
+    EXPECT_THROW((void)resolve_step_limits("t", 1.0, 0, 0, -1e-2),
+                 AnalysisError);
+    EXPECT_THROW((void)resolve_step_limits("t", 1.0, k_nan, 0, 0),
+                 AnalysisError);
 }
 
 TEST(StepLimits, DefaultedBoundsBracketLoneExplicitBound) {
@@ -81,12 +85,12 @@ TEST(StepLimits, DefaultedBoundsBracketLoneExplicitBound) {
 
 TEST(StepLimits, RejectsExplicitlyInconsistentOrdering) {
     // dt_min > dt_max
-    EXPECT_THROW(resolve_step_limits("t", 1.0, 0, 1e-2, 1e-6),
+    EXPECT_THROW((void)resolve_step_limits("t", 1.0, 0, 1e-2, 1e-6),
                  AnalysisError);
     // dt_init outside [dt_min, dt_max]
-    EXPECT_THROW(resolve_step_limits("t", 1.0, 1e-1, 1e-6, 1e-2),
+    EXPECT_THROW((void)resolve_step_limits("t", 1.0, 1e-1, 1e-6, 1e-2),
                  AnalysisError);
-    EXPECT_THROW(resolve_step_limits("t", 1.0, 1e-9, 1e-6, 1e-2),
+    EXPECT_THROW((void)resolve_step_limits("t", 1.0, 1e-9, 1e-6, 1e-2),
                  AnalysisError);
 }
 

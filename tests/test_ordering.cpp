@@ -414,20 +414,22 @@ TEST(SystemCacheOrdering, EngineReportsOrderingStats) {
     const mna::MnaAssembler assembler(ckt);
     engines::SwecTranOptions opt;
     opt.t_stop = 20e-9;
-    const engines::TranResult res = engines::run_tran_swec(assembler, opt);
+    mna::SystemCache cache(assembler);
+    const engines::TranResult res =
+        engines::run_tran_swec(assembler, opt, nullptr, &cache);
+    const mna::SystemCache::Stats& s = cache.stats();
     EXPECT_GT(res.steps_accepted, 5);
-    EXPECT_EQ(res.solver_dense_solves, 0u);
-    EXPECT_NE(res.solver_ordering.ordering, Ordering::natural);
-    EXPECT_GT(res.solver_ordering.pattern_nnz, 0u);
-    EXPECT_GT(res.solver_ordering.factor_nnz, 0u);
-    EXPECT_LT(res.solver_ordering.predicted_fill_chosen,
-              res.solver_ordering.predicted_fill_natural);
+    EXPECT_EQ(s.dense_solves, 0u);
+    EXPECT_NE(s.ordering, Ordering::natural);
+    EXPECT_GT(s.pattern_nnz, 0u);
+    EXPECT_GT(s.factor_nnz, 0u);
+    EXPECT_LT(s.predicted_fill_chosen, s.predicted_fill_natural);
     // The ordered path must not cost extra symbolic factorisations: every
     // later step is a pattern-reusing refactor or, where stale-factor
     // reuse pays (this mesh passes the gate), a refined reuse of the last
     // exact LU.
-    EXPECT_LE(res.solver_full_factors, 2u);
-    EXPECT_GE(res.solver_fast_refactors + res.solver_refactors_skipped,
+    EXPECT_LE(s.full_factors, 2u);
+    EXPECT_GE(s.fast_refactors + s.refactors_skipped,
               static_cast<std::size_t>(res.steps_accepted) - 2);
 }
 

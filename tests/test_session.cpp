@@ -283,18 +283,18 @@ TEST(SessionCache, SecondAnalysisRunsZeroNewSymbolicFactorisations) {
     tran.t_stop = 20e-9;
 
     const AnalysisResult first = session.run(tran);
-    EXPECT_EQ(first.header.solver.full_factors, 1u);
-    EXPECT_GT(first.header.solver.fast_refactors, 0u);
+    EXPECT_EQ(first.report.full_factors, 1u);
+    EXPECT_GT(first.report.fast_refactors, 0u);
 
     // Unchanged circuit: the sweep, the repeat transient and the op all
     // refactor through the frozen pattern — zero new symbolic work.
     const AnalysisResult second = session.run(tran);
-    EXPECT_EQ(second.header.solver.full_factors, 0u);
-    EXPECT_GT(second.header.solver.fast_refactors, 0u);
+    EXPECT_EQ(second.report.full_factors, 0u);
+    EXPECT_GT(second.report.fast_refactors, 0u);
 
     const AnalysisResult op = session.run(OpSpec{});
-    EXPECT_EQ(op.header.solver.full_factors, 0u);
-    EXPECT_GT(op.header.solver.fast_refactors, 0u);
+    EXPECT_EQ(op.report.full_factors, 0u);
+    EXPECT_GT(op.report.fast_refactors, 0u);
 
     DcSweepSpec dc;
     dc.source = "VIN";
@@ -302,8 +302,8 @@ TEST(SessionCache, SecondAnalysisRunsZeroNewSymbolicFactorisations) {
     dc.stop = 2.0;
     dc.step = 0.5;
     const AnalysisResult sweep = session.run(dc);
-    EXPECT_EQ(sweep.header.solver.full_factors, 0u);
-    EXPECT_GT(sweep.header.solver.fast_refactors, 0u);
+    EXPECT_EQ(sweep.report.full_factors, 0u);
+    EXPECT_GT(sweep.report.fast_refactors, 0u);
 
     EXPECT_EQ(session.cache_count(), 1u);
     EXPECT_EQ(first.header.cache_signature, second.header.cache_signature);
@@ -323,12 +323,12 @@ TEST(SessionCache, MonteCarloTrialsShareOneSymbolicAnalysis) {
     const AnalysisResult result = session.run(mc);
     // 5 trials (plus the per-trial DC initial conditions) -> exactly one
     // symbolic factorisation for the whole analysis.
-    EXPECT_EQ(result.header.solver.full_factors, 1u);
-    EXPECT_GT(result.header.solver.fast_refactors, 0u);
+    EXPECT_EQ(result.report.full_factors, 1u);
+    EXPECT_GT(result.report.fast_refactors, 0u);
 
     // And a follow-up analysis still pays nothing.
     const AnalysisResult op = session.run(OpSpec{});
-    EXPECT_EQ(op.header.solver.full_factors, 0u);
+    EXPECT_EQ(op.report.full_factors, 0u);
 
     // Two workers: the session cache plus one cache for the second
     // worker, each analysed at most once for the whole campaign.
@@ -337,8 +337,8 @@ TEST(SessionCache, MonteCarloTrialsShareOneSymbolicAnalysis) {
     mc.runs = 8;
     const AnalysisResult wide = session.run(mc);
     EXPECT_EQ(wide.monte_carlo().stats.paths(), 8u);
-    EXPECT_LE(wide.header.solver.full_factors, 2u);
-    EXPECT_GT(wide.header.solver.fast_refactors, 0u);
+    EXPECT_LE(wide.report.full_factors, 2u);
+    EXPECT_GT(wide.report.fast_refactors, 0u);
 
     // EM runs on the session cache too: one symbolic factorisation for
     // the DC start and every path, and the DC start is solved once per
@@ -355,21 +355,21 @@ TEST(SessionCache, MonteCarloTrialsShareOneSymbolicAnalysis) {
     em.start_from_dc = true;
     em.paths = 3;
     const AnalysisResult three = em_session.run(em);
-    EXPECT_EQ(three.header.solver.full_factors, 1u);
+    EXPECT_EQ(three.report.full_factors, 1u);
     em.paths = 6;
     const AnalysisResult six = em_session.run(em);
-    const auto solves = [](const SolverWork& w) {
+    const auto solves = [](const obs::SolverWork& w) {
         return w.full_factors + w.fast_refactors + w.refactors_skipped +
                w.dense_solves;
     };
-    EXPECT_EQ(solves(six.header.solver) - solves(three.header.solver),
+    EXPECT_EQ(solves(six.report) - solves(three.report),
               3u * 100u);
 }
 
 TEST(SessionCache, RebindAfterParameterTweakKeepsSymbolicAnalysis) {
     SimSession session(refckt::rc_mesh(10, 10));
     const AnalysisResult first = session.run(OpSpec{});
-    EXPECT_EQ(first.header.solver.full_factors, 1u);
+    EXPECT_EQ(first.report.full_factors, 1u);
     const std::uint64_t sig = session.pattern_signature();
 
     // A value-only tweak keeps the stamp pattern: after reassemble the
@@ -380,8 +380,8 @@ TEST(SessionCache, RebindAfterParameterTweakKeepsSymbolicAnalysis) {
     EXPECT_EQ(session.cache_count(), 1u);
 
     const AnalysisResult second = session.run(OpSpec{});
-    EXPECT_EQ(second.header.solver.full_factors, 0u);
-    EXPECT_GT(second.header.solver.fast_refactors, 0u);
+    EXPECT_EQ(second.report.full_factors, 0u);
+    EXPECT_GT(second.report.fast_refactors, 0u);
 }
 
 // ---- source restore --------------------------------------------------
@@ -546,7 +546,8 @@ TEST(SessionSpecs, BadSweepSpecThrows) {
 TEST(SessionSpecs, DcCardsKeepTheEndpointOnEveryEngine) {
     // 0.3 / 0.1 and 0.7 / 0.1 land a rounding error below 3 and 7; the
     // sweep must still reach `stop` on the card's step.  5 / 0.1 is
-    // exactly 50.
+    // exactly 50.  0.35 / 0.1 is no whole number: the sweep keeps the
+    // card's step and ends at 0.3, short of `stop`.
     SimSession session = SimSession::from_deck(R"(
 V1 in 0 DC 1
 R1 in out 50
@@ -554,8 +555,10 @@ RTD1 out 0
 .dc V1 0 0.3 0.1
 .dc V1 0 0.7 0.1
 .dc V1 0 5 0.1
+.dc V1 0 0.35 0.1
 )");
-    const std::vector<std::size_t> points = {4, 8, 51};
+    const std::vector<std::size_t> points = {4, 8, 51, 4};
+    const std::vector<double> last = {0.3, 0.7, 5.0, 0.3};
     for (const DcEngine engine :
          {DcEngine::swec, DcEngine::newton_raphson, DcEngine::mla}) {
         SCOPED_TRACE(engine_name(engine));
@@ -567,8 +570,11 @@ RTD1 out 0
             const linalg::Vector values = spec.values();
             ASSERT_EQ(values.size(), points[i]) << "stop " << spec.stop;
             EXPECT_DOUBLE_EQ(values.front(), 0.0);
-            EXPECT_DOUBLE_EQ(values.back(), spec.stop);
-            EXPECT_NEAR(values[1] - values[0], 0.1, 1e-12);
+            EXPECT_DOUBLE_EQ(values.back(), last[i]);
+            for (std::size_t k = 0; k < values.size(); ++k) {
+                EXPECT_NEAR(values[k], 0.1 * static_cast<double>(k), 1e-12)
+                    << "stop " << spec.stop << " point " << k;
+            }
             const AnalysisResult result = session.run(spec);
             EXPECT_EQ(result.sweep().values, values);
             EXPECT_EQ(result.sweep().failures(), 0);

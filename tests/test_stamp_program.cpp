@@ -488,7 +488,7 @@ TEST(StampProgram, StepTimeSplitReported) {
     TranSpec spec;
     spec.t_stop = 100e-9;
     const auto res = session.run(spec);
-    const SolverWork& sw = res.header.solver;
+    const obs::SolverWork& sw = res.report;
     // The transient must attribute nonzero time to evaluation, stamping
     // and factorisation (solve_s folds into factor on the dense path
     // only for the construction; all four are cumulative timers).
