@@ -18,11 +18,6 @@ namespace nanosim {
 
 namespace {
 
-/// Keep the registry bounded: a session alternating between a handful of
-/// circuit variants retains each variant's symbolic analysis, but a
-/// topology explorer must not accumulate caches without limit.
-constexpr std::size_t k_max_cached_patterns = 8;
-
 using Clock = std::chrono::steady_clock;
 
 [[nodiscard]] double seconds_since(Clock::time_point t0) {
@@ -46,32 +41,14 @@ void apply_tolerances(const CommonOptions& common, EngineOptions& options) {
 
 // ---- SimSession -------------------------------------------------------
 
-namespace {
-
-/// One stamp dry-run serving both the registry key and (via the stored
-/// coords) the first SystemCache built for this assembly.
-[[nodiscard]] std::uint64_t compute_signature(
-    const mna::MnaAssembler& assembler,
-    std::vector<std::pair<std::size_t, std::size_t>>& coords_out) {
-    coords_out = mna::union_stamp_pattern(assembler);
-    return mna::stamp_pattern_signature(
-        static_cast<std::size_t>(assembler.unknowns()), coords_out);
-}
-
-} // namespace
-
 SimSession::SimSession(Circuit circuit)
-    : circuit_(std::make_unique<Circuit>(std::move(circuit))) {
-    assembler_ = std::make_unique<mna::MnaAssembler>(*circuit_);
-    signature_ = compute_signature(*assembler_, pattern_coords_);
-}
+    : circuit_(std::make_unique<Circuit>(std::move(circuit))),
+      assembler_(std::make_unique<mna::MnaAssembler>(*circuit_)) {}
 
 SimSession::SimSession(ParsedDeck deck)
     : circuit_(std::make_unique<Circuit>(std::move(deck.circuit))),
-      deck_analyses_(std::move(deck.analyses)) {
-    assembler_ = std::make_unique<mna::MnaAssembler>(*circuit_);
-    signature_ = compute_signature(*assembler_, pattern_coords_);
-}
+      deck_analyses_(std::move(deck.analyses)),
+      assembler_(std::make_unique<mna::MnaAssembler>(*circuit_)) {}
 
 SimSession SimSession::from_deck(const std::string& deck_text) {
     SimSession session(parse_deck(deck_text));
@@ -94,47 +71,20 @@ SimSession SimSession::from_deck_file(const std::string& path) {
 void SimSession::reassemble() {
     const std::lock_guard<std::mutex> lock(*run_mutex_);
     assembler_ = std::make_unique<mna::MnaAssembler>(*circuit_);
-    signature_ = compute_signature(*assembler_, pattern_coords_);
-    // Caches for other signatures stay filed (their stale assembler
-    // pointer is never dereferenced until solver_cache() rebinds them);
-    // the current signature's cache is rebound eagerly so its next solve
-    // is a numeric refactor against the fresh assembly.
-    if (const auto it = caches_.find(signature_); it != caches_.end()) {
-        if (it->second->unknowns() ==
+    if (cache_ != nullptr &&
+        cache_->unknowns() ==
             static_cast<std::size_t>(assembler_->unknowns())) {
-            it->second->rebind(*assembler_);
-        } else {
-            caches_.erase(it); // signature collision across sizes
-        }
+        cache_->rebind(*assembler_);
+    } else {
+        cache_.reset();
     }
 }
 
 mna::SystemCache& SimSession::solver_cache() {
-    const auto it = caches_.find(signature_);
-    if (it != caches_.end()) {
-        if (it->second->bound_assembler() != assembler_.get()) {
-            it->second->rebind(*assembler_);
-        }
-        return *it->second;
+    if (cache_ == nullptr) {
+        cache_ = std::make_unique<mna::SystemCache>(*assembler_);
     }
-    if (caches_.size() >= k_max_cached_patterns) {
-        // Evict an arbitrary non-current entry (map order is as good as
-        // any here: evictions only happen to topology explorers).
-        caches_.erase(caches_.begin());
-    }
-    // Hand the precomputed union pattern to the new cache when it is
-    // still on hand for this assembly; the rare re-creation after an
-    // eviction falls back to the cache's own dry-run.
-    auto cache =
-        pattern_coords_.empty()
-            ? std::make_unique<mna::SystemCache>(*assembler_)
-            : std::make_unique<mna::SystemCache>(
-                  *assembler_, mna::SystemCache::Options{},
-                  std::move(pattern_coords_), signature_);
-    pattern_coords_.clear();
-    mna::SystemCache& ref = *cache;
-    caches_.emplace(signature_, std::move(cache));
-    return ref;
+    return *cache_;
 }
 
 // ---- execution --------------------------------------------------------
@@ -179,11 +129,14 @@ AnalysisResult SimSession::run(const AnalysisSpec& spec,
             std::visit([](const auto& s) { return s.name; }, spec),
         "session");
     const auto t0 = Clock::now();
+    // The run that builds the cache bills its symbolic analysis: its
+    // `before` is zero.
     obs::SolverWork before;
-    if (const auto it = caches_.find(signature_); it != caches_.end()) {
-        it->second->reset_backward_error_peak();
-        before = it->second->stats();
+    if (cache_ != nullptr) {
+        before = cache_->stats();
     }
+    mna::SystemCache& cache = solver_cache();
+    cache.reset_backward_error_peak();
     // Pool queue-wait deltas survive the short-lived pools the parallel
     // drivers own because the workers also bill the global registry.
     std::uint64_t pool_tasks0 = 0;
@@ -210,7 +163,7 @@ AnalysisResult SimSession::run(const AnalysisSpec& spec,
         },
         spec);
 
-    result.header.cache_signature = signature_;
+    result.header.cache_signature = cache.signature();
     result.header.elapsed_s = seconds_since(t0);
 
     // ---- RunReport: header + payload diagnostics in one flat record ---
@@ -223,9 +176,7 @@ AnalysisResult SimSession::run(const AnalysisSpec& spec,
     // The solver work: the session cache's delta over this run, plus the
     // caches an ensemble driver built for its extra workers.
     obs::SolverWork& work = report;
-    if (const auto it = caches_.find(signature_); it != caches_.end()) {
-        work = it->second->stats().since(before);
-    }
+    work = cache.stats().since(before);
     std::visit(
         [&work](const auto& payload) {
             if constexpr (requires { payload.solver; }) {

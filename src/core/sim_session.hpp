@@ -5,10 +5,10 @@
 // (SWEC transients, DC sweeps, Monte-Carlo/EM ensembles — paper
 // Secs. 3-5).  The engines each know how to reuse a frozen stamp pattern
 // *within* an analysis (mna::SystemCache); SimSession extends that reuse
-// *across* analyses: it owns the assembler plus persistent SystemCache
-// instances keyed by stamp-pattern signature, so a DC sweep followed by
-// a transient followed by 500 Monte-Carlo trials performs the symbolic
-// LU analysis exactly once instead of re-freezing per call.
+// *across* analyses: it owns the assembler plus ONE SystemCache, built by
+// the first run and rebound by reassemble(), so a DC sweep followed by a
+// transient followed by 500 Monte-Carlo trials performs the symbolic LU
+// analysis exactly once instead of re-freezing per call.
 //
 //     SimSession session = SimSession::from_deck_file("x.cir");
 //     auto op   = session.run(OpSpec{});
@@ -25,7 +25,6 @@
 #define NANOSIM_CORE_SIM_SESSION_HPP
 
 #include <atomic>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -65,10 +64,11 @@ public:
         return deck_analyses_;
     }
 
-    /// Re-assemble after mutating the circuit.  A cache whose
-    /// stamp-pattern signature still matches is rebound in place — its
-    /// symbolic LU analysis survives a parameter tweak; caches for a
-    /// changed pattern are dropped (their assembler is gone).
+    /// Re-assemble after mutating the circuit.  With the unknown count
+    /// unchanged the cache is rebound in place (SystemCache::rebind: the
+    /// symbolic LU analysis survives a pattern that still fits, such as a
+    /// parameter tweak; a grown pattern re-freezes); otherwise it is
+    /// dropped and the next run builds a fresh one.
     void reassemble();
 
     // ---- the single execution path ----
@@ -124,20 +124,12 @@ public:
     sweep(const runtime::JobPlan& plan,
           const runtime::CampaignOptions& options = {}) const;
 
-    // ---- solver-cache registry ----
+    // ---- solver cache ----
 
-    /// The persistent cache for the CURRENT stamp-pattern signature,
-    /// created on first use.  Engines reached through run() all share it.
+    /// The session's one solver cache, built by the first call; every
+    /// engine reached through run() shares it.  Its signature() is each
+    /// result's header.cache_signature.
     [[nodiscard]] mna::SystemCache& solver_cache();
-
-    /// Signature of the current assembly's union stamp pattern.
-    [[nodiscard]] std::uint64_t pattern_signature() const noexcept {
-        return signature_;
-    }
-    /// Number of live cached patterns (1 after any run; kept for tests).
-    [[nodiscard]] std::size_t cache_count() const noexcept {
-        return caches_.size();
-    }
 
 private:
     explicit SimSession(ParsedDeck deck);
@@ -166,14 +158,10 @@ private:
     /// re-parses it to mint per-job circuits.
     std::optional<std::string> deck_text_;
     std::unique_ptr<mna::MnaAssembler> assembler_;
-    std::uint64_t signature_ = 0;
-    /// Union pattern of the CURRENT assembly, computed alongside
-    /// signature_ and handed to the first SystemCache built for it — the
-    /// stamp dry-run is paid once per assembly, not once per consumer.
-    std::vector<std::pair<std::size_t, std::size_t>> pattern_coords_;
-    /// Persistent solver caches keyed by stamp-pattern signature.
-    std::map<std::uint64_t, std::unique_ptr<mna::SystemCache>> caches_;
-    /// Serializes run()/reassemble(): analyses share the caches above.
+    /// Null until the first solver_cache() call, and after a reassemble()
+    /// that changed the unknown count.
+    std::unique_ptr<mna::SystemCache> cache_;
+    /// Serializes run()/reassemble(): analyses share the cache above.
     /// Behind a pointer so sessions stay movable.
     std::unique_ptr<std::mutex> run_mutex_ = std::make_unique<std::mutex>();
     /// Thread currently inside run() (default id = none) — detects the

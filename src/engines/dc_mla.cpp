@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
+#include "engines/dc_nr.hpp"
 #include "engines/dc_sweep.hpp"
 #include "engines/options_common.hpp"
 #include "linalg/vecops.hpp"
@@ -100,31 +102,13 @@ DcResult solve_op_mla(const mna::MnaAssembler& assembler,
     }
 
     // Phase 2: source stepping with automatic ramp-step reduction.
-    double lambda = 0.0;
-    double dlambda = 1.0 / std::max(options.ramp_initial_steps, 1);
-    int halvings = 0;
-    int total_iterations = result.iterations;
-    linalg::Vector warm(static_cast<std::size_t>(assembler.unknowns()), 0.0);
-
-    while (lambda < 1.0) {
-        const double target = std::min(1.0, lambda + dlambda);
-        DcResult step = limited_nr(assembler, options, t,
-                                   source_scale * target, warm);
-        total_iterations += step.iterations;
-        if (step.converged) {
-            lambda = target;
-            warm = step.x;
-            result = std::move(step);
-            dlambda = std::min(dlambda * 1.5, 1.0 - lambda + 1e-12);
-        } else {
-            dlambda /= 2.0;
-            if (++halvings > options.ramp_max_halvings) {
-                result.converged = false;
-                break;
-            }
-        }
-    }
-    result.iterations = total_iterations;
+    result = source_ramp(
+        [&](double lambda, const linalg::Vector& warm) {
+            return limited_nr(assembler, options, t, source_scale * lambda,
+                              warm);
+        },
+        std::move(result), options.ramp_initial_steps,
+        options.ramp_max_halvings);
     result.flops = scope.counter();
     return result;
 }

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <utility>
 
 #include "engines/dc_sweep.hpp"
 #include "engines/options_common.hpp"
@@ -145,37 +146,45 @@ DcResult solve_op_source_stepping(const mna::MnaAssembler& assembler,
     const FlopScope scope;
     NrOptions nr = options.nr;
     nr.record_trace = false;
+    DcResult start;
+    start.x.assign(static_cast<std::size_t>(assembler.unknowns()), 0.0);
+    DcResult result = source_ramp(
+        [&](double lambda, const linalg::Vector& warm) {
+            nr.initial_guess = warm;
+            return solve_op_nr(assembler, nr, 0.0, lambda);
+        },
+        std::move(start), options.initial_steps, options.max_halvings);
+    result.flops = scope.counter();
+    return result;
+}
 
+DcResult source_ramp(const RampRung& rung, DcResult fallback,
+                     int initial_steps, int max_halvings) {
+    DcResult last = std::move(fallback);
+    linalg::Vector warm(last.x.size(), 0.0);
+    int total_iterations = last.iterations;
     double lambda = 0.0;
-    double dlambda = 1.0 / std::max(options.initial_steps, 1);
-    DcResult last;
-    last.x.assign(static_cast<std::size_t>(assembler.unknowns()), 0.0);
+    double dlambda = 1.0 / std::max(initial_steps, 1);
     int halvings = 0;
-    int total_iterations = 0;
-
     while (lambda < 1.0) {
         const double target = std::min(1.0, lambda + dlambda);
-        nr.initial_guess = last.x;
-        DcResult step = solve_op_nr(assembler, nr, 0.0, target);
+        DcResult step = rung(target, warm);
         total_iterations += step.iterations;
         if (step.converged) {
             lambda = target;
+            warm = step.x;
             last = std::move(step);
             // Gentle ramp acceleration after a success.
             dlambda = std::min(dlambda * 1.5, 1.0 - lambda + 1e-12);
         } else {
             dlambda /= 2.0;
-            if (++halvings > options.max_halvings) {
+            if (++halvings > max_halvings) {
                 last.converged = false;
-                last.iterations = total_iterations;
-                last.flops = scope.counter();
-                return last;
+                break;
             }
         }
     }
     last.iterations = total_iterations;
-    last.converged = true;
-    last.flops = scope.counter();
     return last;
 }
 

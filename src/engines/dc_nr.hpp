@@ -12,6 +12,8 @@
 #ifndef NANOSIM_ENGINES_DC_NR_HPP
 #define NANOSIM_ENGINES_DC_NR_HPP
 
+#include <functional>
+
 #include "engines/observer.hpp"
 #include "engines/results.hpp"
 #include "mna/mna.hpp"
@@ -50,6 +52,22 @@ struct SourceSteppingOptions {
 [[nodiscard]] DcResult
 solve_op_source_stepping(const mna::MnaAssembler& assembler,
                          const SourceSteppingOptions& options = {});
+
+/// One rung of a source ramp: the operating point with every independent
+/// source scaled by `lambda`, warm-started from `warm`.
+using RampRung =
+    std::function<DcResult(double lambda, const linalg::Vector& warm)>;
+
+/// The source-stepping ramp of solve_op_source_stepping and MLA's second
+/// phase.  lambda climbs from 0 to 1 in steps of 1/initial_steps, each
+/// rung warm-started from the last converged one (from zeros the size of
+/// fallback.x at first); a converged rung grows the step 1.5x, a failed
+/// one halves it, and more than `max_halvings` halvings give up.  Returns
+/// the converged lambda = 1 rung, or else the last converged rung
+/// (`fallback` when none converged) flagged unconverged; its
+/// `iterations` are fallback's plus every rung's.
+[[nodiscard]] DcResult source_ramp(const RampRung& rung, DcResult fallback,
+                                   int initial_steps, int max_halvings);
 
 /// DC sweep on the engines::dc_sweep driver: set `source_name` (a
 /// VSource or ISource) to each value in turn and solve with NR,

@@ -28,7 +28,6 @@ SwecTranOptions resolve_swec_tran_options(const SwecTranOptions& in) {
 
 SwecStepper::SwecStepper(const mna::MnaAssembler& assembler,
                          SwecTranOptions options, mna::SystemCache& cache,
-                         bool dc_through_cache,
                          std::span<const NodeId> record)
     : assembler_(&assembler), cache_(&cache), options_(std::move(options)),
       n_(static_cast<std::size_t>(assembler.unknowns())),
@@ -42,12 +41,9 @@ SwecStepper::SwecStepper(const mna::MnaAssembler& assembler,
         }
         x_ = options_.initial;
     } else if (options_.start_from_dc) {
-        // Through the shared cache when one was supplied (the DC march
-        // restamps the same pattern); self-contained otherwise, matching
-        // the historical per-call behaviour.
-        x_ = solve_op_swec(assembler, {}, 0.0, 1.0,
-                           dc_through_cache ? cache_ : nullptr)
-                 .x;
+        // The DC march restamps the same pattern, so it runs on this
+        // run's cache.
+        x_ = solve_op_swec(assembler, {}, 0.0, 1.0, cache_).x;
     } else {
         x_.assign(n_, 0.0);
     }
@@ -55,8 +51,8 @@ SwecStepper::SwecStepper(const mna::MnaAssembler& assembler,
     // Tabulated chord models: bound after the DC solve, which runs the
     // closed forms.
     cache_->configure_tables(options_.tables);
-    // The transient starts from an exact factor whether or not the DC
-    // march ran through this cache.
+    // The transient starts from an exact factor, not from the DC
+    // march's last one.
     cache_->start_run();
 
     // --- Breakpoints (source corners) — never step across one. ---

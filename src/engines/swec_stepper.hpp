@@ -9,7 +9,10 @@
 //   accept()   eq. 10 error, eq. 9 slope, waveforms, step control
 //
 // run_tran_swec runs the phases back-to-back per step; every phase
-// performs the exact arithmetic of the historical monolithic loop.
+// performs the exact arithmetic of the historical monolithic loop.  The
+// stepper runs on the one cache it is handed, whether the run's own or a
+// SimSession's: a start_from_dc operating point is solved on it too, so a
+// per-call run and a session run take one path.
 #ifndef NANOSIM_ENGINES_SWEC_STEPPER_HPP
 #define NANOSIM_ENGINES_SWEC_STEPPER_HPP
 
@@ -41,14 +44,11 @@ resolve_swec_tran_options(const SwecTranOptions& options);
 class SwecStepper {
 public:
     /// `options` must already be resolved (resolve_swec_tran_options).
-    /// `dc_through_cache` routes the start_from_dc operating point
-    /// through `cache` (shared SimSession-style caches); engine-local
-    /// caches keep the historical self-contained DC solve.  `record`
+    /// A start_from_dc operating point is solved on `cache`.  `record`
     /// lists the nodes whose waveforms the result carries (see
     /// run_tran_swec; empty = every node).
     SwecStepper(const mna::MnaAssembler& assembler, SwecTranOptions options,
-                mna::SystemCache& cache, bool dc_through_cache,
-                std::span<const NodeId> record = {});
+                mna::SystemCache& cache, std::span<const NodeId> record = {});
 
     /// True once the horizon is reached or the run was aborted.
     [[nodiscard]] bool done() const noexcept {

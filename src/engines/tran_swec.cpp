@@ -22,13 +22,11 @@ TranResult run_tran_swec(const mna::MnaAssembler& assembler,
     // one cheap numeric refactor + solve per time point).  A caller-owned
     // cache extends the reuse across whole analyses (SimSession).
     std::optional<mna::SystemCache> local_cache;
-    const bool shared_cache = cache != nullptr;
-    if (!shared_cache) {
-        local_cache.emplace(assembler);
-        cache = &*local_cache;
+    if (cache == nullptr) {
+        cache = &local_cache.emplace(assembler);
     }
 
-    SwecStepper stepper(assembler, options, *cache, shared_cache, record);
+    SwecStepper stepper(assembler, options, *cache, record);
     while (!stepper.done()) {
         // Cooperative cancellation, polled once per step: the partial
         // waveforms recorded so far are the result.

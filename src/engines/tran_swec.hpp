@@ -77,8 +77,8 @@ constexpr auto field_table(std::type_identity<SwecTranOptions>) {
 /// cooperatively — a cancelled run returns the partial waveforms with
 /// `aborted` set.  `cache` (optional) reuses a caller-owned SystemCache
 /// (and its symbolic LU analysis) instead of freezing a fresh one —
-/// SimSession passes its persistent cache; nullptr keeps the solve
-/// self-contained.  Solver stats in the result are deltas over this run.
+/// SimSession passes its persistent cache; nullptr builds one for this
+/// run.  Either way the start_from_dc operating point is solved on it.
 /// `record` lists the nodes whose waveforms the result carries (empty =
 /// every node; a node listed twice is recorded once): every other entry
 /// of TranResult::node_waves stays empty, so a caller that reads a few

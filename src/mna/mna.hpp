@@ -189,11 +189,15 @@ private:
     std::unordered_map<const Device*, int> branch_base_map_;
 };
 
+/// At or below this many unknowns a system is solved by dense LU, above
+/// it by sparse LU (solve_system's default and SystemCache's path).
+inline constexpr std::size_t k_dense_threshold = 64;
+
 /// Solve A x = b choosing dense LU for small systems and Gilbert-Peierls
 /// sparse LU above `dense_threshold` unknowns.
-[[nodiscard]] linalg::Vector solve_system(const linalg::Triplets& a,
-                                          const linalg::Vector& b,
-                                          std::size_t dense_threshold = 64);
+[[nodiscard]] linalg::Vector
+solve_system(const linalg::Triplets& a, const linalg::Vector& b,
+             std::size_t dense_threshold = k_dense_threshold);
 
 /// A representative SWEC per-step system of the circuit:
 /// static G + time-varying stamps at t = 0 + chord conductances `geq`

@@ -131,8 +131,11 @@ private:
     std::vector<std::pair<std::size_t, std::size_t>>* coords_;
 };
 
-} // namespace
-
+/// Union stamp-pattern coordinates of an assembled circuit: every matrix
+/// coordinate any engine may touch in a per-step restamp (static G, the
+/// C matrix, node diagonals for pseudo-elements, time-varying devices,
+/// SWEC chords, NR linearisations), sorted CSC-style (column major, then
+/// row) and deduplicated.
 std::vector<std::pair<std::size_t, std::size_t>>
 union_stamp_pattern(const MnaAssembler& assembler) {
     const auto n = static_cast<std::size_t>(assembler.unknowns());
@@ -169,39 +172,27 @@ union_stamp_pattern(const MnaAssembler& assembler) {
     return coords;
 }
 
-namespace {
-
-/// FNV-1a accumulator shared by the signature functions (they must emit
-/// bit-identical hashes for the same coordinate stream).
-struct Fnv1a {
+/// 64-bit FNV-1a of the unknown count and a union pattern, byte by byte
+/// over each value's eight little-endian bytes.
+std::uint64_t fnv1a_pattern(
+    std::size_t unknowns,
+    const std::vector<std::pair<std::size_t, std::size_t>>& coords) {
     std::uint64_t h = 14695981039346656037ULL;
-    void mix(std::uint64_t v) {
+    const auto mix = [&h](std::uint64_t v) {
         for (int b = 0; b < 8; ++b) {
             h ^= (v >> (8 * b)) & 0xffULL;
             h *= 1099511628211ULL;
         }
+    };
+    mix(static_cast<std::uint64_t>(unknowns));
+    for (const auto& [row, col] : coords) {
+        mix(static_cast<std::uint64_t>(row));
+        mix(static_cast<std::uint64_t>(col));
     }
-};
+    return h;
+}
 
 } // namespace
-
-std::uint64_t stamp_pattern_signature(
-    std::size_t unknowns,
-    const std::vector<std::pair<std::size_t, std::size_t>>& coords) {
-    Fnv1a fnv;
-    fnv.mix(static_cast<std::uint64_t>(unknowns));
-    for (const auto& [row, col] : coords) {
-        fnv.mix(static_cast<std::uint64_t>(row));
-        fnv.mix(static_cast<std::uint64_t>(col));
-    }
-    return fnv.h;
-}
-
-std::uint64_t stamp_pattern_signature(const MnaAssembler& assembler) {
-    return stamp_pattern_signature(
-        static_cast<std::size_t>(assembler.unknowns()),
-        union_stamp_pattern(assembler));
-}
 
 /// Per-step stamper: scatters matrix writes into the cached slot array
 /// and rhs writes into the vector bound by begin().
@@ -226,42 +217,18 @@ private:
 };
 
 SystemCache::SystemCache(const MnaAssembler& assembler, Options options)
-    // Union pattern dry-run: everything any engine may stamp per step.
-    // Signature 0 = "hash the frozen pattern for me" (at construction
-    // the frozen pattern IS the union pattern, in the same CSC order).
-    : SystemCache(assembler, options, union_stamp_pattern(assembler), 0) {}
-
-SystemCache::SystemCache(
-    const MnaAssembler& assembler, Options options,
-    std::vector<std::pair<std::size_t, std::size_t>> coords,
-    std::uint64_t signature)
     : assembler_(&assembler),
       options_(options),
-      n_(static_cast<std::size_t>(assembler.unknowns())),
-      signature_(signature) {
+      n_(static_cast<std::size_t>(assembler.unknowns())) {
+    // Union pattern dry-run: everything any engine may stamp per step.
+    std::vector<std::pair<std::size_t, std::size_t>> coords =
+        union_stamp_pattern(assembler);
+    signature_ = fnv1a_pattern(n_, coords);
     freeze_pattern(std::move(coords));
-    if (signature_ == 0) {
-        signature_ = frozen_pattern_signature();
-    }
     stamper_ = std::make_unique<ScatterStamper>(*this, assembler.num_nodes());
     if (dense_path()) {
         dense_ = linalg::DenseMatrix(n_, n_);
     }
-}
-
-std::uint64_t SystemCache::frozen_pattern_signature() const {
-    // Identical stream to stamp_pattern_signature(n, coords): CSC
-    // traversal yields (row, col) pairs sorted by column then row —
-    // exactly union_stamp_pattern's order.
-    Fnv1a fnv;
-    fnv.mix(static_cast<std::uint64_t>(n_));
-    for (std::size_t c = 0; c < n_; ++c) {
-        for (std::size_t p = col_ptr_[c]; p < col_ptr_[c + 1]; ++p) {
-            fnv.mix(static_cast<std::uint64_t>(row_idx_[p]));
-            fnv.mix(static_cast<std::uint64_t>(c));
-        }
-    }
-    return fnv.h;
 }
 
 void SystemCache::rebind(const MnaAssembler& assembler) {
@@ -280,7 +247,7 @@ void SystemCache::rebind(const MnaAssembler& assembler) {
         }
     }
     assembler_ = &assembler;
-    signature_ = stamp_pattern_signature(n_, coords);
+    signature_ = fnv1a_pattern(n_, coords);
     if (fits) {
         // Same structure (possibly a subset of an overflow-extended
         // pattern): keep the symbolic analysis and ordering, refresh the
@@ -668,7 +635,7 @@ linalg::Vector SystemCache::solve(const linalg::Vector& rhs) {
                 coords.emplace_back(o.row, o.col);
             }
             overflow_.clear();
-            x = solve_system(t, rhs, options_.dense_threshold);
+            x = solve_system(t, rhs);
         }
         // The re-freeze bills its own time to analyze_s (it IS symbolic
         // analysis), so it runs outside the factor scope.
@@ -694,7 +661,7 @@ linalg::Vector SystemCache::solve(const linalg::Vector& rhs) {
                     dense_(row_idx_[p], c) += values_[p];
                 }
             }
-            lu.emplace(dense_, options_.pivot_tol);
+            lu.emplace(dense_);
         } catch (const std::bad_alloc&) {
             throw AnalysisError(
                 "SystemCache::solve: factor allocation failed");
@@ -722,7 +689,7 @@ linalg::Vector SystemCache::solve(const linalg::Vector& rhs) {
         if (!lu_) {
             lu_ = std::make_unique<linalg::SparseLu>(
                 n_, col_ptr_, row_idx_, std::span<const double>(values_),
-                ordering_, options_.pivot_tol);
+                ordering_);
             ++stats_.full_factors;
         } else if (lu_->refactor(std::span<const double>(values_))) {
             ++stats_.fast_refactors;

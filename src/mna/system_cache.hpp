@@ -10,15 +10,17 @@
 //
 //  * at construction it dry-runs every stamp source the engines can apply
 //    (static G, the C matrix, time-varying devices, SWEC chords, NR
-//    linearisations, node-diagonal pseudo-elements) against the assembler
-//    and freezes the UNION sparsity pattern as a CSC index;
+//    linearisations, node-diagonal pseudo-elements) against the assembler,
+//    freezes the UNION sparsity pattern as a CSC index and hashes it into
+//    signature() (rebind() re-hashes the new assembly's pattern);
 //  * begin(scale, rhs) resets the value array to  static + scale * C  in
 //    one linear pass and hands back a Stamper whose writes scatter
 //    straight into the cached slots (binary search within one column) —
 //    no triplets, no allocation;
-//  * solve() auto-selects dense LU below `dense_threshold` unknowns and
-//    otherwise factors once, then reuses the symbolic analysis through
-//    SparseLu::refactor() on later steps;
+//  * solve() auto-selects dense LU at or below mna::k_dense_threshold
+//    unknowns and otherwise factors once, then reuses the symbolic
+//    analysis through SparseLu::refactor() on later steps (both LUs at
+//    their default pivot tolerance);
 //  * where a refactor costs at least k_refine_sweeps residual-correction
 //    sweeps, solve() reuses the last exact LU across steps instead: it
 //    solves with the stale factor and refines x += LU^-1 (b - A x) until
@@ -33,7 +35,9 @@
 //    the pattern is re-frozen including the new coordinates so subsequent
 //    steps are fast again.
 //
-// Engines own one SystemCache per analysis loop (or share a SimSession's).
+// An engine called without a cache builds one for its run (a SWEC
+// transient solves its start-from-DC operating point on it too); a
+// SimSession builds one at its first run and passes it to every run.
 // Its Stats are the one accumulator of the solver work: a run's share is
 // the delta SimSession takes into the RunReport, and the counters let
 // tests assert which path ran: on a healthy run every solve() lands in
@@ -58,29 +62,26 @@
 
 namespace nanosim::mna {
 
-/// Union stamp-pattern coordinates of an assembled circuit — every
-/// matrix coordinate any engine may touch in a per-step restamp (static
-/// G, the C matrix, node diagonals for pseudo-elements, time-varying
-/// devices, SWEC chords, NR linearisations) — sorted CSC-style (column
-/// major, then row) and deduplicated.  This is the pattern a SystemCache
-/// freezes at construction.
-[[nodiscard]] std::vector<std::pair<std::size_t, std::size_t>>
-union_stamp_pattern(const MnaAssembler& assembler);
-
-/// 64-bit FNV-1a signature of union_stamp_pattern(assembler) plus the
-/// unknown count — the key under which a SimSession files its persistent
-/// SystemCache instances.  Two assemblies with equal signatures produce
-/// per-step systems of identical sparsity structure, so one symbolic LU
-/// analysis serves both.
-[[nodiscard]] std::uint64_t
-stamp_pattern_signature(const MnaAssembler& assembler);
-
-/// Same signature from an already-computed union pattern (must be the
-/// sorted/deduplicated output of union_stamp_pattern) — lets callers
-/// that need both the coordinates and the key pay the dry-run once.
-[[nodiscard]] std::uint64_t stamp_pattern_signature(
-    std::size_t unknowns,
-    const std::vector<std::pair<std::size_t, std::size_t>>& coords);
+/// SystemCache's construction-time knobs (the name SystemCache::Options
+/// is the one callers use; the struct lives at namespace scope so that
+/// the constructor can default it).
+struct SystemCacheOptions {
+    /// Node ordering for the sparse path.  `automatic` compares
+    /// predicted fill of natural vs RCM vs minimum-degree at freeze
+    /// time; the explicit values force one (tests / benches).
+    linalg::Ordering ordering = linalg::Ordering::automatic;
+    /// Compile a StampProgram at pattern-freeze time (the default):
+    /// per-step restamps and chord evaluations run through flat
+    /// slot/SoA plans with zero virtual dispatch.  `false` keeps the
+    /// legacy virtual-stamping path — the reference the program is
+    /// tested bit-identical against.
+    bool use_stamp_program = true;
+    /// Reuse the last exact sparse LU across steps with residual-
+    /// checked refinement where that pays (the default).  `false`
+    /// refactors exactly on every sparse step — the reference the
+    /// reuse path is tested against.
+    bool reuse_factor = true;
+};
 
 /// Pattern-frozen per-step system: restamp values in place, solve through
 /// a cached (dense or pattern-reusing sparse) factorisation.  On the
@@ -92,27 +93,7 @@ stamp_pattern_signature(const MnaAssembler& assembler);
 /// near-linear instead of re-paying O(n^1.5) fill every accepted step.
 class SystemCache {
 public:
-    struct Options {
-        /// At or below this many unknowns the dense LU path is used
-        /// (mirrors mna::solve_system's auto-select).
-        std::size_t dense_threshold = 64;
-        double pivot_tol = 1e-13;
-        /// Node ordering for the sparse path.  `automatic` compares
-        /// predicted fill of natural vs RCM vs minimum-degree at freeze
-        /// time; the explicit values force one (tests / benches).
-        linalg::Ordering ordering = linalg::Ordering::automatic;
-        /// Compile a StampProgram at pattern-freeze time (the default):
-        /// per-step restamps and chord evaluations run through flat
-        /// slot/SoA plans with zero virtual dispatch.  `false` keeps the
-        /// legacy virtual-stamping path — the reference the program is
-        /// tested bit-identical against.
-        bool use_stamp_program = true;
-        /// Reuse the last exact sparse LU across steps with residual-
-        /// checked refinement where that pays (the default).  `false`
-        /// refactors exactly on every sparse step — the reference the
-        /// reuse path is tested against.
-        bool reuse_factor = true;
-    };
+    using Options = SystemCacheOptions;
 
     /// Stale-factor refinement constants (fixed, not per workload): a
     /// solve is accepted once ||b - A x||_inf <= k_refine_tol *
@@ -125,16 +106,10 @@ public:
     static constexpr double k_refine_contraction = 0.25;
     static constexpr std::size_t k_refine_sweeps = 4;
 
-    explicit SystemCache(const MnaAssembler& assembler)
-        : SystemCache(assembler, Options{}) {}
-    SystemCache(const MnaAssembler& assembler, Options options);
-    /// Construct from an already-computed union pattern (the exact
-    /// output of union_stamp_pattern(assembler) with its signature) —
-    /// callers that key a registry by signature pay the stamp dry-run
-    /// once instead of twice (SimSession).
-    SystemCache(const MnaAssembler& assembler, Options options,
-                std::vector<std::pair<std::size_t, std::size_t>> coords,
-                std::uint64_t signature);
+    /// Dry-runs every stamp source against `assembler`, freezes the
+    /// union pattern and hashes it into signature().
+    explicit SystemCache(const MnaAssembler& assembler,
+                         Options options = {});
     ~SystemCache();
 
     SystemCache(const SystemCache&) = delete;
@@ -284,24 +259,16 @@ public:
     [[nodiscard]] double& record_clock() noexcept { return stats_.record_s; }
     [[nodiscard]] double& solve_clock() noexcept { return stats_.solve_s; }
 
-    /// The ordering the sparse path will factor with (natural until the
-    /// pattern is frozen on a sparse system).
-    [[nodiscard]] linalg::Ordering chosen_ordering() const noexcept {
-        return stats_.ordering;
-    }
-
     [[nodiscard]] std::size_t unknowns() const noexcept { return n_; }
     [[nodiscard]] std::size_t pattern_nnz() const noexcept {
         return row_idx_.size();
     }
-    /// Signature of the union stamp pattern this cache was built (or
-    /// last rebound) against — equals stamp_pattern_signature(assembler).
+    /// 64-bit FNV-1a of the unknown count and the union stamp pattern
+    /// this cache was built (or last rebound) against; an overflow
+    /// re-freeze leaves it unchanged.  Equal signatures mean per-step
+    /// systems of identical sparsity structure.
     [[nodiscard]] std::uint64_t signature() const noexcept {
         return signature_;
-    }
-    /// The assembler the cache currently reads baselines from.
-    [[nodiscard]] const MnaAssembler* bound_assembler() const noexcept {
-        return assembler_;
     }
 
     /// Re-point the cache at a (re-)assembled circuit.  When the new
@@ -315,7 +282,7 @@ public:
     void rebind(const MnaAssembler& assembler);
     /// True when this system is small enough for the dense auto-select.
     [[nodiscard]] bool dense_path() const noexcept {
-        return n_ <= options_.dense_threshold;
+        return n_ <= k_dense_threshold;
     }
 
 private:
@@ -335,11 +302,6 @@ private:
     /// are dropped; the next configure_tables() re-attaches them from
     /// the store.
     void rebuild_program();
-
-    /// FNV-1a of the frozen pattern, bit-compatible with
-    /// stamp_pattern_signature (valid as the union signature only while
-    /// the frozen pattern equals the union pattern, i.e. at freeze time).
-    [[nodiscard]] std::uint64_t frozen_pattern_signature() const;
 
     /// Score natural/RCM/min-degree on the frozen pattern and stash the
     /// winner in ordering_ / stats_ (no-op on the dense path).

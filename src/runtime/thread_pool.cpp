@@ -45,31 +45,19 @@ void ThreadPool::worker_loop() {
             task = std::move(queue_.front());
             queue_.pop_front();
         }
-        if (task.timed) {
+        if (task.timed && obs::metrics_enabled()) {
             // Submit-to-dequeue latency: the queue-pressure signal the
-            // RunReport surfaces (pool.queue_wait).  Billed to both this
-            // pool's Stats and the global registry so per-run deltas
-            // survive pool destruction (parallel drivers own short-lived
-            // pools).
+            // RunReport surfaces (pool.queue_wait).  Billed to the global
+            // registry, so per-run deltas survive pool destruction
+            // (parallel drivers own short-lived pools).
+            static obs::Counter& tasks = obs::metrics().counter("pool.tasks");
+            static obs::Counter& waited =
+                obs::metrics().counter("pool.queue_wait_ns");
             const auto wait = std::chrono::steady_clock::now() - task.enqueued;
-            const auto wait_ns = static_cast<std::uint64_t>(
+            tasks.inc();
+            waited.inc(static_cast<std::uint64_t>(
                 std::chrono::duration_cast<std::chrono::nanoseconds>(wait)
-                    .count());
-            {
-                // Both fields under one lock: readers snapshot a
-                // consistent (tasks, wait) pair, never a torn one.
-                const std::lock_guard<std::mutex> stats_lock(stats_mutex_);
-                ++stats_tasks_;
-                stats_wait_ns_ += wait_ns;
-            }
-            if (obs::metrics_enabled()) {
-                static obs::Counter& tasks =
-                    obs::metrics().counter("pool.tasks");
-                static obs::Counter& waited =
-                    obs::metrics().counter("pool.queue_wait_ns");
-                tasks.inc();
-                waited.inc(wait_ns);
-            }
+                    .count()));
         }
         task.fn(); // packaged_task captures any exception into the future
     }
@@ -77,23 +65,27 @@ void ThreadPool::worker_loop() {
 
 void parallel_for(ThreadPool& pool, std::size_t n,
                   const std::function<void(std::size_t)>& body) {
+    // A task's future never carries its exception: a pool thread would
+    // then drop its reference to it while the caller reads it.
+    std::vector<std::exception_ptr> errors(n);
     std::vector<std::future<void>> futures;
     futures.reserve(n);
     for (std::size_t i = 0; i < n; ++i) {
-        futures.push_back(pool.submit([&body, i]() { body(i); }));
-    }
-    std::exception_ptr first;
-    for (auto& f : futures) {
-        try {
-            f.get();
-        } catch (...) {
-            if (!first) {
-                first = std::current_exception();
+        futures.push_back(pool.submit([&body, &errors, i]() {
+            try {
+                body(i);
+            } catch (...) {
+                errors[i] = std::current_exception();
             }
-        }
+        }));
     }
-    if (first) {
-        std::rethrow_exception(first);
+    for (auto& f : futures) {
+        f.get();
+    }
+    for (const std::exception_ptr& e : errors) {
+        if (e) {
+            std::rethrow_exception(e);
+        }
     }
 }
 

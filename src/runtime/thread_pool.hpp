@@ -15,7 +15,6 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstddef>
-#include <cstdint>
 #include <deque>
 #include <functional>
 #include <future>
@@ -51,22 +50,6 @@ public:
     /// Number of workers.
     [[nodiscard]] std::size_t size() const noexcept {
         return workers_.size();
-    }
-
-    /// Queue-pressure telemetry: tasks executed and their summed
-    /// submit-to-dequeue latency.  Only collected while
-    /// obs::metrics_enabled() was true at submit time — near-zero cost
-    /// otherwise (one relaxed load per submit).
-    struct Stats {
-        std::uint64_t tasks = 0;
-        double queue_wait_s = 0.0;
-    };
-    /// Tear-free snapshot: both fields come from the same critical
-    /// section a worker updates them in, so a reader never sees a task
-    /// counted whose wait time is missing (or vice versa).
-    [[nodiscard]] Stats stats() const noexcept {
-        const std::lock_guard<std::mutex> lock(stats_mutex_);
-        return Stats{stats_tasks_, static_cast<double>(stats_wait_ns_) * 1e-9};
     }
 
     /// Enqueue a callable; the future carries its result or exception.
@@ -107,17 +90,14 @@ private:
     std::mutex mutex_;
     std::condition_variable cv_;
     bool stopping_ = false;
-    // Queue-wait telemetry: a pair that must move together — guarded by
-    // its own mutex so stats() snapshots are tear-free (see Stats).
-    mutable std::mutex stats_mutex_;
-    std::uint64_t stats_tasks_ = 0;
-    std::uint64_t stats_wait_ns_ = 0;
 };
 
 /// Run body(0) .. body(n-1) on the pool and wait for all of them.  If any
 /// task throws, every task still runs to completion and the exception of
 /// the lowest-index failing task is rethrown (deterministic regardless of
-/// scheduling).
+/// scheduling).  Each task catches its own exception into a slot the
+/// caller owns, so no pool thread still holds a reference to the
+/// exception the caller rethrows.
 void parallel_for(ThreadPool& pool, std::size_t n,
                   const std::function<void(std::size_t)>& body);
 

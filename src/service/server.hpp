@@ -3,11 +3,11 @@
 //
 // One running Server owns: a listening socket + accept thread, one
 // reader thread per client connection, a bounded priority JobQueue, a
-// SessionRegistry deduplicating live SimSessions by circuit signature,
-// and a worker pool (runtime::ThreadPool) executing jobs.  Results are
-// produced by the exact same SimSession::run path the CLI uses, so a
-// job's waveforms are bit-identical to a direct in-process run of the
-// same spec.
+// SessionRegistry deduplicating live SimSessions by canonical circuit
+// text (each session holds one solver cache), and a worker pool
+// (runtime::ThreadPool) executing jobs.  Results are produced by the
+// exact same SimSession::run path the CLI uses, so a job's waveforms are
+// bit-identical to a direct in-process run of the same spec.
 //
 // Protocol: every request is ONE line of JSON; every response is one
 // line with an "ok" field.  Subscribed connections additionally receive

@@ -21,7 +21,6 @@ SessionRegistry::acquire(const wire::CircuitSource& source) {
         if (it == entries_.end()) {
             evict_idle_locked();
             entry = std::make_shared<Entry>();
-            entry->signature = source.signature();
             entries_.emplace(key, entry);
             created = true;
         } else {
@@ -36,10 +35,10 @@ SessionRegistry::acquire(const wire::CircuitSource& source) {
                              : "service.session_dedup_hits")
             .inc();
     }
-    // The expensive part — deck parse / generator + symbolic-analysis
-    // warm-up on first run — happens under the PER-ENTRY mutex: racing
-    // acquirers of the same circuit serialize here and find the session
-    // already built; unrelated circuits build concurrently.
+    // The build — deck parse / generator + assembly — happens under the
+    // PER-ENTRY mutex: racing acquirers of the same circuit serialize
+    // here and find the session already built; unrelated circuits build
+    // concurrently.  The symbolic analysis waits for the first run.
     try {
         const std::lock_guard<std::mutex> build_lock(entry->build_mutex);
         if (entry->session == nullptr) {

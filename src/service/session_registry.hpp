@@ -5,8 +5,8 @@
 // that across CLIENTS: sessions are keyed by the circuit source's
 // canonical text (builtin spec / deck bytes + sorted noise injections),
 // so N concurrent jobs on the same fabric acquire ONE SimSession — and
-// its persistent solver cache performs the symbolic analysis exactly
-// once between them (the PR's acceptance criterion, asserted via the
+// its one solver cache, built by the session's first run, performs the
+// symbolic analysis exactly once between them (asserted via the
 // "service.sessions_created" / full-factor counters).
 //
 // Concurrency: acquire() hands out an RAII Lease.  The expensive
@@ -54,7 +54,6 @@ public:
 
 private:
     struct Entry {
-        std::uint64_t signature = 0;
         /// Guards the one-time build of `session`.
         std::mutex build_mutex;
         std::unique_ptr<SimSession> session;
@@ -93,9 +92,6 @@ public:
     }
 
     [[nodiscard]] SimSession& session() const { return *entry_->session; }
-    [[nodiscard]] std::uint64_t signature() const {
-        return entry_->signature;
-    }
 
 private:
     friend class SessionRegistry;

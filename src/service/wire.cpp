@@ -492,16 +492,6 @@ void require_one_source(const CircuitSource& s) {
     }
 }
 
-/// FNV-1a (the signature convention the solver caches use).
-std::uint64_t fnv1a(const std::string& text) {
-    std::uint64_t h = 14695981039346656037ULL;
-    for (unsigned char c : text) {
-        h ^= c;
-        h *= 1099511628211ULL;
-    }
-    return h;
-}
-
 } // namespace
 
 // ---- public API --------------------------------------------------------
@@ -565,10 +555,6 @@ std::string CircuitSource::canonical() const {
         text += "\n+noise:" + e;
     }
     return text;
-}
-
-std::uint64_t CircuitSource::signature() const {
-    return fnv1a(canonical());
 }
 
 Circuit CircuitSource::build() const {

@@ -2,7 +2,9 @@
 //
 // The service protocol (service/server.hpp) ships analysis requests and
 // results as JSON documents; this module is the schema, usable standalone
-// (save a spec to disk, replay a result) without any networking.
+// (save a spec to disk, replay a result) without any networking.  A job's
+// circuit travels as a CircuitSource, whose canonical() text is the key
+// under which the server shares one live session per circuit.
 //
 // One codec walks the field table declared beside each struct
 // (util/fields.hpp), in one of two modes; both REJECT unknown keys
@@ -45,7 +47,6 @@
 #ifndef NANOSIM_SERVICE_WIRE_HPP
 #define NANOSIM_SERVICE_WIRE_HPP
 
-#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -99,10 +100,9 @@ struct CircuitSource {
     std::string deck;
     std::vector<NoiseInjection> noise;
 
-    /// Canonical description: source kind + text + sorted noise list.
+    /// Canonical description: source kind + text + sorted noise list —
+    /// the session dedup key.
     [[nodiscard]] std::string canonical() const;
-    /// FNV-1a of canonical() — the session dedup key.
-    [[nodiscard]] std::uint64_t signature() const;
     /// Materialize the circuit (builds the generator / parses the deck,
     /// then injects the noise sources).  Throws NetlistError/ServiceError
     /// on bad sources.

@@ -8,7 +8,6 @@
 // run).
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cctype>
 #include <chrono>
 #include <cstdlib>
@@ -726,58 +725,22 @@ TEST(ObsOverhead, DisabledSitesCostUnderTwoPercentOfAMonteCarloRun) {
 TEST(ObsPool, QueueWaitCollectedWhenEnabled) {
     const TelemetryOff off;
     obs::set_metrics_enabled(true);
-    runtime::ThreadPool pool(2);
-    std::vector<std::future<void>> done;
-    for (int i = 0; i < 16; ++i) {
-        done.push_back(pool.submit([] {}));
-    }
-    for (auto& f : done) {
-        f.get();
-    }
-    const runtime::ThreadPool::Stats stats = pool.stats();
-    EXPECT_EQ(stats.tasks, 16u);
-    EXPECT_GE(stats.queue_wait_s, 0.0);
-}
-
-TEST(ObsPool, StatsSnapshotTearFreeUnderHammer) {
-    // Stats{tasks, queue_wait_s} must move together: the historical
-    // implementation kept them in two independent relaxed atomics, so a
-    // reader could pair a post-update task count with a pre-update wait
-    // sum (a torn snapshot).  Hammer an 8-worker pool while a reader
-    // polls; every snapshot must be monotone in BOTH fields and the
-    // final one exact.
-    const TelemetryOff off;
-    obs::set_metrics_enabled(true);
-    constexpr int kThreads = 8;
-    constexpr int kTasks = 4000;
-    runtime::ThreadPool pool(kThreads);
-
-    std::atomic<bool> stop{false};
-    std::thread reader([&pool, &stop] {
-        runtime::ThreadPool::Stats prev{};
-        while (!stop.load(std::memory_order_relaxed)) {
-            const runtime::ThreadPool::Stats s = pool.stats();
-            EXPECT_GE(s.tasks, prev.tasks);
-            EXPECT_GE(s.queue_wait_s, prev.queue_wait_s);
-            EXPECT_LE(s.tasks, static_cast<std::uint64_t>(kTasks));
-            prev = s;
+    obs::Counter& tasks = obs::metrics().counter("pool.tasks");
+    obs::Counter& waited = obs::metrics().counter("pool.queue_wait_ns");
+    const std::uint64_t tasks0 = tasks.value();
+    const std::uint64_t waited0 = waited.value();
+    {
+        runtime::ThreadPool pool(2);
+        std::vector<std::future<void>> done;
+        for (int i = 0; i < 16; ++i) {
+            done.push_back(pool.submit([] {}));
         }
-    });
-
-    std::vector<std::future<void>> done;
-    done.reserve(kTasks);
-    for (int i = 0; i < kTasks; ++i) {
-        done.push_back(pool.submit([] {}));
-    }
-    for (auto& f : done) {
-        f.get();
-    }
-    stop.store(true, std::memory_order_relaxed);
-    reader.join();
-
-    const runtime::ThreadPool::Stats final_stats = pool.stats();
-    EXPECT_EQ(final_stats.tasks, static_cast<std::uint64_t>(kTasks));
-    EXPECT_GE(final_stats.queue_wait_s, 0.0);
+        for (auto& f : done) {
+            f.get();
+        }
+    } // joined: every worker has billed its tasks
+    EXPECT_EQ(tasks.value() - tasks0, 16u);
+    EXPECT_GE(waited.value(), waited0);
 }
 
 // ---- factor-time attribution ------------------------------------------

@@ -1,9 +1,10 @@
 // Tests for the AnalysisSpec/SimSession API: parity (session results are
 // bit-identical to direct engine calls; a Monte-Carlo campaign agrees to
-// 1e-12), the persistent solver-cache registry (a second analysis on an
-// unchanged circuit runs ZERO new symbolic factorisations), the swept
-// source's restore on every exit of a DC sweep, and the deck-card -> spec
-// mapping.
+// 1e-12), the session's one solver cache (a second analysis on an
+// unchanged circuit runs ZERO new symbolic factorisations; reassemble()
+// rebinds or replaces it, and the next run matches a fresh session's),
+// the swept source's restore on every exit of a DC sweep, and the
+// deck-card -> spec mapping.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -11,10 +12,12 @@
 #include <functional>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/ref_circuits.hpp"
 #include "core/sim_session.hpp"
+#include "devices/passives.hpp"
 #include "devices/sources.hpp"
 #include "engines/dc_mla.hpp"
 #include "engines/dc_nr.hpp"
@@ -30,9 +33,12 @@ namespace nanosim {
 namespace {
 
 /// Reference-circuit table for the parity suite: factory + the swept
-/// source + a sensible transient horizon.  All of these sit on the dense
-/// solver path (<= 64 unknowns), where every solve is an independent LU
-/// — so session-vs-direct results must match BIT for BIT.
+/// source + a sensible transient horizon.  All but the last sit on the
+/// dense solver path (<= 64 unknowns), where every solve is an
+/// independent LU; the 10x10 mesh (101 unknowns) takes the sparse path,
+/// where a session run and a direct call each start on a fresh cache and
+/// solve the same sequence of systems on it — so session-vs-direct
+/// results must match BIT for BIT.
 struct ParityCase {
     const char* label;
     std::function<Circuit()> make;
@@ -61,6 +67,8 @@ const std::vector<ParityCase>& parity_cases() {
          "V1", 2.0, 0.5, 50e-9},
         {"rc_mesh6x6", [] { return refckt::rc_mesh(6, 6); }, "VIN", 2.0,
          0.5, 20e-9},
+        {"rc_mesh10x10", [] { return refckt::rc_mesh(10, 10); }, "VIN", 2.0,
+         0.5, 60e-9},
     };
     return cases;
 }
@@ -80,6 +88,17 @@ engines::SweepResult direct_sweep(
         return engines::dc_sweep_mla(ckt, source, values, {}, observer);
     }
     return {};
+}
+
+/// Same accepted steps and the same node waves, bit for bit.
+void expect_same_waves(const engines::TranResult& a,
+                       const engines::TranResult& b) {
+    EXPECT_EQ(a.steps_accepted, b.steps_accepted);
+    ASSERT_EQ(a.node_waves.size(), b.node_waves.size());
+    for (std::size_t n = 0; n < a.node_waves.size(); ++n) {
+        EXPECT_EQ(a.node_waves[n].time(), b.node_waves[n].time());
+        EXPECT_EQ(a.node_waves[n].value(), b.node_waves[n].value());
+    }
 }
 
 TEST(SessionParity, OperatingPointBitIdenticalAllEngines) {
@@ -152,16 +171,7 @@ TEST(SessionParity, TransientBitIdenticalAllEngines) {
             TranSpec spec;
             spec.engine = engine;
             spec.t_stop = c.t_stop;
-            const AnalysisResult result = session.run(spec);
-            const engines::TranResult& tran = result.tran();
-            EXPECT_EQ(tran.steps_accepted, direct.steps_accepted);
-            ASSERT_EQ(tran.node_waves.size(), direct.node_waves.size());
-            for (std::size_t n = 0; n < tran.node_waves.size(); ++n) {
-                EXPECT_EQ(tran.node_waves[n].time(),
-                          direct.node_waves[n].time());
-                EXPECT_EQ(tran.node_waves[n].value(),
-                          direct.node_waves[n].value()); // bit-identical
-            }
+            expect_same_waves(session.run(spec).tran(), direct);
         }
     }
 }
@@ -305,8 +315,11 @@ TEST(SessionCache, SecondAnalysisRunsZeroNewSymbolicFactorisations) {
     EXPECT_EQ(sweep.report.full_factors, 0u);
     EXPECT_GT(sweep.report.fast_refactors, 0u);
 
-    EXPECT_EQ(session.cache_count(), 1u);
-    EXPECT_EQ(first.header.cache_signature, second.header.cache_signature);
+    const std::uint64_t sig = session.solver_cache().signature();
+    for (const AnalysisResult* r : {&first, &second, &op, &sweep}) {
+        EXPECT_EQ(r->header.cache_signature, sig);
+        EXPECT_EQ(r->report.cache_signature, sig);
+    }
 }
 
 TEST(SessionCache, MonteCarloTrialsShareOneSymbolicAnalysis) {
@@ -370,18 +383,108 @@ TEST(SessionCache, RebindAfterParameterTweakKeepsSymbolicAnalysis) {
     SimSession session(refckt::rc_mesh(10, 10));
     const AnalysisResult first = session.run(OpSpec{});
     EXPECT_EQ(first.report.full_factors, 1u);
-    const std::uint64_t sig = session.pattern_signature();
+    const mna::SystemCache* cache = &session.solver_cache();
+    const std::uint64_t sig = cache->signature();
+    EXPECT_EQ(first.header.cache_signature, sig);
 
     // A value-only tweak keeps the stamp pattern: after reassemble the
     // cache is rebound, not rebuilt — the next analysis refactors.
     runtime::set_device_param(session.circuit(), "RDRV", "R", 123.0);
     session.reassemble();
-    EXPECT_EQ(session.pattern_signature(), sig);
-    EXPECT_EQ(session.cache_count(), 1u);
+    EXPECT_EQ(&session.solver_cache(), cache);
+    EXPECT_EQ(session.solver_cache().signature(), sig);
 
     const AnalysisResult second = session.run(OpSpec{});
     EXPECT_EQ(second.report.full_factors, 0u);
     EXPECT_GT(second.report.fast_refactors, 0u);
+    EXPECT_EQ(second.header.cache_signature, sig);
+}
+
+/// A 10x10 RTD-loaded mesh whose drive pulse rises at 10 ns, so a 30 ns
+/// transient crosses the edge.
+Circuit driven_mesh() {
+    refckt::MeshSpec spec;
+    spec.rows = 10;
+    spec.cols = 10;
+    spec.period = 40e-9;
+    return refckt::rc_mesh(spec);
+}
+
+TranSpec driven_mesh_tran() {
+    TranSpec tran;
+    tran.t_stop = 30e-9;
+    return tran;
+}
+
+TEST(SessionCache, ReassembleOnANewPatternMatchesAFreshSession) {
+    // A resistor between two unconnected mesh nodes keeps the unknowns
+    // but grows the stamp pattern: the rebound cache re-freezes, takes
+    // the new pattern's signature, and its next transient equals a fresh
+    // session's on the mutated circuit bit for bit.
+    const auto join = [](Circuit& ckt) {
+        ckt.add<Resistor>("RJOIN", ckt.find_node("n0_0"),
+                          ckt.find_node("n9_9"), 50.0);
+    };
+    SimSession session(driven_mesh());
+    const AnalysisResult before = session.run(driven_mesh_tran());
+    const std::uint64_t sig = session.solver_cache().signature();
+
+    join(session.circuit());
+    session.reassemble();
+    EXPECT_NE(session.solver_cache().signature(), sig);
+    const AnalysisResult after = session.run(driven_mesh_tran());
+
+    Circuit mutated = driven_mesh();
+    join(mutated);
+    SimSession fresh(std::move(mutated));
+    const AnalysisResult want = fresh.run(driven_mesh_tran());
+    EXPECT_EQ(after.header.cache_signature, want.header.cache_signature);
+    EXPECT_EQ(after.header.cache_signature,
+              session.solver_cache().signature());
+    expect_same_waves(after.tran(), want.tran());
+
+    // The resistor reached the solve: the far corner's wave moved.
+    EXPECT_NE(after.tran().node(session.circuit(), "n9_9").value(),
+              before.tran().node(session.circuit(), "n9_9").value());
+}
+
+TEST(SessionCache, ReassembleWithANewUnknownMatchesAFreshSession) {
+    // A new node and a voltage-source branch each add an unknown: the
+    // cache cannot be rebound, so the next run builds a fresh one.
+    const std::vector<std::pair<const char*, std::function<void(Circuit&)>>>
+        mutations = {
+            {"new node",
+             [](Circuit& ckt) {
+                 const NodeId tap = ckt.node("tap");
+                 ckt.add<Resistor>("RTAP", ckt.find_node("n5_5"), tap, 50.0);
+                 ckt.add<Capacitor>("CTAP", tap, k_ground, 10e-12);
+             }},
+            {"voltage-source branch",
+             [](Circuit& ckt) {
+                 ckt.add<VSource>("VPIN", ckt.find_node("n9_9"), k_ground,
+                                  0.5);
+             }},
+        };
+    for (const auto& [label, mutate] : mutations) {
+        SCOPED_TRACE(label);
+        SimSession session(driven_mesh());
+        const AnalysisResult before = session.run(driven_mesh_tran());
+        const std::size_t unknowns = session.solver_cache().unknowns();
+
+        mutate(session.circuit());
+        session.reassemble();
+        const AnalysisResult after = session.run(driven_mesh_tran());
+        EXPECT_EQ(session.solver_cache().unknowns(), unknowns + 1);
+        EXPECT_NE(after.header.cache_signature,
+                  before.header.cache_signature);
+
+        Circuit mutated = driven_mesh();
+        mutate(mutated);
+        SimSession fresh(std::move(mutated));
+        const AnalysisResult want = fresh.run(driven_mesh_tran());
+        EXPECT_EQ(after.header.cache_signature, want.header.cache_signature);
+        expect_same_waves(after.tran(), want.tran());
+    }
 }
 
 // ---- source restore --------------------------------------------------
