@@ -3,7 +3,9 @@
 // DESIGN.md question: does predicting G_eq(n+1) = G_eq(n) + h/2 G'_eq(n)
 // forward actually matter, or would the stale chord G_eq(n) do?  The
 // study runs the FET-RTD inverter and the RTD chain with the predictor
-// on and off across error targets.
+// on and off across error targets, and measures each run's error on the
+// circuit's output node (the inverter's out, the chain's last stage)
+// against a fixed-step run at 1/4000 of the horizon.
 #include <iostream>
 
 #include "bench_common.hpp"
@@ -15,7 +17,8 @@ using namespace nanosim;
 
 namespace {
 
-void study(const std::string& name, Circuit& ckt, double t_stop) {
+void study(const std::string& name, const Circuit& ckt,
+           const std::string& node, double t_stop) {
     bench::section(name);
     const mna::MnaAssembler assembler(ckt);
     engines::SwecTranOptions ref_opt;
@@ -25,7 +28,7 @@ void study(const std::string& name, Circuit& ckt, double t_stop) {
     const auto ref = engines::run_tran_swec(assembler, ref_opt);
 
     analysis::Table t({"eps", "predictor", "steps", "flops",
-                       "waveform err [V]"});
+                       "v(" + node + ") err [V]"});
     for (const double eps : {0.05, 0.1, 0.2}) {
         for (const bool use : {true, false}) {
             engines::SwecTranOptions opt;
@@ -39,7 +42,7 @@ void study(const std::string& name, Circuit& ckt, double t_stop) {
                        std::to_string(r.flops.total()),
                        analysis::Table::num(
                            analysis::measure::max_abs_error(
-                               r.node_waves[0], ref.node_waves[0]),
+                               r.node(ckt, node), ref.node(ckt, node)),
                            4)});
         }
     }
@@ -52,18 +55,18 @@ int main() {
     bench::banner("Ablation: eq. (5) Taylor predictor",
                   "SWEC accuracy/cost with the conductance predictor "
                   "enabled vs disabled");
-    {
-        Circuit inv = refckt::fet_rtd_inverter();
-        study("FET-RTD inverter, 200 ns", inv, 200e-9);
-    }
+    study("FET-RTD inverter, 200 ns", refckt::fet_rtd_inverter(), "out",
+          200e-9);
     {
         refckt::ChainSpec spec;
         spec.stages = 8;
-        Circuit chain = refckt::rtd_chain(spec);
-        study("RTD chain x8, 100 ns", chain, 100e-9);
+        study("RTD chain x8, 100 ns", refckt::rtd_chain(spec), "n8", 100e-9);
     }
-    std::cout << "\nShape to check: at equal eps the predictor lowers the "
-                 "waveform error (or allows the same error with larger "
-                 "steps); the gap widens as eps grows.\n";
+    std::cout << "\nShape to check: on the inverter the predictor lowers "
+                 "v(out)'s error at equal eps and about equal steps (~3x at "
+                 "eps 0.05), and the gap in volts widens as eps grows; on "
+                 "the 8-stage chain it moves neither the steps nor the last "
+                 "stage's error (~3e-5 V at eps 0.05 either way): no gain "
+                 "there.\n";
     return 0;
 }

@@ -101,8 +101,7 @@ DcResult solve_op_nr(const mna::MnaAssembler& assembler,
         // must read as divergence — max_abs_diff's max() quietly drops
         // NaN operands, so an unchecked iterate could "converge" on
         // garbage.
-        if (!std::all_of(x_new.begin(), x_new.end(),
-                         [](double v) { return std::isfinite(v); })) {
+        if (!linalg::all_finite(x_new)) {
             result.x = std::move(x_new);
             result.iterations = it + 1;
             result.residual = std::numeric_limits<double>::infinity();

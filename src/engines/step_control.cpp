@@ -3,9 +3,29 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <vector>
+
+#include "engines/wave_recorder.hpp"
+#include "obs/scoped_timer.hpp"
 
 namespace nanosim::engines {
 
+namespace {
+
+/// A proposed step after event clipping.
+struct ClippedStep {
+    double h = 0.0;              ///< step to take
+    bool hit_breakpoint = false; ///< h lands on a source corner
+    bool final_step = false;     ///< h lands exactly on t_stop (the caller
+                                 ///< must then set t = t_stop, not t + h)
+};
+
+/// Clip a proposed step `h` from time `t` to the next source corner and
+/// to the horizon (rules in run_accepted_steps' contract).  Corners
+/// already behind t (within the snap tolerance) are consumed from
+/// `next_bp`.  Accepted points stay below t_stop - dt_min (or land
+/// exactly on t_stop), except after a retry that deliberately lands
+/// short; the closing step still lands exactly.
 ClippedStep clip_step_to_events(double t, double h, double t_stop,
                                 double dt_min,
                                 std::span<const double> breakpoints,
@@ -55,6 +75,86 @@ ClippedStep clip_step_to_events(double t, double h, double t_stop,
         }
     }
     return out;
+}
+
+} // namespace
+
+void run_accepted_steps(StepEngine& engine, const StepRules& rules,
+                        const mna::MnaAssembler& assembler,
+                        mna::SystemCache& cache,
+                        const AnalysisObserver* observer, TranResult& result,
+                        std::span<const NodeId> record) {
+    WaveRecorder recorder(assembler, record, cache.record_clock());
+    const std::vector<double> breakpoints =
+        assembler.breakpoints(0.0, rules.t_stop);
+    std::size_t next_bp = 0;
+    double t = 0.0;
+    recorder.record(t, engine.state());
+    result.min_dt_used = rules.dt_max;
+    while (t < rules.t_stop) {
+        // Cooperative cancellation, polled once per step: the partial
+        // waveforms recorded so far are the result.
+        if (observer != nullptr && observer->cancelled()) {
+            result.aborted = true;
+            break;
+        }
+        // The step's own work outside the cache's layers and the
+        // recorder (the engine's step bound, predictor, error and state
+        // update, and this loop) is step control (self time).
+        const obs::ScopedTimer step_timer(cache.step_clock(), "step",
+                                          "engine");
+        const StepEngine::Proposal proposal = engine.propose(t);
+        const ClippedStep clip = clip_step_to_events(
+            t, proposal.h, rules.t_stop, rules.dt_min, breakpoints, next_bp,
+            rules.floor_to_dt_min);
+        double h = clip.h;
+        int halvings = 0;
+        while (!engine.trial(t, h)) {
+            // A retry is only useful when the step actually shrinks
+            // (h/2 clamps to dt_min at the floor — redoing the identical
+            // solve is pointless).
+            const double h_half = std::max(h / 2.0, rules.dt_min);
+            if (h_half >= h || halvings >= rules.max_halvings) {
+                engine.out_of_road(t, h);
+                break;
+            }
+            h = h_half;
+            ++halvings;
+            ++result.steps_rejected;
+        }
+        // A step shortened by a retry or by the trial itself lands short
+        // of the event it was clipped to (and of t_stop: h <= t_stop - t
+        // on entry); later steps re-approach it through the clip.
+        const bool landed = h == clip.h;
+        engine.accept(t, h, landed && clip.hit_breakpoint);
+        // Land on t_stop bit-exactly: t + (t_stop - t) may round off.
+        t = landed && clip.final_step ? rules.t_stop : t + h;
+        ++result.steps_accepted;
+        // Step-bound attribution: a halved step was shrunk by the
+        // engine's error or convergence control (dt_min when it hit the
+        // floor); an un-halved step the clip changed was event-sized;
+        // otherwise the proposal's own bound set it.
+        using Counts = obs::StepBoundCounts;
+        std::uint64_t Counts::*bound = proposal.bound;
+        if (halvings > 0) {
+            bound = h <= rules.dt_min ? &Counts::dt_min : &Counts::device;
+        } else if (clip.h != proposal.h) {
+            bound = clip.hit_breakpoint ? &Counts::breakpoint
+                                        : &Counts::horizon;
+        }
+        ++(result.step_bounds.*bound);
+        result.min_dt_used = std::min(result.min_dt_used, h);
+        result.max_dt_used = std::max(result.max_dt_used, h);
+        const linalg::Vector& x = engine.state();
+        recorder.record(t, x);
+        if (observer != nullptr) {
+            observer->step(t, result.steps_accepted);
+            observer->sample(t, x.data(), static_cast<int>(x.size()));
+            observer->progress(t / rules.t_stop);
+        }
+    }
+    result.node_waves = recorder.take();
+    engine.finish();
 }
 
 double swec_node_step_bound(std::span<const double> c_node_diag,

@@ -1,20 +1,28 @@
-// Nano-Sim — adaptive time-step control for the SWEC engine
-// (paper Sec. 3.4, eqs. 10-12).
+// Nano-Sim — transient step control (paper Sec. 3.4, eqs. 10-12) and
+// run_accepted_steps, the one accepted-step loop of the SWEC, NR and PWL
+// transient engines: one place for the landing, retry and step-bound
+// rules, and for a step-rejection policy.
 //
-// For a target local error ratio eps, the next step is the minimum over
+// SWEC's proposal is eq. (12): for a target local error ratio eps, the
+// next step is the minimum over
 //   * every conducting transistor:   eps * 2 (V_GS - V_th) / |dV_GS/dt|
 //     and the analogous chord-rate bound for RTD/RTT/nanowire devices
 //     (both from mna::SystemCache::device_step_bound), and
 //   * every node j with grounded capacitance C_j:
 //                                    eps * C_j / sum_k G_jk(t_n)
-// — eq. (12).  The a-posteriori error of a completed step is measured as
-// eq. (10):  eps_meas = |dV_actual - dV_est| / |dV_actual|.
+// The a-posteriori error of a completed step is measured as eq. (10):
+// eps_meas = |dV_actual - dV_est| / |dV_actual|.
 #ifndef NANOSIM_ENGINES_STEP_CONTROL_HPP
 #define NANOSIM_ENGINES_STEP_CONTROL_HPP
 
+#include <cstdint>
+#include <optional>
 #include <span>
 
+#include "engines/observer.hpp"
+#include "engines/results.hpp"
 #include "mna/mna.hpp"
+#include "mna/system_cache.hpp"
 
 namespace nanosim::engines {
 
@@ -28,37 +36,103 @@ namespace nanosim::engines {
     return mna::k_breakpoint_snap_rel * t_stop;
 }
 
-/// One proposed transient step after event clipping — shared by the
-/// SWEC/NR/PWL accepted-step loops so the breakpoint-landing and
-/// t_stop-landing rules cannot drift apart between engines.
-struct ClippedStep {
-    double h = 0.0;            ///< step to take
-    bool hit_breakpoint = false; ///< h lands on a source corner
-    bool final_step = false;   ///< h lands exactly on t_stop (the caller
-                               ///< must then set t = t_stop, not t + h)
+/// The engine half of run_accepted_steps.  Each accepted step is one
+/// propose(), one or more trial()s (out_of_road() after the last when no
+/// smaller step is left) and one accept().
+class StepEngine {
+public:
+    /// A proposed step and the bound that set its size.
+    struct Proposal {
+        double h = 0.0;
+        std::uint64_t obs::StepBoundCounts::*bound = nullptr;
+    };
+
+    /// The state at the last accepted time (before the first step, the
+    /// initial condition): what the recorder and the observer see.
+    [[nodiscard]] const linalg::Vector& state() const noexcept { return x_; }
+    /// Propose the next step from the last accepted time t.
+    [[nodiscard]] virtual Proposal propose(double t) = 0;
+    /// Solve the step [t, t + h].  True accepts it; false asks for a
+    /// retry at a smaller step.  A trial may shorten h itself (SWEC's
+    /// dt-backoff rung); the step then no longer lands on the event it
+    /// was clipped to.
+    [[nodiscard]] virtual bool trial(double t, double& h) = 0;
+    /// The last trial asked for a retry and none is left (the step is at
+    /// dt_min or the halving budget is spent): make that trial acceptable
+    /// or throw.
+    virtual void out_of_road(double t, double h) = 0;
+    /// Take the last trial of [t, t + h] as the new state; `corner` is
+    /// true when the step landed on a source corner.  Called before the
+    /// driver counts the step in the result.
+    virtual void accept(double t, double h, bool corner) = 0;
+    /// Complete the engine's part of the result after the last step.
+    virtual void finish() {}
+
+protected:
+    ~StepEngine() = default;
+
+    linalg::Vector x_; ///< the state at the last accepted time
 };
 
-/// Clip a proposed step `h` from time `t` to the next source corner and
-/// to the horizon.  Corners already behind t (within the snap tolerance)
-/// are consumed from `next_bp`.  Rules:
-///  * never step across a corner; with `floor_to_dt_min` (NR/PWL) the
-///    corner step is floored at dt_min, accepting a < dt_min overshoot;
-///  * any step reaching within dt_min of the horizon merges into an
-///    exact t_stop landing (a trailing sliver step would make the C/h
-///    companion ill-scaled for no informational gain); when the landing
-///    would stretch the proposed step by more than 50% the remainder is
-///    split in two bound-respecting halves instead, the second landing
-///    exactly;
-///  * a corner within dt_min of t_stop is absorbed by that merge rather
-///    than landed on — sub-dt_min timing detail is below the engine's
-///    resolution (the same bound as the NR/PWL corner-floor overshoot).
-///    Accepted points therefore stay below t_stop - dt_min (or land
-///    exactly on t_stop), except after an NR/PWL convergence retry that
-///    deliberately lands short; the closing step still lands exactly.
-[[nodiscard]] ClippedStep
-clip_step_to_events(double t, double h, double t_stop, double dt_min,
-                    std::span<const double> breakpoints,
-                    std::size_t& next_bp, bool floor_to_dt_min);
+/// The rules one engine runs the loop under (resolved options).
+struct StepRules {
+    double t_stop = 0.0;
+    double dt_min = 0.0;
+    double dt_max = 0.0;
+    int max_halvings = 0; ///< driver retries per time point
+    /// Floor a step clipped to a source corner at dt_min, accepting a
+    /// < dt_min overshoot (NR and PWL; SWEC lands exactly).
+    bool floor_to_dt_min = false;
+};
+
+/// Advance `engine` from t = 0 to rules.t_stop, or until `observer`
+/// cancels (result.aborted, the waveforms recorded so far stand).  Per
+/// step, inside one step_clock() timer:
+///  * the proposal is clipped to the next source corner and to t_stop:
+///    never step across a corner; a step reaching within dt_min of the
+///    horizon merges into an exact t_stop landing, or — when that would
+///    stretch the proposal by more than 50% — takes half the remainder
+///    first; a corner within dt_min of t_stop is absorbed by that merge;
+///  * a trial that asks for a retry is repeated at max(h/2, dt_min)
+///    while that is smaller than h and fewer than rules.max_halvings
+///    halvings were taken (each counted in steps_rejected), and handed
+///    to out_of_road() otherwise;
+///  * the accepted step is attributed to dt_min (h <= dt_min) or device
+///    when it was halved, else to breakpoint or horizon when the clip
+///    changed it, else to the proposal's own bound; then recorded
+///    (`record` as in run_tran_swec) and reported to the observer.
+/// Fills the result's step counts, step_bounds, min/max dt, aborted and
+/// node_waves; the engine fills the rest.
+void run_accepted_steps(StepEngine& engine, const StepRules& rules,
+                        const mna::MnaAssembler& assembler,
+                        mna::SystemCache& cache,
+                        const AnalysisObserver* observer, TranResult& result,
+                        std::span<const NodeId> record);
+
+/// One transient: construct Engine(assembler, options, cache, result) on
+/// `cache` — or, when it is null, on a cache built for this run — and
+/// drive it with run_accepted_steps.  The cache keeps the per-step
+/// system's pattern frozen (values restamped in place, the symbolic LU
+/// analysis reused across every step, and across analyses when the
+/// caller owns it).  The result's flops cover the whole run, the initial
+/// condition included.
+template <typename Engine, typename Options>
+[[nodiscard]] TranResult
+run_transient(const mna::MnaAssembler& assembler, const Options& options,
+              const StepRules& rules, const AnalysisObserver* observer,
+              mna::SystemCache* cache, std::span<const NodeId> record = {}) {
+    const FlopScope scope;
+    std::optional<mna::SystemCache> local_cache;
+    if (cache == nullptr) {
+        cache = &local_cache.emplace(assembler);
+    }
+    TranResult result;
+    Engine engine(assembler, options, *cache, result);
+    run_accepted_steps(engine, rules, assembler, *cache, observer, result,
+                       record);
+    result.flops = scope.counter();
+    return result;
+}
 
 /// The node-capacitance half of eq. (12): min over nodes of
 /// eps * C_j / |G_jj|, where `node_gdiag` holds the node-diagonal sums of

@@ -1,11 +1,12 @@
 // Nano-Sim — SPICE-like Newton-Raphson transient engine (baseline).
 //
 // Classic companion-model transient analysis: at every time point the
-// nonlinear system (G(x) + C/h) x = C/h x_n + b(t) is solved by
-// Newton-Raphson with *differential* conductances, exactly the structure
-// of SPICE3's transient loop (backward Euler; trapezoidal offered for
-// linear circuits).  Local truncation error is estimated against a
-// forward-Euler predictor and controls the step.
+// nonlinear backward-Euler system (G(x) + C/h) x = C/h x_n + b(t) is
+// solved by Newton-Raphson with *differential* conductances, exactly the
+// structure of SPICE3's transient loop.  Local truncation error is
+// estimated against a forward-Euler predictor; a step that misses it or
+// fails to converge is retried at half the size by the shared
+// accepted-step loop (engines/step_control.hpp).
 //
 // On NDR devices this engine inherits SPICE3's failure modes: NR
 // oscillates between the two stable branches, the step collapses to
@@ -23,19 +24,12 @@
 
 namespace nanosim::engines {
 
-/// Companion integration method.
-enum class Integration {
-    backward_euler,
-    trapezoidal, ///< linear circuits only (throws otherwise)
-};
-
 /// NR transient options.
 struct NrTranOptions {
     double t_stop = 0.0;       ///< end time [s] (required)
     double dt_init = 0.0;      ///< 0 = t_stop / 1000
     double dt_min = 0.0;       ///< 0 = t_stop * 1e-9
     double dt_max = 0.0;       ///< 0 = t_stop / 50
-    Integration method = Integration::backward_euler;
     int max_nr_iterations = 50;
     double abstol = 1e-9;
     double reltol = 1e-6;

@@ -2,15 +2,13 @@
 
 #include <algorithm>
 #include <cmath>
-#include <optional>
 
 #include "devices/mosfet.hpp"
 #include "engines/options_common.hpp"
 #include "engines/step_control.hpp"
-#include "engines/wave_recorder.hpp"
 #include "linalg/vecops.hpp"
 #include "mna/system_cache.hpp"
-#include "obs/trace.hpp"
+#include "obs/scoped_timer.hpp"
 #include "util/error.hpp"
 
 namespace nanosim::engines {
@@ -36,8 +34,7 @@ PwlTranOptions resolve(const PwlTranOptions& in) {
 class PwlDevice {
 public:
     PwlDevice(const Device* dev, const PwlTranOptions& options)
-        : dev_(dev),
-          tt_(dynamic_cast<const TwoTerminalNonlinear*>(dev)),
+        : tt_(dynamic_cast<const TwoTerminalNonlinear*>(dev)),
           mos_(dynamic_cast<const Mosfet*>(dev)),
           v_min_(options.v_min),
           v_max_(options.v_max),
@@ -108,10 +105,7 @@ public:
         }
     }
 
-    [[nodiscard]] const Device* device() const noexcept { return dev_; }
-
 private:
-    const Device* dev_;
     const TwoTerminalNonlinear* tt_;
     const Mosfet* mos_;
     double v_min_;
@@ -119,86 +113,129 @@ private:
     int nseg_;
 };
 
-} // namespace
+/// The PWL half of the accepted-step loop: a segment fixed-point solve
+/// per trial; segment cycling at the smallest step is accepted and
+/// marched past.
+class PwlEngine final : public StepEngine {
+public:
+    PwlEngine(const mna::MnaAssembler& assembler,
+              const PwlTranOptions& options, mna::SystemCache& cache,
+              TranResult& result)
+        : assembler_(&assembler), cache_(&cache), options_(&options),
+          result_(&result) {
+        pwl_.reserve(assembler.nonlinear_devices().size());
+        for (const Device* dev : assembler.nonlinear_devices()) {
+            pwl_.emplace_back(dev, options);
+        }
+        noise_ = options.noise.empty() ? nullptr : &options.noise;
+        cache.start_run();
 
-TranResult run_tran_pwl(const mna::MnaAssembler& assembler,
-                        const PwlTranOptions& options_in,
-                        const AnalysisObserver* observer,
-                        mna::SystemCache* cache) {
-    const PwlTranOptions options = resolve(options_in);
-    const FlopScope scope;
-    const auto n = static_cast<std::size_t>(assembler.unknowns());
+        // Fast Norton restamps when the compiled program covers every PWL
+        // device: the segment Nortons are evaluated engine-side (their
+        // endpoint currents depend on the segment table) and scattered
+        // through precomputed slots — no Stamper indirection per device.
+        norton_fast_ = cache.norton_fast();
+        norton_g_.assign(pwl_.size(), 0.0);
+        norton_ioff_.assign(pwl_.size(), 0.0);
 
-    std::vector<PwlDevice> pwl;
-    pwl.reserve(assembler.nonlinear_devices().size());
-    for (const Device* dev : assembler.nonlinear_devices()) {
-        pwl.emplace_back(dev, options);
+        const auto n = static_cast<std::size_t>(assembler.unknowns());
+        x_.assign(n, 0.0);
+        seg_.assign(pwl_.size(), 0);
+        if (!options.initial.empty()) {
+            if (options.initial.size() != n) {
+                throw AnalysisError("run_tran_pwl: initial size mismatch");
+            }
+            x_ = options.initial;
+        } else if (options.start_from_dc) {
+            const linalg::Vector x0(n, 0.0);
+            int iters = 0;
+            segment_solve(x0, 0.0, -1.0, x_next_, iters);
+            x_ = std::move(x_next_);
+        }
+        h_ = options.dt_init;
     }
 
-    const mna::MnaAssembler::NoiseRealization* noise =
-        options.noise.empty() ? nullptr : &options.noise;
-
-    // Cached per-step system: the PWL Norton stamps always land on the
-    // same (drain, source) / (pos, neg) coordinates, so every segment
-    // iteration is an in-place restamp + pattern-reusing solve — shared
-    // across whole analyses when the caller supplies the cache.
-    std::optional<mna::SystemCache> local_cache;
-    if (cache == nullptr) {
-        local_cache.emplace(assembler);
-        cache = &*local_cache;
+    /// The last accepted step grown x1.5, up to dt_max.
+    [[nodiscard]] Proposal propose(double /*t*/) override {
+        return {h_, h_ >= options_->dt_max ? &obs::StepBoundCounts::dt_max
+                                           : &obs::StepBoundCounts::growth};
     }
-    cache->start_run();
 
-    // Fast Norton restamps when the compiled program covers every PWL
-    // device: the segment Nortons are evaluated engine-side (their
-    // endpoint currents depend on the segment table) and scattered
-    // through precomputed slots — no Stamper indirection per device.
-    const bool norton_fast = cache->norton_fast();
-    std::vector<double> norton_g(pwl.size(), 0.0);
-    std::vector<double> norton_ioff(pwl.size(), 0.0);
+    [[nodiscard]] bool trial(double t, double& h) override {
+        int iters = 0;
+        const bool ok = segment_solve(x_, t + h, h, x_next_, iters);
+        result_->nr_iterations += iters; // segment iterations
+        return ok;
+    }
 
-    // Segment fixed-point solve of one companion system.  `h <= 0` means
-    // DC (no C/h companion).  Returns convergence of the assignment.
-    auto segment_solve = [&](const linalg::Vector& x_n, double t, double h,
-                             std::vector<int>& seg, linalg::Vector& x_out,
-                             int& iters) -> bool {
-        const NodeVoltages vn = assembler.view(x_n);
-        for (std::size_t k = 0; k < pwl.size(); ++k) {
-            seg[k] = pwl[k].segment_of(pwl[k].branch_voltage(vn));
+    /// Segment assignment still cycling at the minimum step — the
+    /// PWL/NDR hazard; accept and march on (as the adaptive scheme of [2]
+    /// ultimately does).
+    void out_of_road(double /*t*/, double /*h*/) override {
+        ++result_->nonconverged_steps;
+    }
+
+    void accept(double t, double h, bool /*corner*/) override {
+        // Segment cycling is accepted and marched past (finite, merely
+        // ambiguous), but a NaN/Inf solution poisons every later step's
+        // C/h history — diagnose it instead of recording garbage.
+        if (!linalg::all_finite(x_next_)) {
+            throw AnalysisError(
+                "run_tran_pwl: non-finite solution at t=" +
+                std::to_string(t + h) +
+                " (NaN/Inf stimulus or device evaluation)");
+        }
+        x_ = std::move(x_next_);
+        h_ = std::min(h * 1.5, options_->dt_max);
+    }
+
+private:
+    /// Segment fixed-point solve of one companion system.  `h <= 0`
+    /// means DC (no C/h companion).  Returns convergence of the
+    /// assignment.
+    bool segment_solve(const linalg::Vector& x_n, double t, double h,
+                       linalg::Vector& x_out, int& iters) {
+        const NodeVoltages vn = assembler_->view(x_n);
+        for (std::size_t k = 0; k < pwl_.size(); ++k) {
+            seg_[k] = pwl_[k].segment_of(pwl_[k].branch_voltage(vn));
         }
         linalg::Vector x_cur = x_n;
-        for (int it = 0; it < options.max_segment_iters; ++it) {
+        for (int it = 0; it < options_->max_segment_iters; ++it) {
             iters = it + 1;
-            linalg::Vector rhs = cache->rhs(t, noise);
+            linalg::Vector rhs = cache_->rhs(t, noise_);
             if (h > 0.0) {
-                cache->add_history(x_n, h, rhs);
+                cache_->add_history(x_n, h, rhs);
             }
-            Stamper& stamper = cache->begin(h > 0.0 ? 1.0 / h : 0.0, rhs);
-            cache->restamp_time_varying(t);
+            Stamper& stamper = cache_->begin(h > 0.0 ? 1.0 / h : 0.0, rhs);
+            cache_->restamp_time_varying(t);
             {
-                const NodeVoltages vc = assembler.view(x_cur);
-                if (norton_fast) {
-                    for (std::size_t k = 0; k < pwl.size(); ++k) {
-                        pwl[k].norton(seg[k], pwl[k].gate_voltage(vc),
-                                      norton_g[k], norton_ioff[k]);
+                // The segment Nortons are device evaluation (the fast
+                // path's scatter bills itself to stamp).
+                const obs::ScopedTimer eval_timer(cache_->eval_clock(),
+                                                  "eval", "engine");
+                const NodeVoltages vc = assembler_->view(x_cur);
+                if (norton_fast_) {
+                    for (std::size_t k = 0; k < pwl_.size(); ++k) {
+                        pwl_[k].norton(seg_[k], pwl_[k].gate_voltage(vc),
+                                       norton_g_[k], norton_ioff_[k]);
                     }
-                    cache->restamp_nortons(norton_g, norton_ioff);
+                    cache_->restamp_nortons(norton_g_, norton_ioff_);
                 } else {
-                    for (std::size_t k = 0; k < pwl.size(); ++k) {
-                        pwl[k].stamp(stamper, seg[k],
-                                     pwl[k].gate_voltage(vc));
+                    for (std::size_t k = 0; k < pwl_.size(); ++k) {
+                        pwl_[k].stamp(stamper, seg_[k],
+                                      pwl_[k].gate_voltage(vc));
                     }
                 }
             }
-            x_cur = cache->solve(rhs);
+            x_cur = cache_->solve(rhs);
 
             // Re-derive the assignment; stable assignment = converged.
-            const NodeVoltages vc = assembler.view(x_cur);
+            const NodeVoltages vc = assembler_->view(x_cur);
             bool stable = true;
-            for (std::size_t k = 0; k < pwl.size(); ++k) {
-                const int s = pwl[k].segment_of(pwl[k].branch_voltage(vc));
-                if (s != seg[k]) {
-                    seg[k] = s;
+            for (std::size_t k = 0; k < pwl_.size(); ++k) {
+                const int s = pwl_[k].segment_of(pwl_[k].branch_voltage(vc));
+                if (s != seg_[k]) {
+                    seg_[k] = s;
                     stable = false;
                 }
             }
@@ -209,125 +246,35 @@ TranResult run_tran_pwl(const mna::MnaAssembler& assembler,
         }
         x_out = std::move(x_cur);
         return false;
-    };
-
-    // --- Initial condition. ---
-    linalg::Vector x(n, 0.0);
-    std::vector<int> seg(pwl.size(), 0);
-    if (!options.initial.empty()) {
-        if (options.initial.size() != n) {
-            throw AnalysisError("run_tran_pwl: initial size mismatch");
-        }
-        x = options.initial;
-    } else if (options.start_from_dc) {
-        linalg::Vector x0(n, 0.0);
-        linalg::Vector x_dc;
-        int iters = 0;
-        segment_solve(x0, 0.0, -1.0, seg, x_dc, iters);
-        x = std::move(x_dc);
     }
 
-    TranResult result;
-    WaveRecorder recorder(assembler, {}, cache->record_clock());
+    const mna::MnaAssembler* assembler_;
+    mna::SystemCache* cache_;
+    const PwlTranOptions* options_;
+    TranResult* result_;
+    const mna::MnaAssembler::NoiseRealization* noise_ = nullptr;
+    std::vector<PwlDevice> pwl_;
+    bool norton_fast_ = false;
+    std::vector<double> norton_g_;
+    std::vector<double> norton_ioff_;
 
-    const std::vector<double> breakpoints =
-        assembler.breakpoints(0.0, options.t_stop);
-    std::size_t next_bp = 0;
+    linalg::Vector x_next_;
+    std::vector<int> seg_;
+    double h_ = 0.0;
+};
 
-    double t = 0.0;
-    recorder.record(t, x);
-    double h = options.dt_init;
-    result.min_dt_used = options.dt_max;
-    while (t < options.t_stop) {
-        // Cooperative cancellation, polled once per step: the partial
-        // waveforms recorded so far are the result.
-        if (observer != nullptr && observer->cancelled()) {
-            result.aborted = true;
-            break;
-        }
-        const obs::Span step_span("step", "engine");
-        // Clip to breakpoints / the horizon — shared landing rules
-        // (breakpoint first, sliver merged into the final step, exact
-        // t_stop landing); see clip_step_to_events.
-        const ClippedStep clip = clip_step_to_events(
-            t, h, options.t_stop, options.dt_min, breakpoints, next_bp,
-            /*floor_to_dt_min=*/true);
-        const bool clip_changed = clip.h != h;
-        h = clip.h;
-        bool final_step = clip.final_step;
+} // namespace
 
-        linalg::Vector x_next;
-        int halvings = 0;
-        while (true) {
-            int iters = 0;
-            const bool ok =
-                segment_solve(x, t + h, h, seg, x_next, iters);
-            result.nr_iterations += iters; // segment iterations
-            if (ok) {
-                break;
-            }
-            // A retry is only useful when the step actually shrinks
-            // (h/2 clamps to dt_min at the floor — redoing the identical
-            // solve is pointless).
-            const double h_half = std::max(h / 2.0, options.dt_min);
-            if (h_half >= h || halvings >= options.max_halvings) {
-                // Segment assignment still cycling at the minimum step —
-                // the PWL/NDR hazard; accept and march on (as the
-                // adaptive scheme of [2] ultimately does).
-                ++result.nonconverged_steps;
-                break;
-            }
-            // The halved step lands short of t_stop (h <= t_stop - t on
-            // entry and only shrinks here); any remaining sliver closes
-            // exactly on t_stop in a later iteration.
-            h = h_half;
-            final_step = false;
-            ++halvings;
-            ++result.steps_rejected;
-        }
-
-        // Segment cycling is accepted and marched past (finite, merely
-        // ambiguous), but a NaN/Inf solution poisons every later step's
-        // C/h history — diagnose it instead of recording garbage.
-        if (!std::all_of(x_next.begin(), x_next.end(),
-                         [](double v) { return std::isfinite(v); })) {
-            throw AnalysisError(
-                "run_tran_pwl: non-finite solution at t=" +
-                std::to_string(t + h) +
-                " (NaN/Inf stimulus or device evaluation)");
-        }
-
-        x = std::move(x_next);
-        // Land on t_stop bit-exactly: t + (t_stop - t) may round off.
-        t = final_step ? options.t_stop : t + h;
-        ++result.steps_accepted;
-        // Step-bound attribution mirrors tran_nr: event clip, then
-        // segment-cycling halving (floored at dt_min), else the growth
-        // heuristic / its ceiling.
-        if (clip_changed && halvings == 0) {
-            ++(clip.hit_breakpoint ? result.step_bounds.breakpoint
-                                   : result.step_bounds.horizon);
-        } else if (halvings > 0) {
-            ++(h <= options.dt_min ? result.step_bounds.dt_min
-                                   : result.step_bounds.device);
-        } else {
-            ++(h >= options.dt_max ? result.step_bounds.dt_max
-                                   : result.step_bounds.growth);
-        }
-        result.min_dt_used = std::min(result.min_dt_used, h);
-        result.max_dt_used = std::max(result.max_dt_used, h);
-        recorder.record(t, x);
-        if (observer != nullptr) {
-            observer->step(t, result.steps_accepted);
-            observer->sample(t, x.data(), static_cast<int>(x.size()));
-            observer->progress(t / options.t_stop);
-        }
-        h = std::min(h * 1.5, options.dt_max);
-    }
-
-    result.node_waves = recorder.take();
-    result.flops = scope.counter();
-    return result;
+TranResult run_tran_pwl(const mna::MnaAssembler& assembler,
+                        const PwlTranOptions& options_in,
+                        const AnalysisObserver* observer,
+                        mna::SystemCache* cache) {
+    const PwlTranOptions options = resolve(options_in);
+    return run_transient<PwlEngine>(
+        assembler, options,
+        {options.t_stop, options.dt_min, options.dt_max, options.max_halvings,
+         /*floor_to_dt_min=*/true},
+        observer, cache);
 }
 
 } // namespace nanosim::engines

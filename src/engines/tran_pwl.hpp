@@ -9,8 +9,9 @@
 // segment, re-derive the segments from the solution, repeat until the
 // assignment is stable.  When the assignment cycles (the PWL flavour of
 // the NDR problem: a segment's conductance IS negative inside the NDR
-// region) the step is cut, mirroring the paper's adaptive-time-step +
-// current-stepping remedy.
+// region) the step is cut — the halving retry of the accepted-step loop
+// shared with SWEC and NR (engines/step_control.hpp) — mirroring the
+// paper's adaptive-time-step + current-stepping remedy.
 //
 // MOSFETs are piecewise-linearised along V_DS with V_GS frozen at its
 // previous iterate — the weak-coupling treatment that keeps the engine a

@@ -12,6 +12,12 @@
 //   4. solve the *linear* backward-Euler system
 //         (G_swec + C/h) x_{n+1} = C/h x_n + b(t_{n+1}).
 //
+// Steps 1 and 3 are the engine's step proposal, 2 and 4 its trial, and
+// the eq. (9) slope and eq. (10) error its accept; the accepted-step loop
+// shared with NR and PWL (engines/step_control.hpp) owns time, the
+// breakpoint and t_stop landings, recording, the observer and
+// cancellation.
+//
 // No Newton-Raphson anywhere: each accepted time point costs exactly one
 // LU factor+solve.  The chord conductance is non-negative even across an
 // NDR region, so the engine cannot exhibit the oscillation / false

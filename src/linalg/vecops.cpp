@@ -44,6 +44,11 @@ double norm2(const Vector& x) {
 // NaN operands must poison the max, not vanish into it: std::max(m, NaN)
 // returns m, so a NaN iterate would read as a zero delta and let Newton
 // loops "converge" on garbage.  Both norms propagate NaN instead.
+bool all_finite(const Vector& x) noexcept {
+    return std::all_of(x.begin(), x.end(),
+                       [](double v) { return std::isfinite(v); });
+}
+
 double norm_inf(const Vector& x) noexcept {
     double m = 0.0;
     for (const double v : x) {

@@ -21,6 +21,9 @@ void axpy(double alpha, const Vector& x, Vector& y);
 /// Max norm ||x||_inf.
 [[nodiscard]] double norm_inf(const Vector& x) noexcept;
 
+/// True when no entry is NaN or infinite.
+[[nodiscard]] bool all_finite(const Vector& x) noexcept;
+
 /// ||x - y||_inf; sizes must match.
 [[nodiscard]] double max_abs_diff(const Vector& x, const Vector& y);
 

@@ -253,8 +253,10 @@ public:
 
     /// Accumulators of the engine-side layers (Stats::step_s and
     /// Stats::record_s, plus Stats::solve_s for a solve the engine runs
-    /// on a factor of its own), billed with obs::ScopedTimer so that
+    /// on a factor of its own and Stats::eval_s for device models the
+    /// engine evaluates itself), billed with obs::ScopedTimer so that
     /// every layer of a run lands in one Stats, on every worker's cache.
+    [[nodiscard]] double& eval_clock() noexcept { return stats_.eval_s; }
     [[nodiscard]] double& step_clock() noexcept { return stats_.step_s; }
     [[nodiscard]] double& record_clock() noexcept { return stats_.record_s; }
     [[nodiscard]] double& solve_clock() noexcept { return stats_.solve_s; }

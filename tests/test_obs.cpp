@@ -792,28 +792,38 @@ TEST(ObsReport, NestedTimersBillSelfTime) {
 }
 
 TEST(ObsReport, LayersCoverAChainTransient) {
-    // On the RTD chain the step loop is billed whole: the cache's layers,
-    // the SWEC step control and the recorder.  What is left (session and
-    // result set-up) is a few percent of the run.
+    // On the RTD chain the step loop is billed whole on every engine: the
+    // cache's layers, the engine's device evaluation, the step control
+    // and the recorder.  What is left (session and result set-up, NR's
+    // operating point) is a few percent of the run.
     const TelemetryOff off;
     refckt::ChainSpec chain;
     chain.stages = 200;
-    SimSession session(refckt::rtd_chain(chain));
-    TranSpec spec;
-    spec.t_stop = 1e-6;
-    const obs::RunReport rep = session.run(spec).report;
-    EXPECT_GT(rep.step_s, 0.0);
-    EXPECT_GT(rep.record_s, 0.0);
-    const double layers = rep.analyze_s + rep.eval_s + rep.stamp_s +
-                          rep.factor_s + rep.solve_s + rep.step_s +
-                          rep.record_s;
-    EXPECT_LE(layers, rep.elapsed_s);
-    EXPECT_GE(layers, 0.8 * rep.elapsed_s)
-        << "unattributed: " << rep.elapsed_s - layers << " s of "
-        << rep.elapsed_s << " s";
-    const std::string text = rep.pretty();
-    EXPECT_NE(text.find("step control"), std::string::npos);
-    EXPECT_NE(text.find("record"), std::string::npos);
+    for (const TranEngine engine :
+         {TranEngine::swec, TranEngine::newton_raphson, TranEngine::pwl}) {
+        SCOPED_TRACE(engine_name(engine));
+        SimSession session(refckt::rtd_chain(chain));
+        TranSpec spec;
+        spec.engine = engine;
+        spec.t_stop = 1e-6;
+        const obs::RunReport rep = session.run(spec).report;
+        EXPECT_GT(rep.step_s, 0.0);
+        EXPECT_GT(rep.record_s, 0.0);
+        if (engine != TranEngine::newton_raphson) {
+            // NR evaluates its devices inside restamp_nr (stamp_s).
+            EXPECT_GT(rep.eval_s, 0.0);
+        }
+        const double layers = rep.analyze_s + rep.eval_s + rep.stamp_s +
+                              rep.factor_s + rep.solve_s + rep.step_s +
+                              rep.record_s;
+        EXPECT_LE(layers, rep.elapsed_s);
+        EXPECT_GE(layers, 0.8 * rep.elapsed_s)
+            << "unattributed: " << rep.elapsed_s - layers << " s of "
+            << rep.elapsed_s << " s";
+        const std::string text = rep.pretty();
+        EXPECT_NE(text.find("step control"), std::string::npos);
+        EXPECT_NE(text.find("record"), std::string::npos);
+    }
 }
 
 /// A branch-free RC ladder of `nodes` nodes, each with a capacitor to

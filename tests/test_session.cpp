@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <cmath>
 #include <functional>
+#include <memory>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -19,6 +20,7 @@
 #include "core/sim_session.hpp"
 #include "devices/passives.hpp"
 #include "devices/sources.hpp"
+#include "devices/waveform.hpp"
 #include "engines/dc_mla.hpp"
 #include "engines/dc_nr.hpp"
 #include "engines/dc_swec.hpp"
@@ -33,12 +35,12 @@ namespace nanosim {
 namespace {
 
 /// Reference-circuit table for the parity suite: factory + the swept
-/// source + a sensible transient horizon.  All but the last sit on the
-/// dense solver path (<= 64 unknowns), where every solve is an
-/// independent LU; the 10x10 mesh (101 unknowns) takes the sparse path,
-/// where a session run and a direct call each start on a fresh cache and
-/// solve the same sequence of systems on it — so session-vs-direct
-/// results must match BIT for BIT.
+/// source + a transient horizon past the circuit's drive edge.  All but
+/// the last sit on the dense solver path (<= 64 unknowns), where every
+/// solve is an independent LU; the 10x10 mesh (101 unknowns) takes the
+/// sparse path, where a session run and a direct call each start on a
+/// fresh cache and solve the same sequence of systems on it — so
+/// session-vs-direct results must match BIT for BIT.
 struct ParityCase {
     const char* label;
     std::function<Circuit()> make;
@@ -46,27 +48,57 @@ struct ParityCase {
     double sweep_stop;
     double sweep_step;
     double t_stop;
+    /// The transient drives `source` with a 0 -> sweep_stop pulse (the
+    /// dividers hold no capacitor, so a DC drive never moves them).
+    bool pulse_source = false;
+    /// The transient starts from the DC point (rc_lowpass starts from 0 V
+    /// instead: from its DC point it never moves).
+    bool start_from_dc = true;
 };
+
+/// The circuit a case's transient runs.
+Circuit tran_circuit(const ParityCase& c) {
+    Circuit ckt = c.make();
+    if (c.pulse_source) {
+        ckt.get_mutable<VSource>(c.source).set_wave(
+            std::make_shared<PulseWave>(0.0, c.sweep_stop, 5e-9, 10e-9,
+                                        10e-9, 10e-9, 100e-9));
+    }
+    return ckt;
+}
+
+/// Largest swing (max - min) of any node wave of a transient.
+double max_swing(const engines::TranResult& r) {
+    double swing = 0.0;
+    for (const analysis::Waveform& w : r.node_waves) {
+        if (!w.empty()) {
+            const auto [lo, hi] =
+                std::minmax_element(w.value().begin(), w.value().end());
+            swing = std::max(swing, *hi - *lo);
+        }
+    }
+    return swing;
+}
 
 const std::vector<ParityCase>& parity_cases() {
     static const std::vector<ParityCase> cases = {
         {"rtd_divider", [] { return refckt::rtd_divider(); }, "V1", 3.0,
-         0.25, 50e-9},
+         0.25, 50e-9, /*pulse_source=*/true},
         {"nanowire_divider", [] { return refckt::nanowire_divider(); }, "V1",
-         2.0, 0.25, 50e-9},
+         2.0, 0.25, 50e-9, /*pulse_source=*/true},
         {"fet_rtd_inverter", [] { return refckt::fet_rtd_inverter(); },
          "VDD", 3.0, 0.5, 100e-9},
         {"rc_lowpass", [] { return refckt::rc_lowpass(); }, "V1", 1.0, 0.25,
-         5e-6},
+         5e-6, /*pulse_source=*/false, /*start_from_dc=*/false},
         {"rtd_chain4",
          [] {
              refckt::ChainSpec spec;
              spec.stages = 4;
              return refckt::rtd_chain(spec);
          },
-         "V1", 2.0, 0.5, 50e-9},
+         "V1", 2.0, 0.5, 100e-9},
         {"rc_mesh6x6", [] { return refckt::rc_mesh(6, 6); }, "VIN", 2.0,
-         0.5, 20e-9},
+         0.5, 100e-9},
         {"rc_mesh10x10", [] { return refckt::rc_mesh(10, 10); }, "VIN", 2.0,
          0.5, 60e-9},
     };
@@ -143,34 +175,40 @@ TEST(SessionParity, TransientBitIdenticalAllEngines) {
              {TranEngine::swec, TranEngine::newton_raphson,
               TranEngine::pwl}) {
             SCOPED_TRACE(engine_name(engine));
-            const Circuit direct_ckt = c.make();
+            const Circuit direct_ckt = tran_circuit(c);
             const mna::MnaAssembler assembler(direct_ckt);
             engines::TranResult direct;
             switch (engine) {
             case TranEngine::swec: {
                 engines::SwecTranOptions o;
                 o.t_stop = c.t_stop;
+                o.start_from_dc = c.start_from_dc;
                 direct = engines::run_tran_swec(assembler, o);
                 break;
             }
             case TranEngine::newton_raphson: {
                 engines::NrTranOptions o;
                 o.t_stop = c.t_stop;
+                o.start_from_dc = c.start_from_dc;
                 direct = engines::run_tran_nr(assembler, o);
                 break;
             }
             case TranEngine::pwl: {
                 engines::PwlTranOptions o;
                 o.t_stop = c.t_stop;
+                o.start_from_dc = c.start_from_dc;
                 direct = engines::run_tran_pwl(assembler, o);
                 break;
             }
             }
+            // A transient that never leaves its start compares nothing.
+            EXPECT_GE(max_swing(direct), 0.5);
 
-            SimSession session(c.make());
+            SimSession session(tran_circuit(c));
             TranSpec spec;
             spec.engine = engine;
             spec.t_stop = c.t_stop;
+            spec.start_from_dc = c.start_from_dc;
             expect_same_waves(session.run(spec).tran(), direct);
         }
     }

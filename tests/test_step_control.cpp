@@ -16,7 +16,7 @@ namespace nanosim {
 namespace {
 
 /// The two halves of the SWEC engine's eq. (12) bound at state (x, dvdt)
-/// and t = 0, computed as SwecStepper::prepare does: the device half from
+/// and t = 0, computed as its step proposal does: the device half from
 /// the solver cache on the step's chords and rates, the node half from
 /// the static + nonlinear node-diagonal conductances and the C diagonal.
 struct Eq12 {

@@ -17,7 +17,6 @@
 namespace nanosim {
 namespace {
 
-using engines::Integration;
 using engines::NrTranOptions;
 using engines::SwecTranOptions;
 using engines::TranResult;
@@ -44,17 +43,15 @@ TEST(TranNr, RcStepResponseBackwardEuler) {
     EXPECT_EQ(res.nonconverged_steps, 0);
 }
 
-TEST(TranNr, TrapezoidalIsSecondOrder) {
-    // Halving dt must cut the trapezoidal error ~4x (2nd order), vs ~2x
-    // for backward Euler (1st order).
-    const auto max_err = [](Integration method, double dt) {
+TEST(TranNr, BackwardEulerIsFirstOrder) {
+    // Halving dt must cut the backward-Euler error ~2x (first order).
+    const auto max_err = [](double dt) {
         Circuit ckt = refckt::rc_lowpass(1e3, 1e-9, 1.0);
         const mna::MnaAssembler assembler(ckt);
         NrTranOptions opt;
         opt.t_stop = 2e-6;
         opt.dt_init = dt;
         opt.dt_max = dt;
-        opt.method = method;
         opt.start_from_dc = false;
         opt.lte_tol = 1e9; // disable step control: fixed-step study
         const TranResult res = engines::run_tran_nr(assembler, opt);
@@ -69,23 +66,9 @@ TEST(TranNr, TrapezoidalIsSecondOrder) {
         return worst;
     };
 
-    const double be1 = max_err(Integration::backward_euler, 40e-9);
-    const double be2 = max_err(Integration::backward_euler, 20e-9);
-    const double tr1 = max_err(Integration::trapezoidal, 40e-9);
-    const double tr2 = max_err(Integration::trapezoidal, 20e-9);
+    const double be1 = max_err(40e-9);
+    const double be2 = max_err(20e-9);
     EXPECT_NEAR(be1 / be2, 2.0, 0.5);
-    EXPECT_NEAR(tr1 / tr2, 4.0, 1.0);
-    EXPECT_LT(tr1, be1); // trap strictly more accurate at equal step
-}
-
-TEST(TranNr, TrapezoidalRejectsNonlinear) {
-    Circuit ckt = refckt::rtd_divider();
-    const mna::MnaAssembler assembler(ckt);
-    NrTranOptions opt;
-    opt.t_stop = 1e-6;
-    opt.method = Integration::trapezoidal;
-    EXPECT_THROW((void)engines::run_tran_nr(assembler, opt),
-                 AnalysisError);
 }
 
 TEST(TranSwec, RcStepMatchesAnalytic) {

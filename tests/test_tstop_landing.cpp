@@ -81,13 +81,6 @@ TEST(TstopLanding, NrLandsExactly) {
     inv_opt.t_stop = 200.0000123e-9;
     expect_lands_on_tstop(engines::run_tran_nr(inv_asm, inv_opt),
                           inv_opt.t_stop, "nr inverter");
-
-    // Trapezoidal (linear-only) path shares the loop.
-    engines::NrTranOptions trap;
-    trap.t_stop = k_awkward_tstop;
-    trap.method = engines::Integration::trapezoidal;
-    expect_lands_on_tstop(engines::run_tran_nr(assembler, trap),
-                          trap.t_stop, "nr trapezoidal");
 }
 
 TEST(TstopLanding, PwlLandsExactly) {
