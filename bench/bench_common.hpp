@@ -43,6 +43,21 @@ inline void plot(const std::vector<analysis::Waveform>& waves,
     analysis::ascii_plot(std::cout, waves, opt);
 }
 
+/// The reproduction's shape as checks: each prints one PASS or FAIL line
+/// that states its tolerance, and exit_code() is non-zero when any check
+/// failed, so the CTest entry fails with the shape.
+class ShapeChecks {
+public:
+    void check(bool ok, const std::string& what) {
+        std::cout << (ok ? "PASS  " : "FAIL  ") << what << '\n';
+        failed_ = failed_ || !ok;
+    }
+    [[nodiscard]] int exit_code() const noexcept { return failed_ ? 1 : 0; }
+
+private:
+    bool failed_ = false;
+};
+
 } // namespace nanosim::bench
 
 #endif // NANOSIM_BENCH_BENCH_COMMON_HPP

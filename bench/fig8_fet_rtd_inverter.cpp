@@ -77,5 +77,14 @@ int main() {
                  "steps; the NR engine needs hundreds of iterations and "
                  "shows NDR distress (rejections / non-converged "
                  "steps); PWL tracks but pays segment iterations.\n";
-    return 0;
+
+    bench::section("shape checks");
+    bench::ShapeChecks checks;
+    // Counts, so exact: no tolerance.
+    checks.check(swec.nr_iterations == 0 && swec.nonconverged_steps == 0,
+                 "SWEC: 0 nonlinear iterations and 0 non-converged steps "
+                 "(exact)");
+    checks.check(nr.steps_rejected + nr.nonconverged_steps > 0,
+                 "NR: NDR distress, rejected + non-converged steps > 0");
+    return checks.exit_code();
 }

@@ -1,7 +1,9 @@
 #include "linalg/ordering.hpp"
 
 #include <algorithm>
+#include <functional>
 #include <limits>
+#include <queue>
 #include <utility>
 
 #include "util/error.hpp"
@@ -41,13 +43,17 @@ symmetrized_adjacency(std::size_t n, const std::vector<std::size_t>& col_ptr,
 }
 
 /// BFS level structure from `root` over unvisited-agnostic adjacency,
-/// restricted to one component.  Returns the visit order; `level` is
-/// component-local (k_npos outside the component).
-std::vector<std::size_t>
-bfs_levels(const std::vector<std::vector<std::size_t>>& adj, std::size_t root,
-           std::vector<std::size_t>& level) {
-    std::fill(level.begin(), level.end(), k_npos);
-    std::vector<std::size_t> order;
+/// restricted to one component.  On entry `order` holds the previous
+/// visit, whose levels are reset (every other entry of `level` must be
+/// k_npos), so a visit costs its component, not all n nodes; on return
+/// it holds this visit's order and `level` its levels.
+void bfs_levels(const std::vector<std::vector<std::size_t>>& adj,
+                std::size_t root, std::vector<std::size_t>& level,
+                std::vector<std::size_t>& order) {
+    for (const std::size_t v : order) {
+        level[v] = k_npos;
+    }
+    order.clear();
     order.push_back(root);
     level[root] = 0;
     for (std::size_t head = 0; head < order.size(); ++head) {
@@ -59,7 +65,6 @@ bfs_levels(const std::vector<std::vector<std::size_t>>& adj, std::size_t root,
             }
         }
     }
-    return order;
 }
 
 } // namespace
@@ -183,6 +188,7 @@ Permutation reverse_cuthill_mckee(std::size_t n,
     order.reserve(n);
     std::vector<bool> numbered(n, false);
     std::vector<std::size_t> level(n, k_npos);
+    std::vector<std::size_t> component; // the last BFS visit
     std::vector<std::size_t> neighbours;
 
     auto degree = [&](std::size_t v) { return adj[v].size(); };
@@ -194,7 +200,7 @@ Permutation reverse_cuthill_mckee(std::size_t n,
         // Component of `seed`; start from its min-degree node and walk to
         // a pseudo-peripheral node (George-Liu: re-root at the smallest-
         // degree node of the deepest level until eccentricity stalls).
-        std::vector<std::size_t> component = bfs_levels(adj, seed, level);
+        bfs_levels(adj, seed, level, component);
         std::size_t root = seed;
         for (const std::size_t v : component) {
             if (degree(v) < degree(root)) {
@@ -203,7 +209,7 @@ Permutation reverse_cuthill_mckee(std::size_t n,
         }
         std::size_t ecc = 0;
         for (int iter = 0; iter < 8; ++iter) {
-            component = bfs_levels(adj, root, level);
+            bfs_levels(adj, root, level, component);
             const std::size_t depth = level[component.back()];
             if (depth <= ecc && iter > 0) {
                 break;
@@ -250,65 +256,64 @@ Permutation min_degree_ordering(std::size_t n,
                                 const std::vector<std::size_t>& row_idx) {
     auto adj = symmetrized_adjacency(n, col_ptr, row_idx);
 
+    // Pivot candidates keyed (degree, index), least first: the top is the
+    // node of least current degree, ties to the lowest index.  A degree
+    // change pushes a fresh key; a key whose node is eliminated or whose
+    // degree is no longer current is dropped when it surfaces.
+    using Key = std::pair<std::size_t, std::size_t>;
+    std::priority_queue<Key, std::vector<Key>, std::greater<>> candidates;
     std::vector<bool> alive(n, true);
     std::vector<std::size_t> degree(n);
     for (std::size_t v = 0; v < n; ++v) {
         degree[v] = adj[v].size();
+        candidates.emplace(degree[v], v);
     }
 
     std::vector<std::size_t> order;
     order.reserve(n);
     std::vector<std::size_t> clique;   // alive neighbours of the pivot
     std::vector<std::size_t> merged;
+    std::vector<std::size_t> mark(n, k_npos); // == v: v or in v's clique
 
-    for (std::size_t step = 0; step < n; ++step) {
-        // Least external degree, ties on index (linear scan: the MNA
-        // systems this serves are a few thousand unknowns).
-        std::size_t v = k_npos;
-        for (std::size_t u = 0; u < n; ++u) {
-            if (alive[u] && (v == k_npos || degree[u] < degree[v])) {
-                v = u;
-            }
+    while (order.size() < n) {
+        const auto [d, v] = candidates.top();
+        candidates.pop();
+        if (!alive[v] || d != degree[v]) {
+            continue;
         }
         order.push_back(v);
         alive[v] = false;
 
         clique.clear();
+        mark[v] = v;
         for (const std::size_t u : adj[v]) {
             if (alive[u]) {
                 clique.push_back(u);
+                mark[u] = v;
             }
         }
-        // Eliminating v connects its neighbours into a clique; dead
-        // entries are swept out of each list during the merge so the
-        // graph never accumulates corpses.
+        // Eliminating v connects its neighbours into a clique: each
+        // member's list becomes the rest of the clique plus its own
+        // neighbours outside it.  Only live nodes are kept, so the graph
+        // never accumulates corpses, and the merge buffer trades places
+        // with the old list instead of being copied.
         for (const std::size_t u : clique) {
             merged.clear();
-            auto it_a = adj[u].begin();
-            const auto end_a = adj[u].end();
-            auto it_c = clique.begin();
-            const auto end_c = clique.end();
-            while (it_a != end_a || it_c != end_c) {
-                std::size_t next;
-                if (it_c == end_c ||
-                    (it_a != end_a && *it_a <= *it_c)) {
-                    next = *it_a;
-                    if (it_c != end_c && *it_c == next) {
-                        ++it_c;
-                    }
-                    ++it_a;
-                    if (!alive[next]) {
-                        continue;
-                    }
-                } else {
-                    next = *it_c++;
-                }
-                if (next != u) {
-                    merged.push_back(next);
+            for (const std::size_t w : clique) {
+                if (w != u) {
+                    merged.push_back(w);
                 }
             }
-            adj[u].assign(merged.begin(), merged.end());
-            degree[u] = adj[u].size();
+            for (const std::size_t w : adj[u]) {
+                if (mark[w] != v && alive[w]) {
+                    merged.push_back(w);
+                }
+            }
+            adj[u].swap(merged);
+            if (adj[u].size() != degree[u]) {
+                degree[u] = adj[u].size();
+                candidates.emplace(degree[u], u);
+            }
         }
         adj[v].clear();
         adj[v].shrink_to_fit();

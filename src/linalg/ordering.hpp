@@ -117,8 +117,11 @@ reverse_cuthill_mckee(std::size_t n, const std::vector<std::size_t>& col_ptr,
                       const std::vector<std::size_t>& row_idx);
 
 /// Greedy minimum-degree ordering of the symmetrized elimination graph:
-/// repeatedly eliminate the node of least external degree and connect its
-/// neighbours into a clique.  Deterministic (ties break on index).
+/// repeatedly eliminate the node of least current degree and connect its
+/// neighbours into a clique.  Deterministic (ties break to the lowest
+/// index).  Pivots come off a heap keyed (degree, index) that gains a key
+/// whenever a clique merge changes a degree, so a pivot costs O(log n)
+/// per degree change plus its merges, not a scan of every node.
 [[nodiscard]] Permutation
 min_degree_ordering(std::size_t n, const std::vector<std::size_t>& col_ptr,
                     const std::vector<std::size_t>& row_idx);

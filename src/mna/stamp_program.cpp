@@ -491,13 +491,12 @@ void StampProgram::apply_swec(std::span<const double> geq,
     }
 }
 
-void StampProgram::apply_nr(std::span<const double> x,
-                            std::span<double> values, linalg::Vector& rhs,
-                            Stamper& fallback) const {
+void StampProgram::eval_nr(std::span<const double> x) const {
     const NodeVoltages nv = assembler_->view(x);
-    double* v = values.data();
     const std::size_t nl = kind_.size();
+    nr_lin_.resize(nl);
     for (std::size_t k = 0; k < nl; ++k) {
+        NrLinear& lin = nr_lin_[k];
         switch (kind_[k]) {
         case Kind::rtd: {
             const std::size_t i = class_pos_[k];
@@ -508,9 +507,8 @@ void StampProgram::apply_nr(std::span<const double> x,
             double i0 = 0.0;
             double g = 0.0;
             rtd_math::current_and_didv(p, vd, i0, g);
-            const double ieq = i0 - g * vd;
-            scatter_pair(pair_[k], g, v);
-            scatter_rhs_pair(rhs_a_[k], rhs_b_[k], ieq, rhs);
+            lin.entry[0] = g;
+            lin.ieq = i0 - g * vd;
             count_mul(2);
             count_add(2);
             break;
@@ -521,9 +519,8 @@ void StampProgram::apply_nr(std::span<const double> x,
             const double vd = nv(diodes_.pos[i]) - nv(diodes_.neg[i]);
             const double g = d->Diode::didv(vd);
             const double i0 = d->Diode::current(vd);
-            const double ieq = i0 - g * vd;
-            scatter_pair(pair_[k], g, v);
-            scatter_rhs_pair(rhs_a_[k], rhs_b_[k], ieq, rhs);
+            lin.entry[0] = g;
+            lin.ieq = i0 - g * vd;
             count_mul(2);
             count_add(2);
             break;
@@ -534,9 +531,8 @@ void StampProgram::apply_nr(std::span<const double> x,
             const double vd = nv(wires_.pos[i]) - nv(wires_.neg[i]);
             const double g = w->Nanowire::didv(vd);
             const double i0 = w->Nanowire::current(vd);
-            const double ieq = i0 - g * vd;
-            scatter_pair(pair_[k], g, v);
-            scatter_rhs_pair(rhs_a_[k], rhs_b_[k], ieq, rhs);
+            lin.entry[0] = g;
+            lin.ieq = i0 - g * vd;
             count_mul(2);
             count_add(2);
             break;
@@ -551,16 +547,8 @@ void StampProgram::apply_nr(std::span<const double> x,
             const auto [gm, gds] = m->Mosfet::derivatives(v_gs, v_ds);
             // Entry order and value expressions exactly as in
             // Mosfet::stamp_nr.
-            const std::array<double, 6> vals = {gm,  -gm - gds, gds,
-                                                -gm, gm + gds,  -gds};
-            const auto& slots = mosfets_.nr_slot[i];
-            for (std::size_t j = 0; j < 6; ++j) {
-                if (slots[j] != k_npos) {
-                    v[slots[j]] += vals[j];
-                }
-            }
-            const double ieq = i0 - gm * v_gs - gds * v_ds;
-            scatter_rhs_pair(rhs_a_[k], rhs_b_[k], ieq, rhs);
+            lin.entry = {gm, -gm - gds, gds, -gm, gm + gds, -gds};
+            lin.ieq = i0 - gm * v_gs - gds * v_ds;
             count_mul(2);
             count_add(4);
             break;
@@ -578,27 +566,54 @@ void StampProgram::apply_nr(std::span<const double> x,
             const double g_m = (r->Rtt::collector_current(v_ce, v_be + h) -
                                 r->Rtt::collector_current(v_ce, v_be - h)) /
                                (2.0 * h);
-            const std::array<double, 6> vals = {g_ce,  -g_ce - g_m, g_m,
-                                                -g_ce, g_ce + g_m,  -g_m};
-            const auto& slots = rtts_.nr_slot[i];
-            for (std::size_t j = 0; j < 6; ++j) {
-                if (slots[j] != k_npos) {
-                    v[slots[j]] += vals[j];
-                }
-            }
-            const double ieq = i0 - g_ce * v_ce - g_m * v_be;
-            scatter_rhs_pair(rhs_a_[k], rhs_b_[k], ieq, rhs);
+            lin.entry = {g_ce, -g_ce - g_m, g_m, -g_ce, g_ce + g_m, -g_m};
+            lin.ieq = i0 - g_ce * v_ce - g_m * v_be;
             count_mul(3);
             count_add(5);
             count_div(1);
             break;
         }
+        case Kind::generic:
+            break; // evaluated by its own stamp_nr in scatter_nr
+        }
+    }
+}
+
+void StampProgram::scatter_nr(std::span<const double> x,
+                              std::span<double> values, linalg::Vector& rhs,
+                              Stamper& fallback) const {
+    double* v = values.data();
+    const auto scatter_entries =
+        [v](const std::array<std::size_t, 6>& slots,
+            const std::array<double, 6>& entry) {
+            for (std::size_t j = 0; j < 6; ++j) {
+                if (slots[j] != k_npos) {
+                    v[slots[j]] += entry[j];
+                }
+            }
+        };
+    const std::size_t nl = kind_.size();
+    for (std::size_t k = 0; k < nl; ++k) {
+        const NrLinear& lin = nr_lin_[k];
+        switch (kind_[k]) {
+        case Kind::rtd:
+        case Kind::diode:
+        case Kind::nanowire:
+            scatter_pair(pair_[k], lin.entry[0], v);
+            break;
+        case Kind::mosfet:
+            scatter_entries(mosfets_.nr_slot[class_pos_[k]], lin.entry);
+            break;
+        case Kind::rtt:
+            scatter_entries(rtts_.nr_slot[class_pos_[k]], lin.entry);
+            break;
         case Kind::generic: {
             const GenericEntry& e = generics_[class_pos_[k]];
-            e.dev->stamp_nr(fallback, e.branch_base, nv);
-            break;
+            e.dev->stamp_nr(fallback, e.branch_base, assembler_->view(x));
+            continue;
         }
         }
+        scatter_rhs_pair(rhs_a_[k], rhs_b_[k], lin.ieq, rhs);
     }
 }
 

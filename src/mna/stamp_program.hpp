@@ -22,7 +22,8 @@
 //    time-varying restamp is `values[slot] += ±g` — zero virtual calls,
 //    zero Stamper indirection, zero slot searches;
 //  * NR linearisation plans: the 6 single-entry slots of a MOSFET/RTT
-//    stamp plus Norton rhs rows, evaluated and scattered in one pass;
+//    stamp plus Norton rhs rows, evaluated in one pass and scattered in
+//    a second (so the time split bills model evaluation to eval);
 //  * the node-diagonal conductance sums the adaptive step bound
 //    (eq. 12) needs, replacing the per-step scratch MnaBuilder.
 //
@@ -91,11 +92,17 @@ public:
     void apply_swec(std::span<const double> geq, std::span<double> values,
                     Stamper& fallback) const;
 
-    /// Newton-Raphson linearisation at x: evaluate every device's
-    /// tangent + Norton current and scatter both (matrix slots + rhs
-    /// rows).
-    void apply_nr(std::span<const double> x, std::span<double> values,
-                  linalg::Vector& rhs, Stamper& fallback) const;
+    /// Newton-Raphson linearisation at x, first half: evaluate every
+    /// recognised device's tangent and Norton current into the program's
+    /// scratch (device-model work only, no scatter).
+    void eval_nr(std::span<const double> x) const;
+
+    /// Second half: scatter the eval_nr linearisation into the matrix
+    /// slots and rhs rows, devices in assembler order (so every slot sums
+    /// in the legacy stamp order).  Unrecognised classes evaluate and
+    /// stamp here, through their virtual stamp_nr at the same x.
+    void scatter_nr(std::span<const double> x, std::span<double> values,
+                    linalg::Vector& rhs, Stamper& fallback) const;
 
     /// Time-varying linear device stamps at time t.
     void apply_time_varying(double t, std::span<double> values,
@@ -319,6 +326,15 @@ private:
     // lookups become branch-free gathers; vd_/vdot_: the per-class
     // contiguous terminal differences the model loops then read.
     mutable std::vector<double> vpad_, dpad_, vd_, vdot_;
+    /// eval_nr's result per nonlinear device, read by scatter_nr: the
+    /// matrix entries (a two-terminal class uses entry[0] as its pair
+    /// conductance; MOSFET/RTT fill all six, in their nr_slot order) and
+    /// the Norton current.
+    struct NrLinear {
+        std::array<double, 6> entry{};
+        double ieq = 0.0;
+    };
+    mutable std::vector<NrLinear> nr_lin_;
     /// Pins the shared tables the SoA raw pointers refer to.
     std::vector<std::shared_ptr<ChordTable>> table_refs_;
 };

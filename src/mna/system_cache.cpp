@@ -131,6 +131,17 @@ private:
     std::vector<std::pair<std::size_t, std::size_t>>* coords_;
 };
 
+/// Put (row, col) coordinates in CSC order (by column, then row) and
+/// collapse duplicates.
+void sort_csc(std::vector<std::pair<std::size_t, std::size_t>>& coords) {
+    std::sort(coords.begin(), coords.end(),
+              [](const auto& a, const auto& b) {
+                  return a.second != b.second ? a.second < b.second
+                                              : a.first < b.first;
+              });
+    coords.erase(std::unique(coords.begin(), coords.end()), coords.end());
+}
+
 /// Union stamp-pattern coordinates of an assembled circuit: every matrix
 /// coordinate any engine may touch in a per-step restamp (static G, the
 /// C matrix, node diagonals for pseudo-elements, time-varying devices,
@@ -162,13 +173,7 @@ union_stamp_pattern(const MnaAssembler& assembler) {
         const linalg::Vector x0(n, 0.0);
         assembler.stamp_nr_into(x0, recorder);
     }
-    // CSC order: by column, then row; duplicates collapse.
-    std::sort(coords.begin(), coords.end(),
-              [](const auto& a, const auto& b) {
-                  return a.second != b.second ? a.second < b.second
-                                              : a.first < b.first;
-              });
-    coords.erase(std::unique(coords.begin(), coords.end()), coords.end());
+    sort_csc(coords);
     return coords;
 }
 
@@ -224,7 +229,7 @@ SystemCache::SystemCache(const MnaAssembler& assembler, Options options)
     std::vector<std::pair<std::size_t, std::size_t>> coords =
         union_stamp_pattern(assembler);
     signature_ = fnv1a_pattern(n_, coords);
-    freeze_pattern(std::move(coords));
+    freeze_pattern(coords);
     stamper_ = std::make_unique<ScatterStamper>(*this, assembler.num_nodes());
     if (dense_path()) {
         dense_ = linalg::DenseMatrix(n_, n_);
@@ -259,26 +264,18 @@ void SystemCache::rebind(const MnaAssembler& assembler) {
         rebuild_program();
         reuse_armed_ = false; // new baselines: the old LU is not this run's
     } else {
-        freeze_pattern(std::move(coords));
+        freeze_pattern(coords);
     }
 }
 
 SystemCache::~SystemCache() = default;
 
 void SystemCache::freeze_pattern(
-    std::vector<std::pair<std::size_t, std::size_t>> coords) {
+    const std::vector<std::pair<std::size_t, std::size_t>>& coords) {
     // The symbolic-analysis bucket: pattern freeze + ordering selection
     // + StampProgram compilation (the previously unattributed first-step
     // cost the CLI "step time:" line under-counted).
     const ScopedTimer timer(stats_.analyze_s, "analyze");
-    // CSC order: by column, then row; duplicates collapse.
-    std::sort(coords.begin(), coords.end(),
-              [](const auto& a, const auto& b) {
-                  return a.second != b.second ? a.second < b.second
-                                              : a.first < b.first;
-              });
-    coords.erase(std::unique(coords.begin(), coords.end()), coords.end());
-
     col_ptr_.assign(n_ + 1, 0);
     row_idx_.clear();
     row_idx_.reserve(coords.size());
@@ -494,15 +491,20 @@ linalg::Vector SystemCache::multiply(std::span<const double> x) const {
 }
 
 void SystemCache::restamp_nr(std::span<const double> x) {
-    const ScopedTimer timer(stats_.stamp_s, "stamp");
-    if (program_ != nullptr) {
-        if (bound_rhs_ == nullptr) {
-            throw AnalysisError("SystemCache::restamp_nr: no begin() rhs");
-        }
-        program_->apply_nr(x, values_, *bound_rhs_, *stamper_);
-    } else {
+    if (program_ == nullptr) {
+        const ScopedTimer timer(stats_.stamp_s, "stamp");
         assembler_->stamp_nr_into(x, *stamper_);
+        return;
     }
+    if (bound_rhs_ == nullptr) {
+        throw AnalysisError("SystemCache::restamp_nr: no begin() rhs");
+    }
+    {
+        const ScopedTimer timer(stats_.eval_s, "eval");
+        program_->eval_nr(x);
+    }
+    const ScopedTimer timer(stats_.stamp_s, "stamp");
+    program_->scatter_nr(x, values_, *bound_rhs_, *stamper_);
 }
 
 void SystemCache::restamp_nortons(std::span<const double> g,
@@ -638,8 +640,13 @@ linalg::Vector SystemCache::solve(const linalg::Vector& rhs) {
             x = solve_system(t, rhs);
         }
         // The re-freeze bills its own time to analyze_s (it IS symbolic
-        // analysis), so it runs outside the factor scope.
-        freeze_pattern(std::move(coords));
+        // analysis), so it runs outside the factor scope.  The pattern's
+        // own coordinates are in CSC order; the appended overflow is not.
+        {
+            const ScopedTimer timer(stats_.analyze_s, "analyze");
+            sort_csc(coords);
+        }
+        freeze_pattern(coords);
         ++stats_.pattern_rebuilds;
         if (obs::metrics_enabled()) {
             static obs::Counter& c =

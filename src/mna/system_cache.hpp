@@ -186,7 +186,9 @@ public:
 
     /// Restamp the Newton-Raphson linearisation at trial point x
     /// (tangents into the matrix, Norton currents into the rhs bound by
-    /// begin()).
+    /// begin()).  The device models' evaluation bills to eval_s and the
+    /// scatter to stamp_s (the legacy virtual path bills both to
+    /// stamp_s).
     void restamp_nr(std::span<const double> x);
 
     /// True when restamp_nortons covers every nonlinear device (PWL
@@ -290,10 +292,12 @@ public:
 private:
     class ScatterStamper;
 
-    /// Freeze the union pattern from a coordinate list, refresh the
+    /// Freeze the union pattern from a coordinate list in CSC order
+    /// (by column, then row) without duplicates, refresh the
     /// static/reactive baseline slot arrays, and (sparse path) select the
     /// fill-reducing ordering for the new pattern.
-    void freeze_pattern(std::vector<std::pair<std::size_t, std::size_t>> coords);
+    void freeze_pattern(
+        const std::vector<std::pair<std::size_t, std::size_t>>& coords);
 
     /// Refill static_values_/c_values_ from the bound assembler (pattern
     /// unchanged) — the cheap half of a rebind.

@@ -1,7 +1,5 @@
 #include "netlist/circuit.hpp"
 
-#include <algorithm>
-
 #include "util/error.hpp"
 
 namespace nanosim {
@@ -53,7 +51,7 @@ const std::string& Circuit::node_name(NodeId id) const {
 }
 
 void Circuit::register_device(std::unique_ptr<Device> dev) {
-    if (find(dev->name()) != nullptr) {
+    if (device_index_.contains(dev->name())) {
         throw NetlistError("duplicate device name '" + dev->name() + "'");
     }
     for (const NodeId n : dev->terminals()) {
@@ -62,18 +60,16 @@ void Circuit::register_device(std::unique_ptr<Device> dev) {
                                "' references an unknown node id");
         }
     }
+    const std::string& name = dev->name();
     branch_bases_.push_back(branch_total_);
     branch_total_ += dev->branch_count();
     devices_.push_back(std::move(dev));
+    device_index_.emplace(name, devices_.size() - 1);
 }
 
 const Device* Circuit::find(const std::string& name) const noexcept {
-    for (const auto& dev : devices_) {
-        if (dev->name() == name) {
-            return dev.get();
-        }
-    }
-    return nullptr;
+    const auto it = device_index_.find(name);
+    return it == device_index_.end() ? nullptr : devices_[it->second].get();
 }
 
 void Circuit::throw_bad_lookup(const std::string& name) const {

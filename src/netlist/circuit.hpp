@@ -1,6 +1,7 @@
 // Nano-Sim — circuit container.
 //
-// A Circuit owns its devices (unique_ptr) and its node name table.  Node 0
+// A Circuit owns its devices (unique_ptr), its node name table and a
+// device name index, so a node or device lookup by name is O(1).  Node 0
 // is always ground and answers to the names "0", "gnd" and "GND".  Engines
 // treat the Circuit as immutable while simulating; all per-run state lives
 // in the engine.
@@ -9,6 +10,7 @@
 
 #include <memory>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -80,15 +82,14 @@ public:
     /// Mutable lookup for stimulus editing (source stepping, sweeps).
     template <typename T>
     [[nodiscard]] T& get_mutable(const std::string& name) {
-        for (auto& dev : devices_) {
-            if (dev->name() == name) {
-                if (auto* t = dynamic_cast<T*>(dev.get())) {
-                    return *t;
-                }
-                break;
-            }
+        const auto it = device_index_.find(name);
+        auto* d = it == device_index_.end()
+                      ? nullptr
+                      : dynamic_cast<T*>(devices_[it->second].get());
+        if (d == nullptr) {
+            throw_bad_lookup(name);
         }
-        throw_bad_lookup(name);
+        return *d;
     }
 
     /// Total branch unknowns over all devices.
@@ -113,6 +114,10 @@ private:
     void register_device(std::unique_ptr<Device> dev);
 
     std::vector<std::unique_ptr<Device>> devices_;
+    /// Device name -> index into devices_.  The keys view each device's
+    /// own name: a device lives on the heap and keeps its name, so they
+    /// stay valid while the Circuit grows or moves.
+    std::unordered_map<std::string_view, std::size_t> device_index_;
     std::unordered_map<std::string, NodeId> node_ids_;
     std::vector<std::string> node_names_; // index = NodeId - 1
     std::vector<int> branch_bases_;       // parallel to devices_

@@ -1,6 +1,10 @@
 // Tests for the Circuit container and the SPICE-like deck parser.
 #include <gtest/gtest.h>
 
+#include <sstream>
+#include <string>
+#include <utility>
+
 #include "devices/diode.hpp"
 #include "devices/mosfet.hpp"
 #include "devices/nanowire.hpp"
@@ -9,6 +13,7 @@
 #include "devices/sources.hpp"
 #include "netlist/circuit.hpp"
 #include "netlist/parser.hpp"
+#include "timing_gate.hpp"
 #include "util/error.hpp"
 
 namespace nanosim {
@@ -84,6 +89,84 @@ TEST(Circuit, TypedLookup) {
     EXPECT_DOUBLE_EQ(ckt.get<Resistor>("R1").resistance(), 1e3);
     EXPECT_THROW((void)ckt.get<Capacitor>("R1"), NetlistError);
     EXPECT_THROW((void)ckt.get<Resistor>("R9"), NetlistError);
+}
+
+/// The text of the NetlistError `fn` throws ("" when it throws none).
+template <typename Fn>
+std::string netlist_error_text(Fn&& fn) {
+    try {
+        fn();
+    } catch (const NetlistError& e) {
+        return e.what();
+    }
+    return "";
+}
+
+TEST(Circuit, NameIndexServesEveryLookup) {
+    Circuit ckt;
+    const NodeId a = ckt.node("a");
+    constexpr int k_devices = 10000;
+    const auto name_of = [](int i) {
+        return (i % 2 == 0 ? "R" : "C") + std::to_string(i);
+    };
+    for (int i = 0; i < k_devices; ++i) {
+        if (i % 2 == 0) {
+            ckt.add<Resistor>(name_of(i), a, k_ground, 1.0 + i);
+        } else {
+            ckt.add<Capacitor>(name_of(i), a, k_ground, 1e-12 * i);
+        }
+    }
+    ASSERT_EQ(ckt.device_count(), static_cast<std::size_t>(k_devices));
+    for (int i = 0; i < k_devices; ++i) {
+        const Device* d = ckt.find(name_of(i));
+        ASSERT_EQ(d, ckt.devices()[static_cast<std::size_t>(i)].get())
+            << name_of(i);
+    }
+    EXPECT_DOUBLE_EQ(ckt.get<Resistor>("R9998").resistance(), 9999.0);
+    EXPECT_DOUBLE_EQ(ckt.get<Capacitor>("C9999").capacitance(), 9999e-12);
+    ckt.get_mutable<Resistor>("R4").set_resistance(7.0);
+    EXPECT_DOUBLE_EQ(ckt.get<Resistor>("R4").resistance(), 7.0);
+
+    // Absent names.
+    EXPECT_EQ(ckt.find("R1"), nullptr);
+    EXPECT_EQ(ckt.find("R10000"), nullptr);
+    EXPECT_EQ(ckt.find(""), nullptr);
+    EXPECT_EQ(netlist_error_text([&] { (void)ckt.get<Resistor>("R1"); }),
+              "device 'R1' not found (or has unexpected type)");
+    EXPECT_EQ(netlist_error_text(
+                  [&] { (void)ckt.get_mutable<Resistor>("R10000"); }),
+              "device 'R10000' not found (or has unexpected type)");
+
+    // Wrong types.
+    EXPECT_EQ(netlist_error_text([&] { (void)ckt.get<Capacitor>("R2"); }),
+              "device 'R2' not found (or has unexpected type)");
+    EXPECT_EQ(netlist_error_text(
+                  [&] { (void)ckt.get_mutable<Resistor>("C3"); }),
+              "device 'C3' not found (or has unexpected type)");
+
+    // A duplicate is refused and leaves the circuit as it was.
+    EXPECT_EQ(netlist_error_text([&] {
+                  ckt.add<Capacitor>("R0", a, k_ground, 1e-12);
+              }),
+              "duplicate device name 'R0'");
+    EXPECT_EQ(ckt.device_count(), static_cast<std::size_t>(k_devices));
+    EXPECT_NE(dynamic_cast<const Resistor*>(ckt.find("R0")), nullptr);
+
+    // The index survives moves of the Circuit.
+    Circuit moved(std::move(ckt));
+    EXPECT_EQ(moved.find("C9999"), moved.devices().back().get());
+    EXPECT_DOUBLE_EQ(moved.get<Resistor>("R4").resistance(), 7.0);
+    Circuit assigned;
+    assigned = std::move(moved);
+    EXPECT_EQ(assigned.find("R0"), assigned.devices().front().get());
+    assigned.get_mutable<Capacitor>("C1").set_capacitance(2e-12);
+    EXPECT_DOUBLE_EQ(assigned.get<Capacitor>("C1").capacitance(), 2e-12);
+    assigned.add<Resistor>("R10000", a, k_ground, 5.0);
+    EXPECT_EQ(assigned.find("R10000"), assigned.devices().back().get());
+    EXPECT_EQ(netlist_error_text([&] {
+                  assigned.add<Resistor>("C9999", a, k_ground, 5.0);
+              }),
+              "duplicate device name 'C9999'");
 }
 
 // ------------------------------------------------------------ parse_value
@@ -288,6 +371,40 @@ THIS WOULD BE A SYNTAX ERROR
 TEST(Parser, TitleCard) {
     const auto deck = parse_deck(".title RTD test bench\nR1 a 0 1\nV1 a 0 DC 1\n");
     EXPECT_EQ(deck.title, "RTD test bench");
+}
+
+/// An RTD ladder deck of `stages` stages (R, RTD and C per stage).
+std::string rtd_ladder_deck(int stages) {
+    std::ostringstream deck;
+    deck << "* RTD ladder\nV1 in 0 PULSE(0 5 50n 5n 5n 95n 200n)\n";
+    std::string prev = "in";
+    for (int i = 1; i <= stages; ++i) {
+        const std::string node = "n" + std::to_string(i);
+        deck << 'R' << i << ' ' << prev << ' ' << node << " 100\n"
+             << "RTD" << i << ' ' << node << " 0\n"
+             << 'C' << i << ' ' << node << " 0 100p\n";
+        prev = node;
+    }
+    deck << ".end\n";
+    return deck.str();
+}
+
+TEST(Parser, ParseTimeGrowsLinearlyWithTheDeck) {
+    if (timing::sanitized()) {
+        GTEST_SKIP() << timing::k_sanitized_skip;
+    }
+    // A deck 8x as long must parse in at most 16x the time: a device-name
+    // check that scans every earlier device costs ~64x (31-32x measured
+    // before the name index, where the per-card work still weighs in;
+    // 8.6-9.5x after).
+    const std::string small = rtd_ladder_deck(400);
+    const std::string large = rtd_ladder_deck(3200);
+    ASSERT_EQ(parse_deck(large).circuit.device_count(), 3u * 3200u + 1u);
+    EXPECT_LE(timing::growth_ratio(
+                  16.0, 3, 7, [&] { (void)parse_deck(small); },
+                  [&] { (void)parse_deck(large); }),
+              16.0)
+        << "parse time of 3 200 stages over 400 stages";
 }
 
 } // namespace

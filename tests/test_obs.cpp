@@ -809,10 +809,7 @@ TEST(ObsReport, LayersCoverAChainTransient) {
         const obs::RunReport rep = session.run(spec).report;
         EXPECT_GT(rep.step_s, 0.0);
         EXPECT_GT(rep.record_s, 0.0);
-        if (engine != TranEngine::newton_raphson) {
-            // NR evaluates its devices inside restamp_nr (stamp_s).
-            EXPECT_GT(rep.eval_s, 0.0);
-        }
+        EXPECT_GT(rep.eval_s, 0.0);
         const double layers = rep.analyze_s + rep.eval_s + rep.stamp_s +
                               rep.factor_s + rep.solve_s + rep.step_s +
                               rep.record_s;

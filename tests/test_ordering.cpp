@@ -13,6 +13,10 @@
 //  * mna::SystemCache: dense path stays natural; sparse mesh path
 //    auto-selects a fill-reducing ordering, reports it through the
 //    engine results, and solves identically to a forced-natural cache.
+//  * Set-up cost: min-degree gives the permutation of the reference
+//    rescan-every-node algorithm on chains, grids, a power grid and
+//    random patterns, and its time, RCM's and the mesh generator's grow
+//    about linearly with the pattern.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -31,6 +35,7 @@
 #include "linalg/sparse_lu.hpp"
 #include "mna/mna.hpp"
 #include "mna/system_cache.hpp"
+#include "timing_gate.hpp"
 #include "util/error.hpp"
 
 namespace nanosim {
@@ -217,6 +222,265 @@ TEST(Orderings, ReduceFillOnGrid) {
     EXPECT_EQ(lu_md.nnz_factors(), fill_md);
     EXPECT_LT(std::min(lu_rcm.nnz_factors(), lu_md.nnz_factors()),
               nat.nnz_factors());
+}
+
+/// The minimum-degree ordering as it was before its pivot selection came
+/// off a keyed heap: a linear scan of every node per pivot and a sorted
+/// merge per clique member.  Kept verbatim as the oracle the production
+/// ordering must reproduce exactly.
+std::vector<std::vector<std::size_t>>
+reference_adjacency(std::size_t n, const std::vector<std::size_t>& col_ptr,
+                    const std::vector<std::size_t>& row_idx) {
+    std::vector<std::vector<std::size_t>> adj(n);
+    for (std::size_t c = 0; c < n; ++c) {
+        for (std::size_t p = col_ptr[c]; p < col_ptr[c + 1]; ++p) {
+            const std::size_t r = row_idx[p];
+            if (r != c) {
+                adj[c].push_back(r);
+                adj[r].push_back(c);
+            }
+        }
+    }
+    for (auto& list : adj) {
+        std::sort(list.begin(), list.end());
+        list.erase(std::unique(list.begin(), list.end()), list.end());
+    }
+    return adj;
+}
+
+std::vector<std::size_t>
+reference_min_degree(std::size_t n, const std::vector<std::size_t>& col_ptr,
+                     const std::vector<std::size_t>& row_idx) {
+    constexpr std::size_t k_npos = static_cast<std::size_t>(-1);
+    auto adj = reference_adjacency(n, col_ptr, row_idx);
+
+    std::vector<bool> alive(n, true);
+    std::vector<std::size_t> degree(n);
+    for (std::size_t v = 0; v < n; ++v) {
+        degree[v] = adj[v].size();
+    }
+
+    std::vector<std::size_t> order;
+    order.reserve(n);
+    std::vector<std::size_t> clique;   // alive neighbours of the pivot
+    std::vector<std::size_t> merged;
+
+    for (std::size_t step = 0; step < n; ++step) {
+        // Least external degree, ties on index (linear scan: the MNA
+        // systems this serves are a few thousand unknowns).
+        std::size_t v = k_npos;
+        for (std::size_t u = 0; u < n; ++u) {
+            if (alive[u] && (v == k_npos || degree[u] < degree[v])) {
+                v = u;
+            }
+        }
+        order.push_back(v);
+        alive[v] = false;
+
+        clique.clear();
+        for (const std::size_t u : adj[v]) {
+            if (alive[u]) {
+                clique.push_back(u);
+            }
+        }
+        // Eliminating v connects its neighbours into a clique; dead
+        // entries are swept out of each list during the merge so the
+        // graph never accumulates corpses.
+        for (const std::size_t u : clique) {
+            merged.clear();
+            auto it_a = adj[u].begin();
+            const auto end_a = adj[u].end();
+            auto it_c = clique.begin();
+            const auto end_c = clique.end();
+            while (it_a != end_a || it_c != end_c) {
+                std::size_t next;
+                if (it_c == end_c ||
+                    (it_a != end_a && *it_a <= *it_c)) {
+                    next = *it_a;
+                    if (it_c != end_c && *it_c == next) {
+                        ++it_c;
+                    }
+                    ++it_a;
+                    if (!alive[next]) {
+                        continue;
+                    }
+                } else {
+                    next = *it_c++;
+                }
+                if (next != u) {
+                    merged.push_back(next);
+                }
+            }
+            adj[u].assign(merged.begin(), merged.end());
+            degree[u] = adj[u].size();
+        }
+        adj[v].clear();
+        adj[v].shrink_to_fit();
+    }
+    return order;
+}
+
+/// CSC pattern of n unknowns from (row, col) coordinates (any order,
+/// duplicates allowed).
+CscPattern pattern_of(std::size_t n,
+                      const std::vector<std::pair<std::size_t, std::size_t>>&
+                          coords) {
+    Triplets a(n, n);
+    for (const auto& [row, col] : coords) {
+        a.add(row, col, 1.0);
+    }
+    return compress(a);
+}
+
+/// A path of n nodes, node k at label[k].
+CscPattern chain_pattern(const std::vector<std::size_t>& label) {
+    std::vector<std::pair<std::size_t, std::size_t>> coords;
+    for (std::size_t k = 0; k < label.size(); ++k) {
+        coords.emplace_back(label[k], label[k]);
+        if (k + 1 < label.size()) {
+            coords.emplace_back(label[k], label[k + 1]);
+            coords.emplace_back(label[k + 1], label[k]);
+        }
+    }
+    return pattern_of(label.size(), coords);
+}
+
+std::vector<std::size_t> natural_labels(std::size_t n) {
+    std::vector<std::size_t> label(n);
+    std::iota(label.begin(), label.end(), std::size_t{0});
+    return label;
+}
+
+/// A rows x cols grid plus one voltage-source branch row on node 0: the
+/// unsymmetric (branch, node) / (node, branch) pair with no diagonal.
+CscPattern grid_with_branch_pattern(int rows, int cols) {
+    const CscPattern g = compress(grid_matrix(rows, cols));
+    std::vector<std::pair<std::size_t, std::size_t>> coords;
+    for (std::size_t c = 0; c < g.n; ++c) {
+        for (std::size_t p = g.col_ptr[c]; p < g.col_ptr[c + 1]; ++p) {
+            coords.emplace_back(g.row_idx[p], c);
+        }
+    }
+    coords.emplace_back(g.n, 0);
+    coords.emplace_back(0, g.n);
+    return pattern_of(g.n + 1, coords);
+}
+
+/// `components` groups of random symmetric edges over n nodes, with
+/// every `isolated_stride`-th node left without any entry.
+CscPattern random_pattern(std::size_t n, std::size_t components,
+                          std::size_t edges, std::size_t isolated_stride,
+                          std::uint64_t seed) {
+    std::mt19937_64 rng(seed);
+    std::vector<std::size_t> live;
+    for (std::size_t v = 0; v < n; ++v) {
+        if (v % isolated_stride != 0) {
+            live.push_back(v);
+        }
+    }
+    std::shuffle(live.begin(), live.end(), rng);
+    std::vector<std::pair<std::size_t, std::size_t>> coords;
+    const std::size_t per = std::max<std::size_t>(1, live.size() / components);
+    for (std::size_t e = 0; e < edges && !live.empty(); ++e) {
+        const std::size_t group = rng() % components;
+        const std::size_t lo = std::min(group * per, live.size() - 1);
+        const std::size_t hi = group + 1 == components
+                                   ? live.size()
+                                   : std::min(lo + per, live.size());
+        const std::size_t a = live[lo + rng() % (hi - lo)];
+        const std::size_t b = live[lo + rng() % (hi - lo)];
+        coords.emplace_back(a, a);
+        coords.emplace_back(a, b);
+        coords.emplace_back(b, a);
+    }
+    return pattern_of(n, coords);
+}
+
+TEST(Orderings, MinDegreeMatchesReference) {
+    std::vector<std::pair<std::string, CscPattern>> cases;
+    std::mt19937_64 rng(2005);
+    for (const std::size_t n : {2u, 3u, 5u, 17u, 202u, 802u, 3202u}) {
+        cases.emplace_back("chain " + std::to_string(n),
+                           chain_pattern(natural_labels(n)));
+        std::vector<std::size_t> label = natural_labels(n);
+        std::shuffle(label.begin(), label.end(), rng);
+        cases.emplace_back("relabelled chain " + std::to_string(n),
+                           chain_pattern(label));
+    }
+    for (const auto& [rows, cols] : std::vector<std::pair<int, int>>{
+             {4, 4}, {7, 13}, {16, 16}, {32, 32}, {64, 64}}) {
+        cases.emplace_back("grid " + std::to_string(rows) + "x" +
+                               std::to_string(cols) + " + branch",
+                           grid_with_branch_pattern(rows, cols));
+    }
+    {
+        const Circuit ckt = refckt::power_grid(24, 24, 6);
+        const mna::MnaAssembler assembler(ckt);
+        cases.emplace_back("power_grid 24x24",
+                           compress(mna::swec_step_matrix(assembler, 1e-10)));
+    }
+    cases.emplace_back("random 1", random_pattern(1, 1, 0, 1, 1));
+    cases.emplace_back("random 60", random_pattern(60, 3, 80, 7, 2));
+    cases.emplace_back("random 400", random_pattern(400, 5, 900, 11, 3));
+    cases.emplace_back("random 1500", random_pattern(1500, 9, 2600, 5, 4));
+    cases.emplace_back("random dense 200",
+                       random_pattern(200, 2, 3000, 13, 5));
+
+    for (const auto& [name, p] : cases) {
+        SCOPED_TRACE(name);
+        EXPECT_EQ(linalg::min_degree_ordering(p.n, p.col_ptr, p.row_idx)
+                      .new_to_old(),
+                  reference_min_degree(p.n, p.col_ptr, p.row_idx));
+    }
+}
+
+TEST(Orderings, MinDegreeTimeGrowsLinearlyOnChains) {
+    if (timing::sanitized()) {
+        GTEST_SKIP() << timing::k_sanitized_skip;
+    }
+    // A chain 4x as long must cost at most 8x: a pivot search that
+    // rescans every node costs 16x (14-16x measured before the keyed
+    // heap; about 4x after).
+    const CscPattern small = chain_pattern(natural_labels(3202));
+    const CscPattern large = chain_pattern(natural_labels(12802));
+    const auto order = [](const CscPattern& p) {
+        return [&p] {
+            (void)linalg::min_degree_ordering(p.n, p.col_ptr, p.row_idx);
+        };
+    };
+    EXPECT_LE(timing::growth_ratio(8.0, 3, 7, order(small), order(large)),
+              8.0)
+        << "ordering time of 12 802 nodes over 3 202 nodes";
+}
+
+TEST(Orderings, RcmTimeGrowsLinearlyWithComponents) {
+    if (timing::sanitized()) {
+        GTEST_SKIP() << timing::k_sanitized_skip;
+    }
+    // n nodes in n/2 two-node components: 4x the nodes must cost at most
+    // 8x.  A BFS that resets the level of every node costs O(n) per
+    // component, 16x here (602 ms at 32 000 isolated nodes before each
+    // BFS reset only its own last visit; 2.6 ms after).
+    const auto pairs = [](std::size_t n) {
+        std::vector<std::pair<std::size_t, std::size_t>> coords;
+        for (std::size_t v = 0; v + 1 < n; v += 2) {
+            coords.emplace_back(v, v);
+            coords.emplace_back(v + 1, v + 1);
+            coords.emplace_back(v, v + 1);
+            coords.emplace_back(v + 1, v);
+        }
+        return pattern_of(n, coords);
+    };
+    const CscPattern small = pairs(4000);
+    const CscPattern large = pairs(16000);
+    const auto order = [](const CscPattern& p) {
+        return [&p] {
+            (void)linalg::reverse_cuthill_mckee(p.n, p.col_ptr, p.row_idx);
+        };
+    };
+    EXPECT_LE(timing::growth_ratio(8.0, 3, 7, order(small), order(large)),
+              8.0)
+        << "ordering time of 16 000 nodes over 4 000 nodes";
 }
 
 // ---- SparseLu with a pre-permutation --------------------------------------
@@ -433,6 +697,40 @@ TEST(SystemCacheOrdering, EngineReportsOrderingStats) {
               static_cast<std::size_t>(res.steps_accepted) - 2);
 }
 
+TEST(SystemCacheOrdering, OffPatternStampExtendsThePattern) {
+    // A stamp between two nodes no device joins escapes the frozen
+    // pattern: that step solves through the triplet path and re-freezes
+    // the pattern with the new coordinates sorted in, so the same stamp
+    // on the next step finds its slots.
+    const Circuit ckt = refckt::rc_mesh(10, 10);
+    const mna::MnaAssembler assembler(ckt);
+    mna::SystemCache cache(assembler);
+    ASSERT_FALSE(cache.dense_path());
+    const NodeId a = ckt.find_node("n0_0");
+    const NodeId b = ckt.find_node("n9_9");
+    const std::size_t nnz = cache.pattern_nnz();
+    const auto solve_with_bridge = [&] {
+        Vector rhs(static_cast<std::size_t>(assembler.unknowns()), 0.0);
+        rhs[static_cast<std::size_t>(a - 1)] = 1e-3;
+        cache.begin(1e9, rhs).conductance(a, b, 1e-2);
+        return cache.solve(rhs);
+    };
+    const Vector first = solve_with_bridge();
+    EXPECT_EQ(cache.stats().pattern_rebuilds, 1u);
+    EXPECT_EQ(cache.pattern_nnz(), nnz + 2); // (a, b) and (b, a)
+    const Vector second = solve_with_bridge();
+    EXPECT_EQ(cache.stats().pattern_rebuilds, 1u);
+    ASSERT_EQ(second.size(), first.size());
+    double scale = 0.0;
+    for (const double v : first) {
+        scale = std::max(scale, std::abs(v));
+    }
+    EXPECT_GT(std::abs(first[static_cast<std::size_t>(b - 1)]), 0.0);
+    for (std::size_t i = 0; i < first.size(); ++i) {
+        EXPECT_NEAR(second[i], first[i], 1e-12 * scale) << "unknown " << i;
+    }
+}
+
 // ---- mesh generators ------------------------------------------------------
 
 TEST(MeshCircuits, GeneratorsProduceValidCircuits) {
@@ -446,6 +744,20 @@ TEST(MeshCircuits, GeneratorsProduceValidCircuits) {
 
     EXPECT_THROW(refckt::rc_mesh(0, 4), NetlistError);
     EXPECT_THROW(refckt::power_grid(4, 4, 0), NetlistError);
+}
+
+TEST(MeshCircuits, BuildTimeGrowsLinearlyWithTheMesh) {
+    if (timing::sanitized()) {
+        GTEST_SKIP() << timing::k_sanitized_skip;
+    }
+    // 64x64 has 10.24x the nodes of 20x20 and must build in at most 25x
+    // the time: a device-name check that scans every earlier device costs
+    // ~100x (97-109x measured before the name index; 6-14x after).
+    EXPECT_LE(timing::growth_ratio(
+                  25.0, 3, 7, [] { (void)refckt::rc_mesh(20, 20); },
+                  [] { (void)refckt::rc_mesh(64, 64); }),
+              25.0)
+        << "build time of a 64x64 mesh over a 20x20 mesh";
 }
 
 } // namespace

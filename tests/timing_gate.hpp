@@ -1,6 +1,6 @@
 // Helpers for the tests that gate a wall-clock cost (the disabled paths
 // of fail points and telemetry, SparseLu::refactor against a fresh
-// factorisation).
+// factorisation, the growth of set-up time with the circuit).
 #ifndef NANOSIM_TESTS_TIMING_GATE_HPP
 #define NANOSIM_TESTS_TIMING_GATE_HPP
 
@@ -44,6 +44,28 @@ double min_seconds(int reps, Fn&& fn) {
         best = std::min(best, std::chrono::duration<double>(
                                   std::chrono::steady_clock::now() - t0)
                                   .count());
+    }
+    return best;
+}
+
+/// How much slower `large` runs than `small`: each round times the two
+/// `reps` times, interleaved, and divides their fastest runs.  Rounds
+/// repeat, up to `rounds`, until one ratio is at most `bound`; the least
+/// ratio seen is returned.  Other processes on a busy host (ctest -j)
+/// can slow the larger working set for a whole round, but growth that
+/// the code itself has shows in every round.
+template <typename Small, typename Large>
+double growth_ratio(double bound, int rounds, int reps, Small&& small,
+                    Large&& large) {
+    double best = std::numeric_limits<double>::infinity();
+    for (int round = 0; round < rounds && !(best <= bound); ++round) {
+        double t_small = std::numeric_limits<double>::infinity();
+        double t_large = std::numeric_limits<double>::infinity();
+        for (int r = 0; r < reps; ++r) {
+            t_small = std::min(t_small, min_seconds(1, small));
+            t_large = std::min(t_large, min_seconds(1, large));
+        }
+        best = std::min(best, t_large / t_small);
     }
     return best;
 }
