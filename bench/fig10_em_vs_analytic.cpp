@@ -8,6 +8,7 @@
 // moment propagation (piecewise-constant G(t), Van Loan discretization).
 #include <cmath>
 #include <iostream>
+#include <string>
 
 #include "bench_common.hpp"
 #include "core/ref_circuits.hpp"
@@ -28,6 +29,7 @@ int main() {
     const mna::MnaAssembler assembler(ckt);
     constexpr double t_stop = 1e-9;
     constexpr std::size_t steps = 500;
+    constexpr std::size_t paths = 500;
 
     // Analytic reference (exact OU moment propagation).
     const auto exact = engines::exact_moments(assembler, t_stop, steps);
@@ -38,7 +40,7 @@ int main() {
     em.dt = t_stop / steps;
     const engines::EmEngine engine(assembler, em);
     const auto ens =
-        engines::run_em_ensemble(engine, 500, 2024, ckt.find_node("n1"));
+        engines::run_em_ensemble(engine, paths, 2024, ckt.find_node("n1"));
 
     // One EM sample path for the figure.
     stochastic::Rng rng_path(7);
@@ -68,8 +70,9 @@ int main() {
     // Point-by-point comparison table.
     analysis::Table t({"t [ns]", "EM mean [V]", "analytic mean [V]",
                        "EM sigma [mV]", "analytic sigma [mV]"});
-    for (const std::size_t j :
-         {steps / 10, steps / 4, steps / 2, (3 * steps) / 4, steps}) {
+    const std::size_t printed[] = {steps / 10, steps / 4, steps / 2,
+                                   (3 * steps) / 4, steps};
+    for (const std::size_t j : printed) {
         t.add_row({analysis::Table::num(exact.grid[j] * 1e9, 3),
                    analysis::Table::num(ens.stats.at(j).mean(), 4),
                    analysis::Table::num(exact.mean[j][0], 4),
@@ -92,5 +95,25 @@ int main() {
               << ens.stats.peak_stats().max() << " V, p95 = "
               << stochastic::percentile(ens.stats.peaks(), 95.0) << " V\n"
               << "  analytic mean+sigma peak: " << exact_peak << " V\n";
-    return 0;
+
+    // At every printed time the ensemble's moments must lie within four
+    // standard errors of the analytic ones: sigma / sqrt(N) for the mean,
+    // sigma / sqrt(2N) for sigma (Gaussian sampling, N = 500 paths).
+    bench::section("shape checks");
+    bench::ShapeChecks checks;
+    const double n = static_cast<double>(paths);
+    for (const std::size_t j : printed) {
+        const double sigma = std::sqrt(exact.variance[j][0]);
+        const std::string at =
+            " at " + analysis::Table::num(exact.grid[j] * 1e9, 3) + " ns";
+        checks.check(std::abs(ens.stats.at(j).mean() - exact.mean[j][0]) <=
+                         4.0 * sigma / std::sqrt(n),
+                     "EM mean within 4 sigma/sqrt(N) of the analytic mean" +
+                         at);
+        checks.check(std::abs(ens.stats.at(j).stddev() - sigma) <=
+                         4.0 * sigma / std::sqrt(2.0 * n),
+                     "EM sigma within 4 sigma/sqrt(2N) of the analytic "
+                     "sigma" + at);
+    }
+    return checks.exit_code();
 }

@@ -3,10 +3,12 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <sstream>
 #include <vector>
 
 #include "engines/wave_recorder.hpp"
 #include "obs/scoped_timer.hpp"
+#include "util/error.hpp"
 
 namespace nanosim::engines {
 
@@ -77,6 +79,22 @@ ClippedStep clip_step_to_events(double t, double h, double t_stop,
     return out;
 }
 
+/// The highest rescue rung attempted between `before` and `after`, or
+/// null when none was.
+const char* last_rung(const obs::RescueCounts& before,
+                      const obs::RescueCounts& after) {
+    if (after.source_attempted > before.source_attempted) {
+        return "source stepping";
+    }
+    if (after.gmin_attempted > before.gmin_attempted) {
+        return "gmin stepping";
+    }
+    if (after.dt_backoff_attempted > before.dt_backoff_attempted) {
+        return "dt-backoff";
+    }
+    return nullptr;
+}
+
 } // namespace
 
 void run_accepted_steps(StepEngine& engine, const StepRules& rules,
@@ -91,6 +109,10 @@ void run_accepted_steps(StepEngine& engine, const StepRules& rules,
     double t = 0.0;
     recorder.record(t, engine.state());
     result.min_dt_used = rules.dt_max;
+    // Lengths of the current runs of rescued steps and of floor steps
+    // (the no-progress rule, k_stall_steps).
+    std::uint64_t rescued_run = 0;
+    std::uint64_t floor_run = 0;
     while (t < rules.t_stop) {
         // Cooperative cancellation, polled once per step: the partial
         // waveforms recorded so far are the result.
@@ -103,6 +125,7 @@ void run_accepted_steps(StepEngine& engine, const StepRules& rules,
         // update, and this loop) is step control (self time).
         const obs::ScopedTimer step_timer(cache.step_clock(), "step",
                                           "engine");
+        const obs::RescueCounts rescues_before = result.rescues;
         const StepEngine::Proposal proposal = engine.propose(t);
         const ClippedStep clip = clip_step_to_events(
             t, proposal.h, rules.t_stop, rules.dt_min, breakpoints, next_bp,
@@ -145,6 +168,21 @@ void run_accepted_steps(StepEngine& engine, const StepRules& rules,
         ++(result.step_bounds.*bound);
         result.min_dt_used = std::min(result.min_dt_used, h);
         result.max_dt_used = std::max(result.max_dt_used, h);
+        const char* rung = last_rung(rescues_before, result.rescues);
+        rescued_run = rung != nullptr ? rescued_run + 1 : 0;
+        floor_run = bound == &Counts::dt_min ? floor_run + 1 : 0;
+        if (rescued_run == k_stall_steps || floor_run == k_stall_steps) {
+            std::ostringstream os;
+            os << rules.who << ": no progress: " << k_stall_steps
+               << " consecutive accepted steps "
+               << (rescued_run == k_stall_steps
+                       ? "each needed the rescue ladder"
+                       : "each sat at the dt_min floor")
+               << " (t = " << t << " s, h = " << h
+               << " s, last rung: " << (rung != nullptr ? rung : "none")
+               << ")";
+            throw AnalysisError(os.str());
+        }
         const linalg::Vector& x = engine.state();
         recorder.record(t, x);
         if (observer != nullptr) {

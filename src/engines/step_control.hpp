@@ -83,7 +83,16 @@ struct StepRules {
     /// Floor a step clipped to a source corner at dt_min, accepting a
     /// < dt_min overshoot (NR and PWL; SWEC lands exactly).
     bool floor_to_dt_min = false;
+    /// The engine's entry point, named in diagnostics.
+    const char* who = "transient";
 };
+
+/// The no-progress rule of run_accepted_steps: a transient whose last
+/// k_stall_steps accepted steps each needed a rescue rung, or each sat at
+/// the dt_min floor (step bound dt_min), is not advancing and ends in an
+/// AnalysisError.  A default dt_min is 1e-9 of the horizon, so such a run
+/// would need ~1e9 more steps.
+inline constexpr std::uint64_t k_stall_steps = 1000;
 
 /// Advance `engine` from t = 0 to rules.t_stop, or until `observer`
 /// cancels (result.aborted, the waveforms recorded so far stand).  Per
@@ -100,7 +109,9 @@ struct StepRules {
 ///  * the accepted step is attributed to dt_min (h <= dt_min) or device
 ///    when it was halved, else to breakpoint or horizon when the clip
 ///    changed it, else to the proposal's own bound; then recorded
-///    (`record` as in run_tran_swec) and reported to the observer.
+///    (`record` as in run_tran_swec) and reported to the observer;
+///  * the no-progress rule (k_stall_steps) throws AnalysisError naming
+///    rules.who, t, h and the last rescue rung.
 /// Fills the result's step counts, step_bounds, min/max dt, aborted and
 /// node_waves; the engine fills the rest.
 void run_accepted_steps(StepEngine& engine, const StepRules& rules,

@@ -308,7 +308,7 @@ TranResult run_tran_nr(const mna::MnaAssembler& assembler,
     return run_transient<NrEngine>(
         assembler, options,
         {options.t_stop, options.dt_min, options.dt_max, options.max_halvings,
-         /*floor_to_dt_min=*/true},
+         /*floor_to_dt_min=*/true, "run_tran_nr"},
         observer, cache);
 }
 

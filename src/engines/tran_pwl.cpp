@@ -273,7 +273,7 @@ TranResult run_tran_pwl(const mna::MnaAssembler& assembler,
     return run_transient<PwlEngine>(
         assembler, options,
         {options.t_stop, options.dt_min, options.dt_max, options.max_halvings,
-         /*floor_to_dt_min=*/true},
+         /*floor_to_dt_min=*/true, "run_tran_pwl"},
         observer, cache);
 }
 

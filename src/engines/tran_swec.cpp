@@ -327,7 +327,7 @@ TranResult run_tran_swec(const mna::MnaAssembler& assembler,
     return run_transient<SwecEngine>(
         assembler, options,
         {options.t_stop, options.dt_min, options.dt_max, 0,
-         /*floor_to_dt_min=*/false},
+         /*floor_to_dt_min=*/false, "run_tran_swec"},
         observer, cache, record);
 }
 

@@ -117,35 +117,25 @@ Permutation Permutation::inverse() const {
     return Permutation(old_to_new_);
 }
 
-void Permutation::apply(const Vector& v, Vector& out) const {
+Vector Permutation::apply(const Vector& v) const {
     if (v.size() != new_to_old_.size()) {
         throw SimError("Permutation::apply: size mismatch");
     }
-    out.resize(v.size());
+    Vector out(v.size());
     for (std::size_t j = 0; j < v.size(); ++j) {
         out[j] = v[new_to_old_[j]];
     }
-}
-
-Vector Permutation::apply(const Vector& v) const {
-    Vector out;
-    apply(v, out);
     return out;
 }
 
-void Permutation::apply_inverse(const Vector& v, Vector& out) const {
+Vector Permutation::apply_inverse(const Vector& v) const {
     if (v.size() != new_to_old_.size()) {
         throw SimError("Permutation::apply_inverse: size mismatch");
     }
-    out.resize(v.size());
+    Vector out(v.size());
     for (std::size_t j = 0; j < v.size(); ++j) {
         out[new_to_old_[j]] = v[j];
     }
-}
-
-Vector Permutation::apply_inverse(const Vector& v) const {
-    Vector out;
-    apply_inverse(v, out);
     return out;
 }
 

@@ -84,14 +84,9 @@ public:
 
     /// Gather: out[j] = v[new_to_old[j]] (original -> permuted space).
     [[nodiscard]] Vector apply(const Vector& v) const;
-    /// Allocation-free variant (out is resized; must not alias v) — the
-    /// hot-path form SparseLu::solve uses every step.
-    void apply(const Vector& v, Vector& out) const;
 
     /// Scatter: out[new_to_old[j]] = v[j] (permuted -> original space).
     [[nodiscard]] Vector apply_inverse(const Vector& v) const;
-    /// Allocation-free variant (out is resized; must not alias v).
-    void apply_inverse(const Vector& v, Vector& out) const;
 
     /// Symmetric CSC pattern permutation B = A(p,p).  `slot_map[s]` gives,
     /// for each slot s of the permuted pattern, the slot of the ORIGINAL

@@ -250,20 +250,14 @@ void SparseLu::factor_full(std::span<const double> values) {
 void SparseLu::flatten_factors(const std::vector<std::vector<Entry>>& lcols,
                                const std::vector<std::vector<Entry>>& ucols) {
     std::size_t l_nnz = 0;
-    std::size_t u_nnz = 0;
     l_ptr_.assign(n_ + 1, 0);
-    u_ptr_.assign(n_ + 1, 0);
     for (std::size_t j = 0; j < n_; ++j) {
         l_nnz += lcols[j].size();
-        u_nnz += ucols[j].size();
         l_ptr_[j + 1] = l_nnz;
-        u_ptr_[j + 1] = u_nnz;
     }
     l_row_.resize(l_nnz);
     l_prow_.resize(l_nnz);
     l_val_.resize(l_nnz);
-    u_row_.resize(u_nnz);
-    u_val_.resize(u_nnz);
     for (std::size_t j = 0; j < n_; ++j) {
         std::size_t lp = l_ptr_[j];
         for (const Entry& e : lcols[j]) {
@@ -272,29 +266,58 @@ void SparseLu::flatten_factors(const std::vector<std::vector<Entry>>& lcols,
             l_val_[lp] = e.value;
             ++lp;
         }
-        std::size_t up = u_ptr_[j];
+    }
+
+    // U row-major: pivot row i holds its diagonal first, then its
+    // off-diagonal entries by descending column — the order in which a
+    // column-oriented back substitution applies them.  `u_dst` records
+    // where each column's entries land, in the order the build pushed
+    // them (diagonal last).
+    std::vector<std::size_t> u_col_begin(n_ + 1, 0);
+    u_ptr_.assign(n_ + 1, 0);
+    for (std::size_t j = 0; j < n_; ++j) {
+        u_col_begin[j + 1] = u_col_begin[j] + ucols[j].size();
         for (const Entry& e : ucols[j]) {
-            u_row_[up] = e.row;
-            u_val_[up] = e.value;
-            ++up;
+            ++u_ptr_[e.row + 1];
+        }
+    }
+    for (std::size_t i = 0; i < n_; ++i) {
+        u_ptr_[i + 1] += u_ptr_[i];
+    }
+    const std::size_t u_nnz = u_ptr_[n_];
+    u_col_.resize(u_nnz);
+    u_val_.resize(u_nnz);
+    std::vector<std::size_t> u_dst(u_nnz);
+    std::vector<std::size_t> next(u_ptr_.begin(), u_ptr_.end() - 1);
+    for (std::size_t i = 0; i < n_; ++i) {
+        ++next[i]; // the diagonal's slot
+    }
+    for (std::size_t j = n_; j-- > 0;) {
+        const std::vector<Entry>& col = ucols[j];
+        for (std::size_t k = 0; k < col.size(); ++k) {
+            const std::size_t row = col[k].row;
+            const std::size_t q = row == j ? u_ptr_[j] : next[row]++;
+            u_col_[q] = j;
+            u_val_[q] = col[k].value;
+            u_dst[u_col_begin[j] + k] = q;
         }
     }
 
     // Refactor gather plan: column j's reach positions are visited in the
     // same order the build pushed L/U entries (reach order == postorder),
-    // so destinations are simply the next free slot of each side; the
-    // pivot position maps onto the column's U diagonal (stored last).
+    // so L destinations are the column's next free slot and U
+    // destinations the recorded row-major slots; the pivot position maps
+    // onto the U diagonal.
     gather_dst_.assign(reach_nodes_.size(), 0);
     for (std::size_t j = 0; j < n_; ++j) {
         std::size_t lp = l_ptr_[j];
-        std::size_t up = u_ptr_[j];
+        std::size_t up = u_col_begin[j];
         for (std::size_t it = reach_ptr_[j]; it < reach_ptr_[j + 1]; ++it) {
             const std::size_t i = reach_nodes_[it];
             if (i == pivot_row_[j]) {
-                gather_dst_[it] =
-                    static_cast<std::ptrdiff_t>(u_ptr_[j + 1] - 1);
+                gather_dst_[it] = static_cast<std::ptrdiff_t>(u_ptr_[j]);
             } else if (pinv_[i] < j) {
-                gather_dst_[it] = static_cast<std::ptrdiff_t>(up++);
+                gather_dst_[it] = static_cast<std::ptrdiff_t>(u_dst[up++]);
             } else {
                 gather_dst_[it] = ~static_cast<std::ptrdiff_t>(lp++);
             }
@@ -424,31 +447,60 @@ Vector SparseLu::solve(const Vector& b) const {
     if (b.size() != n_) {
         throw SimError("SparseLu::solve: rhs size mismatch");
     }
-    if (!permuted()) {
-        Vector y;
-        solve_internal(b, y);
-        return y;
-    }
-    // A(q,q) x' = b' with b' = b gathered into permuted space; scatter
-    // x' back to original numbering.  Both intermediates reuse member
-    // scratch — engines call this every accepted step, so like
-    // refactor() the permuted path allocates nothing beyond the
-    // returned vector (in steady state).
-    perm_.apply(b, perm_b_);
-    solve_internal(perm_b_, perm_y_);
     Vector x(n_);
-    perm_.apply_inverse(perm_y_, x);
+    if (!permuted()) {
+        // y = P b, substituted in place: y[j] ends as x_j.
+        for (std::size_t i = 0; i < n_; ++i) {
+            x[pinv_[i]] = b[i];
+        }
+        substitute(x);
+        return x;
+    }
+    // A(q,q) x' = b(q): one gather composes q with the row pivots, one
+    // scatter undoes q.  The intermediate reuses member scratch —
+    // engines call this every accepted step, so like refactor() the
+    // permuted path allocates nothing beyond the returned vector.
+    const std::vector<std::size_t>& q = perm_.new_to_old();
+    Vector& y = perm_y_;
+    y.resize(n_);
+    for (std::size_t k = 0; k < n_; ++k) {
+        y[pinv_[k]] = b[q[k]];
+    }
+    substitute(y);
+    for (std::size_t k = 0; k < n_; ++k) {
+        x[q[k]] = y[k];
+    }
     return x;
 }
 
-void SparseLu::solve_internal(const Vector& b, Vector& y) const {
+namespace {
+
+/// sum_p val[p] * y[col[p]] over [begin, end) in four partial sums; every
+/// term executes, zeros included.
+double row_dot(const double* val, const std::size_t* col, std::size_t begin,
+               std::size_t end, const double* y) noexcept {
+    double s0 = 0.0;
+    double s1 = 0.0;
+    double s2 = 0.0;
+    double s3 = 0.0;
+    std::size_t p = begin;
+    for (; p + 4 <= end; p += 4) {
+        s0 += val[p] * y[col[p]];
+        s1 += val[p + 1] * y[col[p + 1]];
+        s2 += val[p + 2] * y[col[p + 2]];
+        s3 += val[p + 3] * y[col[p + 3]];
+    }
+    for (; p < end; ++p) {
+        s0 += val[p] * y[col[p]];
+    }
+    return (s0 + s1) + (s2 + s3);
+}
+
+} // namespace
+
+void SparseLu::substitute(Vector& y) const {
     std::uint64_t flops = 0;
 
-    // y = P b  (y indexed by pivot position).
-    y.assign(n_, 0.0);
-    for (std::size_t i = 0; i < n_; ++i) {
-        y[pinv_[i]] = b[i];
-    }
     // Forward substitution, column-oriented over the flat L: unit
     // diagonal implicit, pivot-space rows precomputed (l_prow_).
     for (std::size_t j = 0; j < n_; ++j) {
@@ -462,22 +514,33 @@ void SparseLu::solve_internal(const Vector& b, Vector& y) const {
         }
         flops += 2 * (lp_end - l_ptr_[j]);
     }
-    // Back substitution over the flat U: entries are in pivot space,
-    // diagonal last in each column.
-    for (std::size_t jj = n_; jj-- > 0;) {
-        const std::size_t up = u_ptr_[jj];
-        const std::size_t up_end = u_ptr_[jj + 1];
-        const double ujj = u_val_[up_end - 1];
-        const double xj = y[jj] / ujj;
-        y[jj] = xj;
+    // Back substitution, one dot product per row of the row-major U.  A
+    // row shorter than k_split_row keeps one running sum over descending
+    // columns and skips the terms whose x_j is 0: the operations, in
+    // order, of a column-oriented sweep.
+    bool nonzero_x = false;
+    for (std::size_t i = n_; i-- > 0;) {
+        const std::size_t diag = u_ptr_[i];
+        const std::size_t begin = diag + 1;
+        // While every x_j solved so far is 0 (a zero rhs, or the zero
+        // tail of a sparse one) no term executes.
+        const std::size_t end = nonzero_x ? u_ptr_[i + 1] : begin;
+        double s = y[i];
+        if (end - begin < k_split_row) {
+            for (std::size_t p = begin; p < end; ++p) {
+                const double xj = y[u_col_[p]];
+                if (xj != 0.0) {
+                    s -= u_val_[p] * xj;
+                    flops += 2;
+                }
+            }
+        } else {
+            s -= row_dot(u_val_.data(), u_col_.data(), begin, end, y.data());
+            flops += 2 * (end - begin);
+        }
+        y[i] = s / u_val_[diag];
         ++flops;
-        if (xj == 0.0) {
-            continue;
-        }
-        for (std::size_t k = up; k + 1 < up_end; ++k) {
-            y[u_row_[k]] -= u_val_[k] * xj;
-        }
-        flops += 2 * (up_end - 1 - up);
+        nonzero_x = nonzero_x || y[i] != 0.0;
     }
 
     auto& counter = current_flops();

@@ -17,6 +17,10 @@
 // magnitude the call transparently falls back to a full re-pivoting
 // factorisation (and reports it via the return value / counters).
 //
+// solve() runs the forward substitution by columns of L and the back
+// substitution as one dot product per row of U, which the factorisations
+// store row-major (see k_split_row).
+//
 // This is the same algorithm family as SPICE's sparse1.3 / KLU and scales
 // to the RTD-chain benchmarks; for tiny systems the dense path wins and
 // engines pick automatically (see mna::SystemCache / mna::solve_system).
@@ -142,7 +146,18 @@ public:
     /// re-pivoting (KLU uses the same style of threshold pivoting).
     static constexpr double k_refactor_pivot_ratio = 1e-3;
 
+    /// solve()'s back substitution sums a row of U with at least this many
+    /// off-diagonal terms in four partial sums, every term executed; a
+    /// shorter row keeps one running sum over descending columns and
+    /// skips the terms whose x_j is 0, so a factor with only short rows
+    /// solves bit for bit as a column-oriented sweep does.  Flops: 2 per
+    /// executed term, 1 per division.
+    static constexpr std::size_t k_split_row = 4;
+
 private:
+    /// Reads the factors in tests.
+    friend struct SparseLuInspector;
+
     struct Entry {
         std::size_t row;
         double value;
@@ -164,10 +179,9 @@ private:
     /// flat arrays + refactor gather plan below.
     void flatten_factors(const std::vector<std::vector<Entry>>& lcols,
                          const std::vector<std::vector<Entry>>& ucols);
-    /// Solve in the internal (possibly permuted) numbering; `y` is
-    /// assigned the solution (caller-owned so the hot path can reuse
-    /// scratch).
-    void solve_internal(const Vector& b, Vector& y) const;
+    /// L U y' = y in place: `y` enters as P b (indexed by pivot position)
+    /// and leaves as the solution in the internal numbering.
+    void substitute(Vector& y) const;
 
     std::size_t n_ = 0;
     double pivot_tol_ = 1e-13;
@@ -182,24 +196,27 @@ private:
     Permutation perm_;
     std::vector<std::size_t> user_slot_;
     std::vector<double> perm_values_; // gather scratch (hot path: no alloc)
-    mutable Vector perm_b_;           // solve() rhs-gather scratch
     mutable Vector perm_y_;           // solve() permuted-solution scratch
 
     std::vector<std::size_t> pinv_;      // pinv_[orig_row] = permuted position
     std::vector<std::size_t> pivot_row_; // pivot_row_[j] = orig row of pivot j
 
-    // ---- factors, CSC.  L holds the strictly-below-diagonal entries
-    // (unit diagonal implicit); U the entries with row <= j, diagonal
-    // last.  Patterns are structural (exact numeric zeros are kept) so
-    // they stay valid across refactorisations, and entries sit in the
-    // order factor_full() discovered them, so refactor() is operation-
-    // for-operation the fresh factorisation. ----
+    // ---- factors.  L, by columns, holds the strictly-below-diagonal
+    // entries (unit diagonal implicit); U, by rows, the entries with
+    // column >= the row.  Patterns are structural (exact numeric zeros
+    // are kept) so they stay valid across refactorisations, and L's
+    // entries sit in the order factor_full() discovered them, so
+    // refactor() is operation-for-operation the fresh factorisation. ----
     std::vector<std::size_t> l_ptr_;  // n_ + 1
     std::vector<std::size_t> l_row_;  // ORIGINAL row index per L entry
     std::vector<std::size_t> l_prow_; // pinv_[l_row_] (solve fast path)
     std::vector<double> l_val_;
-    std::vector<std::size_t> u_ptr_;  // n_ + 1; diagonal last per column
-    std::vector<std::size_t> u_row_;  // pivot-space row per U entry
+    // U row-major in pivot space: row i's diagonal at u_ptr_[i], then its
+    // off-diagonal entries by descending column (the back substitution's
+    // order).  Only the substitution reads U; refactor() writes it
+    // through the gather plan.
+    std::vector<std::size_t> u_ptr_; // n_ + 1
+    std::vector<std::size_t> u_col_; // pivot-space column per U entry
     std::vector<double> u_val_;
     /// Refactor gather plan, parallel to reach_nodes_: where column j's
     /// reach position lands.  dst >= 0: u_val_[dst] (incl. the diagonal);

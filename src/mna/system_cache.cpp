@@ -729,52 +729,58 @@ linalg::Vector SystemCache::solve(const linalg::Vector& rhs) {
 
 bool SystemCache::try_refine(const linalg::Vector& rhs, linalg::Vector& x) {
     const ScopedTimer timer(stats_.solve_s, "refine");
-    // ||A||_inf, and the screen for an empty row or column: such an A is
-    // singular, and a consistent rhs could still refine to a small
-    // residual — the exact factor must diagnose it instead.
-    row_abs_.assign(n_, 0.0);
-    for (std::size_t c = 0; c < n_; ++c) {
-        double col_abs = 0.0;
-        for (std::size_t p = col_ptr_[c]; p < col_ptr_[c + 1]; ++p) {
-            const double a = std::abs(values_[p]);
-            row_abs_[row_idx_[p]] += a;
-            col_abs += a;
-        }
-        if (col_abs == 0.0) {
-            return false;
-        }
-    }
-    double norm_a = 0.0;
-    for (const double r : row_abs_) {
-        if (r == 0.0) {
-            return false;
-        }
-        norm_a = std::max(norm_a, r);
-    }
-    const double norm_b = linalg::norm_inf(rhs);
-
     x = lu_->solve(rhs);
     double prev_norm = std::numeric_limits<double>::infinity();
     for (std::size_t sweep = 0;; ++sweep) {
-        // r = b - A x against the current values (no zero skipping, so a
-        // NaN anywhere in A or x reaches the norm).
+        // r = b - A x and |A| |x| against the current values, with no
+        // zero skipping, so a NaN anywhere in A or x reaches r.  The first
+        // pass also screens A for an empty row or column: such an A is
+        // singular, and a consistent rhs could still refine to a small
+        // residual — the exact factor must diagnose it instead.
+        const bool screen = sweep == 0;
         residual_ = rhs;
+        abs_ax_.assign(n_, 0.0);
+        row_abs_.assign(screen ? n_ : 0, 0.0);
         for (std::size_t c = 0; c < n_; ++c) {
             const double xc = x[c];
+            const double abs_xc = std::abs(xc);
+            double col_abs = 0.0;
             for (std::size_t p = col_ptr_[c]; p < col_ptr_[c + 1]; ++p) {
-                residual_[row_idx_[p]] -= values_[p] * xc;
+                const std::size_t r = row_idx_[p];
+                const double a = values_[p];
+                residual_[r] -= a * xc;
+                abs_ax_[r] += std::abs(a) * abs_xc;
+                if (screen) {
+                    row_abs_[r] += std::abs(a);
+                    col_abs += std::abs(a);
+                }
+            }
+            if (screen && col_abs == 0.0) {
+                return false;
             }
         }
-        count_fma(row_idx_.size());
-        const double r_norm = linalg::norm_inf(residual_);
-        const double scale = norm_a * linalg::norm_inf(x) + norm_b;
-        if (!std::isfinite(r_norm) || !std::isfinite(scale)) {
+        count_fma(2 * row_idx_.size());
+        if (std::find(row_abs_.begin(), row_abs_.end(), 0.0) !=
+            row_abs_.end()) {
             return false;
         }
-        if (r_norm <= k_refine_tol * scale) {
+        const double r_norm = linalg::norm_inf(residual_);
+        if (!std::isfinite(r_norm)) {
+            return false;
+        }
+        // Componentwise backward error (Oettli-Prager): the smallest w
+        // with (A + dA) x = b + db, |dA| <= w |A|, |db| <= w |b|.  Only
+        // an accepted solve needs its exact value.
+        double omega = 0.0;
+        for (std::size_t i = 0; i < n_ && omega <= k_refine_tol; ++i) {
+            const double r = std::abs(residual_[i]);
+            if (r > 0.0) {
+                omega = std::max(omega, r / (abs_ax_[i] + std::abs(rhs[i])));
+            }
+        }
+        if (omega <= k_refine_tol) {
             stats_.max_backward_error =
-                std::max(stats_.max_backward_error,
-                         scale > 0.0 ? r_norm / scale : 0.0);
+                std::max(stats_.max_backward_error, omega);
             return true;
         }
         if (sweep == k_refine_sweeps ||

@@ -130,7 +130,7 @@ struct SolverWork {
     /// Residual-correction sweeps on the stale factor, including those of
     /// attempts that fell back to an exact refactor.
     std::uint64_t refine_sweeps = 0;
-    /// Largest normwise backward error of an accepted refined solve: a
+    /// Largest componentwise backward error of an accepted refined solve: a
     /// peak, so a sum keeps the larger and a delta keeps the later one
     /// (SystemCache::reset_backward_error_peak scopes it to a run).
     double max_backward_error = 0.0;

@@ -1,5 +1,5 @@
 // Stale-factor reuse in mna::SystemCache: the sparse path solves with the
-// last exact LU and refines x += LU^-1 (b - A x) until the normwise
+// last exact LU and refines x += LU^-1 (b - A x) until the componentwise
 // backward error reaches k_refine_tol, falling back to an exact refactor
 // when a sweep fails to contract, the budget runs out, or the residual is
 // not finite.  Reuse is armed only where a refactor costs at least
@@ -7,7 +7,8 @@
 //
 //  * Where it engages (>= 20x20 RTD meshes, 32x32 power grid), transients
 //    and a noisy mesh Monte-Carlo stay within 1e-9 * max|exact| of the
-//    exact path (Options::reuse_factor = false, the reference).
+//    exact path (Options::reuse_factor = false, the reference), and a
+//    mesh campaign takes at most 1.1 sweeps per reused factor.
 //  * Where the gate keeps it off (RTD chain, 12x12 mesh, dense inverter)
 //    the output is bit-identical to the exact path with nothing skipped.
 //  * With reuse engaged, Monte-Carlo at 1, 2 and 4 workers and
@@ -180,6 +181,23 @@ TEST(FactorReuse, NoisyMeshMonteCarloMatchesExactPath) {
     EXPECT_TRUE(reuse.failed_trials.empty());
     expect_within_gate(exact.mean, reuse.mean);
     expect_within_gate(exact.stddev, reuse.stddev);
+}
+
+TEST(FactorReuse, MonteCarloRefinesAboutOncePerSkippedRefactor) {
+    // The stopping test asks for the backward error the step's data can
+    // carry, not for machine precision, so a reused factor answers most
+    // solves with at most one correction sweep.
+    SimSession session(noisy_rtd_mesh(24));
+    MonteCarloSpec spec;
+    spec.node = "n12_12";
+    spec.t_stop = 2e-9;
+    spec.runs = 4;
+    spec.seed = 11;
+    const obs::RunReport report = session.run(spec).report;
+    ASSERT_GT(report.refactors_skipped, 0U);
+    EXPECT_LE(static_cast<double>(report.refine_sweeps),
+              1.1 * static_cast<double>(report.refactors_skipped));
+    EXPECT_LE(report.max_backward_error, mna::SystemCache::k_refine_tol);
 }
 
 // ---- the gate keeps small and banded systems on the exact path ----------

@@ -20,6 +20,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -36,6 +37,7 @@
 #include "engines/dc_swec.hpp"
 #include "engines/monte_carlo.hpp"
 #include "engines/observer.hpp"
+#include "engines/step_control.hpp"
 #include "engines/tran_nr.hpp"
 #include "engines/tran_pwl.hpp"
 #include "engines/tran_swec.hpp"
@@ -348,6 +350,98 @@ TEST(McQuarantine, SerialAndParallelDriversQuarantineTheSameTrials) {
     for (std::size_t i = 0; i < serial.failed_trials.size(); ++i) {
         EXPECT_EQ(serial.failed_trials[i].trial,
                   parallel.failed_trials[i].trial);
+    }
+}
+
+// ---- diagnose, never hang: the no-progress rule ------------------------
+
+/// Cancels a run after 50 000 cancellation polls (a transient polls once
+/// per step; Monte-Carlo forwards the poll into its trials), so a run
+/// that the no-progress rule misses fails its test instead of hanging it.
+class StepGuard {
+public:
+    StepGuard() {
+        observer.cancel = [this] { return ++polls > 50'000; };
+    }
+    StepGuard(const StepGuard&) = delete;
+    StepGuard& operator=(const StepGuard&) = delete;
+
+    std::uint64_t polls = 0;
+    engines::AnalysisObserver observer;
+};
+
+/// `run` must end in the no-progress AnalysisError of `who` within
+/// k_stall_steps accepted steps and, in an uninstrumented build, 1 s.
+template <typename Run>
+void expect_no_progress(const char* who, const StepGuard& guard, Run&& run) {
+    const auto t0 = std::chrono::steady_clock::now();
+    try {
+        run();
+        ADD_FAILURE() << who << " ran " << guard.polls
+                      << " steps without a diagnosis";
+    } catch (const AnalysisError& e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find(who), std::string::npos) << what;
+        EXPECT_NE(what.find("no progress"), std::string::npos) << what;
+        EXPECT_NE(what.find("last rung"), std::string::npos) << what;
+    }
+    EXPECT_LE(guard.polls, engines::k_stall_steps);
+    const double elapsed = std::chrono::duration<double>(
+                               std::chrono::steady_clock::now() - t0)
+                               .count();
+    if (!timing::sanitized()) {
+        EXPECT_LT(elapsed, 1.0);
+    }
+}
+
+TEST(NoProgress, SwecRescuedOnEveryStepIsDiagnosed) {
+    // Every step's solve comes back NaN and the dt-backoff rung rescues
+    // it; past the 50 ns drive corner the steps fall to dt_min.
+    const Circuit ckt = refckt::rc_mesh(10, 10);
+    const mna::MnaAssembler assembler(ckt);
+    engines::SwecTranOptions opt;
+    opt.t_stop = 60e-9;
+    StepGuard guard;
+    const ArmedScope armed("swec.solve_nan=always");
+    expect_no_progress("run_tran_swec", guard, [&] {
+        (void)engines::run_tran_swec(assembler, opt, &guard.observer);
+    });
+}
+
+TEST(NoProgress, NrDivergingAtTheFloorIsDiagnosed) {
+    // Every Newton solve diverges: each step halves to dt_min, where gmin
+    // stepping rescues it.  Without the rule the run takes ~1e9 steps.
+    const Circuit ckt = refckt::rc_mesh(6, 6);
+    const mna::MnaAssembler assembler(ckt);
+    engines::NrTranOptions opt;
+    opt.t_stop = 100e-9;
+    StepGuard guard;
+    const ArmedScope armed("nr.divergence=always");
+    expect_no_progress("run_tran_nr", guard, [&] {
+        (void)engines::run_tran_nr(assembler, opt, &guard.observer);
+    });
+}
+
+TEST(NoProgress, StalledMonteCarloTrialIsQuarantined) {
+    Circuit ckt = refckt::rc_mesh(6, 6);
+    ckt.add<NoiseCurrentSource>("NOISE1", k_ground, ckt.find_node("n3_3"),
+                                1e-9);
+    const mna::MnaAssembler assembler(ckt);
+    // Past the mesh's 50 ns drive corner, like the transient above.
+    engines::McOptions mc = small_mc(2);
+    mc.t_stop = 60e-9;
+    mc.noise_dt = 1e-9;
+    StepGuard guard;
+    const ArmedScope armed("swec.solve_nan=always");
+    const engines::McResult res = engines::run_monte_carlo(
+        assembler, mc, 1, ckt.find_node("n3_3"), runtime::ExecutionPolicy{1},
+        &guard.observer);
+    EXPECT_TRUE(res.trial_steps.empty());
+    ASSERT_EQ(res.failed_trials.size(), 2U);
+    for (const auto& f : res.failed_trials) {
+        EXPECT_NE(f.diagnostic.find("run_tran_swec: no progress"),
+                  std::string::npos)
+            << f.diagnostic;
     }
 }
 
